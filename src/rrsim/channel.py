@@ -4,7 +4,7 @@ SNR and throughput mapping."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,17 +67,6 @@ class ComplexGain:
 
     def as_complex(self) -> complex:
         return self.amplitude * complex(math.cos(self.phase), math.sin(self.phase))
-
-
-@dataclass(frozen=True)
-class LinkSample:
-    tx_id: str
-    rx_id: str
-    path_loss_db: float
-    los_blocked: bool
-    total_gain: ComplexGain
-    received_power_dbm: float
-    snr_db: float
 
 
 @dataclass(frozen=True)
@@ -341,3 +330,17 @@ def throughput(snr: float, mcs_table=DEFAULT_MCS) -> float:
         else:
             break
     return rate
+
+
+class McsStaircase:
+    """`throughput` for many SNRs at once. The table is checked once; each
+    lookup is then one searchsorted over its thresholds. SNRs must not be NaN."""
+
+    def __init__(self, mcs_table=DEFAULT_MCS) -> None:
+        self.min_snr = np.array([row[0] for row in mcs_table], float)
+        if np.any(self.min_snr[1:] < self.min_snr[:-1]):
+            raise ValueError("MCS table must be sorted by min SNR")
+        self.rates = np.array([0.0] + [row[1] for row in mcs_table], float)
+
+    def rates_at(self, snr: np.ndarray) -> np.ndarray:
+        return self.rates[np.searchsorted(self.min_snr, snr, side="right")]

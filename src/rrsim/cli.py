@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import datetime
 import json
 import logging
 import os
@@ -20,7 +19,7 @@ from .ric import builtin_apps
 from .ris_opt import build_codebook, evaluator_hash, model_evaluator
 from .runner import Simulation, summarize_run
 from .scenario import ParseError, Scenario, ValidationError, load_scenario
-from .simcore import NOT_RECOVERED, NoDisaster, recovery_time, write_summary_json
+from .simcore import NOT_RECOVERED, NoDisaster, recovery_time, write_metrics_csv
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -37,10 +36,17 @@ def _configure_logging() -> None:
 
 
 def _atomic_write(path: str, write_fn) -> None:
-    """Write to a temp file in the target directory and rename into place."""
+    """Write to a temp file in the target directory and rename into place.
+
+    The file gets the mode open() would give it under the current umask, not
+    mkstemp's 0600.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rrs_tmp_")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", newline="") as fh:
             write_fn(fh)
         os.replace(tmp, path)
@@ -77,7 +83,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         recovery = None
 
     os.makedirs(args.out, exist_ok=True)
-    _atomic_write(os.path.join(args.out, "metrics.csv"), lambda fh: _write_metrics(fh, metrics))
+    _atomic_write(os.path.join(args.out, "metrics.csv"), lambda fh: write_metrics_csv(fh, metrics.samples))
     _atomic_write(
         os.path.join(args.out, "actions.log"),
         lambda fh: fh.writelines(f"{t}\t{desc}\n" for t, desc in metrics.actions),
@@ -97,14 +103,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.require_recovery and (recovery is NOT_RECOVERED or recovery is None):
         return EXIT_NOT_RECOVERED
     return EXIT_OK
-
-
-def _write_metrics(fh, metrics) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(["time_ms", "coverage_ratio", "ue_id", "throughput_mbps"])
-    for s in metrics.samples:
-        for ue_id in sorted(s.throughput_mbps):
-            writer.writerow([s.time_ms, f"{s.coverage_ratio:.6f}", ue_id, f"{s.throughput_mbps[ue_id]:.6f}"])
 
 
 def cmd_ris_bench(args: argparse.Namespace) -> int:
@@ -215,7 +213,6 @@ def cmd_codebook_build(args: argparse.Namespace) -> int:
         evaluator_at,
         metadata={
             "grid": {"points": len(part_cfg["reference_points"])},
-            "build_date": datetime.date.today().isoformat(),
             "evaluator_hash": evaluator_hash(panel, tx.position, tx.freq_ghz, scenario.channel),
         },
     )

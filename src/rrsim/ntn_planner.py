@@ -13,7 +13,13 @@ import numpy as np
 from . import channel as ch
 from .ris_opt import iterative_optimize, model_evaluator
 from .scenario import NodeKind, NodeStatus
-from .world import NodeState, TopologySnapshot, access_snr_matrix, best_snr_db
+from .world import (
+    DEFAULT_SNR_THRESHOLD_DB,
+    NodeState,
+    TopologySnapshot,
+    access_snr_matrix,
+    best_snr_db,
+)
 
 DEFAULT_UAV_ALTITUDE_M = 120.0
 DEFAULT_UAV_TX_DBM = 35.0
@@ -291,6 +297,9 @@ def form_backhaul(
     pending = {p.node_id: p for p in placements}
     edges: list[BackhaulEdge] = []
     all_relay_sites = _relay_candidates(snapshot.obstacles, relay_sites)
+    # Anchor and child positions are fixed for the whole call, so each
+    # (parent, child) relay search is done at most once.
+    relays: dict[tuple[str, str], tuple[tuple[float, float, float], float] | None] = {}
 
     while pending:
         best_edge: BackhaulEdge | None = None
@@ -320,16 +329,18 @@ def form_backhaul(
                     ) - params.noise_floor_dbm()
                     if unblocked_snr < backhaul_threshold_db:
                         continue
-                    relay = _try_ris_relay(
-                        anchors[parent_id],
-                        child.position,
-                        child.tx_power_dbm,
-                        child.freq_ghz,
-                        params,
-                        snapshot.obstacles,
-                        all_relay_sites,
-                        backhaul_threshold_db,
-                    )
+                    if (parent_id, child_id) not in relays:
+                        relays[parent_id, child_id] = _try_ris_relay(
+                            anchors[parent_id],
+                            child.position,
+                            child.tx_power_dbm,
+                            child.freq_ghz,
+                            params,
+                            snapshot.obstacles,
+                            all_relay_sites,
+                            backhaul_threshold_db,
+                        )
+                    relay = relays[parent_id, child_id]
                     if relay is not None:
                         site, snr_via = relay
                         relay_cost = child.tx_power_dbm - snr_via - params.noise_floor_dbm()
@@ -357,7 +368,7 @@ def build_plan(
     planner_cfg: dict[str, Any],
 ) -> DeploymentPlan:
     """Full non-real-time planning pass on one topology snapshot."""
-    snr_threshold = float(planner_cfg.get("snr_threshold_db", 3.0))
+    snr_threshold = float(planner_cfg.get("snr_threshold_db", DEFAULT_SNR_THRESHOLD_DB))
     max_nodes = int(planner_cfg.get("max_nodes", 3))
     altitude = float(planner_cfg.get("uav_altitude_m", DEFAULT_UAV_ALTITUDE_M))
     spacing = float(planner_cfg.get("candidate_spacing_m", 500.0))

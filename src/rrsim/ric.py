@@ -3,7 +3,7 @@ apps that plan recovery and reconfigure radio resources."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 import numpy as np
@@ -20,7 +20,7 @@ from .ris_opt import (
 from .cfmimo import ClusterAssignment, cluster
 from .scenario import NodeKind, NodeStatus
 from .simcore import Event, EventKind, Kernel
-from .world import TopologySnapshot, World, access_snr_matrix
+from .world import DEFAULT_SNR_THRESHOLD_DB, TopologySnapshot, World, access_snr_matrix
 
 NON_RT_MIN_INTERVAL_MS = 1_000
 NEAR_RT_MIN_INTERVAL_MS = 10
@@ -107,9 +107,18 @@ class Controller:
     # --- dispatch ----------------------------------------------------------
 
     def snapshot(self) -> TopologySnapshot:
-        key = (self.kernel.clock, self.topology_version)
+        """The world as of now. Node tuples are rebuilt only when the world
+        or the topology version changed; a moved clock or new heartbeats just
+        rebind those two fields."""
+        key = (self.world.version, self.topology_version)
+        now = self.kernel.clock
+        beats = self.world.last_heartbeat
         if self._snapshot_cache is None or self._snapshot_cache[0] != key:
-            self._snapshot_cache = (key, self.world.snapshot(self.kernel.clock))
+            self._snapshot_cache = (key, self.world.snapshot(now))
+        else:
+            snap = self._snapshot_cache[1]
+            if snap.now_ms != now or snap.last_heartbeat is not beats:
+                self._snapshot_cache = (key, replace(snap, now_ms=now, last_heartbeat=beats))
         return self._snapshot_cache[1]
 
     def _on_tick(self, kernel: Kernel, event: Event) -> None:
@@ -122,10 +131,9 @@ class Controller:
             kernel.schedule(kernel.clock + app.interval_ms, kind, {"app": app.name})
 
     def _on_ue_move(self, kernel: Kernel, event: Event) -> None:
-        node = self.world.nodes.get(event.payload.get("node_id", ""))
-        if node is not None and "position" in event.payload:
-            node.position = tuple(event.payload["position"])
-            self._snapshot_cache = None
+        node_id = event.payload.get("node_id", "")
+        if node_id in self.world.nodes and "position" in event.payload:
+            self.world.move_node(node_id, event.payload["position"])
         for app in self.apps.values():
             if app.event_kind == EventKind.UE_MOVE:
                 self._run_app(app)
@@ -259,7 +267,7 @@ class Controller:
 
 
 def _failure_monitor(ctl: Controller, snapshot: TopologySnapshot) -> list[Action]:
-    threshold = float(ctl.world.scenario.planner.get("snr_threshold_db", 3.0))
+    threshold = float(ctl.world.scenario.planner.get("snr_threshold_db", DEFAULT_SNR_THRESHOLD_DB))
     _, failed, oos = planner.detect_outage(snapshot, threshold, ctl.params)
     previous = ctl.blackboard.get("out_of_service")
     ctl.blackboard["out_of_service"] = oos

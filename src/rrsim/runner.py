@@ -3,17 +3,16 @@ controller and periodic metrics sampling for one scenario run."""
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any
 
 import numpy as np
 
 from . import channel as ch
 from .ric import Controller, ControllerApp, builtin_apps
-from .scenario import Scenario, inject_disaster, traffic_multiplier
+from .scenario import ACCESS_KINDS, Scenario, inject_disaster, traffic_multiplier
 from .simcore import Event, EventKind, Kernel, MetricsLog, Sample
-from .world import DEFAULT_HEARTBEAT_MS, World, best_snr_db
-
-DEFAULT_SNR_THRESHOLD_DB = 3.0
+from .world import DEFAULT_HEARTBEAT_MS, DEFAULT_SNR_THRESHOLD_DB, World, best_snr_db
 
 
 class Simulation:
@@ -39,6 +38,8 @@ class Simulation:
             scenario.planner.get("snr_threshold_db", DEFAULT_SNR_THRESHOLD_DB)
         )
         self._strike_time: int | None = None
+        self._mcs = ch.McsStaircase(scenario.channel.mcs_table)
+        self._links: tuple[int, tuple] | None = None
 
         self.kernel.on(EventKind.DISASTER_STRIKE, self._on_strike)
         self.kernel.on(EventKind.BATTERY_EXPIRY, self._on_battery_expiry)
@@ -110,15 +111,28 @@ class Simulation:
         voice = profile.voice_mbps * traffic_multiplier(profile, "voice", t_since)
         return data + voice
 
+    def _terrestrial_links(self) -> tuple[list[str], np.ndarray, list[str | None], int]:
+        """UE ids, best terrestrial SNR per UE, its serving node and the
+        active-node count, recomputed only when the world version moved."""
+        if self._links is None or self._links[0] != self.world.version:
+            ue_ids, positions = self.world.ue_positions()
+            access = sorted(
+                (n for n in self.world.nodes.values() if n.kind in ACCESS_KINDS and n.serving),
+                key=lambda n: n.node_id,
+            )
+            best, servers = best_snr_db(
+                access, positions, self.scenario.channel, self.world.obstacles
+            )
+            self._links = (
+                self.world.version,
+                (ue_ids, best, servers, self.world.active_node_count()),
+            )
+        return self._links[1]
+
     def _ue_snr_db(self) -> tuple[list[str], np.ndarray, list[str | None]]:
-        ue_ids, positions = self.world.ue_positions()
-        access = [
-            n
-            for n in self.world.nodes.values()
-            if n.kind.value in ("TerrestrialBS", "MobileBS", "UAV") and n.serving
-        ]
-        access.sort(key=lambda n: n.node_id)
-        best, servers = best_snr_db(access, positions, self.scenario.channel, self.world.obstacles)
+        ue_ids, best, servers, _ = self._terrestrial_links()
+        best = best.copy()
+        servers = list(servers)
 
         # RIS-assisted links override the terrestrial path where stronger.
         for panel_id in sorted(self.world.panels):
@@ -137,9 +151,10 @@ class Simulation:
 
     def measure(self, now_ms: int, apply_fading: bool | None = None) -> Sample:
         ue_ids, best, servers = self._ue_snr_db()
+        active_nodes = self._terrestrial_links()[3]
         n_ue = len(ue_ids)
         if n_ue == 0:
-            return Sample(now_ms, 1.0, {}, self.world.active_node_count())
+            return Sample(now_ms, 1.0, {}, active_nodes)
         fading = self.scenario.channel.fading if apply_fading is None else apply_fading
         if fading and n_ue:
             # Rayleigh amplitude per UE link, drawn from the run's fading stream.
@@ -148,22 +163,18 @@ class Simulation:
                 rng.standard_normal(n_ue) + 1j * rng.standard_normal(n_ue)
             ) / np.sqrt(2.0)
             best = best + 20.0 * np.log10(np.maximum(amp, 1e-12))
-        covered = best >= self.snr_threshold_db
-        coverage_ratio = float(np.count_nonzero(covered)) / n_ue
+        covered = (best >= self.snr_threshold_db).tolist()
+        coverage_ratio = sum(covered) / n_ue
 
         offered = self._offered_load_mbps(now_ms)
-        contention: dict[str, int] = {}
-        for server, ok in zip(servers, covered):
-            if server is not None and ok:
-                contention[server] = contention.get(server, 0) + 1
-        throughput: dict[str, float] = {}
-        for j, ue in enumerate(ue_ids):
-            if not covered[j] or servers[j] is None:
-                throughput[ue] = 0.0
-                continue
-            capacity = ch.throughput(float(best[j]), self.scenario.channel.mcs_table)
-            throughput[ue] = min(offered, capacity / max(contention[servers[j]], 1))
-        return Sample(now_ms, coverage_ratio, throughput, self.world.active_node_count())
+        served = [server if ok else None for server, ok in zip(servers, covered)]
+        contention = Counter(served)
+        capacity = self._mcs.rates_at(best).tolist()
+        throughput = {
+            ue: 0.0 if server is None else min(offered, rate / contention[server])
+            for ue, server, rate in zip(ue_ids, served, capacity)
+        }
+        return Sample(now_ms, coverage_ratio, throughput, active_nodes)
 
     def baseline_coverage(self) -> float:
         """Coverage ratio of the intact scenario before any event fires."""

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import heapq
 import json
@@ -78,13 +77,7 @@ class MetricsLog:
 
     def write_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time_ms", "coverage_ratio", "ue_id", "throughput_mbps"])
-            for s in self.samples:
-                for ue_id in sorted(s.throughput_mbps):
-                    writer.writerow(
-                        [s.time_ms, f"{s.coverage_ratio:.6f}", ue_id, f"{s.throughput_mbps[ue_id]:.6f}"]
-                    )
+            write_metrics_csv(fh, self.samples)
 
     def summary(self) -> dict[str, Any]:
         return {
@@ -92,6 +85,48 @@ class MetricsLog:
             "n_actions": len(self.actions),
             "final_coverage": self.samples[-1].coverage_ratio if self.samples else None,
         }
+
+
+def _csv_field(text: str) -> str:
+    """One field as csv.writer's default dialect writes it (QUOTE_MINIMAL)."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+class _FixedPoint(dict):
+    """Memo of f"{x:.6f}" by value. Zeros must not go through it: 0.0 and
+    -0.0 are equal keys but print differently."""
+
+    def __missing__(self, value: float) -> str:
+        text = self[value] = f"{value:.6f}"
+        return text
+
+
+def write_metrics_csv(fh, samples: list[Sample]) -> None:
+    """metrics.csv: one row per sample and UE, sorted by UE id, byte for byte
+    what csv.writer writes (CRLF line ends, minimal quoting). Each sample's
+    rows go out as one string; the sorted UE fields and the fixed-point text
+    of each distinct rate are computed once."""
+    fh.write("time_ms,coverage_ratio,ue_id,throughput_mbps\r\n")
+    known: set[str] = set()
+    ue_ids: list[str] = []
+    leads: list[str] = []  # each UE's CSV field and a comma
+    fixed = _FixedPoint()
+    for s in samples:
+        rates = s.throughput_mbps
+        if rates.keys() != known:
+            ue_ids = sorted(rates)
+            known = set(ue_ids)
+            leads = [_csv_field(ue) + "," for ue in ue_ids]
+        if not ue_ids:
+            continue
+        cells = [
+            lead + (fixed[rate] if rate else f"{rate:.6f}")
+            for lead, rate in zip(leads, map(rates.__getitem__, ue_ids))
+        ]
+        prefix = f"{s.time_ms},{s.coverage_ratio:.6f},"
+        fh.write(prefix + ("\r\n" + prefix).join(cells) + "\r\n")
 
 
 class NotRecovered:

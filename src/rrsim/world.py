@@ -2,12 +2,13 @@
 
 The scenario stays frozen after load; everything that changes during a run
 (node status, batteries, obstacles added at strike time, RIS configurations,
-heartbeats) lives here.
+heartbeats) lives here. Node and obstacle changes go through `World` methods
+that bump `World.version`, the key of the snapshot and link-budget caches.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,8 +124,8 @@ def best_snr_db(
     best_idx = np.argmax(matrix, axis=0)
     best = matrix[best_idx, np.arange(n_ue)]
     servers: list[str | None] = [
-        access_nodes[i].node_id if np.isfinite(best[j]) else None
-        for j, i in enumerate(best_idx)
+        access_nodes[i].node_id if finite else None
+        for i, finite in zip(best_idx.tolist(), np.isfinite(best).tolist())
     ]
     return best, servers
 
@@ -138,6 +139,8 @@ class World:
             n.node_id: NodeState.from_node(n) for n in scenario.nodes
         }
         self.obstacles: list = [tuple(map(tuple, box)) for box in scenario.obstacles]
+        # Replaced on every heartbeat, never mutated in place, so snapshots
+        # can share it.
         self.last_heartbeat: dict[str, int] = {nid: 0 for nid in self.nodes}
         self.heartbeat_window_ms: int = max(
             scenario.non_rt_tick_ms, 2 * DEFAULT_HEARTBEAT_MS
@@ -145,6 +148,9 @@ class World:
         self.panels: dict[str, ch.RisPanel] = {}
         self.panel_states: dict[str, PanelState] = {}
         self._next_deploy_index = 0
+        # Bumped by every method below that changes nodes or obstacles; caches
+        # of snapshots and link budgets are keyed on it.
+        self.version = 0
         for node in scenario.nodes:
             if node.kind == NodeKind.RIS_PANEL:
                 self._register_panel(node)
@@ -177,19 +183,27 @@ class World:
             node.battery_ms = reserve
         for box in blockages:
             self.obstacles.append((tuple(box[0]), tuple(box[1])))
+        self.version += 1
 
     def expire_battery(self, node_id: str) -> bool:
         node = self.nodes[node_id]
         if node.status == NodeStatus.ON_BATTERY:
             node.status = NodeStatus.FAILED
             node.battery_ms = None
+            self.version += 1
             return True
         return False
 
+    def move_node(self, node_id: str, position) -> None:
+        self.nodes[node_id].position = tuple(position)
+        self.version += 1
+
     def heartbeat(self, now_ms: int) -> None:
-        for node in self.nodes.values():
-            if node.serving:
-                self.last_heartbeat[node.node_id] = now_ms
+        beats = dict(self.last_heartbeat)
+        for node_id, node in self.nodes.items():
+            if node.status in SERVING_STATUSES:
+                beats[node_id] = now_ms
+        self.last_heartbeat = beats
 
     def add_deployed_node(
         self,
@@ -204,7 +218,8 @@ class World:
         self._next_deploy_index += 1
         state = NodeState(node_id, kind, tuple(position), status, tx_power_dbm, freq_ghz)
         self.nodes[node_id] = state
-        self.last_heartbeat[node_id] = now_ms
+        self.last_heartbeat = {**self.last_heartbeat, node_id: now_ms}
+        self.version += 1
         return state
 
     # --- views -------------------------------------------------------------
@@ -219,7 +234,7 @@ class World:
                 for n in sorted(self.nodes.values(), key=lambda n: n.node_id)
             ),
             obstacles=tuple(self.obstacles),
-            last_heartbeat=dict(self.last_heartbeat),
+            last_heartbeat=self.last_heartbeat,
             heartbeat_window_ms=self.heartbeat_window_ms,
         )
 

@@ -1,7 +1,12 @@
 """CLI surface: argument validation, emitted artifacts and exit codes."""
 
 import csv
+import datetime
 import json
+import os
+import stat
+
+import pytest
 
 from rrsim.cli import bundled_scenario_path, main
 
@@ -199,3 +204,54 @@ class TestCodebookBuild:
             ]
         )
         assert rc == 2
+
+
+class TestArtifactFiles:
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask022", "umask077"])
+    def test_mode_follows_umask_like_open(self, tmp_path, umask, capsys):
+        scenario = write_scenario(tmp_path, SMALL)
+        old = os.umask(umask)
+        try:
+            plain = tmp_path / "plain"
+            open(plain, "w").close()
+            assert main(["run", "--scenario", scenario, "--until", "10000", "--out", str(tmp_path / "run")]) == 0
+            assert main(
+                [
+                    "plan", "--scenario", bundled_scenario_path("earthquake_demo.json"),
+                    "--out", str(tmp_path / "plan.json"),
+                ]
+            ) == 0
+            assert main(
+                [
+                    "codebook", "build",
+                    "--scenario", bundled_scenario_path("two_ue_demo.json"),
+                    "--panel", "ris1", "--out", str(tmp_path / "cb.json"),
+                ]
+            ) == 0
+        finally:
+            os.umask(old)
+        want = stat.S_IMODE(plain.stat().st_mode)
+        for path in (tmp_path / "run" / "metrics.csv", tmp_path / "plan.json", tmp_path / "cb.json"):
+            assert stat.S_IMODE(path.stat().st_mode) == want, path
+
+    def test_codebook_bytes_do_not_depend_on_the_date(self, tmp_path, monkeypatch, capsys):
+        outputs = []
+        for day in (datetime.date(2024, 1, 1), datetime.date(2031, 12, 31)):
+
+            class FixedDate(datetime.date):
+                @classmethod
+                def today(cls, day=day):
+                    return day
+
+            monkeypatch.setattr(datetime, "date", FixedDate)
+            out = tmp_path / f"cb_{day.isoformat()}.json"
+            rc = main(
+                [
+                    "codebook", "build",
+                    "--scenario", bundled_scenario_path("two_ue_demo.json"),
+                    "--panel", "ris1", "--out", str(out),
+                ]
+            )
+            assert rc == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]

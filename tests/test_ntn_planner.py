@@ -243,3 +243,41 @@ class TestBuildPlan:
         plan = planner.build_plan(snap, PARAMS, cfg)
         text = plan.to_json()
         assert '"placements"' in text and '"backhaul"' in text
+
+
+class TestRelaySearchMemo:
+    def test_each_blocked_pair_is_searched_once(self, monkeypatch):
+        # Both UAVs sit behind a wall from the gateway. The first round picks
+        # uav_1 through a relay; the second round must not search gw->uav_0
+        # again, and the edges stay what the repeated search gave.
+        wall = ((18.0, -10.0, 0.0), (20.0, 10.0, 15.0))
+        nodes = [
+            {"id": "gw", "kind": "Gateway", "position": [0, 0, 10]},
+            {"id": "ue", "kind": "UE", "position": [5, 5, 1.5]},
+        ]
+        snap = World(scenario_from_dict({"nodes": nodes, "obstacles": [list(map(list, wall))]})).snapshot(0)
+        uavs = [
+            planner.Placement(f"uav_{i}", planner.NodeKind.UAV, pos, 45.0, 3.5)
+            for i, pos in enumerate([(40.0, 0.0, 10.0), (40.0, 3.0, 10.0)])
+        ]
+        params = ch.ChannelParams(exponent=2.0, blockage_penalty_db=60.0)
+        searches = []
+        search = planner._try_ris_relay
+
+        def counting(a_pos, b_pos, *args):
+            searches.append((tuple(a_pos), tuple(b_pos)))
+            return search(a_pos, b_pos, *args)
+
+        monkeypatch.setattr(planner, "_try_ris_relay", counting)
+        edges = planner.form_backhaul(uavs, snap, params, backhaul_threshold_db=10.0)
+        assert len(searches) == len(set(searches)) == 2
+        assert planner.DeploymentPlan(backhaul=edges).to_dict()["backhaul"] == [
+            {
+                "child": "uav_1",
+                "parent": "gw",
+                "via": "ris_relay",
+                "relay_position": [25.0, 15.0, 20.0],
+                "snr_db": 28.092604,
+            },
+            {"child": "uav_0", "parent": "uav_1", "via": "direct", "snr_db": 86.118131},
+        ]

@@ -196,3 +196,34 @@ class TestBuiltinApps:
         assert any("SwitchPolicy by ScriptRunner: ris-off" in t for t in texts)
         assert any("ApplyRisConfig by ScriptRunner" in t for t in texts)
         assert list(sim.world.panel_states["ris1"].config) == [0] * 76
+
+
+class TestSnapshotCache:
+    def test_clock_only_change_rebinds_time(self):
+        ctl, kernel = make_controller()
+        first = ctl.snapshot()
+        kernel.run_until(70_000)
+        later = ctl.snapshot()
+        assert later.now_ms == 70_000
+        assert later.nodes is first.nodes
+        # freshness is judged against the rebound clock
+        assert first.heartbeat_fresh("bs1")
+        assert not later.heartbeat_fresh("bs1")
+
+    def test_heartbeat_is_seen_without_rebuild(self):
+        ctl, kernel = make_controller()
+        first = ctl.snapshot()
+        kernel.run_until(70_000)
+        ctl.world.heartbeat(70_000)
+        later = ctl.snapshot()
+        assert later.nodes is first.nodes
+        assert later.heartbeat_fresh("bs1")
+
+    def test_ue_move_rebuilds_the_snapshot(self):
+        ctl, kernel = make_controller()
+        first = ctl.snapshot()
+        kernel.schedule(10, EventKind.UE_MOVE, {"node_id": "ue1", "position": [300, 0, 1.5]})
+        kernel.run_until(10)
+        ue = next(n for n in ctl.snapshot().nodes if n.node_id == "ue1")
+        assert ue.position == (300, 0, 1.5)
+        assert next(n for n in first.nodes if n.node_id == "ue1").position == (100, 0, 1.5)

@@ -131,3 +131,37 @@ class TestSnrHelpers:
         wall = (((50.0, -5.0, 0.0), (60.0, 5.0, 50.0)),)
         blocked = access_snr_matrix(access, positions, self.PARAMS, wall)
         assert blocked[0, 0] == pytest.approx(clear[0, 0] - self.PARAMS.blockage_penalty_db)
+
+
+class TestVersion:
+    def test_every_mutation_bumps_the_version(self):
+        world = make_world()
+        seen = [world.version]
+
+        def bumped():
+            seen.append(world.version)
+            return seen[-1] > seen[-2]
+
+        world.apply_strike([], ["bs2"], [], 0)
+        assert bumped()
+        world.expire_battery("bs2")
+        assert bumped()
+        world.move_node("ue1", (120, 0, 1.5))
+        assert bumped()
+        assert world.nodes["ue1"].position == (120, 0, 1.5)
+        world.add_deployed_node(NodeKind.UAV, (0, 0, 120), 35.0, 3.5)
+        assert bumped()
+
+    def test_no_op_expiry_and_heartbeats_keep_the_version(self):
+        world = make_world()
+        version = world.version
+        assert not world.expire_battery("bs1")
+        world.heartbeat(10_000)
+        assert world.version == version
+
+    def test_heartbeat_replaces_the_dict_shared_with_snapshots(self):
+        world = make_world()
+        snap = world.snapshot(0)
+        world.heartbeat(10_000)
+        assert snap.last_heartbeat["bs1"] == 0
+        assert world.last_heartbeat["bs1"] == 10_000
