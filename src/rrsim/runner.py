@@ -129,10 +129,9 @@ class Simulation:
             )
         return self._links[1]
 
-    def _ue_snr_db(self) -> tuple[list[str], np.ndarray, list[str | None]]:
-        ue_ids, best, servers, _ = self._terrestrial_links()
-        best = best.copy()
-        servers = list(servers)
+    def _ue_snr_db(self) -> tuple[list[str], np.ndarray, list[str | None], int]:
+        ue_ids, best, servers, active_nodes = self._terrestrial_links()
+        copied = False
 
         # RIS-assisted links override the terrestrial path where stronger.
         for panel_id in sorted(self.world.panels):
@@ -145,13 +144,14 @@ class Simulation:
                 )
                 snr = power - self.scenario.channel.noise_floor_dbm()
                 if snr > best[j]:
+                    if not copied:  # the cached terrestrial arrays stay untouched
+                        best, servers, copied = best.copy(), list(servers), True
                     best[j] = snr
                     servers[j] = panel_id
-        return ue_ids, best, servers
+        return ue_ids, best, servers, active_nodes
 
     def measure(self, now_ms: int, apply_fading: bool | None = None) -> Sample:
-        ue_ids, best, servers = self._ue_snr_db()
-        active_nodes = self._terrestrial_links()[3]
+        ue_ids, best, servers, active_nodes = self._ue_snr_db()
         n_ue = len(ue_ids)
         if n_ue == 0:
             return Sample(now_ms, 1.0, {}, active_nodes)

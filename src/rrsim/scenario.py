@@ -131,6 +131,9 @@ class Scenario:
         for node in self.nodes:
             node.validate()
         self.traffic.validate()
+        thresholds = [min_snr for min_snr, _ in self.channel.mcs_table]
+        if thresholds != sorted(thresholds):
+            raise ValidationError("MCS table must be sorted by min SNR")
         known = set(ids)
         for event in self.disasters:
             event.validate()

@@ -6,8 +6,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rrsim import channel as ch
 from rrsim.simcore import rng_stream
@@ -264,19 +262,7 @@ class TestComplexGain:
         assert ch.received_power_dbm(20.0, ch.ComplexGain(0.0, 0.0)) == -math.inf
 
 
-# --- vectorised MCS staircase against the scalar lookup -----------------------
-
-_snr = st.floats(allow_nan=False)
-_mcs_tables = st.lists(
-    st.tuples(st.floats(allow_nan=False), st.floats(0.0, 1e4, allow_nan=False)), max_size=12
-).map(lambda rows: tuple(sorted(rows, key=lambda row: row[0])))
-
-
-@settings(max_examples=300, deadline=None)
-@given(_mcs_tables, st.lists(_snr, min_size=1, max_size=20))
-def test_mcs_staircase_matches_scalar_throughput(table, snrs):
-    rates = ch.McsStaircase(table).rates_at(np.array(snrs, float))
-    assert rates.tolist() == [ch.throughput(s, table) for s in snrs]
+# --- vectorised MCS staircase ---------------------------------------------------
 
 
 def test_mcs_staircase_rejects_unsorted_table():

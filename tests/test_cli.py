@@ -43,6 +43,21 @@ class TestValidation:
         rc = main(["run", "--scenario", str(path), "--until", "1000"])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["run", "--until", "1000", "--out", "{tmp}/out"],
+            ["plan", "--out", "{tmp}/plan.json"],
+            ["codebook", "build", "--panel", "p1", "--out", "{tmp}/codebook.json"],
+        ],
+    )
+    def test_unsorted_mcs_table(self, tmp_path, capsys, command):
+        scenario = write_scenario(tmp_path, dict(SMALL, channel={"mcs_table": [[5.0, 2.0], [0.0, 1.0]]}))
+        rc = main([arg.format(tmp=tmp_path) for arg in command] + ["--scenario", scenario])
+        assert rc == 2
+        assert "MCS table must be sorted" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+
     def test_bad_panel_spec(self, capsys):
         rc = main(["ris", "bench", "--panel", "seventysix"])
         assert rc == 2

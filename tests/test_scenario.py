@@ -72,6 +72,10 @@ class TestValidation:
         with pytest.raises(ValidationError):
             minimal(nodes=nodes)
 
+    def test_mcs_table_must_be_sorted(self):
+        with pytest.raises(ValidationError, match="sorted by min SNR"):
+            minimal(channel={"mcs_table": [[5.0, 2.0], [0.0, 1.0]]})
+
     def test_gateway_required(self):
         with pytest.raises(ValidationError):
             minimal(nodes=[{"id": "bs", "kind": "TerrestrialBS", "position": [0, 0, 25]}])
