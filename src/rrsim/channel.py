@@ -254,12 +254,8 @@ def cascaded_gain(
     params: ChannelParams,
     obstacles=(),
 ) -> ComplexGain:
-    """Total complex gain of direct path plus per-element reflected paths.
-
-    Each element contributes a_k * g_k * f_k * exp(j(theta_k + phi_k)) where
-    g_k, f_k are segment amplitudes from path loss, phi_k the distance-induced
-    phase -2*pi*(d1+d2)/lambda and (a_k, theta_k) the chosen element state.
-    """
+    """Total complex gain of direct path plus per-element reflected paths
+    (see `reflected_terms`)."""
     config = np.asarray(config, dtype=int)
     if config.shape != (panel.n_elements,):
         raise LengthMismatch(
@@ -267,8 +263,29 @@ def cascaded_gain(
         )
     tx = np.asarray(tx_pos, float)
     rx = np.asarray(rx_pos, float)
-    wavelength = SPEED_OF_LIGHT / (freq_ghz * 1e9)
+    total = np.sum(reflected_terms(tx, panel, rx, freq_ghz, params, config))
+    total += direct_term(tx, rx, freq_ghz, params, obstacles)
+    return ComplexGain.from_complex(complex(total))
 
+
+def reflected_terms(
+    tx: np.ndarray,
+    panel: RisPanel,
+    rx: np.ndarray,
+    freq_ghz: float,
+    params: ChannelParams,
+    config: np.ndarray | None = None,
+) -> np.ndarray:
+    """Reflected path of each element k: a * g_k * f_k * exp(j(theta - phi_k)),
+    where g_k, f_k are segment amplitudes from path loss, phi_k is the
+    distance-induced phase 2*pi*(d1+d2)/lambda and (a, theta) an element state.
+
+    With a config, (N,) terms at the state config[k] of each element; without
+    one, the (N, S) table of every state of every element. Both shapes come
+    from the same element-wise operations, so a gathered table row equals the
+    config's terms bit for bit.
+    """
+    wavelength = SPEED_OF_LIGHT / (freq_ghz * 1e9)
     d1 = np.linalg.norm(panel.element_positions - tx, axis=1)
     d2 = np.linalg.norm(rx - panel.element_positions, axis=1)
     if np.any(d1 <= 0.0) or np.any(d2 <= 0.0):
@@ -276,17 +293,21 @@ def cascaded_gain(
     pl1 = _path_loss_db_vec(d1, freq_ghz, params)
     pl2 = _path_loss_db_vec(d2, freq_ghz, params)
     seg_amp = 10.0 ** (-(pl1 + pl2) / 20.0)
+    path_phase = 2.0 * math.pi * (d1 + d2) / wavelength
+    if config is None:
+        state_amp = np.array([amp for amp, _ in panel.states])
+        state_phase = np.array([phase for _, phase in panel.states])
+        seg_amp = seg_amp[:, None]
+        path_phase = path_phase[:, None]
+    else:
+        state_amp = np.array([panel.states[s][0] for s in config])
+        state_phase = np.array([panel.states[s][1] for s in config])
+    return state_amp * seg_amp * np.exp(1j * (state_phase - path_phase))
 
-    state_amp = np.array([panel.states[s][0] for s in config])
-    state_phase = np.array([panel.states[s][1] for s in config])
-    phase = state_phase - 2.0 * math.pi * (d1 + d2) / wavelength
-    total = np.sum(state_amp * seg_amp * np.exp(1j * phase))
 
-    total += _direct_term(tx, rx, freq_ghz, params, obstacles)
-    return ComplexGain.from_complex(complex(total))
-
-
-def _direct_term(tx, rx, freq_ghz, params: ChannelParams, obstacles) -> complex:
+def direct_term(tx, rx, freq_ghz, params: ChannelParams, obstacles) -> complex:
+    """Complex gain of the direct tx -> rx path; a blocked path contributes
+    nothing unless params.scatter_floor_db sets a residual attenuation."""
     blocked = los_blocked(tx, rx, obstacles)
     if blocked and params.scatter_floor_db is None:
         return 0.0

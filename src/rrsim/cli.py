@@ -10,13 +10,14 @@ import logging
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from importlib import resources
 from typing import Iterable
 
 from . import bench as bench_mod
 from . import ntn_planner as planner_mod
 from .ric import builtin_apps
-from .ris_opt import build_codebook, evaluator_hash, model_evaluator
+from .ris_opt import evaluator_hash
 from .runner import Simulation, summarize_run
 from .scenario import ParseError, Scenario, ValidationError, load_scenario
 from .simcore import NOT_RECOVERED, NoDisaster, recovery_time, write_metrics_csv
@@ -197,20 +198,10 @@ def cmd_codebook_build(args: argparse.Namespace) -> int:
         print(f"part {args.part} has no reference points configured", file=sys.stderr)
         return EXIT_VALIDATION
 
-    members = panel.part_elements(args.part)
-    state = sim.world.panel_states[args.panel]
-
-    def evaluator_at(point):
-        return model_evaluator(
-            panel, tx.position, tx.tx_power_dbm, point, tx.freq_ghz, scenario.channel,
-            obstacles=sim.world.obstacles, part_elements=members, base_config=state.config,
-        )
-
-    codebook = build_codebook(
-        panel,
-        args.part,
-        part_cfg["reference_points"],
-        evaluator_at,
+    # The controller built every configured part's codebook with the same
+    # evaluator when the simulation was set up.
+    codebook = replace(
+        sim.controller.codebooks[(args.panel, args.part)],
         metadata={
             "grid": {"points": len(part_cfg["reference_points"])},
             "evaluator_hash": evaluator_hash(panel, tx.position, tx.freq_ghz, scenario.channel),

@@ -122,6 +122,13 @@ def detect_outage(
     params: ch.ChannelParams,
 ) -> tuple[set[str], set[str], set[str]]:
     """Classify nodes as operational or failed and find out-of-service UEs."""
+    operational, failed = node_health(snapshot)
+    access = snapshot.operational_access_nodes()
+    return operational, failed, ues_out_of_service(snapshot, access, snr_threshold_db, params)
+
+
+def node_health(snapshot: TopologySnapshot) -> tuple[set[str], set[str]]:
+    """Non-UE nodes that serve with a fresh heartbeat, and the others."""
     operational: set[str] = set()
     failed: set[str] = set()
     for node in snapshot.nodes:
@@ -131,15 +138,22 @@ def detect_outage(
             operational.add(node.node_id)
         else:
             failed.add(node.node_id)
+    return operational, failed
 
+
+def ues_out_of_service(
+    snapshot: TopologySnapshot,
+    access: list[NodeState],
+    snr_threshold_db: float,
+    params: ch.ChannelParams,
+) -> set[str]:
+    """UEs whose best SNR from the given access nodes is below the threshold."""
     ues = snapshot.ues()
     if not ues:
-        return operational, failed, set()
+        return set()
     positions = np.array([u.position for u in ues], float)
-    access = [n for n in snapshot.operational_access_nodes()]
     best, _ = best_snr_db(access, positions, params, snapshot.obstacles)
-    out_of_service = {u.node_id for u, snr in zip(ues, best) if snr < snr_threshold_db}
-    return operational, failed, out_of_service
+    return {u.node_id for u, snr in zip(ues, best) if snr < snr_threshold_db}
 
 
 def coverage_map(

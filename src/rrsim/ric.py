@@ -8,10 +8,10 @@ from typing import Any, Callable
 
 import numpy as np
 
-from . import channel as ch
 from . import ntn_planner as planner
 from .ris_opt import (
     Codebook,
+    ModelEvaluator,
     build_codebook,
     iterative_optimize,
     model_evaluator,
@@ -81,6 +81,11 @@ class Controller:
         self.cluster_assignment: ClusterAssignment | None = None
         self.topology_version = 0
         self._snapshot_cache: tuple[tuple[int, int], TopologySnapshot] | None = None
+        # (world version, operational access ids) -> UEs out of service.
+        self._outage_cache: tuple[tuple[int, tuple[str, ...]], set[str]] | None = None
+        # (panel, UE) -> (world version, evaluator); the table outlives
+        # configuration changes, which do not bump the version.
+        self._ris_links: dict[tuple[str, str], tuple[int, ModelEvaluator]] = {}
         self._script = sorted(self.cfg.get("script", ()), key=lambda s: s["time_ms"])
         kernel.on(EventKind.NON_RT_TICK, self._on_tick)
         kernel.on(EventKind.NEAR_RT_TICK, self._on_tick)
@@ -215,51 +220,46 @@ class Controller:
         cfg = self.cfg.get("ris", {}).get(panel_id, {})
         return self.world.nodes[cfg["tx"]]
 
-    def ris_power_at(self, panel_id: str, full_config, ue_id: str) -> float:
-        """Received power (dBm) at a UE through the panel at the given config."""
+    def ris_evaluator(self, panel_id: str, rx_pos, part_id: int | None = None) -> ModelEvaluator:
+        """Power (dBm) at rx_pos through the panel from its configured tx, in
+        the current world. With part_id it takes that part's configuration,
+        spliced over the panel's current one; otherwise a full-panel config."""
         tx = self.ris_tx_node(panel_id)
-        ue = self.world.nodes[ue_id]
         panel = self.world.panels[panel_id]
-        gain = ch.cascaded_gain(
-            tx.position,
-            panel,
-            full_config,
-            ue.position,
-            tx.freq_ghz,
-            self.params,
+        return model_evaluator(
+            panel, tx.position, tx.tx_power_dbm, rx_pos, tx.freq_ghz, self.params,
             obstacles=self.world.obstacles,
+            part_elements=None if part_id is None else panel.part_elements(part_id),
+            base_config=self.world.panel_states[panel_id].config,
         )
-        return ch.received_power_dbm(tx.tx_power_dbm, gain)
+
+    def ris_power_at(self, panel_id: str, full_config, ue_id: str) -> float:
+        """Received power (dBm) at a UE through the panel at the given config.
+        The link table is kept per (panel, UE) until the world version moves."""
+        version = self.world.version
+        cached = self._ris_links.get((panel_id, ue_id))
+        if cached is None or cached[0] != version:
+            cached = (version, self.ris_evaluator(panel_id, self.world.nodes[ue_id].position))
+            self._ris_links[panel_id, ue_id] = cached
+        return cached[1](full_config)
 
     def _build_offline_codebooks(self) -> None:
         for panel_id, cfg in self.cfg.get("ris", {}).items():
             if panel_id not in self.world.panels:
                 continue
-            panel = self.world.panels[panel_id]
-            tx = self.world.nodes[cfg["tx"]]
+            self.ris_tx_node(panel_id)  # an unknown tx fails even with no part to build
             for pid_str, part_cfg in cfg.get("parts", {}).items():
                 points = part_cfg.get("reference_points")
                 if not points:
                     continue
                 part_id = int(pid_str)
-                members = panel.part_elements(part_id)
-                state = self.world.panel_states[panel_id]
-
-                def evaluator_at(point, members=members, state=state):
-                    return model_evaluator(
-                        panel,
-                        tx.position,
-                        tx.tx_power_dbm,
-                        point,
-                        tx.freq_ghz,
-                        self.params,
-                        obstacles=self.world.obstacles,
-                        part_elements=members,
-                        base_config=state.config,
-                    )
-
                 self.codebooks[(panel_id, part_id)] = build_codebook(
-                    panel, part_id, points, evaluator_at
+                    self.world.panels[panel_id],
+                    part_id,
+                    points,
+                    lambda point, panel_id=panel_id, part_id=part_id: self.ris_evaluator(
+                        panel_id, point, part_id
+                    ),
                 )
 
 
@@ -268,7 +268,14 @@ class Controller:
 
 def _failure_monitor(ctl: Controller, snapshot: TopologySnapshot) -> list[Action]:
     threshold = float(ctl.world.scenario.planner.get("snr_threshold_db", DEFAULT_SNR_THRESHOLD_DB))
-    _, failed, oos = planner.detect_outage(snapshot, threshold, ctl.params)
+    _, failed = planner.node_health(snapshot)
+    # The out-of-service set depends only on the world and on which access
+    # nodes are up, so it is recomputed only when one of them changed.
+    access = snapshot.operational_access_nodes()
+    key = (ctl.world.version, tuple(n.node_id for n in access))
+    if ctl._outage_cache is None or ctl._outage_cache[0] != key:
+        ctl._outage_cache = (key, planner.ues_out_of_service(snapshot, access, threshold, ctl.params))
+    oos = ctl._outage_cache[1]
     previous = ctl.blackboard.get("out_of_service")
     ctl.blackboard["out_of_service"] = oos
     ctl.blackboard["failed_nodes"] = failed
@@ -320,12 +327,7 @@ def _ris_iterative_tuner(ctl: Controller, snapshot: TopologySnapshot) -> list[Ac
             if ue_id not in ctl.world.nodes:
                 continue
             members = panel.part_elements(part_id)
-
-            def evaluator(config, members=members, state=state, panel_id=panel_id, ue_id=ue_id):
-                full = state.config.copy()
-                full[members] = np.asarray(config, int)
-                return ctl.ris_power_at(panel_id, full, ue_id)
-
+            evaluator = ctl.ris_evaluator(panel_id, ctl.world.nodes[ue_id].position, part_id)
             # Refine whatever is currently applied (e.g. a codeword picked
             # under fast-recovery); the sweep never makes it worse.
             config, trace = iterative_optimize(

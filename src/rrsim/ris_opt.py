@@ -13,7 +13,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channel import ChannelParams, RisPanel, cascaded_gain, received_power_dbm
+from .channel import (
+    ChannelParams,
+    ComplexGain,
+    LengthMismatch,
+    RisPanel,
+    direct_term,
+    received_power_dbm,
+    reflected_terms,
+)
 
 Evaluator = Callable[[Sequence[int]], float]
 
@@ -76,6 +84,29 @@ def _evaluate(evaluator: Evaluator, config: Sequence[int], trace: OptimizationTr
     return power
 
 
+def _sweep_element(
+    evaluator: Evaluator, config: list[int], k: int, n_states: int, trace: OptimizationTrace
+) -> None:
+    """Try every state of element k with the others fixed and keep the best
+    (ties to the lowest state index). Each candidate is one evaluation in the
+    trace, also when an evaluator's `element_powers` gives all of them at once."""
+    element_powers = getattr(evaluator, "element_powers", None)
+    if element_powers is None:
+        powers = []
+        for s in range(n_states):
+            config[k] = s
+            powers.append(_evaluate(evaluator, config, trace, f"element {k} state {s}"))
+    else:
+        try:
+            powers = [float(p) for p in element_powers(config, k, n_states)]
+        except Exception as exc:
+            raise EvaluatorFailure(f"evaluator failed at element {k}: {exc}") from exc
+        for s, power in enumerate(powers):
+            config[k] = s
+            trace.record(config, power)
+    config[k] = int(np.argmax(powers))
+
+
 def iterative_optimize(
     evaluator: Evaluator,
     n_elements: int,
@@ -94,11 +125,7 @@ def iterative_optimize(
     trace = OptimizationTrace()
     for _ in range(passes):
         for k in range(n_elements):
-            powers = []
-            for s in range(n_states):
-                config[k] = s
-                powers.append(_evaluate(evaluator, config, trace, f"element {k} state {s}"))
-            config[k] = int(np.argmax(powers))
+            _sweep_element(evaluator, config, k, n_states, trace)
     return config, trace
 
 
@@ -114,11 +141,7 @@ def iterative_fixed_point(
     for _ in range(max_passes):
         previous = list(config)
         for k in range(n_elements):
-            powers = []
-            for s in range(n_states):
-                config[k] = s
-                powers.append(_evaluate(evaluator, config, trace, f"element {k} state {s}"))
-            config[k] = int(np.argmax(powers))
+            _sweep_element(evaluator, config, k, n_states, trace)
         if config == previous:
             break
     return config, trace
@@ -227,6 +250,88 @@ def evaluator_hash(panel: RisPanel, tx_pos, freq_ghz: float, params: ChannelPara
     return h.hexdigest()[:16]
 
 
+class ModelEvaluator:
+    """Received power (dBm) at rx_pos through the panel, as a function of a
+    configuration. Built by `model_evaluator`.
+
+    tx, rx, the panel geometry and the obstacles are fixed at construction.
+    The (N, S) table of reflected terms and the direct term are built from
+    them on the first evaluation (an evaluator made but never called costs
+    nothing); an evaluation is then a gather and a sum, bit-identical to
+    `cascaded_gain`. Configurations are never cached.
+    """
+
+    def __init__(
+        self,
+        panel: RisPanel,
+        tx_pos,
+        tx_power_dbm: float,
+        rx_pos,
+        freq_ghz: float,
+        params: ChannelParams,
+        obstacles=(),
+        part_elements: np.ndarray | None = None,
+        base_config: Sequence[int] | None = None,
+    ) -> None:
+        self.panel = panel
+        self.tx = np.array(tx_pos, float)
+        self.rx = np.array(rx_pos, float)
+        self.tx_power_dbm = tx_power_dbm
+        self.freq_ghz = freq_ghz
+        self.params = params
+        self.obstacles = tuple(obstacles)
+        self.part_elements = part_elements
+        self.base = (
+            np.zeros(panel.n_elements, dtype=int)
+            if base_config is None
+            else np.asarray(base_config, int).copy()
+        )
+        self._link: tuple[np.ndarray, complex] | None = None
+
+    def _table(self) -> tuple[np.ndarray, complex]:
+        if self._link is None:
+            table = reflected_terms(self.tx, self.panel, self.rx, self.freq_ghz, self.params)
+            direct = direct_term(self.tx, self.rx, self.freq_ghz, self.params, self.obstacles)
+            self._link = (table, direct)
+        return self._link
+
+    def _full(self, config: Sequence[int]) -> np.ndarray:
+        if self.part_elements is None:
+            full = np.asarray(config, dtype=int)
+            if full.shape != (self.panel.n_elements,):
+                raise LengthMismatch(
+                    f"config length {full.size} != element count {self.panel.n_elements}"
+                )
+            return full
+        full = self.base.copy()
+        full[self.part_elements] = np.asarray(config, int)
+        return full
+
+    def _power(self, total) -> float:
+        return received_power_dbm(self.tx_power_dbm, ComplexGain.from_complex(complex(total)))
+
+    def __call__(self, config: Sequence[int]) -> float:
+        full = self._full(config)
+        table, direct = self._table()
+        total = np.sum(table[np.arange(full.size), full])
+        total += direct
+        return self._power(total)
+
+    def element_powers(self, config: Sequence[int], k: int, n_states: int) -> list[float]:
+        """Powers with element k of config set to each of states 0..n_states-1
+        in turn, equal to that many calls, from one (n_states, N) reduction."""
+        full = self._full(config)
+        table, direct = self._table()
+        if n_states > table.shape[1]:
+            raise IndexError(f"state {table.shape[1]} out of range")
+        j = k if self.part_elements is None else self.part_elements[k]
+        rows = np.repeat(table[np.arange(full.size), full][None, :], n_states, axis=0)
+        rows[:, j] = table[j, :n_states]
+        totals = rows.sum(axis=1)
+        totals += direct
+        return [self._power(total) for total in totals]
+
+
 def model_evaluator(
     panel: RisPanel,
     tx_pos,
@@ -237,24 +342,16 @@ def model_evaluator(
     obstacles=(),
     part_elements: np.ndarray | None = None,
     base_config: Sequence[int] | None = None,
-) -> Evaluator:
-    """Received power (dBm) at rx_pos as a function of a configuration.
+) -> ModelEvaluator:
+    """The evaluator of every model-driven RIS search.
 
     When part_elements is given, the evaluator takes a part-sized config and
-    splices it over base_config; otherwise it takes a full-panel config.
+    splices it over base_config (copied here); otherwise it takes a
+    full-panel config.
     """
-    base = np.zeros(panel.n_elements, dtype=int) if base_config is None else np.asarray(base_config, int).copy()
-
-    def evaluate(config: Sequence[int]) -> float:
-        if part_elements is None:
-            full = np.asarray(config, int)
-        else:
-            full = base.copy()
-            full[part_elements] = np.asarray(config, int)
-        gain = cascaded_gain(tx_pos, panel, full, rx_pos, freq_ghz, params, obstacles)
-        return received_power_dbm(tx_power_dbm, gain)
-
-    return evaluate
+    return ModelEvaluator(
+        panel, tx_pos, tx_power_dbm, rx_pos, freq_ghz, params, obstacles, part_elements, base_config
+    )
 
 
 def build_codebook(

@@ -1,8 +1,14 @@
 """Two-tier controller: app registration, tick dispatch, tier isolation,
 action application and the built-in app set."""
 
+import json
+
+import numpy as np
 import pytest
 
+from rrsim import channel as ch
+from rrsim import ntn_planner
+from rrsim.cli import bundled_scenario_path
 from rrsim.ric import (
     Action,
     Controller,
@@ -10,6 +16,8 @@ from rrsim.ric import (
     DuplicateName,
     InvalidInterval,
     RicError,
+    _failure_monitor,
+    _ris_iterative_tuner,
     builtin_apps,
 )
 from rrsim.runner import Simulation
@@ -227,3 +235,109 @@ class TestSnapshotCache:
         ue = next(n for n in ctl.snapshot().nodes if n.node_id == "ue1")
         assert ue.position == (300, 0, 1.5)
         assert next(n for n in first.nodes if n.node_id == "ue1").position == (100, 0, 1.5)
+
+
+def fresh_ris_power(ctl, panel_id, config, ue_id):
+    """cascaded_gain on the live world, without the controller's cache."""
+    tx = ctl.ris_tx_node(panel_id)
+    gain = ch.cascaded_gain(
+        tx.position, ctl.world.panels[panel_id], config, ctl.world.nodes[ue_id].position,
+        tx.freq_ghz, ctl.params, ctl.world.obstacles,
+    )
+    return ch.received_power_dbm(tx.tx_power_dbm, gain)
+
+
+class TestRisPowerCache:
+    @pytest.fixture
+    def ctl(self):
+        # The two-UE room without its wall, so that obstacles added by a
+        # strike change the direct path.
+        with open(bundled_scenario_path("two_ue_demo.json")) as fh:
+            data = json.load(fh)
+        data["obstacles"] = []
+        return Simulation(scenario_from_dict(data)).controller
+
+    def power(self, ctl, ue_id="rx1"):
+        config = ctl.world.panel_states["ris1"].config
+        return ctl.ris_power_at("ris1", config, ue_id), fresh_ris_power(ctl, "ris1", config, ue_id)
+
+    def test_move_and_strike_rebuild_the_table(self, ctl):
+        before, fresh = self.power(ctl)
+        assert before == fresh
+        ctl.world.move_node("rx1", (0.5, 1.6, 1.0))
+        moved, fresh = self.power(ctl)
+        assert moved == fresh != before
+        tx, ue = ctl.ris_tx_node("ris1").position, ctl.world.nodes["rx1"].position
+        mid = [(a + b) / 2 for a, b in zip(tx, ue)]
+        ctl.world.apply_strike([], [], [([c - 0.1 for c in mid], [c + 0.1 for c in mid])], 0)
+        struck, fresh = self.power(ctl)
+        assert struck == fresh != moved
+
+    def test_applied_config_is_read_live(self, ctl):
+        before, _ = self.power(ctl)
+        version = ctl.world.version
+        members = ctl.world.panels["ris1"].part_elements(0)
+        ctl.apply_action(
+            Action("ApplyRisConfig", {"panel": "ris1", "part": 0, "config": [1] * members.size}),
+            nearrt("x", lambda c, s: []),
+        )
+        assert ctl.world.version == version
+        after, fresh = self.power(ctl)
+        assert after == fresh != before
+
+    def test_tuner_evaluator_agrees_with_ris_power_at(self, ctl):
+        state = ctl.world.panel_states["ris1"]
+        state.config[:] = np.arange(state.config.size) % 4
+        rng = np.random.default_rng(3)
+        for part_id, ue_id in ctl.ris_part_assignments("ris1").items():
+            members = state.panel.part_elements(part_id)
+            evaluator = ctl.ris_evaluator("ris1", ctl.world.nodes[ue_id].position, part_id)
+            for _ in range(5):
+                part = rng.integers(0, 4, members.size)
+                full = state.config.copy()
+                full[members] = part
+                assert evaluator(part) == ctl.ris_power_at("ris1", full, ue_id)
+
+    def test_tuned_config_matches_a_sweep_of_cascaded_gain(self, ctl):
+        from rrsim.ris_opt import iterative_optimize
+
+        ctl.policy = "max-throughput"
+        state = ctl.world.panel_states["ris1"]
+        members = state.panel.part_elements(0)
+
+        def oracle(part):
+            full = state.config.copy()
+            full[members] = part
+            return fresh_ris_power(ctl, "ris1", full, "rx1")
+
+        expected, trace = iterative_optimize(oracle, members.size, 4, initial=list(state.config[members]))
+        action = _ris_iterative_tuner(ctl, ctl.snapshot())[0]
+        assert action.params["config"] == expected
+        assert action.params["feedback"] == trace.feedback_messages == members.size * 4
+
+
+class TestFailureMonitorCache:
+    def test_out_of_service_recomputed_only_when_its_inputs_change(self, earthquake_scenario, monkeypatch):
+        calls = []
+        real = ntn_planner.ues_out_of_service
+        monkeypatch.setattr(ntn_planner, "ues_out_of_service", lambda *a: calls.append(1) or real(*a))
+        sim = Simulation(earthquake_scenario, disabled_apps={"RecoveryPlanner"})
+        sim.run(1_200_000)
+        # 20 NonRT ticks but two (world version, operational access set)
+        # keys: before the strike at 60 s and after it.
+        assert len(calls) == 2
+        _, _, expected = ntn_planner.detect_outage(
+            sim.controller.snapshot(), 3.0, sim.controller.params
+        )
+        assert sim.controller.blackboard["out_of_service"] == expected
+
+    def test_stale_heartbeat_is_part_of_the_key(self):
+        ctl, kernel = make_controller()
+        assert _failure_monitor(ctl, ctl.snapshot()) == []
+        version = ctl.world.version
+        kernel.run_until(70_000)  # no heartbeats: bs1 goes stale
+        actions = _failure_monitor(ctl, ctl.snapshot())
+        assert ctl.world.version == version
+        assert ctl.blackboard["out_of_service"] == {"ue1"}
+        assert ctl.blackboard["failed_nodes"] == {"gw", "bs1"}
+        assert [a.kind for a in actions] == ["Note"]

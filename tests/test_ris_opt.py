@@ -11,6 +11,7 @@ from rrsim.ris_opt import (
     EmptyCodebook,
     EvaluatorFailure,
     Overlap,
+    ModelEvaluator,
     PanelState,
     TooLarge,
     UncoveredElement,
@@ -248,3 +249,53 @@ class TestPartitioning:
         state = self.make_state()
         with pytest.raises(ValueError):
             state.apply_part(0, [0, 0])
+
+
+class TestModelEvaluator:
+    PARAMS = ch.ChannelParams(exponent=2.0, d0_m=0.1)
+    TX, RX = (-1.5, 2.0, 1.0), (1.5, 1.8, 1.0)
+
+    def make(self, rx=RX, **kwargs):
+        panel = ch.RisPanel.planar("p", (0, 0, 1), rows=1, cols=4, pitch_m=0.05)
+        return panel, model_evaluator(panel, self.TX, 20.0, rx, 3.5, self.PARAMS, **kwargs)
+
+    def test_full_panel_config_length_checked(self):
+        _, evaluator = self.make()
+        with pytest.raises(ch.LengthMismatch):
+            evaluator([0, 0])
+        with pytest.raises(ch.LengthMismatch):
+            evaluator.element_powers([0, 0], 0, 4)
+
+    def test_rx_on_element_fails_in_the_sweep_not_at_construction(self):
+        panel = ch.RisPanel.planar("p", (0, 0, 1), rows=1, cols=4, pitch_m=0.05)
+        _, evaluator = self.make(rx=tuple(panel.element_positions[2]))
+        with pytest.raises(EvaluatorFailure, match="element 0") as info:
+            iterative_optimize(evaluator, 4, 4)
+        assert isinstance(info.value.__cause__, ch.ZeroDistance)
+
+    def test_out_of_range_state_raises(self):
+        _, evaluator = self.make()
+        with pytest.raises(IndexError):
+            evaluator([0, 0, 4, 0])
+        with pytest.raises(EvaluatorFailure):
+            iterative_optimize(evaluator, 4, 5)
+
+    def test_table_built_once_on_first_evaluation(self, monkeypatch):
+        import rrsim.ris_opt as ris_opt
+
+        calls = []
+        real = ris_opt.reflected_terms
+        monkeypatch.setattr(ris_opt, "reflected_terms", lambda *a: calls.append(1) or real(*a))
+        _, evaluator = self.make()
+        assert isinstance(evaluator, ModelEvaluator) and calls == []
+        iterative_optimize(evaluator, 4, 4)
+        evaluator([1, 2, 3, 0])
+        assert calls == [1]
+
+    def test_part_splice_uses_base_at_construction(self):
+        panel, full = self.make()
+        base = [3, 1, 2, 0]
+        _, part = self.make(part_elements=np.array([1, 3]), base_config=base)
+        base[0] = 0  # later edits of the caller's list are not seen
+        assert part([2, 2]) == full([3, 2, 2, 2])
+        assert part.element_powers([2, 2], 1, 4) == [full([3, 2, 2, s]) for s in range(4)]
