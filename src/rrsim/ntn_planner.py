@@ -380,8 +380,10 @@ def build_plan(
     snapshot: TopologySnapshot,
     params: ch.ChannelParams,
     planner_cfg: dict[str, Any],
+    out_of_service: set[str] | None = None,
 ) -> DeploymentPlan:
-    """Full non-real-time planning pass on one topology snapshot."""
+    """Full non-real-time planning pass on one topology snapshot. A caller
+    that already has the snapshot's out-of-service UEs passes them in."""
     snr_threshold = float(planner_cfg.get("snr_threshold_db", DEFAULT_SNR_THRESHOLD_DB))
     max_nodes = int(planner_cfg.get("max_nodes", 3))
     altitude = float(planner_cfg.get("uav_altitude_m", DEFAULT_UAV_ALTITUDE_M))
@@ -395,7 +397,10 @@ def build_plan(
     ues = snapshot.ues()
     ue_ids = [u.node_id for u in ues]
     ue_positions = np.array([u.position for u in ues], float).reshape(len(ues), 3)
-    _, _, out_of_service = detect_outage(snapshot, snr_threshold, params)
+    if out_of_service is None:
+        out_of_service = ues_out_of_service(
+            snapshot, snapshot.operational_access_nodes(), snr_threshold, params
+        )
     if not out_of_service:
         baseline = _coverage_ratio(snapshot, [], snr_threshold, params)
         return DeploymentPlan(estimated_coverage_ratio=baseline)

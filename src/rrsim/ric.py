@@ -3,7 +3,7 @@ apps that plan recovery and reconfigure radio resources."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
@@ -18,7 +18,7 @@ from .ris_opt import (
     select_codeword,
 )
 from .cfmimo import ClusterAssignment, cluster
-from .scenario import NodeKind, NodeStatus
+from .scenario import NodeStatus
 from .simcore import Event, EventKind, Kernel
 from .world import DEFAULT_SNR_THRESHOLD_DB, TopologySnapshot, World, access_snr_matrix
 
@@ -116,15 +116,17 @@ class Controller:
         or the topology version changed; a moved clock or new heartbeats just
         rebind those two fields."""
         key = (self.world.version, self.topology_version)
-        now = self.kernel.clock
-        beats = self.world.last_heartbeat
-        if self._snapshot_cache is None or self._snapshot_cache[0] != key:
-            self._snapshot_cache = (key, self.world.snapshot(now))
+        cached = self._snapshot_cache
+        if cached is None or cached[0] != key:
+            snap = self.world.snapshot(self.kernel.clock)
         else:
-            snap = self._snapshot_cache[1]
-            if snap.now_ms != now or snap.last_heartbeat is not beats:
-                self._snapshot_cache = (key, replace(snap, now_ms=now, last_heartbeat=beats))
-        return self._snapshot_cache[1]
+            snap = cached[1]
+            now, beats = self.kernel.clock, self.world.last_heartbeat
+            if snap.now_ms == now and snap.last_heartbeat is beats:
+                return snap
+            snap = snap._rebind(now, beats)
+        self._snapshot_cache = (key, snap)
+        return snap
 
     def _on_tick(self, kernel: Kernel, event: Event) -> None:
         app = self.apps.get(event.payload.get("app", ""))
@@ -132,8 +134,7 @@ class Controller:
             return
         self._run_app(app)
         if app.interval_ms is not None:
-            kind = EventKind.NON_RT_TICK if app.tier == "NonRT" else EventKind.NEAR_RT_TICK
-            kernel.schedule(kernel.clock + app.interval_ms, kind, {"app": app.name})
+            kernel.schedule(kernel.clock + app.interval_ms, event.kind, event.payload)
 
     def _on_ue_move(self, kernel: Kernel, event: Event) -> None:
         node_id = event.payload.get("node_id", "")
@@ -266,16 +267,23 @@ class Controller:
 # --- built-in applications ---------------------------------------------------
 
 
-def _failure_monitor(ctl: Controller, snapshot: TopologySnapshot) -> list[Action]:
-    threshold = float(ctl.world.scenario.planner.get("snr_threshold_db", DEFAULT_SNR_THRESHOLD_DB))
-    _, failed = planner.node_health(snapshot)
-    # The out-of-service set depends only on the world and on which access
-    # nodes are up, so it is recomputed only when one of them changed.
+def _out_of_service(ctl: Controller, snapshot: TopologySnapshot) -> set[str]:
+    """The snapshot's out-of-service UEs. The set depends only on the world
+    and on which access nodes are up, so it is recomputed only when one of
+    them changed; the planner reuses the monitor's set of the same tick."""
     access = snapshot.operational_access_nodes()
     key = (ctl.world.version, tuple(n.node_id for n in access))
     if ctl._outage_cache is None or ctl._outage_cache[0] != key:
+        threshold = float(
+            ctl.world.scenario.planner.get("snr_threshold_db", DEFAULT_SNR_THRESHOLD_DB)
+        )
         ctl._outage_cache = (key, planner.ues_out_of_service(snapshot, access, threshold, ctl.params))
-    oos = ctl._outage_cache[1]
+    return ctl._outage_cache[1]
+
+
+def _failure_monitor(ctl: Controller, snapshot: TopologySnapshot) -> list[Action]:
+    _, failed = planner.node_health(snapshot)
+    oos = _out_of_service(ctl, snapshot)
     previous = ctl.blackboard.get("out_of_service")
     ctl.blackboard["out_of_service"] = oos
     ctl.blackboard["failed_nodes"] = failed
@@ -288,7 +296,9 @@ def _recovery_planner(ctl: Controller, snapshot: TopologySnapshot) -> list[Actio
     oos = ctl.blackboard.get("out_of_service") or set()
     if not oos or ctl.blackboard.get("plan_deployed"):
         return []
-    plan = planner.build_plan(snapshot, ctl.params, ctl.world.scenario.planner)
+    plan = planner.build_plan(
+        snapshot, ctl.params, ctl.world.scenario.planner, _out_of_service(ctl, snapshot)
+    )
     if not plan.placements:
         return []
     return [Action("DeployPlan", {"plan": plan})]

@@ -3,7 +3,6 @@ controller and periodic metrics sampling for one scenario run."""
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Any
 
 import numpy as np
@@ -40,6 +39,8 @@ class Simulation:
         self._strike_time: int | None = None
         self._mcs = ch.McsStaircase(scenario.channel.mcs_table)
         self._links: tuple[int, tuple] | None = None
+        # (servers list, server code per UE with -1 for none)
+        self._codes: tuple[list[str | None], np.ndarray] | None = None
 
         self.kernel.on(EventKind.DISASTER_STRIKE, self._on_strike)
         self.kernel.on(EventKind.BATTERY_EXPIRY, self._on_battery_expiry)
@@ -150,31 +151,43 @@ class Simulation:
                     servers[j] = panel_id
         return ue_ids, best, servers, active_nodes
 
+    def _server_codes(self, servers: list[str | None]) -> np.ndarray:
+        """An integer code per UE for its serving node, -1 for none. Kept
+        while `_ue_snr_db` hands back the same list: the cached terrestrial
+        one, unless a RIS panel overrode a link. The cache holds the list, so
+        its identity cannot be reused."""
+        if self._codes is None or self._codes[0] is not servers:
+            index: dict[str, int] = {}
+            codes = [-1 if s is None else index.setdefault(s, len(index)) for s in servers]
+            self._codes = (servers, np.array(codes, dtype=np.intp))
+        return self._codes[1]
+
     def measure(self, now_ms: int, apply_fading: bool | None = None) -> Sample:
         ue_ids, best, servers, active_nodes = self._ue_snr_db()
         n_ue = len(ue_ids)
         if n_ue == 0:
             return Sample(now_ms, 1.0, {}, active_nodes)
         fading = self.scenario.channel.fading if apply_fading is None else apply_fading
-        if fading and n_ue:
+        if fading:
             # Rayleigh amplitude per UE link, drawn from the run's fading stream.
             rng = self.kernel.rng("channel.fading")
             amp = np.abs(
                 rng.standard_normal(n_ue) + 1j * rng.standard_normal(n_ue)
             ) / np.sqrt(2.0)
             best = best + 20.0 * np.log10(np.maximum(amp, 1e-12))
-        covered = (best >= self.snr_threshold_db).tolist()
-        coverage_ratio = sum(covered) / n_ue
+        covered = best >= self.snr_threshold_db
+        coverage_ratio = np.count_nonzero(covered) / n_ue
 
+        # A covered UE with a server shares that server's rate equally with
+        # the other covered UEs on it, capped at the offered load.
         offered = self._offered_load_mbps(now_ms)
-        served = [server if ok else None for server, ok in zip(servers, covered)]
-        contention = Counter(served)
-        capacity = self._mcs.rates_at(best).tolist()
-        throughput = {
-            ue: 0.0 if server is None else min(offered, rate / contention[server])
-            for ue, server, rate in zip(ue_ids, served, capacity)
-        }
-        return Sample(now_ms, coverage_ratio, throughput, active_nodes)
+        codes = self._server_codes(servers)
+        served = covered & (codes >= 0)
+        served_codes = codes[served]
+        share = self._mcs.rates_at(best[served]) / np.bincount(served_codes)[served_codes]
+        rates = np.zeros(n_ue)
+        rates[served] = np.where(share < offered, share, offered)  # min(offered, share)
+        return Sample(now_ms, coverage_ratio, dict(zip(ue_ids, rates.tolist())), active_nodes)
 
     def baseline_coverage(self) -> float:
         """Coverage ratio of the intact scenario before any event fires."""

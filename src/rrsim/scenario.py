@@ -140,6 +140,11 @@ class Scenario:
             for nid in (*event.failed, *event.power_loss):
                 if nid not in known:
                     raise UnknownNode(f"disaster references unknown node {nid}")
+        for panel_id, cfg in self.ric.get("ris", {}).items():
+            if not isinstance(cfg, dict):
+                raise ValidationError(f"RIS panel {panel_id}: entry must be an object")
+            if cfg.get("tx") not in known:
+                raise UnknownNode(f"RIS panel {panel_id} tx references unknown node {cfg.get('tx')!r}")
 
     def node(self, node_id: str) -> Node:
         for n in self.nodes:

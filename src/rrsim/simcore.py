@@ -7,7 +7,8 @@ import heapq
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable
+from types import MappingProxyType
+from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -34,13 +35,17 @@ class EventKind(str, Enum):
     MEASUREMENT_DONE = "MeasurementDone"
 
 
-@dataclass(frozen=True)
-class Event:
-    """One scheduled occurrence. Equal fire times break ties by sequence_id."""
+_NO_PAYLOAD: Mapping[str, Any] = MappingProxyType({})
+
+
+class Event(NamedTuple):
+    """One scheduled occurrence. Equal fire times break ties by sequence_id.
+    A tuple, so it is immutable and cheap to make; events without a payload
+    share one read-only empty mapping."""
 
     fire_time: int
     kind: EventKind
-    payload: dict[str, Any] = field(default_factory=dict)
+    payload: Mapping[str, Any] = _NO_PAYLOAD
     sequence_id: int = 0
 
 
@@ -216,21 +221,22 @@ class Kernel:
     def on(self, kind: EventKind, handler: Handler) -> None:
         self._handlers.setdefault(kind, []).append(handler)
 
-    def schedule(self, fire_time: int, kind: EventKind, payload: dict[str, Any] | None = None) -> Event:
+    def schedule(self, fire_time: int, kind: EventKind, payload: Mapping[str, Any] | None = None) -> Event:
         if fire_time < self.clock:
             raise PastEvent(f"cannot schedule {kind.value} at t={fire_time} (clock={self.clock})")
-        event = Event(fire_time, kind, payload or {}, self._next_seq)
-        self._next_seq += 1
-        heapq.heappush(self._queue, (event.fire_time, event.sequence_id, event))
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        event = Event(fire_time, kind, payload or _NO_PAYLOAD, seq)
+        heapq.heappush(self._queue, (fire_time, seq, event))
         return event
 
     def run_until(self, t_end: int) -> MetricsLog:
         if t_end < self.clock:
             raise PastEvent(f"t_end={t_end} is before the clock ({self.clock})")
-        while self._queue and self._queue[0][0] <= t_end:
-            _, _, event = heapq.heappop(self._queue)
-            self.clock = event.fire_time
-            for handler in self._handlers.get(event.kind, []):
+        queue, handlers, pop = self._queue, self._handlers, heapq.heappop
+        while queue and queue[0][0] <= t_end:
+            self.clock, _, event = pop(queue)
+            for handler in handlers.get(event.kind, ()):
                 try:
                     handler(self, event)
                 except SimError:

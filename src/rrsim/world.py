@@ -77,6 +77,15 @@ class TopologySnapshot:
         last = self.last_heartbeat.get(node_id)
         return last is not None and self.now_ms - last <= self.heartbeat_window_ms
 
+    def _rebind(self, now_ms: int, last_heartbeat: dict[str, int]) -> "TopologySnapshot":
+        """This snapshot at another instant: nodes and obstacles shared, clock
+        and heartbeat dict replaced. A plain copy of the instance dict, so
+        the frozen fields are not set one by one as `dataclasses.replace`
+        does through `__init__`."""
+        snap = object.__new__(TopologySnapshot)
+        snap.__dict__.update(self.__dict__, now_ms=now_ms, last_heartbeat=last_heartbeat)
+        return snap
+
     def operational_access_nodes(self) -> list[NodeState]:
         return [
             n
@@ -151,6 +160,8 @@ class World:
         # Bumped by every method below that changes nodes or obstacles; caches
         # of snapshots and link budgets are keyed on it.
         self.version = 0
+        # (version, ids of the serving nodes) for heartbeat().
+        self._serving_ids: tuple[int, list[str]] = (-1, [])
         for node in scenario.nodes:
             if node.kind == NodeKind.RIS_PANEL:
                 self._register_panel(node)
@@ -199,10 +210,16 @@ class World:
         self.version += 1
 
     def heartbeat(self, now_ms: int) -> None:
+        """Every serving node reports now. Which nodes serve changes only with
+        the version, so their ids are kept until it moves."""
+        if self._serving_ids[0] != self.version:
+            self._serving_ids = (
+                self.version,
+                [nid for nid, node in self.nodes.items() if node.status in SERVING_STATUSES],
+            )
         beats = dict(self.last_heartbeat)
-        for node_id, node in self.nodes.items():
-            if node.status in SERVING_STATUSES:
-                beats[node_id] = now_ms
+        for node_id in self._serving_ids[1]:
+            beats[node_id] = now_ms
         self.last_heartbeat = beats
 
     def add_deployed_node(

@@ -58,6 +58,24 @@ class TestValidation:
         assert "MCS table must be sorted" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["run", "--until", "1000", "--out", "{tmp}/out"],
+            ["plan", "--out", "{tmp}/plan.json"],
+            ["codebook", "build", "--panel", "ris1", "--out", "{tmp}/codebook.json"],
+        ],
+    )
+    def test_unknown_ris_tx(self, tmp_path, capsys, command):
+        with open(bundled_scenario_path("two_ue_demo.json")) as fh:
+            data = json.load(fh)
+        data["ric"]["ris"]["ris1"]["tx"] = "nope"
+        scenario = write_scenario(tmp_path, data)
+        rc = main([arg.format(tmp=tmp_path) for arg in command] + ["--scenario", scenario])
+        assert rc == 2
+        assert "unknown node 'nope'" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+
     def test_bad_panel_spec(self, capsys):
         rc = main(["ris", "bench", "--panel", "seventysix"])
         assert rc == 2

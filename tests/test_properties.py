@@ -1,9 +1,12 @@
 """Property tests: the vectorised MCS staircase against the scalar lookup,
-the metrics.csv writer against csv.writer, and the RIS link-table evaluator
-against `cascaded_gain` and the generic element sweep."""
+the array-based throughput step of `Simulation.measure` against the per-UE
+comprehension it replaced, the metrics.csv writer against csv.writer, and the
+RIS link-table evaluator against `cascaded_gain` and the generic element
+sweep."""
 
 import csv
 import io
+from collections import Counter
 
 import numpy as np
 from hypothesis import given, settings
@@ -11,6 +14,8 @@ from hypothesis import strategies as st
 
 from rrsim import channel as ch
 from rrsim.ris_opt import iterative_optimize, model_evaluator
+from rrsim.runner import Simulation
+from rrsim.scenario import scenario_from_dict
 from rrsim.simcore import Sample, write_metrics_csv
 
 _snr = st.floats(allow_nan=False)
@@ -24,6 +29,67 @@ _mcs_tables = st.lists(
 def test_mcs_staircase_matches_scalar_throughput(table, snrs):
     rates = ch.McsStaircase(table).rates_at(np.array(snrs, float))
     assert rates.tolist() == [ch.throughput(s, table) for s in snrs]
+
+
+def measure_reference(ue_ids, best, servers, threshold, offered, table):
+    """Coverage ratio and per-UE throughput, one UE at a time: a covered UE
+    with a server gets min(offered, rate / UEs sharing that server)."""
+    covered = [snr >= threshold for snr in best]
+    served = [server if ok else None for server, ok in zip(servers, covered)]
+    contention = Counter(served)
+    capacity = [ch.throughput(snr, table) for snr in best]
+    throughput = {
+        ue: 0.0 if server is None else min(offered, rate / contention[server])
+        for ue, server, rate in zip(ue_ids, served, capacity)
+    }
+    return sum(covered) / len(ue_ids), throughput
+
+
+_SMALL_RUN = {
+    "nodes": [
+        {"id": "gw", "kind": "Gateway", "position": [0, 0, 10]},
+        {"id": "bs1", "kind": "TerrestrialBS", "position": [0, 0, 25]},
+        {"id": "ue1", "kind": "UE", "position": [50, 10, 1.5]},
+    ]
+}
+# Terrestrial ids, a deployed one, a RIS panel id (a RIS override serves
+# under the panel's id) and no server at all.
+_servers = st.sampled_from([None, "bs1", "bs2", "deployed_0", "ris1"])
+_link_snr = st.one_of(
+    st.sampled_from([3.0, -np.inf, np.inf, 0.0]), st.floats(-40.0, 60.0, allow_nan=False)
+)
+
+
+@st.composite
+def _measure_inputs(draw):
+    n = draw(st.integers(1, 12))
+    best = draw(st.lists(_link_snr, min_size=n, max_size=n))
+    servers = draw(st.lists(_servers, min_size=n, max_size=n))
+    changed = list(servers)
+    changed[draw(st.integers(0, n - 1))] = draw(_servers)
+    threshold = draw(st.sampled_from([3.0, 0.0, -10.0]))
+    # Zero, tiny, and above every table rate, where the cap never binds.
+    offered = draw(st.one_of(st.sampled_from([0.0, 1e-9, 2e4]), st.floats(0.0, 1e4)))
+    return [f"ue{i}" for i in range(n)], best, servers, changed, threshold, offered
+
+
+@settings(max_examples=300, deadline=None)
+@given(_measure_inputs(), _mcs_tables)
+def test_measure_throughput_is_bitwise_the_scalar_step(inputs, table):
+    ue_ids, best, servers, changed, threshold, offered = inputs
+    sim = Simulation(scenario_from_dict(_SMALL_RUN))
+    sim._mcs = ch.McsStaircase(table)
+    sim.snr_threshold_db = threshold
+    sim._offered_load_mbps = lambda now_ms: offered
+    # The same list twice reuses its server codes; a changed copy rebuilds them.
+    for links in (servers, servers, changed):
+        sim._ue_snr_db = lambda links=links: (ue_ids, np.array(best, float), links, 7)
+        sample = sim.measure(5_000, apply_fading=False)
+        ratio, rates = measure_reference(ue_ids, best, links, threshold, offered, table)
+        assert sample.coverage_ratio.hex() == ratio.hex()
+        assert list(sample.throughput_mbps) == list(rates)
+        assert [r.hex() for r in sample.throughput_mbps.values()] == [r.hex() for r in rates.values()]
+        assert sample.active_nodes == 7
 
 
 _ue_ids = st.one_of(st.sampled_from(["ue_1", "a,b", 'q"t', "x\r\ny", "", " s"]), st.text(max_size=6))

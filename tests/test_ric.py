@@ -331,6 +331,30 @@ class TestFailureMonitorCache:
         )
         assert sim.controller.blackboard["out_of_service"] == expected
 
+    def test_planner_reuses_the_monitors_set(self, earthquake_scenario, monkeypatch):
+        sim = Simulation(earthquake_scenario)
+        clocks, plans = [], []
+        real_oos, real_plan = ntn_planner.ues_out_of_service, ntn_planner.build_plan
+
+        def counted(*args):
+            clocks.append(sim.kernel.clock)
+            return real_oos(*args)
+
+        def recorded(snapshot, *args):
+            plan = real_plan(snapshot, *args)
+            plans.append((snapshot, plan))
+            return plan
+
+        monkeypatch.setattr(ntn_planner, "ues_out_of_service", counted)
+        monkeypatch.setattr(ntn_planner, "build_plan", recorded)
+        sim.run(120_000)
+        # One computation at the planning tick, shared by monitor and planner.
+        assert clocks.count(120_000) == 1
+        [(snapshot, plan)] = plans
+        assert plan.placements
+        monkeypatch.setattr(ntn_planner, "ues_out_of_service", real_oos)
+        assert plan == real_plan(snapshot, sim.controller.params, earthquake_scenario.planner)
+
     def test_stale_heartbeat_is_part_of_the_key(self):
         ctl, kernel = make_controller()
         assert _failure_monitor(ctl, ctl.snapshot()) == []

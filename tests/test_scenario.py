@@ -76,6 +76,15 @@ class TestValidation:
         with pytest.raises(ValidationError, match="sorted by min SNR"):
             minimal(channel={"mcs_table": [[5.0, 2.0], [0.0, 1.0]]})
 
+    def test_ris_tx_must_name_a_node(self):
+        nodes = MINIMAL["nodes"] + [{"id": "p", "kind": "RisPanel", "position": [10, 0, 2]}]
+        ric = {"ris": {"p": {"tx": "nope", "parts": {"0": {"ue": "ue"}}}}}
+        with pytest.raises(UnknownNode, match="RIS panel p tx references unknown node 'nope'"):
+            minimal(nodes=nodes, ric=ric)
+        with pytest.raises(ValidationError, match="entry must be an object"):
+            minimal(nodes=nodes, ric={"ris": {"p": "bs"}})
+        minimal(nodes=nodes, ric={"ris": {"p": {"tx": "bs", "parts": {"0": {"ue": "ue"}}}}})
+
     def test_gateway_required(self):
         with pytest.raises(ValidationError):
             minimal(nodes=[{"id": "bs", "kind": "TerrestrialBS", "position": [0, 0, 25]}])

@@ -165,3 +165,17 @@ class TestVersion:
         world.heartbeat(10_000)
         assert snap.last_heartbeat["bs1"] == 0
         assert world.last_heartbeat["bs1"] == 10_000
+
+    def test_heartbeat_follows_status_changes_between_beats(self):
+        world = make_world()
+        world.heartbeat(10_000)
+        world.apply_strike(["bs1"], ["bs2"], [], 15_000)
+        deployed = world.add_deployed_node(NodeKind.UAV, (0, 0, 120), 35.0, 3.5, now_ms=15_000)
+        world.heartbeat(20_000)
+        world.expire_battery("bs2")
+        world.heartbeat(30_000)
+        beats = world.last_heartbeat
+        assert (beats["bs1"], beats["bs2"], beats[deployed.node_id], beats["ue1"]) == (
+            10_000, 20_000, 30_000, 30_000
+        )
+        assert list(beats) == list(world.nodes)
