@@ -73,6 +73,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_VALIDATION
 
     disabled = set(args.disable_app or ())
+    known = [app.name for app in builtin_apps()]
+    unknown = sorted(disabled.difference(known))
+    if unknown:
+        print(f"unknown app(s): {', '.join(unknown)} (choose from {', '.join(known)})", file=sys.stderr)
+        return EXIT_VALIDATION
     sim = Simulation(scenario, seed=args.seed, disabled_apps=disabled or None)
     baseline = sim.baseline_coverage()
     metrics = sim.run(args.until)

@@ -50,6 +50,7 @@ class Action:
 
 
 Handler = Callable[["Controller", TopologySnapshot], list[Action]]
+Gate = Callable[["Controller"], bool]
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,9 @@ class ControllerApp:
     handler: Handler
     interval_ms: int | None = None  # periodic trigger
     event_kind: EventKind | None = None  # event trigger
+    # True when the handler would return [] and change nothing; the app is
+    # then skipped without a snapshot. None runs the app on every trigger.
+    idle: Gate | None = None
 
 
 class Controller:
@@ -67,6 +71,14 @@ class Controller:
     Handlers see an immutable topology snapshot; only the controller mutates
     the world, so app effects serialize in action order. A failing handler is
     logged and never halts the run.
+
+    Periodic apps tick in groups: one kernel event runs a group's apps in
+    registration order. An app joins the latest group only when it has the
+    same tier and interval, is registered at the same clock, and no kernel
+    event was scheduled since that group's tick. Its own tick would then have
+    had the next sequence id, and since neither handlers nor actions schedule
+    kernel events, the two ticks would stay adjacent in the queue at every
+    fire time. So grouping keeps the order of everything the kernel runs.
     """
 
     def __init__(self, world: World, kernel: Kernel, ric_cfg: dict[str, Any] | None = None) -> None:
@@ -76,6 +88,9 @@ class Controller:
         self.params = world.scenario.channel
         self.policy: str = self.cfg.get("policy", POLICY_MAX_THROUGHPUT)
         self.apps: dict[str, ControllerApp] = {}
+        # (tier, interval, clock, events scheduled so far) when the latest
+        # group's tick was scheduled, and that group's apps.
+        self._open_group: tuple[tuple[str, int, int, int], list[ControllerApp]] | None = None
         self.blackboard: dict[str, Any] = {}
         self.codebooks: dict[tuple[str, int], Codebook] = {}
         self.cluster_assignment: ClusterAssignment | None = None
@@ -105,9 +120,16 @@ class Controller:
             ):
                 raise InvalidInterval(f"{app.name}: NearRT interval must be in [10 ms, 1 s]")
         self.apps[app.name] = app
-        if app.interval_ms is not None:
-            kind = EventKind.NON_RT_TICK if app.tier == "NonRT" else EventKind.NEAR_RT_TICK
-            self.kernel.schedule(self.kernel.clock + app.interval_ms, kind, {"app": app.name})
+        if app.interval_ms is None:
+            return
+        tick = (app.tier, app.interval_ms, self.kernel.clock)
+        if self._open_group is not None and self._open_group[0] == (*tick, self.kernel.scheduled):
+            self._open_group[1].append(app)
+            return
+        group = [app]
+        kind = EventKind.NON_RT_TICK if app.tier == "NonRT" else EventKind.NEAR_RT_TICK
+        self.kernel.schedule(self.kernel.clock + app.interval_ms, kind, {"apps": group})
+        self._open_group = ((*tick, self.kernel.scheduled), group)
 
     # --- dispatch ----------------------------------------------------------
 
@@ -129,19 +151,21 @@ class Controller:
         return snap
 
     def _on_tick(self, kernel: Kernel, event: Event) -> None:
-        app = self.apps.get(event.payload.get("app", ""))
-        if app is None:
-            return
-        self._run_app(app)
-        if app.interval_ms is not None:
-            kernel.schedule(kernel.clock + app.interval_ms, event.kind, event.payload)
+        group = event.payload["apps"]
+        self._run_apps(group)
+        kernel.schedule(kernel.clock + group[0].interval_ms, event.kind, event.payload)
 
     def _on_ue_move(self, kernel: Kernel, event: Event) -> None:
         node_id = event.payload.get("node_id", "")
         if node_id in self.world.nodes and "position" in event.payload:
             self.world.move_node(node_id, event.payload["position"])
-        for app in self.apps.values():
-            if app.event_kind == EventKind.UE_MOVE:
+        self._run_apps([app for app in self.apps.values() if app.event_kind == EventKind.UE_MOVE])
+
+    def _run_apps(self, apps: list[ControllerApp]) -> None:
+        """Runs the apps in order. Each gate is checked just before its app's
+        slot, so it sees what the apps before it in the group have done."""
+        for app in apps:
+            if app.idle is None or not app.idle(self):
                 self._run_app(app)
 
     def _run_app(self, app: ControllerApp) -> None:
@@ -292,9 +316,12 @@ def _failure_monitor(ctl: Controller, snapshot: TopologySnapshot) -> list[Action
     return []
 
 
+def _planner_idle(ctl: Controller) -> bool:
+    return not ctl.blackboard.get("out_of_service") or bool(ctl.blackboard.get("plan_deployed"))
+
+
 def _recovery_planner(ctl: Controller, snapshot: TopologySnapshot) -> list[Action]:
-    oos = ctl.blackboard.get("out_of_service") or set()
-    if not oos or ctl.blackboard.get("plan_deployed"):
+    if _planner_idle(ctl):
         return []
     plan = planner.build_plan(
         snapshot, ctl.params, ctl.world.scenario.planner, _out_of_service(ctl, snapshot)
@@ -304,8 +331,26 @@ def _recovery_planner(ctl: Controller, snapshot: TopologySnapshot) -> list[Actio
     return [Action("DeployPlan", {"plan": plan})]
 
 
+def _tracker_key(ctl: Controller) -> tuple[int, tuple[bytes, ...]]:
+    """Everything the tracker's output depends on besides the policy and the
+    codebooks: UE positions (through the world version) and the panel
+    configurations, which change without a version bump."""
+    configs = tuple(state.config.tobytes() for _, state in sorted(ctl.world.panel_states.items()))
+    return ctl.world.version, configs
+
+
+def _tracker_off(ctl: Controller) -> bool:
+    return ctl.policy != POLICY_FAST_RECOVERY or not ctl.codebooks
+
+
+def _tracker_idle(ctl: Controller) -> bool:
+    """Off, or in a state where a past run found nothing to change. The key
+    is only a memo for the dispatcher; the handler checks just `_tracker_off`."""
+    return _tracker_off(ctl) or ctl.blackboard.get("codebook_key") == _tracker_key(ctl)
+
+
 def _ris_codebook_tracker(ctl: Controller, snapshot: TopologySnapshot) -> list[Action]:
-    if ctl.policy != POLICY_FAST_RECOVERY:
+    if _tracker_off(ctl):
         return []
     actions: list[Action] = []
     for (panel_id, part_id), codebook in sorted(ctl.codebooks.items()):
@@ -322,13 +367,20 @@ def _ris_codebook_tracker(ctl: Controller, snapshot: TopologySnapshot) -> list[A
                     {"panel": panel_id, "part": part_id, "config": codeword, "feedback": 0},
                 )
             )
+    if not actions:  # only a state with nothing to change is safe to skip
+        ctl.blackboard["codebook_key"] = _tracker_key(ctl)
     return actions
 
 
+def _tuner_idle(ctl: Controller) -> bool:
+    return (
+        ctl.policy != POLICY_MAX_THROUGHPUT
+        or ctl.blackboard.get("ris_tuned_version") == ctl.topology_version
+    )
+
+
 def _ris_iterative_tuner(ctl: Controller, snapshot: TopologySnapshot) -> list[Action]:
-    if ctl.policy != POLICY_MAX_THROUGHPUT:
-        return []
-    if ctl.blackboard.get("ris_tuned_version") == ctl.topology_version:
+    if _tuner_idle(ctl):
         return []
     actions: list[Action] = []
     for panel_id, panel in sorted(ctl.world.panels.items()):
@@ -359,15 +411,26 @@ def _ris_iterative_tuner(ctl: Controller, snapshot: TopologySnapshot) -> list[Ac
     return actions
 
 
+def _clusterer_idle(ctl: Controller) -> bool:
+    return ctl.blackboard.get("cluster_version") == ctl.topology_version
+
+
 def _cf_clusterer(ctl: Controller, snapshot: TopologySnapshot) -> list[Action]:
-    if ctl.blackboard.get("cluster_version") == ctl.topology_version:
+    if _clusterer_idle(ctl):
         return []
     ctl.blackboard["cluster_version"] = ctl.topology_version
     max_aps = int(ctl.world.scenario.cfmimo.get("L", 2))
     return [Action("Recluster", {"L": max_aps})]
 
 
+def _script_idle(ctl: Controller) -> bool:
+    """No entry is due: the script is sorted by time."""
+    return not ctl._script or ctl._script[0]["time_ms"] > ctl.kernel.clock
+
+
 def _script_runner(ctl: Controller, snapshot: TopologySnapshot) -> list[Action]:
+    if _script_idle(ctl):
+        return []
     actions: list[Action] = []
     remaining = []
     for entry in ctl._script:
@@ -395,15 +458,20 @@ def _script_runner(ctl: Controller, snapshot: TopologySnapshot) -> list[Action]:
     return actions
 
 
-def _stub(text: str) -> Handler:
+def _stub(name: str, text: str, interval_ms: int) -> ControllerApp:
+    """A NonRT app that announces its note once."""
+    key = f"stub_announced_{text}"
+
+    def idle(ctl: Controller) -> bool:
+        return bool(ctl.blackboard.get(key))
+
     def handler(ctl: Controller, snapshot: TopologySnapshot) -> list[Action]:
-        key = f"stub_announced_{text}"
-        if ctl.blackboard.get(key):
+        if idle(ctl):
             return []
         ctl.blackboard[key] = True
         return [Action("Note", {"text": text})]
 
-    return handler
+    return ControllerApp(name, "NonRT", handler, interval_ms, idle=idle)
 
 
 def builtin_apps(
@@ -412,14 +480,17 @@ def builtin_apps(
 ) -> list[ControllerApp]:
     """Default app set: failure monitoring and recovery planning in the NonRT
     tier; RIS tracking/tuning, clustering and scripted policy switches in the
-    NearRT tier; energy and sensing management are log-only stubs."""
+    NearRT tier; energy and sensing management are log-only stubs. Only the
+    failure monitor has no idle gate: heartbeat staleness makes its output
+    depend on the clock."""
+    non_rt, near_rt = non_rt_interval_ms, near_rt_interval_ms
     return [
-        ControllerApp("FailureMonitor", "NonRT", _failure_monitor, non_rt_interval_ms),
-        ControllerApp("RecoveryPlanner", "NonRT", _recovery_planner, non_rt_interval_ms),
-        ControllerApp("RisCodebookTracker", "NearRT", _ris_codebook_tracker, near_rt_interval_ms),
-        ControllerApp("RisIterativeTuner", "NearRT", _ris_iterative_tuner, near_rt_interval_ms),
-        ControllerApp("CfClusterer", "NearRT", _cf_clusterer, near_rt_interval_ms),
-        ControllerApp("ScriptRunner", "NearRT", _script_runner, near_rt_interval_ms),
-        ControllerApp("EnergyManager", "NonRT", _stub("energy management stub active"), non_rt_interval_ms),
-        ControllerApp("SensingManager", "NonRT", _stub("sensing management stub active"), non_rt_interval_ms),
+        ControllerApp("FailureMonitor", "NonRT", _failure_monitor, non_rt),
+        ControllerApp("RecoveryPlanner", "NonRT", _recovery_planner, non_rt, idle=_planner_idle),
+        ControllerApp("RisCodebookTracker", "NearRT", _ris_codebook_tracker, near_rt, idle=_tracker_idle),
+        ControllerApp("RisIterativeTuner", "NearRT", _ris_iterative_tuner, near_rt, idle=_tuner_idle),
+        ControllerApp("CfClusterer", "NearRT", _cf_clusterer, near_rt, idle=_clusterer_idle),
+        ControllerApp("ScriptRunner", "NearRT", _script_runner, near_rt, idle=_script_idle),
+        _stub("EnergyManager", "energy management stub active", non_rt),
+        _stub("SensingManager", "sensing management stub active", non_rt),
     ]

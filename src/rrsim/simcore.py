@@ -218,6 +218,12 @@ class Kernel:
             self._rngs[label] = rng_stream(self.master_seed, label)
         return self._rngs[label]
 
+    @property
+    def scheduled(self) -> int:
+        """How many events have been scheduled so far: the sequence id the
+        next one gets."""
+        return self._next_seq
+
     def on(self, kind: EventKind, handler: Handler) -> None:
         self._handlers.setdefault(kind, []).append(handler)
 

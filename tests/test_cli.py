@@ -143,6 +143,20 @@ class TestRun:
         assert rc == 0
         assert "Recluster" not in (out / "actions.log").read_text()
 
+    def test_unknown_app_name_is_rejected(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path, SMALL)
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "run", "--scenario", scenario, "--until", "60000", "--out", str(out),
+                "--disable-app", "CfClusterer", "--disable-app", "NoSuchApp",
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "unknown app(s): NoSuchApp (choose from FailureMonitor, RecoveryPlanner," in err
+        assert not out.exists()
+
 
 class TestRisBench:
     def test_csv_with_mean_rows(self, tmp_path):

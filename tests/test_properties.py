@@ -1,8 +1,8 @@
 """Property tests: the vectorised MCS staircase against the scalar lookup,
 the array-based throughput step of `Simulation.measure` against the per-UE
-comprehension it replaced, the metrics.csv writer against csv.writer, and the
+comprehension it replaced, the metrics.csv writer against csv.writer, the
 RIS link-table evaluator against `cascaded_gain` and the generic element
-sweep."""
+sweep, and the controller's grouped ticks against one tick event per app."""
 
 import csv
 import io
@@ -13,10 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrsim import channel as ch
+from rrsim.ric import Controller, ControllerApp
 from rrsim.ris_opt import iterative_optimize, model_evaluator
 from rrsim.runner import Simulation
 from rrsim.scenario import scenario_from_dict
-from rrsim.simcore import Sample, write_metrics_csv
+from rrsim.simcore import EventKind, Kernel, Sample, write_metrics_csv
+from rrsim.world import World
 
 _snr = st.floats(allow_nan=False)
 _mcs_tables = st.lists(
@@ -215,3 +217,90 @@ def test_vectorised_sweep_matches_generic_sweep(link, passes):
     assert fast[0] == slow[0]
     assert fast[1].evaluations == slow[1].evaluations
     assert fast[1].feedback_messages == slow[1].feedback_messages == passes * size * panel.n_states
+
+
+class _OneTickPerApp:
+    """The reference dispatcher: every app has its own tick event, which it
+    reschedules right after it runs."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        kernel.on(EventKind.NON_RT_TICK, self._on_tick)
+        kernel.on(EventKind.NEAR_RT_TICK, self._on_tick)
+
+    def register_app(self, app):
+        kind = EventKind.NON_RT_TICK if app.tier == "NonRT" else EventKind.NEAR_RT_TICK
+        self.kernel.schedule(self.kernel.clock + app.interval_ms, kind, {"app": app})
+
+    def _on_tick(self, kernel, event):
+        app = event.payload["app"]
+        app.handler(self, None)
+        kernel.schedule(kernel.clock + app.interval_ms, event.kind, event.payload)
+
+
+# NonRT and NearRT share the 1000 ms interval on purpose.
+_tier_intervals = st.sampled_from(
+    [("NonRT", 1_000), ("NonRT", 1_500), ("NonRT", 3_000),
+     ("NearRT", 20), ("NearRT", 250), ("NearRT", 500), ("NearRT", 1_000)]
+)
+_offsets = st.sampled_from([0, 1, 20, 250, 1_000, 1_250])
+_dispatch_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("app"), _tier_intervals),
+        # A non-app event: periodic (period > 0) or one-shot.
+        st.tuples(st.just("event"), _offsets, st.sampled_from([0, 250, 1_000, 1_500])),
+        # A one-shot event whose handler registers an app mid-run.
+        st.tuples(st.just("app_in_event"), _offsets, _tier_intervals),
+        st.tuples(st.just("advance"), _offsets),
+    ),
+    max_size=14,
+)
+
+
+def _dispatch_order(steps, grouped):
+    """(clock, name) of every app run and non-app event, in kernel order."""
+    kernel = Kernel(0)
+    if grouped:
+        dispatcher = Controller(World(scenario_from_dict(_SMALL_RUN)), kernel)
+    else:
+        dispatcher = _OneTickPerApp(kernel)
+    order = []
+
+    def register(name, tier, interval):
+        handler = lambda ctl, snapshot: order.append((ctl.kernel.clock, name)) or []  # noqa: E731
+        dispatcher.register_app(ControllerApp(name, tier, handler, interval))
+
+    def on_event(kernel, event):
+        order.append((kernel.clock, event.payload["name"]))
+        if "app" in event.payload:
+            register(event.payload["name"] + ".app", *event.payload["app"])
+        if event.payload.get("period"):
+            kernel.schedule(kernel.clock + event.payload["period"], event.kind, event.payload)
+
+    def tier_of_group(kernel, event):
+        tiers = {"NonRT" if event.kind == EventKind.NON_RT_TICK else "NearRT"}
+        assert {app.tier for app in event.payload["apps"]} == tiers
+
+    kernel.on(EventKind.HEARTBEAT_DUE, on_event)
+    if grouped:  # a group never mixes tiers, even at one interval
+        kernel.on(EventKind.NON_RT_TICK, tier_of_group)
+        kernel.on(EventKind.NEAR_RT_TICK, tier_of_group)
+    for i, step in enumerate(steps):
+        if step[0] == "app":
+            register(f"app{i}", *step[1])
+        elif step[0] == "event":
+            kernel.schedule(kernel.clock + step[1], EventKind.HEARTBEAT_DUE,
+                            {"name": f"event{i}", "period": step[2]})
+        elif step[0] == "app_in_event":
+            kernel.schedule(kernel.clock + step[1], EventKind.HEARTBEAT_DUE,
+                            {"name": f"event{i}", "app": step[2]})
+        else:
+            kernel.run_until(kernel.clock + step[1])
+    kernel.run_until(kernel.clock + 6_000)
+    return order
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dispatch_steps)
+def test_grouped_ticks_keep_the_one_tick_per_app_order(steps):
+    assert _dispatch_order(steps, grouped=True) == _dispatch_order(steps, grouped=False)

@@ -1,7 +1,10 @@
 """Two-tier controller: app registration, tick dispatch, tier isolation,
 action application and the built-in app set."""
 
+import copy
 import json
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -365,3 +368,106 @@ class TestFailureMonitorCache:
         assert ctl.blackboard["out_of_service"] == {"ue1"}
         assert ctl.blackboard["failed_nodes"] == {"gw", "bs1"}
         assert [a.kind for a in actions] == ["Note"]
+
+
+class TestTickGroups:
+    def test_earthquake_run_has_one_tick_per_group(self, earthquake_scenario):
+        sim = Simulation(earthquake_scenario)
+        counts, groups = Counter(), set()
+
+        def count(kernel, event):
+            counts[event.kind] += 1
+            groups.add(tuple(app.name for app in event.payload["apps"]))
+
+        sim.kernel.on(EventKind.NEAR_RT_TICK, count)
+        sim.kernel.on(EventKind.NON_RT_TICK, count)
+        sim.run(14_520_000)
+        # One tick per app would give 58,080 and 968.
+        assert counts[EventKind.NEAR_RT_TICK] == 14_520
+        assert counts[EventKind.NON_RT_TICK] == 484
+        assert groups == {
+            ("FailureMonitor", "RecoveryPlanner"),
+            ("RisCodebookTracker", "RisIterativeTuner", "CfClusterer", "ScriptRunner"),
+            ("EnergyManager", "SensingManager"),
+        }
+
+
+def _room_with_moves_and_switches():
+    """The two-UE room under fast-recovery with walking UEs, switches to
+    max-throughput and back, and a ris_off entry."""
+    with open(bundled_scenario_path("two_ue_demo.json")) as fh:
+        data = json.load(fh)
+    data["ric"]["ue_moves"] = [
+        {"time_ms": 2_000, "node_id": "rx1", "position": [0.0, 1.7, 1.0]},
+        {"time_ms": 3_000, "node_id": "rx2", "position": [-0.5, 1.6, 1.0]},
+        {"time_ms": 6_000, "node_id": "rx1", "position": [0.6, 1.55, 1.0]},
+        {"time_ms": 9_000, "node_id": "rx2", "position": [-0.9, 1.4, 1.0]},
+        {"time_ms": 14_000, "node_id": "rx1", "position": [-0.3, 1.68, 1.0]},
+    ]
+    data["ric"]["script"] = [
+        {"time_ms": 5_000, "policy": "max-throughput"},
+        {"time_ms": 8_000, "policy": "fast-recovery"},
+        {"time_ms": 10_000, "policy": "ris-off", "ris_off": True},
+        {"time_ms": 12_000, "policy": "fast-recovery"},
+    ]
+    return scenario_from_dict(data)
+
+
+class TestIdleGates:
+    def gated_state(self, ctl):
+        return (
+            copy.deepcopy(ctl.blackboard),
+            ctl.policy,
+            {pid: state.config.tolist() for pid, state in ctl.world.panel_states.items()},
+        )
+
+    def checked(self, app, skipped):
+        """The app with a gate that, whenever it skips, calls the handler on
+        the snapshot the app would have seen and checks that it does nothing."""
+
+        def idle(ctl):
+            if not app.idle(ctl):
+                return False
+            before = self.gated_state(ctl)
+            assert app.handler(ctl, ctl.snapshot()) == [], (app.name, ctl.kernel.clock)
+            assert self.gated_state(ctl) == before, (app.name, ctl.kernel.clock)
+            skipped[app.name] += 1
+            return True
+
+        return app if app.idle is None else replace(app, idle=idle)
+
+    def test_skipped_apps_would_have_done_nothing(self, earthquake_scenario, indoor_scenario, two_ue_scenario):
+        skipped = Counter()
+        runs = [
+            (earthquake_scenario, 14_520_000),
+            (indoor_scenario, 60_000),
+            (two_ue_scenario, 60_000),
+            (_room_with_moves_and_switches(), 16_000),
+        ]
+        for scenario, until in runs:
+            apps = builtin_apps(scenario.non_rt_tick_ms, scenario.near_rt_tick_ms)
+            sim = Simulation(scenario, apps=[self.checked(app, skipped) for app in apps])
+            sim.run(until)
+        gated = {app.name for app in builtin_apps() if app.idle is not None}
+        assert gated == {app.name for app in builtin_apps()} - {"FailureMonitor"}
+        assert set(skipped) == gated
+
+    def test_tracker_runs_again_after_a_move_or_a_config_change(self):
+        sim = Simulation(_room_with_moves_and_switches())
+        runs = []
+        real = sim.controller._run_app
+
+        def record(app):
+            if app.name == "RisCodebookTracker":
+                runs.append(sim.kernel.clock)
+            real(app)
+
+        sim.controller._run_app = record
+        sim.run(16_000)
+        # Apply the codewords, then find nothing to change; the same after
+        # each move under fast-recovery (2 s, 3 s, 9 s, 14 s). The switches
+        # back to fast-recovery at 8 s and 12 s come after the tracker's slot,
+        # so it runs at the next tick: at 8.1 s it replaces the tuner's
+        # configs. At 12.1 s it restores the configs of its 9.1 s run, a state
+        # already known to need nothing, so it is skipped at 12.2 s.
+        assert runs == [100, 200, 2_000, 2_100, 3_000, 3_100, 8_100, 8_200, 9_000, 9_100, 12_100, 14_000, 14_100]

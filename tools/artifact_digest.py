@@ -1,0 +1,84 @@
+"""Print one sha256 per artifact that `rrs` writes for a fixed set of runs.
+
+The runs are the three bundled scenarios at the `--until` values of
+`tests/test_golden_artifacts.py`, plus `rrs run` on the generated
+`quake_4h` and `ris_emergency` inputs and `rrs plan` on the generated
+`plan_blocked` input, seeds 0-2 (from `perfbench.inputs`). `summary.json` is
+hashed without its `scenario` entry, which holds the input path.
+
+To check that two source trees write the same artifacts, run this from the
+root of each and compare the outputs:
+
+    PYTHONPATH=src python3 tools/artifact_digest.py > digest.txt
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
+
+from perfbench import inputs  # noqa: E402
+from rrsim import cli  # noqa: E402
+
+BUNDLED = {
+    "earthquake_demo.json": 14_520_000,
+    "indoor_ris_demo.json": 60_000,
+    "two_ue_demo.json": 60_000,
+}
+SEEDS = (0, 1, 2)
+RUN_ARTIFACTS = ("metrics.csv", "actions.log", "summary.json")
+
+
+def digest(path: str) -> str:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if os.path.basename(path) == "summary.json":
+        summary = json.loads(data)
+        del summary["scenario"]
+        data = json.dumps(summary, indent=2, sort_keys=True).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def rrs(*argv: str) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(list(argv))
+    if rc != 0:
+        raise SystemExit(f"rrs {' '.join(argv)} exited with {rc}")
+
+
+def run(label: str, scenario_path: str, until_ms: int, tmp: str) -> None:
+    out = os.path.join(tmp, label)
+    rrs("run", "--scenario", scenario_path, "--until", str(until_ms), "--out", out)
+    for name in RUN_ARTIFACTS:
+        print(f"{digest(os.path.join(out, name))}  {label}/{name}")
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="rrs_digest_") as tmp:
+        for name, until_ms in BUNDLED.items():
+            run(name, cli.bundled_scenario_path(name), until_ms, tmp)
+        for seed in SEEDS:
+            for label, make, until_ms in (
+                ("quake_4h", inputs.quake_scenario, inputs.QUAKE_UNTIL_MS),
+                ("ris_emergency", inputs.ris_emergency_scenario, inputs.RIS_UNTIL_MS),
+            ):
+                path = inputs.write_json(make(seed), os.path.join(tmp, "inputs", f"{label}_{seed}.json"))
+                run(f"{label}/seed{seed}", path, until_ms, tmp)
+            path = inputs.write_json(
+                inputs.plan_blocked_scenario(seed), os.path.join(tmp, "inputs", f"plan_blocked_{seed}.json")
+            )
+            plan = os.path.join(tmp, f"plan_blocked_{seed}.json")
+            rrs("plan", "--scenario", path, "--out", plan)
+            print(f"{digest(plan)}  plan_blocked/seed{seed}/plan.json")
+
+
+if __name__ == "__main__":
+    main()
