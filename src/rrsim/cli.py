@@ -19,7 +19,7 @@ from . import ntn_planner as planner_mod
 from .ric import builtin_apps
 from .ris_opt import evaluator_hash
 from .runner import Simulation, summarize_run
-from .scenario import ParseError, Scenario, ValidationError, load_scenario
+from .scenario import ParseError, ValidationError, load_scenario
 from .simcore import NOT_RECOVERED, NoDisaster, recovery_time, write_metrics_csv
 
 EXIT_OK = 0
@@ -61,24 +61,20 @@ def bundled_scenario_path(name: str) -> str:
     return str(resources.files("rrsim").joinpath("scenarios", name))
 
 
-def _load(path: str) -> Scenario:
-    return load_scenario(path)
+def _simulation(path: str, disabled_apps: set[str], seed: int | None = None) -> Simulation | None:
+    """The simulation of the scenario file at path, or None after printing
+    why the scenario or the disabled app names are invalid."""
+    try:
+        return Simulation(load_scenario(path), seed=seed, disabled_apps=disabled_apps)
+    except (ParseError, ValidationError) as exc:
+        print(f"scenario error: {exc}", file=sys.stderr)
+        return None
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        scenario = _load(args.scenario)
-    except (ParseError, ValidationError) as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
+    sim = _simulation(args.scenario, set(args.disable_app or ()), args.seed)
+    if sim is None:
         return EXIT_VALIDATION
-
-    disabled = set(args.disable_app or ())
-    known = [app.name for app in builtin_apps()]
-    unknown = sorted(disabled.difference(known))
-    if unknown:
-        print(f"unknown app(s): {', '.join(unknown)} (choose from {', '.join(known)})", file=sys.stderr)
-        return EXIT_VALIDATION
-    sim = Simulation(scenario, seed=args.seed, disabled_apps=disabled or None)
     baseline = sim.baseline_coverage()
     metrics = sim.run(args.until)
 
@@ -146,20 +142,16 @@ def cmd_ris_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    try:
-        scenario = _load(args.scenario)
-    except (ParseError, ValidationError) as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
+    # Fast-forward through the disaster schedule with the controller disabled
+    # so the plan reflects the post-strike topology.
+    sim = _simulation(args.scenario, {app.name for app in builtin_apps()})
+    if sim is None:
         return EXIT_VALIDATION
-
+    scenario = sim.scenario
     planner_cfg = dict(scenario.planner)
     if args.max_nodes is not None:
         planner_cfg["max_nodes"] = args.max_nodes
 
-    # Fast-forward through the disaster schedule with the controller disabled
-    # so the plan reflects the post-strike topology.
-    all_apps = {app.name for app in builtin_apps()}
-    sim = Simulation(scenario, disabled_apps=all_apps)
     horizon = max((d.strike_time_ms for d in scenario.disasters), default=0)
     sim.run(horizon)
     snapshot = sim.world.snapshot(horizon)
@@ -184,13 +176,10 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_codebook_build(args: argparse.Namespace) -> int:
-    try:
-        scenario = _load(args.scenario)
-    except (ParseError, ValidationError) as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
+    sim = _simulation(args.scenario, {app.name for app in builtin_apps()})
+    if sim is None:
         return EXIT_VALIDATION
-
-    sim = Simulation(scenario, disabled_apps={app.name for app in builtin_apps()})
+    scenario = sim.scenario
     ris_cfg = scenario.ric.get("ris", {})
     if args.panel not in ris_cfg:
         print(f"panel {args.panel!r} has no ris{{}} entry in the scenario", file=sys.stderr)

@@ -1,5 +1,5 @@
-"""Non-real-time recovery planning: outage detection, coverage mapping, greedy
-aerial-node placement and backhaul tree formation with RIS relay fallback."""
+"""Non-real-time recovery planning: outage detection, greedy aerial-node
+placement and backhaul tree formation with RIS relay fallback."""
 
 from __future__ import annotations
 
@@ -54,13 +54,6 @@ class GridSpec:
             [gx.ravel(), gy.ravel(), np.full(self.nx * self.ny, self.height_m)]
         )
         return centers
-
-
-@dataclass
-class CoverageMap:
-    grid: GridSpec
-    best_snr_db: np.ndarray  # (nx * ny,)
-    best_node: list[str | None]
 
 
 @dataclass(frozen=True)
@@ -154,17 +147,6 @@ def ues_out_of_service(
     positions = np.array([u.position for u in ues], float)
     best, _ = best_snr_db(access, positions, params, snapshot.obstacles)
     return {u.node_id for u, snr in zip(ues, best) if snr < snr_threshold_db}
-
-
-def coverage_map(
-    snapshot: TopologySnapshot,
-    grid: GridSpec,
-    params: ch.ChannelParams,
-) -> CoverageMap:
-    centers = grid.cell_centers()
-    access = snapshot.operational_access_nodes()
-    best, servers = best_snr_db(access, centers, params, snapshot.obstacles)
-    return CoverageMap(grid, best, servers)
 
 
 def candidate_lattice(

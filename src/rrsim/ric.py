@@ -20,7 +20,7 @@ from .ris_opt import (
 from .cfmimo import ClusterAssignment, cluster
 from .scenario import NodeStatus
 from .simcore import Event, EventKind, Kernel
-from .world import DEFAULT_SNR_THRESHOLD_DB, TopologySnapshot, World, access_snr_matrix
+from .world import DEFAULT_SNR_THRESHOLD_DB, LinkBudget, TopologySnapshot, World
 
 NON_RT_MIN_INTERVAL_MS = 1_000
 NEAR_RT_MIN_INTERVAL_MS = 10
@@ -58,10 +58,9 @@ class ControllerApp:
     name: str
     tier: str  # "NonRT" | "NearRT"
     handler: Handler
-    interval_ms: int | None = None  # periodic trigger
-    event_kind: EventKind | None = None  # event trigger
+    interval_ms: int
     # True when the handler would return [] and change nothing; the app is
-    # then skipped without a snapshot. None runs the app on every trigger.
+    # then skipped without a snapshot. None runs the app at every tick.
     idle: Gate | None = None
 
 
@@ -72,13 +71,15 @@ class Controller:
     the world, so app effects serialize in action order. A failing handler is
     logged and never halts the run.
 
-    Periodic apps tick in groups: one kernel event runs a group's apps in
-    registration order. An app joins the latest group only when it has the
-    same tier and interval, is registered at the same clock, and no kernel
-    event was scheduled since that group's tick. Its own tick would then have
-    had the next sequence id, and since neither handlers nor actions schedule
-    kernel events, the two ticks would stay adjacent in the queue at every
-    fire time. So grouping keeps the order of everything the kernel runs.
+    Every app is periodic: a change to the world reaches an app through its
+    idle gate at its next tick. Apps tick in groups: one kernel event runs a
+    group's apps in registration order. An app joins the latest group only
+    when it has the same tier and interval, is registered at the same clock,
+    and no kernel event was scheduled since that group's tick. Its own tick
+    would then have had the next sequence id, and since neither handlers nor
+    actions schedule kernel events, the two ticks would stay adjacent in the
+    queue at every fire time. So grouping keeps the order of everything the
+    kernel runs.
     """
 
     def __init__(self, world: World, kernel: Kernel, ric_cfg: dict[str, Any] | None = None) -> None:
@@ -94,10 +95,7 @@ class Controller:
         self.blackboard: dict[str, Any] = {}
         self.codebooks: dict[tuple[str, int], Codebook] = {}
         self.cluster_assignment: ClusterAssignment | None = None
-        self.topology_version = 0
-        self._snapshot_cache: tuple[tuple[int, int], TopologySnapshot] | None = None
-        # (world version, operational access ids) -> UEs out of service.
-        self._outage_cache: tuple[tuple[int, tuple[str, ...]], set[str]] | None = None
+        self._snapshot_cache: tuple[int, TopologySnapshot] | None = None
         # (panel, UE) -> (world version, evaluator); the table outlives
         # configuration changes, which do not bump the version.
         self._ris_links: dict[tuple[str, str], tuple[int, ModelEvaluator]] = {}
@@ -112,16 +110,13 @@ class Controller:
     def register_app(self, app: ControllerApp) -> None:
         if app.name in self.apps:
             raise DuplicateName(app.name)
-        if app.interval_ms is not None:
-            if app.tier == "NonRT" and app.interval_ms < NON_RT_MIN_INTERVAL_MS:
-                raise InvalidInterval(f"{app.name}: NonRT interval must be >= 1 s")
-            if app.tier == "NearRT" and not (
-                NEAR_RT_MIN_INTERVAL_MS <= app.interval_ms <= NEAR_RT_MAX_INTERVAL_MS
-            ):
-                raise InvalidInterval(f"{app.name}: NearRT interval must be in [10 ms, 1 s]")
+        if app.tier == "NonRT" and app.interval_ms < NON_RT_MIN_INTERVAL_MS:
+            raise InvalidInterval(f"{app.name}: NonRT interval must be >= 1 s")
+        if app.tier == "NearRT" and not (
+            NEAR_RT_MIN_INTERVAL_MS <= app.interval_ms <= NEAR_RT_MAX_INTERVAL_MS
+        ):
+            raise InvalidInterval(f"{app.name}: NearRT interval must be in [10 ms, 1 s]")
         self.apps[app.name] = app
-        if app.interval_ms is None:
-            return
         tick = (app.tier, app.interval_ms, self.kernel.clock)
         if self._open_group is not None and self._open_group[0] == (*tick, self.kernel.scheduled):
             self._open_group[1].append(app)
@@ -135,9 +130,9 @@ class Controller:
 
     def snapshot(self) -> TopologySnapshot:
         """The world as of now. Node tuples are rebuilt only when the world
-        or the topology version changed; a moved clock or new heartbeats just
-        rebind those two fields."""
-        key = (self.world.version, self.topology_version)
+        version changed; a moved clock or new heartbeats just rebind those
+        two fields."""
+        key = self.world.version
         cached = self._snapshot_cache
         if cached is None or cached[0] != key:
             snap = self.world.snapshot(self.kernel.clock)
@@ -159,7 +154,6 @@ class Controller:
         node_id = event.payload.get("node_id", "")
         if node_id in self.world.nodes and "position" in event.payload:
             self.world.move_node(node_id, event.payload["position"])
-        self._run_apps([app for app in self.apps.values() if app.event_kind == EventKind.UE_MOVE])
 
     def _run_apps(self, apps: list[ControllerApp]) -> None:
         """Runs the apps in order. Each gate is checked just before its app's
@@ -189,7 +183,6 @@ class Controller:
                 self.world.add_deployed_node(
                     p.kind, p.position, p.tx_power_dbm, p.freq_ghz, NodeStatus.ACTIVE, now
                 )
-            self.topology_version += 1
             self.blackboard["plan_deployed"] = True
             self.kernel.log.log_action(
                 now,
@@ -221,19 +214,20 @@ class Controller:
         else:
             raise RicError(f"unknown action kind {action.kind}")
 
+    def _operational_links(self, snapshot: TopologySnapshot) -> LinkBudget:
+        """The world's link budget from the snapshot's operational access
+        nodes, those that serve with a fresh heartbeat."""
+        return self.world.link_budget(tuple(n.node_id for n in snapshot.operational_access_nodes()))
+
     def _recluster(self, max_aps: int) -> ClusterAssignment:
-        snapshot = self.snapshot()
-        access = snapshot.operational_access_nodes()
-        ues = snapshot.ues()
-        if not access or not ues:
+        links = self._operational_links(self.snapshot())
+        if not links.access_ids or not links.ue_ids:
             return ClusterAssignment({})
-        positions = np.array([u.position for u in ues], float)
-        matrix = access_snr_matrix(access, positions, self.params, snapshot.obstacles)
         gains = {
-            ue.node_id: {access[i].node_id: float(matrix[i, j]) for i in range(len(access))}
-            for j, ue in enumerate(ues)
+            ue_id: dict(zip(links.access_ids, links.snr_db[:, j].tolist()))
+            for j, ue_id in enumerate(links.ue_ids)
         }
-        return cluster(gains, max_aps, {a.node_id for a in access})
+        return cluster(gains, max_aps, set(links.access_ids))
 
     # --- RIS plumbing --------------------------------------------------------
 
@@ -292,17 +286,11 @@ class Controller:
 
 
 def _out_of_service(ctl: Controller, snapshot: TopologySnapshot) -> set[str]:
-    """The snapshot's out-of-service UEs. The set depends only on the world
-    and on which access nodes are up, so it is recomputed only when one of
-    them changed; the planner reuses the monitor's set of the same tick."""
-    access = snapshot.operational_access_nodes()
-    key = (ctl.world.version, tuple(n.node_id for n in access))
-    if ctl._outage_cache is None or ctl._outage_cache[0] != key:
-        threshold = float(
-            ctl.world.scenario.planner.get("snr_threshold_db", DEFAULT_SNR_THRESHOLD_DB)
-        )
-        ctl._outage_cache = (key, planner.ues_out_of_service(snapshot, access, threshold, ctl.params))
-    return ctl._outage_cache[1]
+    """UEs whose best SNR from the snapshot's operational access nodes is
+    below the planner threshold, read from the world's cached link budget."""
+    links = ctl._operational_links(snapshot)
+    threshold = float(ctl.world.scenario.planner.get("snr_threshold_db", DEFAULT_SNR_THRESHOLD_DB))
+    return {ue_id for ue_id, snr in zip(links.ue_ids, links.best_db.tolist()) if snr < threshold}
 
 
 def _failure_monitor(ctl: Controller, snapshot: TopologySnapshot) -> list[Action]:
@@ -375,7 +363,7 @@ def _ris_codebook_tracker(ctl: Controller, snapshot: TopologySnapshot) -> list[A
 def _tuner_idle(ctl: Controller) -> bool:
     return (
         ctl.policy != POLICY_MAX_THROUGHPUT
-        or ctl.blackboard.get("ris_tuned_version") == ctl.topology_version
+        or ctl.blackboard.get("ris_tuned_version") == ctl.world.version
     )
 
 
@@ -407,18 +395,18 @@ def _ris_iterative_tuner(ctl: Controller, snapshot: TopologySnapshot) -> list[Ac
                     },
                 )
             )
-    ctl.blackboard["ris_tuned_version"] = ctl.topology_version
+    ctl.blackboard["ris_tuned_version"] = ctl.world.version
     return actions
 
 
 def _clusterer_idle(ctl: Controller) -> bool:
-    return ctl.blackboard.get("cluster_version") == ctl.topology_version
+    return ctl.blackboard.get("cluster_version") == ctl.world.version
 
 
 def _cf_clusterer(ctl: Controller, snapshot: TopologySnapshot) -> list[Action]:
     if _clusterer_idle(ctl):
         return []
-    ctl.blackboard["cluster_version"] = ctl.topology_version
+    ctl.blackboard["cluster_version"] = ctl.world.version
     max_aps = int(ctl.world.scenario.cfmimo.get("L", 2))
     return [Action("Recluster", {"L": max_aps})]
 

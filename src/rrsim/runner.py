@@ -9,15 +9,18 @@ import numpy as np
 
 from . import channel as ch
 from .ric import Controller, ControllerApp, builtin_apps
-from .scenario import ACCESS_KINDS, Scenario, inject_disaster, traffic_multiplier
+from .scenario import Scenario, ValidationError, inject_disaster, traffic_multiplier
 from .simcore import Event, EventKind, Kernel, MetricsLog, Sample
-from .world import DEFAULT_HEARTBEAT_MS, DEFAULT_SNR_THRESHOLD_DB, World, best_snr_db
+from .world import DEFAULT_HEARTBEAT_MS, DEFAULT_SNR_THRESHOLD_DB, World
 
 
 class Simulation:
     """One deterministic run of a scenario.
 
-    Identical (scenario, seed) pairs produce bit-identical metrics logs.
+    Identical (scenario, seed) pairs produce bit-identical metrics logs. The
+    apps named in `disabled_apps` or in the scenario's `ric.disabled_apps`
+    are not registered; a name that is not in the app list is a
+    `ValidationError`.
     """
 
     def __init__(
@@ -28,6 +31,16 @@ class Simulation:
         disabled_apps: set[str] | None = None,
     ) -> None:
         scenario.validate()
+        app_list = apps if apps is not None else builtin_apps(
+            scenario.non_rt_tick_ms, scenario.near_rt_tick_ms
+        )
+        names = [app.name for app in app_list]
+        disabled = set(disabled_apps or ()) | set(scenario.ric.get("disabled_apps", ()))
+        unknown = sorted(disabled.difference(names))
+        if unknown:
+            raise ValidationError(
+                f"unknown app(s): {', '.join(unknown)} (choose from {', '.join(names)})"
+            )
         self.scenario = scenario
         self.seed = scenario.seed if seed is None else seed
         self.kernel = Kernel(self.seed)
@@ -38,7 +51,6 @@ class Simulation:
         )
         self._strike_time: int | None = None
         self._mcs = ch.McsStaircase(scenario.channel.mcs_table)
-        self._links: tuple[int, tuple] | None = None
         # (servers list, server code per UE with -1 for none)
         self._codes: tuple[list[str | None], np.ndarray] | None = None
 
@@ -47,10 +59,6 @@ class Simulation:
         self.kernel.on(EventKind.HEARTBEAT_DUE, self._on_heartbeat)
         self.kernel.on(EventKind.MEASUREMENT_DONE, self._on_measurement)
 
-        disabled = disabled_apps or set(scenario.ric.get("disabled_apps", ()))
-        app_list = apps if apps is not None else builtin_apps(
-            scenario.non_rt_tick_ms, scenario.near_rt_tick_ms
-        )
         for app in app_list:
             if app.name not in disabled:
                 self.controller.register_app(app)
@@ -77,7 +85,6 @@ class Simulation:
             event.payload["blockages"],
             kernel.clock,
         )
-        self.controller.topology_version += 1
         self._strike_time = kernel.clock
         kernel.log.log_action(
             kernel.clock,
@@ -89,7 +96,6 @@ class Simulation:
     def _on_battery_expiry(self, kernel: Kernel, event: Event) -> None:
         node_id = event.payload["node_id"]
         if self.world.expire_battery(node_id):
-            self.controller.topology_version += 1
             kernel.log.log_action(kernel.clock, f"BatteryExpiry: {node_id} failed")
 
     def _on_heartbeat(self, kernel: Kernel, event: Event) -> None:
@@ -112,26 +118,11 @@ class Simulation:
         voice = profile.voice_mbps * traffic_multiplier(profile, "voice", t_since)
         return data + voice
 
-    def _terrestrial_links(self) -> tuple[list[str], np.ndarray, list[str | None], int]:
-        """UE ids, best terrestrial SNR per UE, its serving node and the
-        active-node count, recomputed only when the world version moved."""
-        if self._links is None or self._links[0] != self.world.version:
-            ue_ids, positions = self.world.ue_positions()
-            access = sorted(
-                (n for n in self.world.nodes.values() if n.kind in ACCESS_KINDS and n.serving),
-                key=lambda n: n.node_id,
-            )
-            best, servers = best_snr_db(
-                access, positions, self.scenario.channel, self.world.obstacles
-            )
-            self._links = (
-                self.world.version,
-                (ue_ids, best, servers, self.world.active_node_count()),
-            )
-        return self._links[1]
-
     def _ue_snr_db(self) -> tuple[list[str], np.ndarray, list[str | None], int]:
-        ue_ids, best, servers, active_nodes = self._terrestrial_links()
+        """UE ids, best SNR per UE, its serving node and the active-node
+        count. The SNR and servers are the world's cached terrestrial link
+        budget, copied only where a RIS link overrides it."""
+        ue_ids, _, _, best, servers = self.world.link_budget()
         copied = False
 
         # RIS-assisted links override the terrestrial path where stronger.
@@ -149,7 +140,7 @@ class Simulation:
                         best, servers, copied = best.copy(), list(servers), True
                     best[j] = snr
                     servers[j] = panel_id
-        return ue_ids, best, servers, active_nodes
+        return ue_ids, best, servers, self.world.active_node_count()
 
     def _server_codes(self, servers: list[str | None]) -> np.ndarray:
         """An integer code per UE for its serving node, -1 for none. Kept

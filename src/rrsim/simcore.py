@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
@@ -253,9 +252,3 @@ class Kernel:
                     ) from exc
         self.clock = t_end
         return self.log
-
-
-def write_summary_json(path: str, summary: dict[str, Any]) -> None:
-    with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")

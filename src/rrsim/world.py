@@ -9,6 +9,7 @@ that bump `World.version`, the key of the snapshot and link-budget caches.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -119,6 +120,20 @@ def access_snr_matrix(
     return np.vstack(rows)
 
 
+def _best_server(matrix: np.ndarray, access_ids: Sequence[str]) -> tuple[np.ndarray, list[str | None]]:
+    """Best SNR per column of an access SNR matrix and the id of its row."""
+    n_ue = matrix.shape[1]
+    if matrix.size == 0:
+        return np.full(n_ue, -np.inf), [None] * n_ue
+    best_idx = np.argmax(matrix, axis=0)
+    best = matrix[best_idx, np.arange(n_ue)]
+    servers: list[str | None] = [
+        access_ids[i] if finite else None
+        for i, finite in zip(best_idx.tolist(), np.isfinite(best).tolist())
+    ]
+    return best, servers
+
+
 def best_snr_db(
     access_nodes: list[NodeState],
     ue_positions: np.ndarray,
@@ -126,17 +141,19 @@ def best_snr_db(
     obstacles,
 ) -> tuple[np.ndarray, list[str | None]]:
     """Best SNR per UE position and the id of the serving node."""
-    n_ue = ue_positions.shape[0]
     matrix = access_snr_matrix(access_nodes, ue_positions, params, obstacles)
-    if matrix.size == 0:
-        return np.full(n_ue, -np.inf), [None] * n_ue
-    best_idx = np.argmax(matrix, axis=0)
-    best = matrix[best_idx, np.arange(n_ue)]
-    servers: list[str | None] = [
-        access_nodes[i].node_id if finite else None
-        for i, finite in zip(best_idx.tolist(), np.isfinite(best).tolist())
-    ]
-    return best, servers
+    return _best_server(matrix, [n.node_id for n in access_nodes])
+
+
+class LinkBudget(NamedTuple):
+    """Access SNR of one world state: rows follow `access_ids`, columns
+    `ue_ids` (sorted), and each UE's best SNR with its serving node."""
+
+    ue_ids: list[str]
+    access_ids: tuple[str, ...]
+    snr_db: np.ndarray  # (n_access, n_ues)
+    best_db: np.ndarray  # (n_ues,)
+    servers: list[str | None]
 
 
 class World:
@@ -160,8 +177,10 @@ class World:
         # Bumped by every method below that changes nodes or obstacles; caches
         # of snapshots and link budgets are keyed on it.
         self.version = 0
-        # (version, ids of the serving nodes) for heartbeat().
-        self._serving_ids: tuple[int, list[str]] = (-1, [])
+        # (version, ids of the serving nodes, sorted ids of the serving
+        # access nodes) and ((version, access ids), link budget).
+        self._serving: tuple[int, list[str], tuple[str, ...]] = (-1, [], ())
+        self._budget: tuple[tuple[int, tuple[str, ...]], LinkBudget] | None = None
         for node in scenario.nodes:
             if node.kind == NodeKind.RIS_PANEL:
                 self._register_panel(node)
@@ -209,16 +228,20 @@ class World:
         self.nodes[node_id].position = tuple(position)
         self.version += 1
 
+    def _serving_ids(self) -> tuple[list[str], tuple[str, ...]]:
+        """Ids of the serving nodes, and the sorted ids of the serving access
+        nodes. Which nodes serve changes only with the version, so both are
+        kept until it moves."""
+        if self._serving[0] != self.version:
+            ids = [nid for nid, node in self.nodes.items() if node.status in SERVING_STATUSES]
+            access = tuple(sorted(nid for nid in ids if self.nodes[nid].kind in ACCESS_KINDS))
+            self._serving = (self.version, ids, access)
+        return self._serving[1], self._serving[2]
+
     def heartbeat(self, now_ms: int) -> None:
-        """Every serving node reports now. Which nodes serve changes only with
-        the version, so their ids are kept until it moves."""
-        if self._serving_ids[0] != self.version:
-            self._serving_ids = (
-                self.version,
-                [nid for nid, node in self.nodes.items() if node.status in SERVING_STATUSES],
-            )
+        """Every serving node reports now."""
         beats = dict(self.last_heartbeat)
-        for node_id in self._serving_ids[1]:
+        for node_id in self._serving_ids()[0]:
             beats[node_id] = now_ms
         self.last_heartbeat = beats
 
@@ -256,7 +279,22 @@ class World:
         )
 
     def active_node_count(self) -> int:
-        return sum(1 for n in self.nodes.values() if n.serving)
+        return len(self._serving_ids()[0])
+
+    def link_budget(self, access_ids: tuple[str, ...] | None = None) -> LinkBudget:
+        """Access SNR from the given access nodes, by default every serving
+        one, to every UE. Kept until the version or the access ids change, so
+        the measurement and the controller apps share one computation per
+        world state. Callers must not modify it."""
+        if access_ids is None:
+            access_ids = self._serving_ids()[1]
+        key = (self.version, access_ids)
+        if self._budget is None or self._budget[0] != key:
+            ue_ids, positions = self.ue_positions()
+            access = [self.nodes[nid] for nid in access_ids]
+            snr = access_snr_matrix(access, positions, self.scenario.channel, self.obstacles)
+            self._budget = (key, LinkBudget(ue_ids, access_ids, snr, *_best_server(snr, access_ids)))
+        return self._budget[1]
 
     def ue_positions(self) -> tuple[list[str], np.ndarray]:
         ues = sorted(

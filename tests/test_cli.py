@@ -157,6 +157,29 @@ class TestRun:
         assert "unknown app(s): NoSuchApp (choose from FailureMonitor, RecoveryPlanner," in err
         assert not out.exists()
 
+    def test_unknown_app_in_scenario_is_rejected(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path, dict(SMALL, ric={"disabled_apps": ["NoSuchApp"]}))
+        out = tmp_path / "out"
+        rc = main(["run", "--scenario", scenario, "--until", "60000", "--out", str(out)])
+        assert rc == 2
+        assert "unknown app(s): NoSuchApp (choose from" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_disable_app_flag_adds_to_the_scenario_list(self, tmp_path):
+        scenario = write_scenario(tmp_path, dict(SMALL, ric={"disabled_apps": ["CfClusterer"]}))
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "run", "--scenario", scenario, "--until", "60000", "--out", str(out),
+                "--disable-app", "EnergyManager",
+            ]
+        )
+        assert rc == 0
+        actions = (out / "actions.log").read_text()
+        assert "Recluster" not in actions
+        assert "energy management stub active" not in actions
+        assert "sensing management stub active" in actions
+
 
 class TestRisBench:
     def test_csv_with_mean_rows(self, tmp_path):

@@ -11,6 +11,8 @@ import pytest
 
 from rrsim import channel as ch
 from rrsim import ntn_planner
+from rrsim import ric as ric_mod
+from rrsim import world as world_mod
 from rrsim.cli import bundled_scenario_path
 from rrsim.ric import (
     Action,
@@ -106,7 +108,7 @@ class TestDispatch:
     def test_snapshot_refreshes_on_topology_change(self):
         ctl, kernel = make_controller()
         first = ctl.snapshot()
-        ctl.topology_version += 1
+        ctl.world.version += 1
         assert ctl.snapshot() is not first
 
 
@@ -148,13 +150,13 @@ class TestActions:
         from rrsim.scenario import NodeKind
 
         ctl, _ = make_controller()
-        before = ctl.topology_version
+        before = ctl.world.version
         plan = DeploymentPlan(
             placements=[Placement("uav_0", NodeKind.UAV, (50, 50, 120), 35.0, 3.5)],
             estimated_coverage_ratio=1.0,
         )
         ctl.apply_action(Action("DeployPlan", {"plan": plan}), nonrt("x", lambda c, s: []))
-        assert ctl.topology_version == before + 1
+        assert ctl.world.version == before + 1
         assert ctl.blackboard["plan_deployed"]
         deployed = [n for n in ctl.world.nodes.values() if n.node_id.startswith("deployed_")]
         assert len(deployed) == 1 and deployed[0].serving
@@ -319,16 +321,40 @@ class TestRisPowerCache:
         assert action.params["feedback"] == trace.feedback_messages == members.size * 4
 
 
+def record_link_budgets(monkeypatch, sim):
+    """(clock, world version, budget) of every `World.link_budget` call."""
+    calls = []
+    real = World.link_budget
+
+    def recorded(world, *args):
+        budget = real(world, *args)
+        calls.append((sim.kernel.clock, world.version, budget))
+        return budget
+
+    monkeypatch.setattr(World, "link_budget", recorded)
+    return calls
+
+
+def computed(calls):
+    """(clock, world version) of the calls that computed their budget: the
+    first call that handed back each budget object."""
+    seen, first = set(), []
+    for t, v, budget in calls:
+        if id(budget) not in seen:
+            seen.add(id(budget))
+            first.append((t, v))
+    return first
+
+
 class TestFailureMonitorCache:
     def test_out_of_service_recomputed_only_when_its_inputs_change(self, earthquake_scenario, monkeypatch):
-        calls = []
-        real = ntn_planner.ues_out_of_service
-        monkeypatch.setattr(ntn_planner, "ues_out_of_service", lambda *a: calls.append(1) or real(*a))
         sim = Simulation(earthquake_scenario, disabled_apps={"RecoveryPlanner"})
+        calls = record_link_budgets(monkeypatch, sim)
         sim.run(1_200_000)
-        # 20 NonRT ticks but two (world version, operational access set)
-        # keys: before the strike at 60 s and after it.
-        assert len(calls) == 2
+        # 20 NonRT ticks, 241 samples and 1,200 NearRT ticks, but two (world
+        # version, operational access set) keys: before the strike at 60 s
+        # and after it.
+        assert computed(calls) == [(0, 0), (60_000, 1)]
         _, _, expected = ntn_planner.detect_outage(
             sim.controller.snapshot(), 3.0, sim.controller.params
         )
@@ -336,27 +362,41 @@ class TestFailureMonitorCache:
 
     def test_planner_reuses_the_monitors_set(self, earthquake_scenario, monkeypatch):
         sim = Simulation(earthquake_scenario)
-        clocks, plans = [], []
-        real_oos, real_plan = ntn_planner.ues_out_of_service, ntn_planner.build_plan
-
-        def counted(*args):
-            clocks.append(sim.kernel.clock)
-            return real_oos(*args)
+        plans = []
+        real_plan = ntn_planner.build_plan
 
         def recorded(snapshot, *args):
             plan = real_plan(snapshot, *args)
             plans.append((snapshot, plan))
             return plan
 
-        monkeypatch.setattr(ntn_planner, "ues_out_of_service", counted)
+        calls = record_link_budgets(monkeypatch, sim)
         monkeypatch.setattr(ntn_planner, "build_plan", recorded)
         sim.run(120_000)
-        # One computation at the planning tick, shared by monitor and planner.
-        assert clocks.count(120_000) == 1
+        # At the planning tick the monitor and the planner read one budget,
+        # the one computed after the strike; the three deployed nodes then
+        # move the version to 4, and that budget is computed once.
+        assert computed(calls) == [(0, 0), (60_000, 1), (120_000, 4)]
+        monitor, planner_ = [budget for t, v, budget in calls if (t, v) == (120_000, 1)]
+        assert monitor is planner_
         [(snapshot, plan)] = plans
         assert plan.placements
-        monkeypatch.setattr(ntn_planner, "ues_out_of_service", real_oos)
         assert plan == real_plan(snapshot, sim.controller.params, earthquake_scenario.planner)
+
+    def test_measurement_monitor_and_clusterer_share_one_matrix(self, earthquake_scenario, monkeypatch):
+        calls = []
+        real = world_mod.access_snr_matrix
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        for mod in (world_mod, ric_mod, ntn_planner):
+            if getattr(mod, "access_snr_matrix", None) is real:
+                monkeypatch.setattr(mod, "access_snr_matrix", counted)
+        Simulation(earthquake_scenario, disabled_apps={"RecoveryPlanner"}).run(1_200_000)
+        # One matrix per world version, before and after the strike.
+        assert len(calls) == 2
 
     def test_stale_heartbeat_is_part_of_the_key(self):
         ctl, kernel = make_controller()
@@ -471,3 +511,10 @@ class TestIdleGates:
         # configs. At 12.1 s it restores the configs of its 9.1 s run, a state
         # already known to need nothing, so it is skipped at 12.2 s.
         assert runs == [100, 200, 2_000, 2_100, 3_000, 3_100, 8_100, 8_200, 9_000, 9_100, 12_100, 14_000, 14_100]
+
+    def test_tuner_runs_again_after_a_move_under_max_throughput(self):
+        log = Simulation(_room_with_moves_and_switches()).run(16_000)
+        tuned = sorted({t for t, d in log.actions if d.startswith("ApplyRisConfig by RisIterativeTuner")})
+        # At the first tick under max-throughput (the switch at 5 s comes
+        # after the tuner's slot), and again when rx1 moves at 6 s.
+        assert tuned == [5_100, 6_000]
