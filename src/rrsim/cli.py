@@ -10,6 +10,7 @@ import logging
 import os
 import sys
 import tempfile
+import time
 from dataclasses import replace
 from importlib import resources
 from typing import Iterable
@@ -20,7 +21,7 @@ from .ric import builtin_apps
 from .ris_opt import evaluator_hash
 from .runner import Simulation, summarize_run
 from .scenario import ParseError, ValidationError, load_scenario
-from .simcore import NOT_RECOVERED, NoDisaster, recovery_time, write_metrics_csv
+from .simcore import NOT_RECOVERED, recovery_time, write_metrics_csv
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -75,14 +76,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     sim = _simulation(args.scenario, set(args.disable_app or ()), args.seed)
     if sim is None:
         return EXIT_VALIDATION
+    start = time.perf_counter()
     baseline = sim.baseline_coverage()
     metrics = sim.run(args.until)
+    simulated = time.perf_counter()
 
     recovery = None
-    try:
-        recovery = recovery_time(metrics, baseline or 1e-9, args.target_fraction)
-    except NoDisaster:
-        recovery = None
+    if metrics.strike_time() is not None:
+        if baseline > 0.0:
+            recovery = recovery_time(metrics, baseline, args.target_fraction)
+        else:
+            log.warning("intact coverage is 0, so the recovery time is undefined")
 
     os.makedirs(args.out, exist_ok=True)
     _atomic_write(os.path.join(args.out, "metrics.csv"), lambda fh: write_metrics_csv(fh, metrics.samples))
@@ -101,6 +105,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         lambda fh: (json.dump(summary, fh, indent=2, sort_keys=True), fh.write("\n")),
     )
     print(json.dumps({k: v for k, v in summary.items() if k != "actions"}, sort_keys=True))
+    log.info(
+        "%d samples, %d distinct rate tables, %d actions; simulated in %.3f s, wrote artifacts in %.3f s",
+        len(metrics.samples),
+        len({id(s.throughput_mbps) for s in metrics.samples}),
+        len(metrics.actions),
+        simulated - start,
+        time.perf_counter() - simulated,
+    )
 
     if args.require_recovery and (recovery is NOT_RECOVERED or recovery is None):
         return EXIT_NOT_RECOVERED

@@ -319,22 +319,16 @@ def _recovery_planner(ctl: Controller, snapshot: TopologySnapshot) -> list[Actio
     return [Action("DeployPlan", {"plan": plan})]
 
 
-def _tracker_key(ctl: Controller) -> tuple[int, tuple[bytes, ...]]:
-    """Everything the tracker's output depends on besides the policy and the
-    codebooks: UE positions (through the world version) and the panel
-    configurations, which change without a version bump."""
-    configs = tuple(state.config.tobytes() for _, state in sorted(ctl.world.panel_states.items()))
-    return ctl.world.version, configs
-
-
 def _tracker_off(ctl: Controller) -> bool:
     return ctl.policy != POLICY_FAST_RECOVERY or not ctl.codebooks
 
 
 def _tracker_idle(ctl: Controller) -> bool:
-    """Off, or in a state where a past run found nothing to change. The key
-    is only a memo for the dispatcher; the handler checks just `_tracker_off`."""
-    return _tracker_off(ctl) or ctl.blackboard.get("codebook_key") == _tracker_key(ctl)
+    """Off, or in a link state where a past run found nothing to change:
+    besides the policy and the codebooks, the tracker's output depends only on
+    UE positions and panel configurations. The key is only a memo for the
+    dispatcher; the handler checks just `_tracker_off`."""
+    return _tracker_off(ctl) or ctl.blackboard.get("codebook_key") == ctl.world.link_state()
 
 
 def _ris_codebook_tracker(ctl: Controller, snapshot: TopologySnapshot) -> list[Action]:
@@ -356,7 +350,7 @@ def _ris_codebook_tracker(ctl: Controller, snapshot: TopologySnapshot) -> list[A
                 )
             )
     if not actions:  # only a state with nothing to change is safe to skip
-        ctl.blackboard["codebook_key"] = _tracker_key(ctl)
+        ctl.blackboard["codebook_key"] = ctl.world.link_state()
     return actions
 
 

@@ -10,7 +10,7 @@ import numpy as np
 from . import channel as ch
 from .ric import Controller, ControllerApp, builtin_apps
 from .scenario import Scenario, ValidationError, inject_disaster, traffic_multiplier
-from .simcore import Event, EventKind, Kernel, MetricsLog, Sample
+from .simcore import Event, EventKind, Kernel, MetricsLog, RateTable, Sample
 from .world import DEFAULT_HEARTBEAT_MS, DEFAULT_SNR_THRESHOLD_DB, World
 
 
@@ -53,6 +53,9 @@ class Simulation:
         self._mcs = ch.McsStaircase(scenario.channel.mcs_table)
         # (servers list, server code per UE with -1 for none)
         self._codes: tuple[list[str | None], np.ndarray] | None = None
+        # (link state key, _ue_snr_db result) and (UE ids, rate bytes, table)
+        self._links: tuple[tuple[int, tuple[bytes, ...]], tuple] | None = None
+        self._table: tuple[tuple[str, ...], bytes, RateTable] | None = None
 
         self.kernel.on(EventKind.DISASTER_STRIKE, self._on_strike)
         self.kernel.on(EventKind.BATTERY_EXPIRY, self._on_battery_expiry)
@@ -121,7 +124,14 @@ class Simulation:
     def _ue_snr_db(self) -> tuple[list[str], np.ndarray, list[str | None], int]:
         """UE ids, best SNR per UE, its serving node and the active-node
         count. The SNR and servers are the world's cached terrestrial link
-        budget, copied only where a RIS link overrides it."""
+        budget, copied only where a RIS link overrides it. Kept per
+        `World.link_state`."""
+        key = self.world.link_state()
+        if self._links is None or self._links[0] != key:
+            self._links = (key, self._best_links())
+        return self._links[1]
+
+    def _best_links(self) -> tuple[list[str], np.ndarray, list[str | None], int]:
         ue_ids, _, _, best, servers = self.world.link_budget()
         copied = False
 
@@ -157,7 +167,7 @@ class Simulation:
         ue_ids, best, servers, active_nodes = self._ue_snr_db()
         n_ue = len(ue_ids)
         if n_ue == 0:
-            return Sample(now_ms, 1.0, {}, active_nodes)
+            return Sample(now_ms, 1.0, RateTable(), active_nodes)
         fading = self.scenario.channel.fading if apply_fading is None else apply_fading
         if fading:
             # Rayleigh amplitude per UE link, drawn from the run's fading stream.
@@ -178,7 +188,15 @@ class Simulation:
         share = self._mcs.rates_at(best[served]) / np.bincount(served_codes)[served_codes]
         rates = np.zeros(n_ue)
         rates[served] = np.where(share < offered, share, offered)  # min(offered, share)
-        return Sample(now_ms, coverage_ratio, dict(zip(ue_ids, rates.tolist())), active_nodes)
+        return Sample(now_ms, coverage_ratio, self._rate_table(ue_ids, rates), active_nodes)
+
+    def _rate_table(self, ue_ids: list[str], rates: np.ndarray) -> RateTable:
+        """The previous sample's table when its UE ids and rates are bitwise
+        the same, else a new one: most samples repeat the one before."""
+        ids, data = tuple(ue_ids), rates.tobytes()
+        if self._table is None or self._table[:2] != (ids, data):
+            self._table = (ids, data, RateTable(zip(ue_ids, rates.tolist())))
+        return self._table[2]
 
     def baseline_coverage(self) -> float:
         """Coverage ratio of the intact scenario before any event fires."""

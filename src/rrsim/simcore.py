@@ -48,11 +48,26 @@ class Event(NamedTuple):
     sequence_id: int = 0
 
 
+class RateTable(dict):
+    """Throughput per UE id (Mbps) of a measurement. Read-only, because
+    consecutive samples with the same rates share one table. A dict rather
+    than a `MappingProxyType`, so that samples still pickle, deep-copy and go
+    through `dataclasses.asdict`."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a rate table is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return RateTable, (dict(self),)
+
+
 @dataclass
 class Sample:
     time_ms: int
     coverage_ratio: float
-    throughput_mbps: dict[str, float]
+    throughput_mbps: Mapping[str, float]
     active_nodes: int
 
 
@@ -111,24 +126,28 @@ def write_metrics_csv(fh, samples: list[Sample]) -> None:
     """metrics.csv: one row per sample and UE, sorted by UE id, byte for byte
     what csv.writer writes (CRLF line ends, minimal quoting). Each sample's
     rows go out as one string; the sorted UE fields and the fixed-point text
-    of each distinct rate are computed once."""
+    of each distinct rate are computed once, and a sample whose table is the
+    previous sample's table object reuses that sample's cells."""
     fh.write("time_ms,coverage_ratio,ue_id,throughput_mbps\r\n")
     known: set[str] = set()
     ue_ids: list[str] = []
     leads: list[str] = []  # each UE's CSV field and a comma
     fixed = _FixedPoint()
+    rates: Mapping[str, float] | None = None
+    cells: list[str] = []
     for s in samples:
-        rates = s.throughput_mbps
-        if rates.keys() != known:
-            ue_ids = sorted(rates)
-            known = set(ue_ids)
-            leads = [_csv_field(ue) + "," for ue in ue_ids]
-        if not ue_ids:
+        if s.throughput_mbps is not rates:
+            rates = s.throughput_mbps
+            if rates.keys() != known:
+                ue_ids = sorted(rates)
+                known = set(ue_ids)
+                leads = [_csv_field(ue) + "," for ue in ue_ids]
+            cells = [
+                lead + (fixed[rate] if rate else f"{rate:.6f}")
+                for lead, rate in zip(leads, map(rates.__getitem__, ue_ids))
+            ]
+        if not cells:
             continue
-        cells = [
-            lead + (fixed[rate] if rate else f"{rate:.6f}")
-            for lead, rate in zip(leads, map(rates.__getitem__, ue_ids))
-        ]
         prefix = f"{s.time_ms},{s.coverage_ratio:.6f},"
         fh.write(prefix + ("\r\n" + prefix).join(cells) + "\r\n")
 

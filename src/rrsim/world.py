@@ -278,6 +278,13 @@ class World:
             heartbeat_window_ms=self.heartbeat_window_ms,
         )
 
+    def link_state(self) -> tuple[int, tuple[bytes, ...]]:
+        """A key that changes whenever any link can: the version, and the
+        bytes of each panel's configuration in sorted panel order.
+        `PanelState.apply_part` changes a configuration in place without a
+        version bump, so the key holds copies of the bytes."""
+        return self.version, tuple(s.config.tobytes() for _, s in sorted(self.panel_states.items()))
+
     def active_node_count(self) -> int:
         return len(self._serving_ids()[0])
 

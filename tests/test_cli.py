@@ -3,12 +3,16 @@
 import csv
 import datetime
 import json
+import logging
 import os
+import re
 import stat
 
 import pytest
 
 from rrsim.cli import bundled_scenario_path, main
+from rrsim.runner import Simulation
+from rrsim.scenario import load_scenario
 
 SMALL = {
     "seed": 3,
@@ -179,6 +183,58 @@ class TestRun:
         assert "Recluster" not in actions
         assert "energy management stub active" not in actions
         assert "sensing management stub active" in actions
+
+    def test_zero_baseline_leaves_recovery_time_undefined(self, tmp_path, caplog):
+        # No UE reaches a 500 dB threshold, so the intact coverage is 0.
+        scenario = write_scenario(tmp_path, dict(SMALL, planner={"snr_threshold_db": 500.0}))
+        out = tmp_path / "out"
+        with caplog.at_level(logging.WARNING, logger="rrs"):
+            rc = main(
+                [
+                    "run", "--scenario", scenario, "--until", "60000", "--out", str(out),
+                    "--require-recovery",
+                ]
+            )
+        assert rc == 3
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["baseline_coverage"] == 0.0
+        assert "recovery_time_ms" not in summary
+        warnings = [r for r in caplog.records if r.name == "rrs" and r.levelno == logging.WARNING]
+        assert [r.getMessage() for r in warnings] == ["intact coverage is 0, so the recovery time is undefined"]
+
+    def test_info_log_reports_the_run_and_changes_no_output(self, tmp_path, caplog, capsys):
+        scenario = write_scenario(tmp_path, SMALL)
+        rc = main(["run", "--scenario", scenario, "--until", "60000", "--out", str(tmp_path / "quiet")])
+        assert rc == 0
+        quiet = capsys.readouterr().out
+        with caplog.at_level(logging.INFO, logger="rrs"):
+            rc = main(["run", "--scenario", scenario, "--until", "60000", "--out", str(tmp_path / "info")])
+        assert rc == 0
+        assert capsys.readouterr().out == quiet
+        for name in ("metrics.csv", "actions.log", "summary.json"):
+            assert (tmp_path / "info" / name).read_bytes() == (tmp_path / "quiet" / name).read_bytes()
+
+        log = Simulation(load_scenario(scenario)).run(60_000)
+        samples = log.samples
+        distinct = 1 + sum(a.throughput_mbps != b.throughput_mbps for a, b in zip(samples, samples[1:]))
+        infos = [r.getMessage() for r in caplog.records if r.name == "rrs" and r.levelno == logging.INFO]
+        assert len(infos) == 1
+        match = re.fullmatch(
+            r"(\d+) samples, (\d+) distinct rate tables, (\d+) actions; "
+            r"simulated in \d+\.\d{3} s, wrote artifacts in \d+\.\d{3} s",
+            infos[0],
+        )
+        assert match is not None, infos[0]
+        assert [int(n) for n in match.groups()] == [len(samples), distinct, len(log.actions)]
+        assert distinct < len(samples)
+
+    def test_a_run_does_not_depend_on_the_runs_before_it(self, tmp_path, capsys):
+        quake = bundled_scenario_path("earthquake_demo.json")
+        two_ue = bundled_scenario_path("two_ue_demo.json")
+        for label, path, until in (("first", quake, 180_000), ("other", two_ue, 5_000), ("again", quake, 180_000)):
+            assert main(["run", "--scenario", path, "--until", str(until), "--out", str(tmp_path / label)]) == 0
+        for name in ("metrics.csv", "actions.log", "summary.json"):
+            assert (tmp_path / "first" / name).read_bytes() == (tmp_path / "again" / name).read_bytes()
 
 
 class TestRisBench:

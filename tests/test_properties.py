@@ -1,8 +1,9 @@
 """Property tests: the vectorised MCS staircase against the scalar lookup,
 the array-based throughput step of `Simulation.measure` against the per-UE
-comprehension it replaced, the metrics.csv writer against csv.writer, the
-RIS link-table evaluator against `cascaded_gain` and the generic element
-sweep, and the controller's grouped ticks against one tick event per app."""
+comprehension it replaced, the metrics.csv writer against csv.writer (also
+with table objects shared between samples), the RIS link-table evaluator
+against `cascaded_gain` and the generic element sweep, and the controller's
+grouped ticks against one tick event per app."""
 
 import csv
 import io
@@ -17,7 +18,7 @@ from rrsim.ric import Controller, ControllerApp
 from rrsim.ris_opt import iterative_optimize, model_evaluator
 from rrsim.runner import Simulation
 from rrsim.scenario import scenario_from_dict
-from rrsim.simcore import EventKind, Kernel, Sample, write_metrics_csv
+from rrsim.simcore import EventKind, Kernel, RateTable, Sample, write_metrics_csv
 from rrsim.world import World
 
 _snr = st.floats(allow_nan=False)
@@ -125,6 +126,31 @@ def csv_writer_reference(samples):
 @settings(max_examples=300, deadline=None)
 @given(_samples())
 def test_metrics_writer_matches_csv_writer(samples):
+    buf = io.StringIO()
+    write_metrics_csv(buf, samples)
+    assert buf.getvalue() == csv_writer_reference(samples)
+
+
+@st.composite
+def _samples_sharing_tables(draw):
+    """Samples that pick their tables from a small pool, so one table object
+    repeats both consecutively and not. The pool also holds equal tables that
+    are distinct objects: plain copies, and copies with the sign of every zero
+    flipped, which compare equal but print differently."""
+    tables = draw(st.lists(st.dictionaries(_ue_ids, _rates, max_size=6), min_size=1, max_size=3))
+    flipped = [{ue: -rate if rate == 0 else rate for ue, rate in t.items()} for t in tables]
+    pool = tables + [RateTable(t) for t in tables] + flipped
+    samples = []
+    t = 0
+    for index in draw(st.lists(st.integers(0, len(pool) - 1), max_size=10)):
+        t += draw(st.integers(1, 10_000))
+        samples.append(Sample(t, draw(st.floats(0.0, 1.0)), pool[index], 0))
+    return samples
+
+
+@settings(max_examples=300, deadline=None)
+@given(_samples_sharing_tables())
+def test_metrics_writer_with_shared_tables_matches_csv_writer(samples):
     buf = io.StringIO()
     write_metrics_csv(buf, samples)
     assert buf.getvalue() == csv_writer_reference(samples)

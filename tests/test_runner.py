@@ -1,12 +1,16 @@
 """End-to-end simulation wiring: event flow, measurement, determinism."""
 
+import copy
 import dataclasses
+import json
+import pickle
 
 import pytest
 
+from rrsim.cli import bundled_scenario_path
 from rrsim.runner import Simulation, run_scenario, summarize_run
 from rrsim.scenario import scenario_from_dict
-from rrsim.simcore import NOT_RECOVERED
+from rrsim.simcore import NOT_RECOVERED, rng_stream
 
 SMALL = {
     "seed": 3,
@@ -116,6 +120,67 @@ class TestMeasurement:
         assert a.throughput_mbps != c.throughput_mbps
         # baseline coverage ignores fading by contract
         assert Simulation(scenario, seed=5).baseline_coverage() == 1.0
+
+
+def one_part_room(**overrides):
+    """The two-UE demo room with only rx1 on a panel part and an offered load
+    above every MCS rate, so a codeword that lifts rx1 onto the panel gives
+    it the panel alone and changes both UEs' rates."""
+    with open(bundled_scenario_path("two_ue_demo.json")) as fh:
+        data = json.load(fh)
+    del data["ric"]["ris"]["ris1"]["parts"]["1"]
+    data["traffic"] = {"data_mbps": 1000.0, "voice_mbps": 0.0}
+    data.update(overrides)
+    return scenario_from_dict(data)
+
+
+class TestMeasurementCache:
+    def test_panel_config_change_at_the_same_version_is_measured(self):
+        sim = Simulation(one_part_room())
+        before = sim.measure(0, apply_fading=False)
+        version = sim.world.version
+        lift = sim.controller.codebooks[("ris1", 0)].codewords[0]
+        sim.world.panel_states["ris1"].apply_part(0, lift)  # in place, no version bump
+        after = sim.measure(100, apply_fading=False)
+        assert sim.world.version == version
+        fresh = Simulation(one_part_room())
+        fresh.world.panel_states["ris1"].apply_part(0, lift)
+        assert after.throughput_mbps == fresh.measure(0, apply_fading=False).throughput_mbps
+        assert after.throughput_mbps["rx1"] > before.throughput_mbps["rx1"]
+        assert after.throughput_mbps is not before.throughput_mbps
+
+    def test_unchanged_samples_share_one_read_only_table(self):
+        sim = Simulation(one_part_room())
+        first = sim.measure(0, apply_fading=False).throughput_mbps
+        assert sim.measure(100, apply_fading=False).throughput_mbps is first
+        assert sim.measure(200, apply_fading=False).throughput_mbps is first
+        with pytest.raises(TypeError):
+            first["rx1"] = 0.0
+        with pytest.raises(TypeError):
+            first.update(rx1=0.0)
+        assert first == {"rx1": 12.0, "rx2": 12.0}
+        # Still a dict to copying, pickling and dataclasses.asdict.
+        assert copy.deepcopy(first) == pickle.loads(pickle.dumps(first)) == first
+        assert dataclasses.asdict(sim.measure(300, apply_fading=False))["throughput_mbps"] == first
+
+    def test_changed_rates_get_a_new_table(self):
+        sim = Simulation(one_part_room())
+        first = sim.measure(0, apply_fading=False).throughput_mbps
+        sim.world.move_node("rx2", (60.0, 40.0, 1.0))
+        moved = sim.measure(100, apply_fading=False).throughput_mbps
+        assert moved is not first and moved != first
+        assert sim.measure(200, apply_fading=False).throughput_mbps is moved
+
+    def test_fading_draws_a_pair_per_ue_on_every_sample(self):
+        channel = {"exponent": 2.2, "d0_m": 1.0, "blockage_penalty_db": 22.0, "fading": True}
+        sim = Simulation(one_part_room(channel=channel))
+        for k in range(5):
+            sim.measure(100 * k)
+        expected = rng_stream(sim.seed, "channel.fading")
+        for _ in range(5):
+            expected.standard_normal(2)
+            expected.standard_normal(2)
+        assert sim.kernel.rng("channel.fading").bit_generator.state == expected.bit_generator.state
 
 
 class TestDeterminism:
