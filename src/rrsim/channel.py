@@ -145,35 +145,28 @@ def _segment_hits_box(p: np.ndarray, q: np.ndarray, lo: np.ndarray, hi: np.ndarr
 
 
 def segment_blocked_many(tx_pos: np.ndarray, rx_positions: np.ndarray, obstacles) -> np.ndarray:
-    """Vectorized blockage test: one tx against (M, 3) rx positions."""
+    """Vectorized blockage test: one tx against (M, 3) rx positions, equal to
+    `los_blocked` per rx. The slab test of every box and rx at once, over
+    (B, M, 3) arrays."""
     m = rx_positions.shape[0]
-    blocked = np.zeros(m, dtype=bool)
     if not len(obstacles):
-        return blocked
+        return np.zeros(m, dtype=bool)
     p = np.asarray(tx_pos, float)
+    boxes = np.asarray(obstacles, float)  # (B, 2, 3)
+    lo = boxes[:, None, 0, :]  # (B, 1, 3)
+    hi = boxes[:, None, 1, :]
     d = rx_positions - p  # (M, 3)
-    for box in obstacles:
-        lo = np.asarray(box[0], float)
-        hi = np.asarray(box[1], float)
-        t_min = np.zeros(m)
-        t_max = np.ones(m)
-        ok = np.ones(m, dtype=bool)
-        for axis in range(3):
-            da = d[:, axis]
-            parallel = np.abs(da) < 1e-12
-            outside = parallel & ((p[axis] < lo[axis]) | (p[axis] > hi[axis]))
-            ok &= ~outside
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t1 = (lo[axis] - p[axis]) / da
-                t2 = (hi[axis] - p[axis]) / da
-            swap = t1 > t2
-            t1s = np.where(swap, t2, t1)
-            t2s = np.where(swap, t1, t2)
-            use = ~parallel
-            t_min = np.where(use, np.maximum(t_min, t1s), t_min)
-            t_max = np.where(use, np.minimum(t_max, t2s), t_max)
-        blocked |= ok & (t_min <= t_max)
-    return blocked
+    parallel = np.abs(d) < 1e-12
+    outside = parallel & ((p < lo) | (p > hi))  # (B, M, 3)
+    # Parallel axes divide by (nearly) zero; their quotients are masked out.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t1 = (lo - p) / d
+        t2 = (hi - p) / d
+    swap = t1 > t2
+    # A parallel axis leaves [0, 1] as it is (or rules the box out above).
+    t_min = np.where(parallel, 0.0, np.where(swap, t2, t1)).max(axis=2, initial=0.0)
+    t_max = np.where(parallel, 1.0, np.where(swap, t1, t2)).min(axis=2, initial=1.0)
+    return (~outside.any(axis=2) & (t_min <= t_max)).any(axis=0)
 
 
 @dataclass

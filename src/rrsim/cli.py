@@ -73,6 +73,9 @@ def _simulation(path: str, disabled_apps: set[str], seed: int | None = None) -> 
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if not 0.0 < args.target_fraction <= 1.0:
+        print(f"--target-fraction must be in (0, 1], got {args.target_fraction}", file=sys.stderr)
+        return EXIT_VALIDATION
     sim = _simulation(args.scenario, set(args.disable_app or ()), args.seed)
     if sim is None:
         return EXIT_VALIDATION

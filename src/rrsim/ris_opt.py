@@ -15,17 +15,17 @@ import numpy as np
 
 from .channel import (
     ChannelParams,
-    ComplexGain,
     LengthMismatch,
     RisPanel,
     direct_term,
-    received_power_dbm,
     reflected_terms,
 )
 
 Evaluator = Callable[[Sequence[int]], float]
 
 EXHAUSTIVE_GUARD = 2**20
+# Pass cap of iterative_optimize(passes=None), the sweep to a fixed point.
+MAX_FIXED_POINT_PASSES = 20
 CODEBOOK_FORMAT_VERSION = 1
 
 
@@ -87,23 +87,12 @@ def _evaluate(evaluator: Evaluator, config: Sequence[int], trace: OptimizationTr
 def _sweep_element(
     evaluator: Evaluator, config: list[int], k: int, n_states: int, trace: OptimizationTrace
 ) -> None:
-    """Try every state of element k with the others fixed and keep the best
-    (ties to the lowest state index). Each candidate is one evaluation in the
-    trace, also when an evaluator's `element_powers` gives all of them at once."""
-    element_powers = getattr(evaluator, "element_powers", None)
-    if element_powers is None:
-        powers = []
-        for s in range(n_states):
-            config[k] = s
-            powers.append(_evaluate(evaluator, config, trace, f"element {k} state {s}"))
-    else:
-        try:
-            powers = [float(p) for p in element_powers(config, k, n_states)]
-        except Exception as exc:
-            raise EvaluatorFailure(f"evaluator failed at element {k}: {exc}") from exc
-        for s, power in enumerate(powers):
-            config[k] = s
-            trace.record(config, power)
+    """Try every state of element k with the others fixed, one evaluator call
+    each, and keep the best (ties to the lowest state index)."""
+    powers = []
+    for s in range(n_states):
+        config[k] = s
+        powers.append(_evaluate(evaluator, config, trace, f"element {k} state {s}"))
     config[k] = int(np.argmax(powers))
 
 
@@ -111,38 +100,43 @@ def iterative_optimize(
     evaluator: Evaluator,
     n_elements: int,
     n_states: int,
-    passes: int = 1,
+    passes: int | None = 1,
     initial: Sequence[int] | None = None,
 ) -> tuple[list[int], OptimizationTrace]:
     """Element-by-element sweep: try every state per element with the others
     fixed and keep the best (ties to the lowest state index).
 
-    Uses exactly passes * n_elements * n_states evaluator calls.
+    Uses exactly passes * n_elements * n_states evaluations. passes=None
+    repeats full passes until one changes nothing, at most
+    MAX_FIXED_POINT_PASSES. An evaluator with a `sweep` method (a
+    `ModelEvaluator`) runs each pass itself, with the same trace and result.
     """
-    if n_elements < 1 or n_states < 2 or passes < 1:
-        raise ValueError("need n_elements >= 1, n_states >= 2, passes >= 1")
-    config = list(initial) if initial is not None else [0] * n_elements
-    trace = OptimizationTrace()
-    for _ in range(passes):
-        for k in range(n_elements):
-            _sweep_element(evaluator, config, k, n_states, trace)
-    return config, trace
+    return _iterate(evaluator, n_elements, n_states, passes, initial)
 
 
 def iterative_fixed_point(
-    evaluator: Evaluator,
-    n_elements: int,
-    n_states: int,
-    max_passes: int = 20,
+    evaluator: Evaluator, n_elements: int, n_states: int
 ) -> tuple[list[int], OptimizationTrace]:
-    """Repeat full sweeps until the configuration stops changing."""
-    config = [0] * n_elements
+    """`iterative_optimize` with passes=None."""
+    return _iterate(evaluator, n_elements, n_states, None, None)
+
+
+def _iterate(evaluator, n_elements, n_states, passes, initial):
+    # The body of both public sweeps. Neither calls the other, so a tracer
+    # that wraps public names sees one sweep per call.
+    if n_elements < 1 or n_states < 2 or (passes is not None and passes < 1):
+        raise ValueError("need n_elements >= 1, n_states >= 2, passes >= 1")
+    config = list(initial) if initial is not None else [0] * n_elements
     trace = OptimizationTrace()
-    for _ in range(max_passes):
+    sweep = getattr(evaluator, "sweep", None)
+    for _ in range(MAX_FIXED_POINT_PASSES if passes is None else passes):
         previous = list(config)
-        for k in range(n_elements):
-            _sweep_element(evaluator, config, k, n_states, trace)
-        if config == previous:
+        if sweep is None:
+            for k in range(n_elements):
+                _sweep_element(evaluator, config, k, n_states, trace)
+        else:
+            sweep(config, n_states, trace)
+        if passes is None and config == previous:
             break
     return config, trace
 
@@ -308,7 +302,11 @@ class ModelEvaluator:
         return full
 
     def _power(self, total) -> float:
-        return received_power_dbm(self.tx_power_dbm, ComplexGain.from_complex(complex(total)))
+        # received_power_dbm(tx, ComplexGain.from_complex(total)) without the
+        # object. Python's abs and math.log10, not numpy's: np.abs of a
+        # complex128 and np.log10 can differ from them in the last bit.
+        a = abs(complex(total))
+        return -math.inf if a <= 0.0 else self.tx_power_dbm + 20.0 * math.log10(a)
 
     def __call__(self, config: Sequence[int]) -> float:
         full = self._full(config)
@@ -317,19 +315,52 @@ class ModelEvaluator:
         total += direct
         return self._power(total)
 
-    def element_powers(self, config: Sequence[int], k: int, n_states: int) -> list[float]:
-        """Powers with element k of config set to each of states 0..n_states-1
-        in turn, equal to that many calls, from one (n_states, N) reduction."""
+    def _rows(self, config: Sequence[int], n_states: int) -> np.ndarray:
+        """(n_states, N) buffer with every row the gathered terms of config."""
         full = self._full(config)
-        table, direct = self._table()
+        table, _ = self._table()
         if n_states > table.shape[1]:
             raise IndexError(f"state {table.shape[1]} out of range")
-        j = k if self.part_elements is None else self.part_elements[k]
-        rows = np.repeat(table[np.arange(full.size), full][None, :], n_states, axis=0)
-        rows[:, j] = table[j, :n_states]
+        return np.repeat(table[np.arange(full.size), full][None, :], n_states, axis=0)
+
+    def _candidates(self, rows: np.ndarray, j: int) -> list[float]:
+        """Powers with panel element j in state s for each row s: column j of
+        rows gets the element's table terms, then one reduction over the rows.
+        Each row sums the same values in the same order as a call would."""
+        table, direct = self._link
+        rows[:, j] = table[j, : rows.shape[0]]
         totals = rows.sum(axis=1)
         totals += direct
-        return [self._power(total) for total in totals]
+        return [self._power(total) for total in totals.tolist()]
+
+    def _column(self, k: int) -> int:
+        """Panel element of config entry k."""
+        return k if self.part_elements is None else int(self.part_elements[k])
+
+    def element_powers(self, config: Sequence[int], k: int, n_states: int) -> list[float]:
+        """Powers with element k of config set to each of states 0..n_states-1
+        in turn, equal to that many calls."""
+        return self._candidates(self._rows(config, n_states), self._column(k))
+
+    def sweep(self, config: list[int], n_states: int, trace: OptimizationTrace) -> None:
+        """One pass of `iterative_optimize` over config, in place: the same
+        evaluations recorded in trace and the same result as n_states calls
+        per element. The row buffer is built once per pass; after each
+        element, its column gets the chosen state's term in every row."""
+        try:
+            rows = self._rows(config, n_states)
+        except Exception as exc:
+            raise EvaluatorFailure(f"evaluator failed at element 0: {exc}") from exc
+        table = self._link[0]
+        for k in range(len(config)):
+            j = self._column(k)
+            powers = self._candidates(rows, j)
+            for s, power in enumerate(powers):
+                config[k] = s
+                trace.record(config, power)
+            best = powers.index(max(powers))
+            config[k] = best
+            rows[:, j] = table[j, best]
 
 
 def model_evaluator(

@@ -80,6 +80,19 @@ class TestValidation:
         assert "unknown node 'nope'" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
 
+    @pytest.mark.parametrize("fraction", ["2", "0", "-0.5", "nan"])
+    @pytest.mark.parametrize("disasters", [SMALL["disasters"], []], ids=["strike", "no_strike"])
+    def test_target_fraction_out_of_range(self, tmp_path, capsys, fraction, disasters):
+        scenario = write_scenario(tmp_path, dict(SMALL, disasters=disasters))
+        rc = main(
+            ["run", "--scenario", scenario, "--until", "60000", "--out", str(tmp_path / "out"),
+             "--target-fraction", fraction]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--target-fraction must be in (0, 1]" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+
     def test_bad_panel_spec(self, capsys):
         rc = main(["ris", "bench", "--panel", "seventysix"])
         assert rc == 2

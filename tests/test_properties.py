@@ -1,9 +1,10 @@
 """Property tests: the vectorised MCS staircase against the scalar lookup,
 the array-based throughput step of `Simulation.measure` against the per-UE
 comprehension it replaced, the metrics.csv writer against csv.writer (also
-with table objects shared between samples), the RIS link-table evaluator
-against `cascaded_gain` and the generic element sweep, and the controller's
-grouped ticks against one tick event per app."""
+with table objects shared between samples), the all-boxes blockage test
+against the scalar `los_blocked`, the RIS link-table evaluator against
+`cascaded_gain` and its sweep kernel against the generic element sweep, and
+the controller's grouped ticks against one tick event per app."""
 
 import csv
 import io
@@ -243,6 +244,57 @@ def test_vectorised_sweep_matches_generic_sweep(link, passes):
     assert fast[0] == slow[0]
     assert fast[1].evaluations == slow[1].evaluations
     assert fast[1].feedback_messages == slow[1].feedback_messages == passes * size * panel.n_states
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ris_links())
+def test_fixed_point_sweep_kernel_matches_generic_sweep(link):
+    panel, tx, rx, boxes, params, freq, base, members = link
+    if not _link_free(tx, rx, panel):
+        return
+    evaluator = model_evaluator(
+        panel, tx, 20.0, rx, freq, params, boxes, part_elements=members,
+        base_config=None if members is None else base,
+    )
+    size = panel.n_elements if members is None else members.size
+    fast = iterative_optimize(evaluator, size, panel.n_states, passes=None)
+    # A plain function has no `sweep` method, so this takes the generic loop.
+    slow = iterative_optimize(lambda c: evaluator(c), size, panel.n_states, passes=None)
+    assert fast[0] == slow[0]
+    assert fast[1].evaluations == slow[1].evaluations
+
+
+_grid = st.integers(-3, 3).map(float)
+# Grid coordinates put endpoints on box faces and make boxes share planes.
+_box_coord = st.one_of(_grid, _coord)
+_box_point = st.tuples(_box_coord, _box_coord, _box_coord)
+
+
+@st.composite
+def _segments_and_boxes(draw):
+    """One tx, 1-6 rx (some sharing coordinates with tx, so that segments run
+    parallel to an axis) and 0-4 closed boxes, some of zero width."""
+    tx = draw(_box_point)
+    rxs = []
+    for _ in range(draw(st.integers(1, 6))):
+        rx = list(draw(_box_point))
+        for axis in draw(st.sets(st.integers(0, 2), max_size=3)):
+            rx[axis] = tx[axis]
+        rxs.append(rx)
+    boxes = []
+    for _ in range(draw(st.integers(0, 4))):
+        lo = draw(_box_point)
+        size = draw(st.tuples(*[st.one_of(st.just(0.0), _grid.map(abs), st.floats(0.0, 3.0))] * 3))
+        boxes.append((lo, tuple(a + b for a, b in zip(lo, size))))
+    return np.array(tx), np.array(rxs), boxes
+
+
+@settings(max_examples=500, deadline=None)
+@given(_segments_and_boxes())
+def test_blockage_kernel_matches_scalar_test(case):
+    tx, rxs, boxes = case
+    blocked = ch.segment_blocked_many(tx, rxs, boxes)
+    assert blocked.tolist() == [ch.los_blocked(tx, rx, boxes) for rx in rxs]
 
 
 class _OneTickPerApp:

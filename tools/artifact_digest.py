@@ -3,8 +3,12 @@
 The runs are the three bundled scenarios at the `--until` values of
 `tests/test_golden_artifacts.py`, plus `rrs run` on the generated
 `quake_4h` and `ris_emergency` inputs and `rrs plan` on the generated
-`plan_blocked` input, seeds 0-2 (from `perfbench.inputs`). `summary.json` is
-hashed without its `scenario` entry, which holds the input path.
+`plan_blocked` input, seeds 0-2 (from `perfbench.inputs`). Then the RIS
+outputs: `rrs ris bench` on a 76x4 panel (bench seeds 0-2, the iterative,
+grouping and codebook algorithms) and `rrs codebook build` for both parts of
+the panel of `two_ue_demo.json` and of the `ris_emergency` inputs, seeds 0-2.
+`summary.json` is hashed without its `scenario` entry, which holds the input
+path.
 
 To check that two source trees write the same artifacts, run this from the
 root of each and compare the outputs:
@@ -35,6 +39,8 @@ BUNDLED = {
 }
 SEEDS = (0, 1, 2)
 RUN_ARTIFACTS = ("metrics.csv", "actions.log", "summary.json")
+RIS_BENCH = ("--panel", "76,4", "--seeds", "3", "--algorithms", "iterative,grouping,codebook")
+RIS_PANEL, RIS_PARTS = "ris1", (0, 1)
 
 
 def digest(path: str) -> str:
@@ -61,6 +67,16 @@ def run(label: str, scenario_path: str, until_ms: int, tmp: str) -> None:
         print(f"{digest(os.path.join(out, name))}  {label}/{name}")
 
 
+def codebooks(label: str, scenario_path: str, tmp: str) -> None:
+    os.makedirs(os.path.join(tmp, label), exist_ok=True)
+    for part in RIS_PARTS:
+        name = f"codebook_{RIS_PANEL}_part{part}.json"
+        out = os.path.join(tmp, label, name)
+        rrs("codebook", "build", "--scenario", scenario_path, "--panel", RIS_PANEL,
+            "--part", str(part), "--out", out)
+        print(f"{digest(out)}  {label}/{name}")
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory(prefix="rrs_digest_") as tmp:
         for name, until_ms in BUNDLED.items():
@@ -78,6 +94,13 @@ def main() -> None:
             plan = os.path.join(tmp, f"plan_blocked_{seed}.json")
             rrs("plan", "--scenario", path, "--out", plan)
             print(f"{digest(plan)}  plan_blocked/seed{seed}/plan.json")
+
+        bench = os.path.join(tmp, "ris_bench_76x4.csv")
+        rrs("ris", "bench", *RIS_BENCH, "--out", bench)
+        print(f"{digest(bench)}  ris_bench/76x4/ris_bench.csv")
+        codebooks("two_ue_demo.json", cli.bundled_scenario_path("two_ue_demo.json"), tmp)
+        for seed in SEEDS:
+            codebooks(f"ris_emergency/seed{seed}", os.path.join(tmp, "inputs", f"ris_emergency_{seed}.json"), tmp)
 
 
 if __name__ == "__main__":
