@@ -290,15 +290,19 @@ class ModelEvaluator:
         return self._link
 
     def _full(self, config: Sequence[int]) -> np.ndarray:
+        given = np.asarray(config, dtype=int)
         if self.part_elements is None:
-            full = np.asarray(config, dtype=int)
-            if full.shape != (self.panel.n_elements,):
+            if given.shape != (self.panel.n_elements,):
                 raise LengthMismatch(
-                    f"config length {full.size} != element count {self.panel.n_elements}"
+                    f"config length {given.size} != element count {self.panel.n_elements}"
                 )
-            return full
+            return given
+        if given.shape != (len(self.part_elements),):
+            raise LengthMismatch(
+                f"config length {given.size} != part element count {len(self.part_elements)}"
+            )
         full = self.base.copy()
-        full[self.part_elements] = np.asarray(config, int)
+        full[self.part_elements] = given
         return full
 
     def _power(self, total) -> float:

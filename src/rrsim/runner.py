@@ -3,6 +3,8 @@ controller and periodic metrics sampling for one scenario run."""
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -12,6 +14,23 @@ from .ric import Controller, ControllerApp, builtin_apps
 from .scenario import Scenario, ValidationError, inject_disaster, traffic_multiplier
 from .simcore import Event, EventKind, Kernel, MetricsLog, RateTable, Sample
 from .world import DEFAULT_HEARTBEAT_MS, DEFAULT_SNR_THRESHOLD_DB, World
+
+
+@dataclass(eq=False, slots=True)
+class _LinkEntry:
+    """What a sample without fading takes from one link state: the server
+    code per UE (-1 for none), the coverage ratio, the served mask, each
+    served UE's share and the largest share (-inf with none served), plus the
+    last such sample's offered load and rate table."""
+
+    links: tuple
+    codes: np.ndarray
+    coverage_ratio: float
+    served: np.ndarray
+    share: np.ndarray
+    top: float
+    offered: float = math.nan
+    table: RateTable | None = None
 
 
 class Simulation:
@@ -51,10 +70,10 @@ class Simulation:
         )
         self._strike_time: int | None = None
         self._mcs = ch.McsStaircase(scenario.channel.mcs_table)
-        # (servers list, server code per UE with -1 for none)
-        self._codes: tuple[list[str | None], np.ndarray] | None = None
-        # (link state key, _ue_snr_db result) and (UE ids, rate bytes, table)
+        # (link state key, _ue_snr_db result), the coverage and contention of
+        # that result, and (UE ids, rate bytes, table)
         self._links: tuple[tuple[int, tuple[bytes, ...]], tuple] | None = None
+        self._entry: _LinkEntry | None = None
         self._table: tuple[tuple[str, ...], bytes, RateTable] | None = None
 
         self.kernel.on(EventKind.DISASTER_STRIKE, self._on_strike)
@@ -152,43 +171,74 @@ class Simulation:
                     servers[j] = panel_id
         return ue_ids, best, servers, self.world.active_node_count()
 
-    def _server_codes(self, servers: list[str | None]) -> np.ndarray:
-        """An integer code per UE for its serving node, -1 for none. Kept
-        while `_ue_snr_db` hands back the same list: the cached terrestrial
-        one, unless a RIS panel overrode a link. The cache holds the list, so
+    def _link_entry(self, links: tuple) -> _LinkEntry:
+        """Coverage and contention of one `_ue_snr_db` result, kept while
+        `_ue_snr_db` hands back the same tuple. The entry holds the tuple, so
         its identity cannot be reused."""
-        if self._codes is None or self._codes[0] is not servers:
+        entry = self._entry
+        if entry is None or entry.links is not links:
+            ue_ids, best, servers, _ = links
             index: dict[str, int] = {}
-            codes = [-1 if s is None else index.setdefault(s, len(index)) for s in servers]
-            self._codes = (servers, np.array(codes, dtype=np.intp))
-        return self._codes[1]
+            codes = np.array(
+                [-1 if s is None else index.setdefault(s, len(index)) for s in servers],
+                dtype=np.intp,
+            )
+            ratio, served, share = self._contention(best, codes)
+            top = float(share.max()) if share.size else -np.inf
+            entry = self._entry = _LinkEntry(links, codes, ratio, served, share, top)
+        return entry
+
+    def _contention(
+        self, best: np.ndarray, codes: np.ndarray
+    ) -> tuple[float, np.ndarray, np.ndarray]:
+        """Coverage ratio, the served mask and each served UE's share: a
+        covered UE with a server shares that server's rate equally with the
+        other covered UEs on it."""
+        covered = best >= self.snr_threshold_db
+        served = covered & (codes >= 0)
+        served_codes = codes[served]
+        share = self._mcs.rates_at(best[served]) / np.bincount(served_codes)[served_codes]
+        return np.count_nonzero(covered) / best.size, served, share
+
+    def _capped_table(
+        self, ue_ids: list[str], served: np.ndarray, share: np.ndarray, offered: float
+    ) -> RateTable:
+        """Served UEs at min(offered, share), every other UE at 0."""
+        rates = np.zeros(len(ue_ids))
+        rates[served] = np.where(share < offered, share, offered)  # min(offered, share)
+        return self._rate_table(ue_ids, rates)
 
     def measure(self, now_ms: int, apply_fading: bool | None = None) -> Sample:
-        ue_ids, best, servers, active_nodes = self._ue_snr_db()
-        n_ue = len(ue_ids)
-        if n_ue == 0:
+        links = self._ue_snr_db()
+        ue_ids, best, _, active_nodes = links
+        if not ue_ids:
             return Sample(now_ms, 1.0, RateTable(), active_nodes)
+        entry = self._link_entry(links)
+        offered = self._offered_load_mbps(now_ms)
         fading = self.scenario.channel.fading if apply_fading is None else apply_fading
         if fading:
             # Rayleigh amplitude per UE link, drawn from the run's fading stream.
             rng = self.kernel.rng("channel.fading")
+            n_ue = len(ue_ids)
             amp = np.abs(
                 rng.standard_normal(n_ue) + 1j * rng.standard_normal(n_ue)
             ) / np.sqrt(2.0)
             best = best + 20.0 * np.log10(np.maximum(amp, 1e-12))
-        covered = best >= self.snr_threshold_db
-        coverage_ratio = np.count_nonzero(covered) / n_ue
-
-        # A covered UE with a server shares that server's rate equally with
-        # the other covered UEs on it, capped at the offered load.
-        offered = self._offered_load_mbps(now_ms)
-        codes = self._server_codes(servers)
-        served = covered & (codes >= 0)
-        served_codes = codes[served]
-        share = self._mcs.rates_at(best[served]) / np.bincount(served_codes)[served_codes]
-        rates = np.zeros(n_ue)
-        rates[served] = np.where(share < offered, share, offered)  # min(offered, share)
-        return Sample(now_ms, coverage_ratio, self._rate_table(ue_ids, rates), active_nodes)
+            ratio, served, share = self._contention(best, entry.codes)
+            entry.table = None
+            table = self._capped_table(ue_ids, served, share, offered)
+            return Sample(now_ms, ratio, table, active_nodes)
+        # The previous sample's rates stand when the offered load is bitwise
+        # the same, or when it exceeded every share then and does now, so
+        # that no UE was or is capped.
+        last = entry.offered
+        if entry.table is None or not (
+            (offered == last and math.copysign(1.0, offered) == math.copysign(1.0, last))
+            or (offered > entry.top and last > entry.top)
+        ):
+            entry.table = self._capped_table(ue_ids, entry.served, entry.share, offered)
+            entry.offered = offered
+        return Sample(now_ms, entry.coverage_ratio, entry.table, active_nodes)
 
     def _rate_table(self, ue_ids: list[str], rates: np.ndarray) -> RateTable:
         """The previous sample's table when its UE ids and rates are bitwise

@@ -4,8 +4,10 @@ and scenario file ingestion."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import pairwise
 from typing import Any
 
 from .channel import DEFAULT_MCS, ChannelParams
@@ -84,12 +86,15 @@ class TrafficProfile:
     voice_surge: tuple[tuple[int, float], ...] = DEFAULT_VOICE_SURGE
 
     def validate(self) -> None:
+        for name, load in (("data_mbps", self.data_mbps), ("voice_mbps", self.voice_mbps)):
+            if not (0.0 <= load < math.inf):
+                raise ValidationError(f"traffic {name} must be finite and non-negative, got {load}")
         for curve in (self.data_surge, self.voice_surge):
             times = [t for t, _ in curve]
             if times != sorted(times):
                 raise ValidationError("surge knots must be time-sorted")
-            if any(m < 0 for _, m in curve):
-                raise ValidationError("surge multipliers must be non-negative")
+            if not all(0.0 <= m < math.inf for _, m in curve):
+                raise ValidationError("surge multipliers must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -166,18 +171,14 @@ def traffic_multiplier(profile: TrafficProfile, traffic_class: str, t_since_stri
         raise ValueError(f"unknown traffic class {traffic_class!r}")
     if t_since_strike_ms < 0 or not curve:
         return 1.0
-    times = [t for t, _ in curve]
-    values = [m for _, m in curve]
-    if t_since_strike_ms <= times[0]:
-        return values[0]
-    if t_since_strike_ms >= times[-1]:
-        return values[-1]
-    for i in range(1, len(times)):
-        if t_since_strike_ms <= times[i]:
-            span = times[i] - times[i - 1]
-            frac = (t_since_strike_ms - times[i - 1]) / span
-            return values[i - 1] + frac * (values[i] - values[i - 1])
-    return values[-1]
+    if t_since_strike_ms <= curve[0][0]:
+        return curve[0][1]
+    if t_since_strike_ms >= curve[-1][0]:
+        return curve[-1][1]
+    for (t0, m0), (t1, m1) in pairwise(curve):
+        if t_since_strike_ms <= t1:
+            return m0 + (t_since_strike_ms - t0) / (t1 - t0) * (m1 - m0)
+    return curve[-1][1]
 
 
 def inject_disaster(scenario: Scenario, event: DisasterEvent) -> list[tuple[int, str, dict[str, Any]]]:

@@ -93,6 +93,29 @@ class TestValidation:
         assert err.count("\n") == 1 and "--target-fraction must be in (0, 1]" in err
         assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
 
+    @pytest.mark.parametrize(
+        "traffic",
+        [
+            {"data_mbps": -5},
+            {"voice_mbps": -0.5},
+            {"data_mbps": float("nan")},
+            {"voice_mbps": float("inf")},
+            {"data_surge": [[0, 1.0], [1_000, float("nan")]]},
+            {"voice_surge": [[0, float("inf")]]},
+        ],
+        ids=["negative_data", "negative_voice", "nan_data", "inf_voice", "nan_surge", "inf_surge"],
+    )
+    def test_bad_traffic_load(self, tmp_path, capsys, traffic):
+        with open(bundled_scenario_path("earthquake_demo.json")) as fh:
+            data = json.load(fh)
+        data["traffic"] = {**data.get("traffic", {}), **traffic}
+        scenario = write_scenario(tmp_path, data)
+        rc = main(["run", "--scenario", scenario, "--until", "10000", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: ") and "finite and non-negative" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+
     def test_bad_panel_spec(self, capsys):
         rc = main(["ris", "bench", "--panel", "seventysix"])
         assert rc == 2

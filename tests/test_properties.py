@@ -1,6 +1,7 @@
 """Property tests: the vectorised MCS staircase against the scalar lookup,
 the array-based throughput step of `Simulation.measure` against the per-UE
-comprehension it replaced, the metrics.csv writer against csv.writer (also
+comprehension it replaced (one sample, and a run of samples whose link
+state and offered load repeat or move), the metrics.csv writer against csv.writer (also
 with table objects shared between samples), the all-boxes blockage test
 against the scalar `los_blocked`, the RIS link-table evaluator against
 `cascaded_gain` and its sweep kernel against the generic element sweep, and
@@ -94,6 +95,49 @@ def test_measure_throughput_is_bitwise_the_scalar_step(inputs, table):
         assert list(sample.throughput_mbps) == list(rates)
         assert [r.hex() for r in sample.throughput_mbps.values()] == [r.hex() for r in rates.values()]
         assert sample.active_nodes == 7
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), _mcs_tables, st.sampled_from([3.0, 0.0, -10.0]))
+def test_measure_sequence_is_bitwise_the_scalar_step(data, table, threshold):
+    """A run of samples whose links tuple repeats, is copied or is redrawn,
+    and whose offered load moves across the largest share: every sample is
+    the scalar step, and shares the previous sample's table object exactly
+    when its rates are bitwise the previous sample's."""
+    n = data.draw(st.integers(1, 8))
+    ue_ids = [f"ue{i}" for i in range(n)]
+    sim = Simulation(scenario_from_dict(_SMALL_RUN))
+    sim._mcs = ch.McsStaircase(table)
+    sim.snr_threshold_db = threshold
+    links, offered, previous = None, None, None
+    sim._ue_snr_db = lambda: links
+    sim._offered_load_mbps = lambda now_ms: offered
+    for step in range(data.draw(st.integers(2, 10))):
+        change = "new" if links is None else data.draw(st.sampled_from(["same", "same", "copy", "new"]))
+        if change == "new":
+            best = data.draw(st.lists(_link_snr, min_size=n, max_size=n))
+            servers = data.draw(st.lists(_servers, min_size=n, max_size=n))
+        if change != "same":
+            links = (ue_ids, np.array(best, float), list(servers), 7)
+        _, uncapped = measure_reference(ue_ids, best, servers, threshold, np.inf, table)
+        shares = [
+            uncapped[ue] for ue, snr, server in zip(ue_ids, best, servers)
+            if snr >= threshold and server is not None
+        ]
+        top = max(shares, default=0.0)
+        loads = [0.0, -0.0, top, float(np.nextafter(top, np.inf)), top + 1.0, top / 2.0]
+        loads += shares + ([] if offered is None else [offered])
+        offered = data.draw(st.one_of(st.sampled_from(loads), st.floats(0.0, 1e4)))
+
+        sample = sim.measure(5_000 * step, apply_fading=False)
+        ratio, rates = measure_reference(ue_ids, best, servers, threshold, offered, table)
+        assert sample.coverage_ratio.hex() == ratio.hex()
+        assert list(sample.throughput_mbps) == list(rates)
+        got = [r.hex() for r in sample.throughput_mbps.values()]
+        assert got == [r.hex() for r in rates.values()]
+        if previous is not None:
+            assert (sample.throughput_mbps is previous[0]) == (got == previous[1])
+        previous = (sample.throughput_mbps, got)
 
 
 _ue_ids = st.one_of(st.sampled_from(["ue_1", "a,b", 'q"t', "x\r\ny", "", " s"]), st.text(max_size=6))

@@ -266,6 +266,14 @@ class TestModelEvaluator:
         with pytest.raises(ch.LengthMismatch):
             evaluator.element_powers([0, 0], 0, 4)
 
+    def test_part_config_length_checked(self):
+        _, part = self.make(part_elements=np.array([1, 3]))
+        for config in ([2], [0, 1, 2]):
+            with pytest.raises(ch.LengthMismatch, match=f"config length {len(config)} != part element count 2"):
+                part(config)
+            with pytest.raises(ch.LengthMismatch):
+                part.element_powers(config, 0, 4)
+
     def test_rx_on_element_fails_in_the_sweep_not_at_construction(self):
         panel = ch.RisPanel.planar("p", (0, 0, 1), rows=1, cols=4, pitch_m=0.05)
         _, evaluator = self.make(rx=tuple(panel.element_positions[2]))

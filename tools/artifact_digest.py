@@ -7,6 +7,9 @@ The runs are the three bundled scenarios at the `--until` values of
 outputs: `rrs ris bench` on a 76x4 panel (bench seeds 0-2, the iterative,
 grouping and codebook algorithms) and `rrs codebook build` for both parts of
 the panel of `two_ue_demo.json` and of the `ris_emergency` inputs, seeds 0-2.
+Last, `rrs run` with Rayleigh fading on (`"channel": {"fading": true}` written
+into a copy of the input) for `earthquake_demo.json` and the `ris_emergency`
+seed 0 input, the only runs here that draw from the fading stream.
 `summary.json` is hashed without its `scenario` entry, which holds the input
 path.
 
@@ -77,6 +80,13 @@ def codebooks(label: str, scenario_path: str, tmp: str) -> None:
         print(f"{digest(out)}  {label}/{name}")
 
 
+def with_fading(scenario_path: str, out_path: str) -> str:
+    with open(scenario_path) as fh:
+        data = json.load(fh)
+    data["channel"] = {**data.get("channel", {}), "fading": True}
+    return inputs.write_json(data, out_path)
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory(prefix="rrs_digest_") as tmp:
         for name, until_ms in BUNDLED.items():
@@ -101,6 +111,13 @@ def main() -> None:
         codebooks("two_ue_demo.json", cli.bundled_scenario_path("two_ue_demo.json"), tmp)
         for seed in SEEDS:
             codebooks(f"ris_emergency/seed{seed}", os.path.join(tmp, "inputs", f"ris_emergency_{seed}.json"), tmp)
+
+        for label, path, until_ms in (
+            ("earthquake_demo.json", cli.bundled_scenario_path("earthquake_demo.json"), BUNDLED["earthquake_demo.json"]),
+            ("ris_emergency/seed0", os.path.join(tmp, "inputs", "ris_emergency_0.json"), inputs.RIS_UNTIL_MS),
+        ):
+            faded = with_fading(path, os.path.join(tmp, "inputs", "fading", os.path.basename(path)))
+            run(f"{label}+fading", faded, until_ms, tmp)
 
 
 if __name__ == "__main__":
