@@ -39,24 +39,6 @@ class UnreachablePlacement(PlannerError):
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    origin: tuple[float, float]
-    cell_size_m: float
-    nx: int
-    ny: int
-    height_m: float = 1.5
-
-    def cell_centers(self) -> np.ndarray:
-        xs = self.origin[0] + (np.arange(self.nx) + 0.5) * self.cell_size_m
-        ys = self.origin[1] + (np.arange(self.ny) + 0.5) * self.cell_size_m
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        centers = np.column_stack(
-            [gx.ravel(), gy.ravel(), np.full(self.nx * self.ny, self.height_m)]
-        )
-        return centers
-
-
-@dataclass(frozen=True)
 class Placement:
     node_id: str
     kind: NodeKind

@@ -196,7 +196,7 @@ class Controller:
             panel_id = action.params["panel"]
             part_id = int(action.params["part"])
             config = action.params["config"]
-            self.world.panel_states[panel_id].apply_part(part_id, config)
+            self.world.configure_ris(panel_id, part_id, config)
             self.kernel.log.log_action(
                 now,
                 f"ApplyRisConfig by {app.name}: panel {panel_id} part {part_id} "
@@ -249,7 +249,7 @@ class Controller:
             panel, tx.position, tx.tx_power_dbm, rx_pos, tx.freq_ghz, self.params,
             obstacles=self.world.obstacles,
             part_elements=None if part_id is None else panel.part_elements(part_id),
-            base_config=self.world.panel_states[panel_id].config,
+            base_config=self.world.ris_configs[panel_id],
         )
 
     def ris_power_at(self, panel_id: str, full_config, ue_id: str) -> float:
@@ -340,9 +340,8 @@ def _ris_codebook_tracker(ctl: Controller, snapshot: TopologySnapshot) -> list[A
         if ue_id is None or ue_id not in ctl.world.nodes:
             continue
         codeword = select_codeword(codebook, ctl.world.nodes[ue_id].position)
-        state = ctl.world.panel_states[panel_id]
-        members = state.panel.part_elements(part_id)
-        if list(state.config[members]) != codeword:
+        members = ctl.world.panels[panel_id].part_elements(part_id)
+        if list(ctl.world.ris_configs[panel_id][members]) != codeword:
             actions.append(
                 Action(
                     "ApplyRisConfig",
@@ -366,7 +365,6 @@ def _ris_iterative_tuner(ctl: Controller, snapshot: TopologySnapshot) -> list[Ac
         return []
     actions: list[Action] = []
     for panel_id, panel in sorted(ctl.world.panels.items()):
-        state = ctl.world.panel_states[panel_id]
         for part_id, ue_id in sorted(ctl.ris_part_assignments(panel_id).items()):
             if ue_id not in ctl.world.nodes:
                 continue
@@ -376,7 +374,7 @@ def _ris_iterative_tuner(ctl: Controller, snapshot: TopologySnapshot) -> list[Ac
             # under fast-recovery); the sweep never makes it worse.
             config, trace = iterative_optimize(
                 evaluator, members.size, panel.n_states,
-                initial=list(state.config[members]),
+                initial=list(ctl.world.ris_configs[panel_id][members]),
             )
             actions.append(
                 Action(

@@ -1,6 +1,5 @@
 """RIS phase-configuration algorithms: element-wise iterative sweep, grouped
-sweep, location-indexed codebooks, plus an exhaustive oracle and multi-user
-panel partitioning."""
+sweep and location-indexed codebooks, plus an exhaustive oracle."""
 
 from __future__ import annotations
 
@@ -42,14 +41,6 @@ class EmptyCodebook(RisOptError):
 
 
 class EvaluatorFailure(RisOptError):
-    pass
-
-
-class UncoveredElement(RisOptError):
-    pass
-
-
-class Overlap(RisOptError):
     pass
 
 
@@ -432,47 +423,3 @@ def select_codeword(codebook: Codebook, location) -> list[int]:
             best_d2 = d2
             best_idx = idx
     return list(codebook.codewords[best_idx])
-
-
-class PanelState:
-    """Mutable full-panel configuration shared by per-part optimizers."""
-
-    def __init__(self, panel: RisPanel) -> None:
-        self.panel = panel
-        self.config = np.zeros(panel.n_elements, dtype=int)
-
-    def apply_part(self, part_id: int, codeword: Sequence[int]) -> None:
-        members = self.panel.part_elements(part_id)
-        if len(codeword) != members.size:
-            raise ValueError(f"codeword length {len(codeword)} != part size {members.size}")
-        self.config[members] = np.asarray(codeword, int)
-
-
-def partition_panel(
-    state: PanelState,
-    assignments: dict[int, str],
-    power_at: Callable[[Sequence[int], str], float],
-) -> dict[int, Evaluator]:
-    """Per-part evaluators: each measures power at its assigned UE with the
-    other parts' element states frozen at their current values."""
-    panel = state.panel
-    parts_present = set(int(p) for p in np.unique(panel.partition))
-    assigned = set(assignments)
-    missing = parts_present - assigned
-    if missing:
-        raise UncoveredElement(f"parts without an assigned UE: {sorted(missing)}")
-    extra = assigned - parts_present
-    if extra:
-        raise Overlap(f"assignments reference unknown parts: {sorted(extra)}")
-
-    evaluators: dict[int, Evaluator] = {}
-    for part_id, ue_id in assignments.items():
-        members = panel.part_elements(part_id)
-
-        def evaluate(config: Sequence[int], members=members, ue_id=ue_id) -> float:
-            full = state.config.copy()
-            full[members] = np.asarray(config, int)
-            return power_at(full, ue_id)
-
-        evaluators[part_id] = evaluate
-    return evaluators

@@ -160,9 +160,7 @@ class Simulation:
                 if ue_id not in ue_ids:
                     continue
                 j = ue_ids.index(ue_id)
-                power = self.controller.ris_power_at(
-                    panel_id, self.world.panel_states[panel_id].config, ue_id
-                )
+                power = self.controller.ris_power_at(panel_id, self.world.ris_configs[panel_id], ue_id)
                 snr = power - self.scenario.channel.noise_floor_dbm()
                 if snr > best[j]:
                     if not copied:  # the cached terrestrial arrays stay untouched
@@ -254,17 +252,6 @@ class Simulation:
 
     def run(self, until_ms: int) -> MetricsLog:
         return self.kernel.run_until(until_ms)
-
-
-def run_scenario(
-    scenario: Scenario,
-    until_ms: int,
-    seed: int | None = None,
-    disabled_apps: set[str] | None = None,
-) -> tuple[Simulation, MetricsLog]:
-    sim = Simulation(scenario, seed=seed, disabled_apps=disabled_apps)
-    log = sim.run(until_ms)
-    return sim, log
 
 
 def summarize_run(sim: Simulation, log: MetricsLog, recovery: Any) -> dict[str, Any]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import pairwise
 from typing import Any
@@ -207,7 +207,52 @@ def inject_disaster(scenario: Scenario, event: DisasterEvent) -> list[tuple[int,
     return specs
 
 
-def _node_from_dict(raw: dict[str, Any]) -> Node:
+def _number(kind: type, value: Any, *path: str | int) -> Any:
+    """kind(value), for kind int or float, or a ParseError that names the
+    field, e.g. path ("nodes", 3, "position", 0) as nodes[3].position[0].
+    The path is formatted only on failure."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        where = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)[1:]
+        noun = "an integer" if kind is int else "a number"
+        raise ParseError(f"{where}: expected {noun}, got {value!r}") from None
+
+
+def _field(raw: dict[str, Any], key: str, kind: type, default: Any, *path: str | int) -> Any:
+    return _number(kind, raw.get(key, default), *path, key)
+
+
+def _optional(raw: dict[str, Any], key: str, kind: type, *path: str | int) -> Any:
+    return None if raw.get(key) is None else _number(kind, raw[key], *path, key)
+
+
+def _point(raw, *path: str | int) -> tuple[float, ...]:
+    try:
+        return tuple(map(float, raw))
+    except (TypeError, ValueError, OverflowError):  # find the coordinate to name
+        for k, c in enumerate(raw):
+            _number(float, c, *path, k)
+        raise
+
+
+def _boxes(raw, *path: str | int) -> tuple:
+    """Axis-aligned boxes, each a pair of corners."""
+    return tuple((_point(lo, *path, j, 0), _point(hi, *path, j, 1)) for j, (lo, hi) in enumerate(raw))
+
+
+def _pairs(raw, first: type, *path: str | int) -> tuple[tuple[Any, float], ...]:
+    """Rows of two numbers: first(a), float(b)."""
+    return tuple(
+        (_number(first, a, *path, i, 0), _number(float, b, *path, i, 1)) for i, (a, b) in enumerate(raw)
+    )
+
+
+# Panel layout keys read by World, with their types.
+_RIS_LAYOUT = (("rows", int), ("cols", int), ("pitch_m", float), ("normal_axis", int))
+
+
+def _node_from_dict(raw: dict[str, Any], index: int) -> Node:
     try:
         kind = NodeKind(raw["kind"])
     except ValueError as exc:
@@ -217,76 +262,75 @@ def _node_from_dict(raw: dict[str, Any]) -> Node:
     if "id" not in raw or "position" not in raw:
         raise ParseError(f"node entry missing 'id' or 'position': {raw}")
     pos = raw["position"]
-    if len(pos) != 3:
+    if not isinstance(pos, (list, tuple)) or len(pos) != 3:
         raise ParseError(f"node {raw['id']}: position must be [x, y, z]")
+    ris = raw.get("ris")
+    if ris is not None:
+        if not isinstance(ris, dict):
+            raise ParseError(f"nodes[{index}].ris: expected an object, got {ris!r}")
+        layout = {key: _number(t, ris[key], "nodes", index, "ris", key) for key, t in _RIS_LAYOUT if key in ris}
+        ris = {**ris, **layout}
     return Node(
         node_id=str(raw["id"]),
         kind=kind,
-        position=tuple(float(c) for c in pos),
+        position=_point(pos, "nodes", index, "position"),
         status=NodeStatus(raw.get("status", "Operational")),
-        tx_power_dbm=float(raw.get("tx_power_dbm", 30.0)),
-        freq_ghz=float(raw.get("freq_ghz", 3.5)),
-        battery_ms=raw.get("battery_ms"),
-        ris=raw.get("ris"),
+        tx_power_dbm=_number(float, raw.get("tx_power_dbm", 30.0), "nodes", index, "tx_power_dbm"),
+        freq_ghz=_number(float, raw.get("freq_ghz", 3.5), "nodes", index, "freq_ghz"),
+        battery_ms=_optional(raw, "battery_ms", int, "nodes", index),
+        ris=ris,
     )
 
 
 def _channel_from_dict(raw: dict[str, Any]) -> ChannelParams:
     mcs = raw.get("mcs_table")
     return ChannelParams(
-        exponent=float(raw.get("exponent", 2.0)),
-        d0_m=float(raw.get("d0_m", 1.0)),
-        blockage_penalty_db=float(raw.get("blockage_penalty_db", 20.0)),
-        noise_figure_db=float(raw.get("noise_figure_db", 7.0)),
-        bandwidth_hz=float(raw.get("bandwidth_hz", 20e6)),
-        mcs_table=tuple((float(a), float(b)) for a, b in mcs) if mcs else DEFAULT_MCS,
-        scatter_floor_db=raw.get("scatter_floor_db"),
+        exponent=_field(raw, "exponent", float, 2.0, "channel"),
+        d0_m=_field(raw, "d0_m", float, 1.0, "channel"),
+        blockage_penalty_db=_field(raw, "blockage_penalty_db", float, 20.0, "channel"),
+        noise_figure_db=_field(raw, "noise_figure_db", float, 7.0, "channel"),
+        bandwidth_hz=_field(raw, "bandwidth_hz", float, 20e6, "channel"),
+        mcs_table=_pairs(mcs, float, "channel", "mcs_table") if mcs else DEFAULT_MCS,
+        scatter_floor_db=_optional(raw, "scatter_floor_db", float, "channel"),
         fading=bool(raw.get("fading", False)),
     )
 
 
-def _surge_from_dict(raw, default) -> tuple[tuple[int, float], ...]:
-    if raw is None:
-        return default
-    return tuple((int(t), float(m)) for t, m in raw)
+def _surge(raw: dict[str, Any], key: str, default) -> tuple[tuple[int, float], ...]:
+    return default if raw.get(key) is None else _pairs(raw[key], int, "traffic", key)
 
 
 def scenario_from_dict(data: dict[str, Any]) -> Scenario:
     if "nodes" not in data:
         raise ParseError("scenario file missing 'nodes'")
-    nodes = tuple(_node_from_dict(n) for n in data["nodes"])
+    nodes = tuple(_node_from_dict(n, i) for i, n in enumerate(data["nodes"]))
     traffic_raw = data.get("traffic", {})
     traffic = TrafficProfile(
-        data_mbps=float(traffic_raw.get("data_mbps", 2.0)),
-        voice_mbps=float(traffic_raw.get("voice_mbps", 0.1)),
-        data_surge=_surge_from_dict(traffic_raw.get("data_surge"), DEFAULT_DATA_SURGE),
-        voice_surge=_surge_from_dict(traffic_raw.get("voice_surge"), DEFAULT_VOICE_SURGE),
+        data_mbps=_field(traffic_raw, "data_mbps", float, 2.0, "traffic"),
+        voice_mbps=_field(traffic_raw, "voice_mbps", float, 0.1, "traffic"),
+        data_surge=_surge(traffic_raw, "data_surge", DEFAULT_DATA_SURGE),
+        voice_surge=_surge(traffic_raw, "voice_surge", DEFAULT_VOICE_SURGE),
     )
     disasters = tuple(
         DisasterEvent(
-            strike_time_ms=int(d["time_ms"]),
+            strike_time_ms=_number(int, d["time_ms"], "disasters", i, "time_ms"),
             failed=tuple(d.get("fail", ())),
             power_loss=tuple(d.get("power_loss", ())),
-            blockages=tuple(
-                (tuple(map(float, lo)), tuple(map(float, hi))) for lo, hi in d.get("blockages", ())
-            ),
+            blockages=_boxes(d.get("blockages", ()), "disasters", i, "blockages"),
         )
-        for d in data.get("disasters", ())
-    )
-    obstacles = tuple(
-        (tuple(map(float, lo)), tuple(map(float, hi))) for lo, hi in data.get("obstacles", ())
+        for i, d in enumerate(data.get("disasters", ()))
     )
     ticks = data.get("ticks", {})
     scenario = Scenario(
         nodes=nodes,
         traffic=traffic,
         disasters=disasters,
-        obstacles=obstacles,
-        seed=int(data.get("seed", 0)),
-        non_rt_tick_ms=int(ticks.get("non_rt_ms", DEFAULT_NON_RT_TICK_MS)),
-        near_rt_tick_ms=int(ticks.get("near_rt_ms", DEFAULT_NEAR_RT_TICK_MS)),
-        sample_interval_ms=int(ticks.get("sample_ms", DEFAULT_SAMPLE_INTERVAL_MS)),
-        battery_reserve_ms=int(data.get("battery_reserve_ms", DEFAULT_BATTERY_RESERVE_MS)),
+        obstacles=_boxes(data.get("obstacles", ()), "obstacles"),
+        seed=_field(data, "seed", int, 0),
+        non_rt_tick_ms=_field(ticks, "non_rt_ms", int, DEFAULT_NON_RT_TICK_MS, "ticks"),
+        near_rt_tick_ms=_field(ticks, "near_rt_ms", int, DEFAULT_NEAR_RT_TICK_MS, "ticks"),
+        sample_interval_ms=_field(ticks, "sample_ms", int, DEFAULT_SAMPLE_INTERVAL_MS, "ticks"),
+        battery_reserve_ms=_field(data, "battery_reserve_ms", int, DEFAULT_BATTERY_RESERVE_MS),
         channel=_channel_from_dict(data.get("channel", {})),
         cfmimo=dict(data.get("cfmimo", {})),
         ric=dict(data.get("ric", {})),
@@ -294,64 +338,6 @@ def scenario_from_dict(data: dict[str, Any]) -> Scenario:
     )
     scenario.validate()
     return scenario
-
-
-def scenario_to_dict(s: Scenario) -> dict[str, Any]:
-    return {
-        "seed": s.seed,
-        "ticks": {
-            "non_rt_ms": s.non_rt_tick_ms,
-            "near_rt_ms": s.near_rt_tick_ms,
-            "sample_ms": s.sample_interval_ms,
-        },
-        "battery_reserve_ms": s.battery_reserve_ms,
-        "nodes": [
-            {
-                "id": n.node_id,
-                "kind": n.kind.value,
-                "position": list(n.position),
-                "status": n.status.value,
-                "tx_power_dbm": n.tx_power_dbm,
-                "freq_ghz": n.freq_ghz,
-                **({"battery_ms": n.battery_ms} if n.battery_ms is not None else {}),
-                **({"ris": n.ris} if n.ris is not None else {}),
-            }
-            for n in s.nodes
-        ],
-        "traffic": {
-            "data_mbps": s.traffic.data_mbps,
-            "voice_mbps": s.traffic.voice_mbps,
-            "data_surge": [list(k) for k in s.traffic.data_surge],
-            "voice_surge": [list(k) for k in s.traffic.voice_surge],
-        },
-        "disasters": [
-            {
-                "time_ms": d.strike_time_ms,
-                "fail": list(d.failed),
-                "power_loss": list(d.power_loss),
-                "blockages": [[list(lo), list(hi)] for lo, hi in d.blockages],
-            }
-            for d in s.disasters
-        ],
-        "obstacles": [[list(lo), list(hi)] for lo, hi in s.obstacles],
-        "channel": {
-            "exponent": s.channel.exponent,
-            "d0_m": s.channel.d0_m,
-            "blockage_penalty_db": s.channel.blockage_penalty_db,
-            "noise_figure_db": s.channel.noise_figure_db,
-            "bandwidth_hz": s.channel.bandwidth_hz,
-            "mcs_table": [list(row) for row in s.channel.mcs_table],
-            **(
-                {"scatter_floor_db": s.channel.scatter_floor_db}
-                if s.channel.scatter_floor_db is not None
-                else {}
-            ),
-            "fading": s.channel.fading,
-        },
-        "cfmimo": s.cfmimo,
-        "ric": s.ric,
-        "planner": s.planner,
-    }
 
 
 def load_scenario(file_path: str) -> Scenario:
@@ -363,13 +349,3 @@ def load_scenario(file_path: str) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{file_path}:{exc.lineno}: {exc.msg}") from exc
     return scenario_from_dict(data)
-
-
-def save_scenario(s: Scenario, file_path: str) -> None:
-    with open(file_path, "w") as fh:
-        json.dump(scenario_to_dict(s), fh, indent=2)
-        fh.write("\n")
-
-
-def with_seed(s: Scenario, seed: int) -> Scenario:
-    return replace(s, seed=seed)

@@ -94,17 +94,6 @@ class MetricsLog:
                 return t
         return None
 
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            write_metrics_csv(fh, self.samples)
-
-    def summary(self) -> dict[str, Any]:
-        return {
-            "n_samples": len(self.samples),
-            "n_actions": len(self.actions),
-            "final_coverage": self.samples[-1].coverage_ratio if self.samples else None,
-        }
-
 
 def _csv_field(text: str) -> str:
     """One field as csv.writer's default dialect writes it (QUOTE_MINIMAL)."""

@@ -2,8 +2,9 @@
 
 The scenario stays frozen after load; everything that changes during a run
 (node status, batteries, obstacles added at strike time, RIS configurations,
-heartbeats) lives here. Node and obstacle changes go through `World` methods
-that bump `World.version`, the key of the snapshot and link-budget caches.
+heartbeats) lives here, and only `World` methods write it. Node and obstacle
+changes bump `World.version`, the key of the snapshot and link-budget caches;
+RIS configurations change through `World.configure_ris`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import channel as ch
-from .ris_opt import PanelState
 from .scenario import (
     ACCESS_KINDS,
     SERVING_STATUSES,
@@ -172,7 +172,10 @@ class World:
             scenario.non_rt_tick_ms, 2 * DEFAULT_HEARTBEAT_MS
         )
         self.panels: dict[str, ch.RisPanel] = {}
-        self.panel_states: dict[str, PanelState] = {}
+        # Each panel's element states, read-only: `configure_ris` replaces the
+        # array. _ris_bytes holds their bytes in sorted panel order.
+        self.ris_configs: dict[str, np.ndarray] = {}
+        self._ris_bytes: tuple[bytes, ...] = ()
         self._next_deploy_index = 0
         # Bumped by every method below that changes nodes or obstacles; caches
         # of snapshots and link budgets are keyed on it.
@@ -190,16 +193,21 @@ class World:
         panel = ch.RisPanel.planar(
             node.node_id,
             node.position,
-            rows=int(spec.get("rows", 4)),
-            cols=int(spec.get("cols", 19)),
-            pitch_m=float(spec.get("pitch_m", 0.04)),
-            normal_axis=int(spec.get("normal_axis", 1)),
+            rows=spec.get("rows", 4),
+            cols=spec.get("cols", 19),
+            pitch_m=spec.get("pitch_m", 0.04),
+            normal_axis=spec.get("normal_axis", 1),
         )
         parts = spec.get("parts")
         if parts == 2:
             panel.split_halves()
         self.panels[node.node_id] = panel
-        self.panel_states[node.node_id] = PanelState(panel)
+        self._set_ris_config(node.node_id, np.zeros(panel.n_elements, dtype=int))
+
+    def _set_ris_config(self, panel_id: str, config: np.ndarray) -> None:
+        config.flags.writeable = False
+        self.ris_configs[panel_id] = config
+        self._ris_bytes = tuple(c.tobytes() for _, c in sorted(self.ris_configs.items()))
 
     # --- state transitions -------------------------------------------------
 
@@ -227,6 +235,16 @@ class World:
     def move_node(self, node_id: str, position) -> None:
         self.nodes[node_id].position = tuple(position)
         self.version += 1
+
+    def configure_ris(self, panel_id: str, part_id: int, codeword: Sequence[int]) -> None:
+        """Set the elements of one panel part to the codeword. The version
+        stays, so link tables outlive the change; `link_state()` moves."""
+        members = self.panels[panel_id].part_elements(part_id)
+        if len(codeword) != members.size:
+            raise ValueError(f"codeword length {len(codeword)} != part size {members.size}")
+        config = self.ris_configs[panel_id].copy()
+        config[members] = np.asarray(codeword, int)
+        self._set_ris_config(panel_id, config)
 
     def _serving_ids(self) -> tuple[list[str], tuple[str, ...]]:
         """Ids of the serving nodes, and the sorted ids of the serving access
@@ -280,10 +298,9 @@ class World:
 
     def link_state(self) -> tuple[int, tuple[bytes, ...]]:
         """A key that changes whenever any link can: the version, and the
-        bytes of each panel's configuration in sorted panel order.
-        `PanelState.apply_part` changes a configuration in place without a
-        version bump, so the key holds copies of the bytes."""
-        return self.version, tuple(s.config.tobytes() for _, s in sorted(self.panel_states.items()))
+        bytes of each panel's configuration in sorted panel order, kept from
+        the last write. A configuration revisited gives its old key back."""
+        return self.version, self._ris_bytes
 
     def active_node_count(self) -> int:
         return len(self._serving_ids()[0])

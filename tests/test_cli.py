@@ -116,6 +116,33 @@ class TestValidation:
         assert err.startswith("scenario error: ") and "finite and non-negative" in err
         assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
 
+    @pytest.mark.parametrize(
+        "field, keys, value",
+        [
+            ("traffic.data_surge[0][0]", ("traffic", "data_surge"), [[float("nan"), 1.0]]),
+            ("traffic.data_mbps", ("traffic", "data_mbps"), "abc"),
+            ("nodes[1].tx_power_dbm", ("nodes", 1, "tx_power_dbm"), "x"),
+            ("disasters[0].time_ms", ("disasters", 0, "time_ms"), "soon"),
+            ("nodes[3].position[0]", ("nodes", 3, "position"), ["a", 0, 0]),
+            ("nodes[5].ris.rows", ("nodes", 5, "ris", "rows"), "x"),
+            ("nodes[5].ris", ("nodes", 5, "ris"), 4),
+        ],
+        ids=["surge_time", "data_mbps", "tx_power", "strike_time", "position", "ris_rows", "ris_layout"],
+    )
+    def test_malformed_number(self, tmp_path, capsys, field, keys, value):
+        panel = {"id": "ris1", "kind": "RisPanel", "position": [10, 0, 2], "ris": {"rows": 1}}
+        data = json.loads(json.dumps(dict(SMALL, traffic={}, nodes=SMALL["nodes"] + [panel])))
+        target = data
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        scenario = write_scenario(tmp_path, data)
+        rc = main(["run", "--scenario", scenario, "--until", "10000", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"scenario error: {field}: expected ")
+        assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+
     def test_bad_panel_spec(self, capsys):
         rc = main(["ris", "bench", "--panel", "seventysix"])
         assert rc == 2

@@ -145,13 +145,6 @@ class TestGreedyPlacement:
 
 
 class TestGrid:
-    def test_cell_centers(self):
-        grid = planner.GridSpec((0.0, 0.0), 100.0, 2, 3, height_m=2.0)
-        centers = grid.cell_centers()
-        assert centers.shape == (6, 3)
-        assert centers[0] == pytest.approx([50.0, 50.0, 2.0])
-        assert centers[-1] == pytest.approx([150.0, 250.0, 2.0])
-
     def test_candidate_lattice_bounds(self):
         points = planner.candidate_lattice(((0, 0), (1000, 500)), 500.0, 120.0)
         assert (0.0, 0.0, 120.0) in points

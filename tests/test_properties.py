@@ -426,3 +426,38 @@ def _dispatch_order(steps, grouped):
 @given(_dispatch_steps)
 def test_grouped_ticks_keep_the_one_tick_per_app_order(steps):
     assert _dispatch_order(steps, grouped=True) == _dispatch_order(steps, grouped=False)
+
+
+_RIS_WORLD = {
+    "nodes": _SMALL_RUN["nodes"] + [
+        {"id": "rb", "kind": "RisPanel", "position": [5, 0, 2], "ris": {"rows": 1, "cols": 4, "parts": 2}},
+        {"id": "ra", "kind": "RisPanel", "position": [-5, 0, 2], "ris": {"rows": 1, "cols": 3}},
+    ]
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_link_state_follows_ris_writes(data):
+    """After any run of `configure_ris` writes, with no-op writes and
+    revisited configurations among them, `link_state()` is the key computed
+    from scratch (the version and the bytes of each configuration in sorted
+    panel order), each configuration is the one written in place on a copy,
+    and the version stays."""
+    world = World(scenario_from_dict(_RIS_WORLD))
+    version = world.version
+    parts = [(pid, part) for pid, panel in sorted(world.panels.items())
+             for part in np.unique(panel.partition).tolist()]
+    expected = {pid: np.zeros(panel.n_elements, dtype=int) for pid, panel in world.panels.items()}
+    for _ in range(data.draw(st.integers(0, 12))):
+        panel_id, part_id = data.draw(st.sampled_from(parts))
+        members = world.panels[panel_id].part_elements(part_id)
+        codeword = data.draw(st.lists(st.integers(0, 1), min_size=members.size, max_size=members.size))
+        world.configure_ris(panel_id, part_id, codeword)
+        expected[panel_id][members] = codeword
+        assert world.version == version
+        assert world.link_state() == (
+            version, tuple(config.tobytes() for _, config in sorted(world.ris_configs.items()))
+        )
+        assert world.link_state()[1] == tuple(config.tobytes() for _, config in sorted(expected.items()))
+        assert all(not config.flags.writeable for config in world.ris_configs.values())

@@ -131,7 +131,7 @@ class TestTierIsolation:
         with pytest.raises(RicError):
             ctl.apply_action(action, nonrt("x", lambda c, s: []))
         ctl.apply_action(action, nearrt("y", lambda c, s: []))
-        assert list(ctl.world.panel_states["r1"].config) == [1, 1, 1, 1]
+        assert list(ctl.world.ris_configs["r1"]) == [1, 1, 1, 1]
 
     def test_unknown_action_kind(self):
         ctl, _ = make_controller()
@@ -208,7 +208,7 @@ class TestBuiltinApps:
         texts = [d for t, d in log.actions if t == 30_000]
         assert any("SwitchPolicy by ScriptRunner: ris-off" in t for t in texts)
         assert any("ApplyRisConfig by ScriptRunner" in t for t in texts)
-        assert list(sim.world.panel_states["ris1"].config) == [0] * 76
+        assert list(sim.world.ris_configs["ris1"]) == [0] * 76
 
 
 class TestSnapshotCache:
@@ -263,7 +263,7 @@ class TestRisPowerCache:
         return Simulation(scenario_from_dict(data)).controller
 
     def power(self, ctl, ue_id="rx1"):
-        config = ctl.world.panel_states["ris1"].config
+        config = ctl.world.ris_configs["ris1"]
         return ctl.ris_power_at("ris1", config, ue_id), fresh_ris_power(ctl, "ris1", config, ue_id)
 
     def test_move_and_strike_rebuild_the_table(self, ctl):
@@ -291,15 +291,17 @@ class TestRisPowerCache:
         assert after == fresh != before
 
     def test_tuner_evaluator_agrees_with_ris_power_at(self, ctl):
-        state = ctl.world.panel_states["ris1"]
-        state.config[:] = np.arange(state.config.size) % 4
+        panel = ctl.world.panels["ris1"]
+        states = np.arange(panel.n_elements) % 4
+        for part_id in np.unique(panel.partition).tolist():
+            ctl.world.configure_ris("ris1", part_id, states[panel.part_elements(part_id)])
         rng = np.random.default_rng(3)
         for part_id, ue_id in ctl.ris_part_assignments("ris1").items():
-            members = state.panel.part_elements(part_id)
+            members = panel.part_elements(part_id)
             evaluator = ctl.ris_evaluator("ris1", ctl.world.nodes[ue_id].position, part_id)
             for _ in range(5):
                 part = rng.integers(0, 4, members.size)
-                full = state.config.copy()
+                full = ctl.world.ris_configs["ris1"].copy()
                 full[members] = part
                 assert evaluator(part) == ctl.ris_power_at("ris1", full, ue_id)
 
@@ -307,15 +309,15 @@ class TestRisPowerCache:
         from rrsim.ris_opt import iterative_optimize
 
         ctl.policy = "max-throughput"
-        state = ctl.world.panel_states["ris1"]
-        members = state.panel.part_elements(0)
+        config = ctl.world.ris_configs["ris1"]
+        members = ctl.world.panels["ris1"].part_elements(0)
 
         def oracle(part):
-            full = state.config.copy()
+            full = config.copy()
             full[members] = part
             return fresh_ris_power(ctl, "ris1", full, "rx1")
 
-        expected, trace = iterative_optimize(oracle, members.size, 4, initial=list(state.config[members]))
+        expected, trace = iterative_optimize(oracle, members.size, 4, initial=list(config[members]))
         action = _ris_iterative_tuner(ctl, ctl.snapshot())[0]
         assert action.params["config"] == expected
         assert action.params["feedback"] == trace.feedback_messages == members.size * 4
@@ -458,7 +460,7 @@ class TestIdleGates:
         return (
             copy.deepcopy(ctl.blackboard),
             ctl.policy,
-            {pid: state.config.tolist() for pid, state in ctl.world.panel_states.items()},
+            {pid: config.tolist() for pid, config in ctl.world.ris_configs.items()},
         )
 
     def checked(self, app, skipped):

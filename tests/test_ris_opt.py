@@ -1,4 +1,4 @@
-"""Phase-configuration search algorithms, codebooks and panel partitioning."""
+"""Phase-configuration search algorithms and codebooks."""
 
 import math
 
@@ -10,11 +10,8 @@ from rrsim.ris_opt import (
     Codebook,
     EmptyCodebook,
     EvaluatorFailure,
-    Overlap,
     ModelEvaluator,
-    PanelState,
     TooLarge,
-    UncoveredElement,
     build_codebook,
     contiguous_groups,
     exhaustive_optimize,
@@ -22,7 +19,6 @@ from rrsim.ris_opt import (
     iterative_fixed_point,
     iterative_optimize,
     model_evaluator,
-    partition_panel,
     select_codeword,
 )
 
@@ -211,44 +207,6 @@ class TestCodebook:
         panel = ch.RisPanel.planar("p", (0, 0, 1), 1, 2, 0.05)
         with pytest.raises(ValueError):
             build_codebook(panel, 0, [], lambda p: (lambda c: 0.0))
-
-
-class TestPartitioning:
-    def make_state(self):
-        panel = ch.RisPanel.planar("p", (0, 0, 1), 1, 6, 0.05)
-        panel.split_halves()
-        return PanelState(panel)
-
-    def test_every_part_needs_a_ue(self):
-        state = self.make_state()
-        with pytest.raises(UncoveredElement):
-            partition_panel(state, {0: "ue_a"}, lambda cfg, ue: 0.0)
-
-    def test_unknown_part_rejected(self):
-        state = self.make_state()
-        with pytest.raises(Overlap):
-            partition_panel(state, {0: "a", 1: "b", 7: "c"}, lambda cfg, ue: 0.0)
-
-    def test_part_evaluators_are_isolated(self):
-        state = self.make_state()
-        seen = {}
-
-        def power_at(full_config, ue_id):
-            seen[ue_id] = list(full_config)
-            return 0.0
-
-        evaluators = partition_panel(state, {0: "ue_a", 1: "ue_b"}, power_at)
-        state.apply_part(1, [3, 3, 3])
-        evaluators[0]([1, 2, 1])
-        # part 0's probe keeps part 1 frozen at its applied codeword
-        assert seen["ue_a"] == [1, 2, 1, 3, 3, 3]
-        evaluators[1]([2, 2, 2])
-        assert seen["ue_b"][:3] == [0, 0, 0]
-
-    def test_apply_part_length_checked(self):
-        state = self.make_state()
-        with pytest.raises(ValueError):
-            state.apply_part(0, [0, 0])
 
 
 class TestModelEvaluator:

@@ -8,7 +8,7 @@ import pickle
 import pytest
 
 from rrsim.cli import bundled_scenario_path
-from rrsim.runner import Simulation, run_scenario, summarize_run
+from rrsim.runner import Simulation, summarize_run
 from rrsim.scenario import scenario_from_dict
 from rrsim.simcore import NOT_RECOVERED, rng_stream
 
@@ -140,11 +140,11 @@ class TestMeasurementCache:
         before = sim.measure(0, apply_fading=False)
         version = sim.world.version
         lift = sim.controller.codebooks[("ris1", 0)].codewords[0]
-        sim.world.panel_states["ris1"].apply_part(0, lift)  # in place, no version bump
+        sim.world.configure_ris("ris1", 0, lift)  # no version bump
         after = sim.measure(100, apply_fading=False)
         assert sim.world.version == version
         fresh = Simulation(one_part_room())
-        fresh.world.panel_states["ris1"].apply_part(0, lift)
+        fresh.world.configure_ris("ris1", 0, lift)
         assert after.throughput_mbps == fresh.measure(0, apply_fading=False).throughput_mbps
         assert after.throughput_mbps["rx1"] > before.throughput_mbps["rx1"]
         assert after.throughput_mbps is not before.throughput_mbps
@@ -202,7 +202,8 @@ class TestDeterminism:
 
 class TestSummaries:
     def test_summarize_run(self):
-        sim, log = run_scenario(small_scenario(), 60_000)
+        sim = Simulation(small_scenario())
+        log = sim.run(60_000)
         summary = summarize_run(sim, log, NOT_RECOVERED)
         assert summary["recovery_time_ms"] == "not_recovered"
         assert summary["n_samples"] == len(log.samples)

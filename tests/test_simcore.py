@@ -132,10 +132,9 @@ class TestMetricsLog:
         assert log.strike_time() == 7
 
     def test_csv_writer(self, tmp_path):
-        log = MetricsLog()
-        log.add_sample(Sample(0, 1.0, {"ue_b": 2.0, "ue_a": 1.0}, 3))
         path = tmp_path / "m.csv"
-        log.write_csv(str(path))
+        with open(path, "w", newline="") as fh:
+            write_metrics_csv(fh, [Sample(0, 1.0, {"ue_b": 2.0, "ue_a": 1.0}, 3)])
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "time_ms,coverage_ratio,ue_id,throughput_mbps"
         # rows sorted by ue id for stable output

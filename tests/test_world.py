@@ -1,4 +1,5 @@
-"""Run-time world state: strikes, batteries, heartbeats and snapshots."""
+"""Run-time world state: strikes, batteries, heartbeats, snapshots and RIS
+configurations."""
 
 import numpy as np
 import pytest
@@ -22,6 +23,12 @@ def make_world(**overrides):
     data = dict(BASE)
     data.update(overrides)
     return World(scenario_from_dict(data))
+
+
+def make_ris_world():
+    """BASE with a 1x6 panel split into two parts of three elements."""
+    panel = {"id": "ris1", "kind": "RisPanel", "position": [0, 0, 1], "ris": {"rows": 1, "cols": 6, "parts": 2}}
+    return make_world(nodes=BASE["nodes"] + [panel])
 
 
 class TestTransitions:
@@ -179,3 +186,22 @@ class TestVersion:
             10_000, 20_000, 30_000, 30_000
         )
         assert list(beats) == list(world.nodes)
+
+
+class TestRisConfiguration:
+    def test_configure_ris_length_checked(self):
+        world = make_ris_world()
+        with pytest.raises(ValueError):
+            world.configure_ris("ris1", 0, [0, 0])
+
+    def test_in_place_writes_raise(self):
+        world = make_ris_world()
+        config = world.ris_configs["ris1"]
+        with pytest.raises(ValueError):
+            config[0] = 1
+        world.configure_ris("ris1", 0, [1, 1, 1])
+        with pytest.raises(ValueError):
+            world.ris_configs["ris1"][:] = 0
+        # A write replaces the array; one read before it keeps its states.
+        assert list(config) == [0] * 6
+        assert list(world.ris_configs["ris1"]) == [1, 1, 1, 0, 0, 0]
