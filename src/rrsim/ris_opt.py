@@ -44,26 +44,51 @@ class EvaluatorFailure(RisOptError):
     pass
 
 
-@dataclass
 class OptimizationTrace:
-    """Every evaluator call made during a search, in order."""
+    """Every evaluator call made during a search, in order.
 
-    evaluations: list[tuple[int, tuple[int, ...], float]] = field(default_factory=list)
-    evaluations_used: int = 0
-    feedback_messages: int = 0
+    A generic loop logs each call with `record`. A sweep kernel logs a whole
+    pass with `record_pass`: one entry of the pass's start and end configs
+    and its N·S powers, not N·S config copies. `evaluations` rebuilds the
+    (index, config, power) list of both kinds on read.
+    """
+
+    def __init__(self) -> None:
+        self.evaluations_used = 0
+        self.feedback_messages = 0
+        # (config, power) per call, (start, end, n_states, powers) per pass.
+        self._log: list[tuple] = []
 
     def record(self, config: Sequence[int], power_dbm: float) -> None:
-        self.evaluations.append((self.evaluations_used, tuple(config), power_dbm))
+        self._log.append((tuple(config), power_dbm))
         self.evaluations_used += 1
         self.feedback_messages += 1
 
+    def record_pass(self, start: tuple, end: tuple, n_states: int, powers: list[float]) -> None:
+        """One element-wise pass from start to end: powers[k * n_states + s]
+        is the call with elements before k at their end states, element k
+        in state s and the rest at their start states."""
+        self._log.append((start, end, n_states, powers))
+        self.evaluations_used += len(powers)
+        self.feedback_messages += len(powers)
+
+    def _calls(self):
+        for entry in self._log:
+            if len(entry) == 2:
+                yield entry
+                continue
+            start, end, n_states, powers = entry
+            for k in range(len(start)):
+                for s in range(n_states):
+                    yield end[:k] + (s,) + start[k + 1:], powers[k * n_states + s]
+
+    @property
+    def evaluations(self) -> list[tuple[int, tuple[int, ...], float]]:
+        return [(i, config, power) for i, (config, power) in enumerate(self._calls())]
+
     def best_so_far(self) -> list[float]:
-        best: list[float] = []
-        current = -math.inf
-        for _, _, power in self.evaluations:
-            current = max(current, power)
-            best.append(current)
-        return best
+        best = itertools.accumulate((power for _, power in self._calls()), max, initial=-math.inf)
+        return list(best)[1:]
 
 
 def _evaluate(evaluator: Evaluator, config: Sequence[int], trace: OptimizationTrace, context: str) -> float:
@@ -318,44 +343,51 @@ class ModelEvaluator:
             raise IndexError(f"state {table.shape[1]} out of range")
         return np.repeat(table[np.arange(full.size), full][None, :], n_states, axis=0)
 
-    def _candidates(self, rows: np.ndarray, j: int) -> list[float]:
-        """Powers with panel element j in state s for each row s: column j of
-        rows gets the element's table terms, then one reduction over the rows.
-        Each row sums the same values in the same order as a call would."""
+    def element_powers(self, config: Sequence[int], k: int, n_states: int) -> list[float]:
+        """Powers with element k of config set to each of states 0..n_states-1
+        in turn, equal to that many calls. Column k of the row buffer gets the
+        element's table terms, then one reduction sums every row; each row
+        sums the same values in the same order as a call would."""
+        rows = self._rows(config, n_states)
         table, direct = self._link
-        rows[:, j] = table[j, : rows.shape[0]]
+        j = k if self.part_elements is None else int(self.part_elements[k])
+        rows[:, j] = table[j, :n_states]
         totals = rows.sum(axis=1)
         totals += direct
         return [self._power(total) for total in totals.tolist()]
 
-    def _column(self, k: int) -> int:
-        """Panel element of config entry k."""
-        return k if self.part_elements is None else int(self.part_elements[k])
-
-    def element_powers(self, config: Sequence[int], k: int, n_states: int) -> list[float]:
-        """Powers with element k of config set to each of states 0..n_states-1
-        in turn, equal to that many calls."""
-        return self._candidates(self._rows(config, n_states), self._column(k))
-
     def sweep(self, config: list[int], n_states: int, trace: OptimizationTrace) -> None:
         """One pass of `iterative_optimize` over config, in place: the same
-        evaluations recorded in trace and the same result as n_states calls
-        per element. The row buffer is built once per pass; after each
-        element, its column gets the chosen state's term in every row."""
+        result as n_states calls per element, logged as one `record_pass`.
+
+        The (n_states, N) row buffer is built once per pass. For each element
+        its column gets the element's table terms, one reduction sums every
+        row, and the column then gets the chosen state's term. Each row sums
+        the same values in the same order as a call, and the direct term is
+        added as a Python complex (numpy's add per component), so every power
+        is bit-identical to a call's.
+        """
         try:
             rows = self._rows(config, n_states)
         except Exception as exc:
             raise EvaluatorFailure(f"evaluator failed at element 0: {exc}") from exc
-        table = self._link[0]
-        for k in range(len(config)):
-            j = self._column(k)
-            powers = self._candidates(rows, j)
-            for s, power in enumerate(powers):
-                config[k] = s
-                trace.record(config, power)
-            best = powers.index(max(powers))
+        table, direct = self._link
+        direct = complex(direct)
+        tx_power, log10, add = self.tx_power_dbm, math.log10, np.add.reduce
+        columns = range(len(config)) if self.part_elements is None else self.part_elements.tolist()
+        start = tuple(config)
+        powers: list[float] = []
+        for k, j in enumerate(columns):
+            rows[:, j] = table[j, :n_states]
+            candidates = []
+            for total in add(rows, axis=1).tolist():
+                a = abs(total + direct)
+                candidates.append(-math.inf if a <= 0.0 else tx_power + 20.0 * log10(a))
+            best = candidates.index(max(candidates))
             config[k] = best
             rows[:, j] = table[j, best]
+            powers += candidates
+        trace.record_pass(start, tuple(config), n_states, powers)
 
 
 def model_evaluator(

@@ -90,7 +90,7 @@ class Simulation:
                 self.kernel.schedule(fire_time, EventKind(kind), payload)
         for move in scenario.ric.get("ue_moves", ()):
             self.kernel.schedule(
-                int(move["time_ms"]),
+                move["time_ms"],
                 EventKind.UE_MOVE,
                 {"node_id": move["node_id"], "position": move["position"]},
             )

@@ -207,20 +207,36 @@ def inject_disaster(scenario: Scenario, event: DisasterEvent) -> list[tuple[int,
     return specs
 
 
+def _where(*path: str | int) -> str:
+    """The field path ("nodes", 3, "position", 0) as nodes[3].position[0]."""
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)[1:]
+
+
 def _number(kind: type, value: Any, *path: str | int) -> Any:
     """kind(value), for kind int or float, or a ParseError that names the
-    field, e.g. path ("nodes", 3, "position", 0) as nodes[3].position[0].
-    The path is formatted only on failure."""
+    field. The path is formatted only on failure."""
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError):
-        where = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)[1:]
         noun = "an integer" if kind is int else "a number"
-        raise ParseError(f"{where}: expected {noun}, got {value!r}") from None
+        raise ParseError(f"{_where(*path)}: expected {noun}, got {value!r}") from None
+
+
+# The default of a _field that must be present.
+_REQUIRED = object()
 
 
 def _field(raw: dict[str, Any], key: str, kind: type, default: Any, *path: str | int) -> Any:
-    return _number(kind, raw.get(key, default), *path, key)
+    value = raw.get(key, default)
+    if value is _REQUIRED:
+        raise ParseError(f"{_where(*path, key)}: missing")
+    return _number(kind, value, *path, key)
+
+
+def _object(raw, *path: str | int) -> dict[str, Any]:
+    if not isinstance(raw, dict):
+        raise ParseError(f"{_where(*path)}: expected an object, got {raw!r}")
+    return raw
 
 
 def _optional(raw: dict[str, Any], key: str, kind: type, *path: str | int) -> Any:
@@ -243,6 +259,9 @@ def _boxes(raw, *path: str | int) -> tuple:
 
 def _pairs(raw, first: type, *path: str | int) -> tuple[tuple[Any, float], ...]:
     """Rows of two numbers: first(a), float(b)."""
+    for i, row in enumerate(raw):
+        if not isinstance(row, (list, tuple)) or len(row) != 2:
+            raise ParseError(f"{_where(*path, i)}: expected a pair [a, b], got {row!r}")
     return tuple(
         (_number(first, a, *path, i, 0), _number(float, b, *path, i, 1)) for i, (a, b) in enumerate(raw)
     )
@@ -266,8 +285,7 @@ def _node_from_dict(raw: dict[str, Any], index: int) -> Node:
         raise ParseError(f"node {raw['id']}: position must be [x, y, z]")
     ris = raw.get("ris")
     if ris is not None:
-        if not isinstance(ris, dict):
-            raise ParseError(f"nodes[{index}].ris: expected an object, got {ris!r}")
+        _object(ris, "nodes", index, "ris")
         layout = {key: _number(t, ris[key], "nodes", index, "ris", key) for key, t in _RIS_LAYOUT if key in ris}
         ris = {**ris, **layout}
     return Node(
@@ -300,6 +318,19 @@ def _surge(raw: dict[str, Any], key: str, default) -> tuple[tuple[int, float], .
     return default if raw.get(key) is None else _pairs(raw[key], int, "traffic", key)
 
 
+def _ric(raw: dict[str, Any]) -> dict[str, Any]:
+    """The free-form ric object, with the time of each UE move converted."""
+    ric = dict(raw)
+    if "ue_moves" in ric:
+        moves = []
+        for i, move in enumerate(ric["ue_moves"]):
+            _object(move, "ric", "ue_moves", i)
+            time_ms = _field(move, "time_ms", int, _REQUIRED, "ric", "ue_moves", i)
+            moves.append({**move, "time_ms": time_ms})
+        ric["ue_moves"] = moves
+    return ric
+
+
 def scenario_from_dict(data: dict[str, Any]) -> Scenario:
     if "nodes" not in data:
         raise ParseError("scenario file missing 'nodes'")
@@ -313,7 +344,7 @@ def scenario_from_dict(data: dict[str, Any]) -> Scenario:
     )
     disasters = tuple(
         DisasterEvent(
-            strike_time_ms=_number(int, d["time_ms"], "disasters", i, "time_ms"),
+            strike_time_ms=_field(_object(d, "disasters", i), "time_ms", int, _REQUIRED, "disasters", i),
             failed=tuple(d.get("fail", ())),
             power_loss=tuple(d.get("power_loss", ())),
             blockages=_boxes(d.get("blockages", ()), "disasters", i, "blockages"),
@@ -333,7 +364,7 @@ def scenario_from_dict(data: dict[str, Any]) -> Scenario:
         battery_reserve_ms=_field(data, "battery_reserve_ms", int, DEFAULT_BATTERY_RESERVE_MS),
         channel=_channel_from_dict(data.get("channel", {})),
         cfmimo=dict(data.get("cfmimo", {})),
-        ric=dict(data.get("ric", {})),
+        ric=_ric(data.get("ric", {})),
         planner=dict(data.get("planner", {})),
     )
     scenario.validate()

@@ -143,6 +143,30 @@ class TestValidation:
         assert err.count("\n") == 1 and err.startswith(f"scenario error: {field}: expected ")
         assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
 
+    @pytest.mark.parametrize(
+        "demo, edit, message",
+        [
+            ("earthquake_demo.json", lambda d: d["disasters"][0].pop("time_ms"),
+             "disasters[0].time_ms: missing"),
+            ("earthquake_demo.json", lambda d: d["traffic"].update(data_surge=[[0, 1.0, 2.0]]),
+             "traffic.data_surge[0]: expected a pair [a, b], got [0, 1.0, 2.0]"),
+            ("two_ue_demo.json",
+             lambda d: d["ric"].update(ue_moves=[{"time_ms": "soon", "node_id": "rx1", "position": [0, 1.7, 1]}]),
+             "ric.ue_moves[0].time_ms: expected an integer, got 'soon'"),
+        ],
+        ids=["strike_without_time", "surge_row_of_three", "move_time"],
+    )
+    def test_malformed_structure(self, tmp_path, capsys, demo, edit, message):
+        with open(bundled_scenario_path(demo)) as fh:
+            data = json.load(fh)
+        edit(data)
+        scenario = write_scenario(tmp_path, data)
+        rc = main(["run", "--scenario", scenario, "--until", "5000", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"scenario error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+
     def test_bad_panel_spec(self, capsys):
         rc = main(["ris", "bench", "--panel", "seventysix"])
         assert rc == 2

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from rrsim import bench
 from rrsim import channel as ch
 from rrsim.ris_opt import (
     Codebook,
@@ -21,6 +22,7 @@ from rrsim.ris_opt import (
     model_evaluator,
     select_codeword,
 )
+from rrsim.world import World
 
 TWO_STATES = ((1.0, 0.0), (1.0, math.pi))
 
@@ -265,3 +267,54 @@ class TestModelEvaluator:
         base[0] = 0  # later edits of the caller's list are not seen
         assert part([2, 2]) == full([3, 2, 2, 2])
         assert part.element_powers([2, 2], 1, 4) == [full([3, 2, 2, s]) for s in range(4)]
+
+
+class TestSweepKernel:
+    """A `ModelEvaluator` runs each pass with its `sweep` kernel; a plain
+    function wrapping it takes the generic loop. Both must agree entry for
+    entry, including the trace that the kernel logs once per pass."""
+
+    def bench_case(self, scenario):
+        # The blocker hides the direct path at the UE: the direct term is 0.0.
+        geometry = bench.bench_geometry(0, 76, 4)
+        return geometry.evaluator_for(geometry.ue_pos), 76, 4, None
+
+    def two_ue_case(self, scenario):
+        world = World(scenario)
+        panel = world.panels["ris1"]
+        tx, rx = world.nodes["tx1"], world.nodes["rx1"]
+        members = panel.part_elements(1)
+        base = [k % panel.n_states for k in range(panel.n_elements)]
+        # Without the room's wall, so that the direct term is a complex128.
+        evaluator = model_evaluator(
+            panel, tx.position, tx.tx_power_dbm, rx.position, tx.freq_ghz, scenario.channel,
+            part_elements=members, base_config=base,
+        )
+        initial = [(3 * k + 1) % panel.n_states for k in range(members.size)]
+        return evaluator, members.size, panel.n_states, initial
+
+    @pytest.mark.parametrize("passes", [1, 2, None])
+    @pytest.mark.parametrize("case", ["bench_case", "two_ue_case"])
+    def test_sweep_equals_generic_loop(self, two_ue_scenario, case, passes):
+        evaluator, size, n_states, initial = getattr(self, case)(two_ue_scenario)
+        kernel_passes = []
+        kernel = evaluator.sweep
+        evaluator.sweep = lambda *args: kernel_passes.append(1) or kernel(*args)
+        fast = iterative_optimize(evaluator, size, n_states, passes=passes, initial=initial)
+        slow = iterative_optimize(lambda c: evaluator(c), size, n_states, passes=passes, initial=initial)
+        assert kernel_passes and fast[1].evaluations_used == len(kernel_passes) * size * n_states
+        assert fast[0] == slow[0]
+        assert fast[1].evaluations == slow[1].evaluations
+        assert fast[1].best_so_far() == slow[1].best_so_far()
+        assert fast[1].evaluations_used == slow[1].evaluations_used
+        assert fast[1].feedback_messages == slow[1].feedback_messages
+
+    @pytest.mark.parametrize("case", ["bench_case", "two_ue_case"])
+    def test_failure_in_the_first_pass(self, two_ue_scenario, case):
+        evaluator, size, n_states, _ = getattr(self, case)(two_ue_scenario)
+        initial = [0] * size
+        initial[-1] = n_states  # no such state in the link table
+        for path in (evaluator, lambda c: evaluator(c)):
+            with pytest.raises(EvaluatorFailure) as info:
+                iterative_optimize(path, size, n_states, initial=initial)
+            assert isinstance(info.value.__cause__, IndexError)
