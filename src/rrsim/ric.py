@@ -294,11 +294,9 @@ def _out_of_service(ctl: Controller, snapshot: TopologySnapshot) -> set[str]:
 
 
 def _failure_monitor(ctl: Controller, snapshot: TopologySnapshot) -> list[Action]:
-    _, failed = planner.node_health(snapshot)
     oos = _out_of_service(ctl, snapshot)
     previous = ctl.blackboard.get("out_of_service")
     ctl.blackboard["out_of_service"] = oos
-    ctl.blackboard["failed_nodes"] = failed
     if previous != oos and oos:
         return [Action("Note", {"text": f"outage detected: {len(oos)} UEs out of service"})]
     return []

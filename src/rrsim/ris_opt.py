@@ -142,6 +142,8 @@ def _iterate(evaluator, n_elements, n_states, passes, initial):
     # that wraps public names sees one sweep per call.
     if n_elements < 1 or n_states < 2 or (passes is not None and passes < 1):
         raise ValueError("need n_elements >= 1, n_states >= 2, passes >= 1")
+    if initial is not None and len(initial) != n_elements:
+        raise ValueError(f"initial has {len(initial)} elements, n_elements is {n_elements}")
     config = list(initial) if initial is not None else [0] * n_elements
     trace = OptimizationTrace()
     sweep = getattr(evaluator, "sweep", None)

@@ -18,13 +18,17 @@ from .world import DEFAULT_HEARTBEAT_MS, DEFAULT_SNR_THRESHOLD_DB, World
 
 @dataclass(eq=False, slots=True)
 class _LinkEntry:
-    """What a sample without fading takes from one link state: the server
-    code per UE (-1 for none), the coverage ratio, the served mask, each
-    served UE's share and the largest share (-inf with none served), plus the
-    last such sample's offered load and rate table."""
+    """What a sample takes from one `World.link_state()` key: the UE ids,
+    best SNR per UE, server code per UE (-1 for none) and active-node count;
+    without fading also the coverage ratio, the served mask, each served UE's
+    share and the largest share (-inf with none served), plus the last such
+    sample's offered load and rate table."""
 
-    links: tuple
+    key: tuple
+    ue_ids: list[str]
+    best: np.ndarray
     codes: np.ndarray
+    active_nodes: int
     coverage_ratio: float
     served: np.ndarray
     share: np.ndarray
@@ -70,9 +74,7 @@ class Simulation:
         )
         self._strike_time: int | None = None
         self._mcs = ch.McsStaircase(scenario.channel.mcs_table)
-        # (link state key, _ue_snr_db result), the coverage and contention of
-        # that result, and (UE ids, rate bytes, table)
-        self._links: tuple[tuple[int, tuple[bytes, ...]], tuple] | None = None
+        # The entry of the last link state, and (UE ids, rate bytes, table).
         self._entry: _LinkEntry | None = None
         self._table: tuple[tuple[str, ...], bytes, RateTable] | None = None
 
@@ -140,22 +142,15 @@ class Simulation:
         voice = profile.voice_mbps * traffic_multiplier(profile, "voice", t_since)
         return data + voice
 
-    def _ue_snr_db(self) -> tuple[list[str], np.ndarray, list[str | None], int]:
-        """UE ids, best SNR per UE, its serving node and the active-node
-        count. The SNR and servers are the world's cached terrestrial link
-        budget, copied only where a RIS link overrides it. Kept per
-        `World.link_state`."""
-        key = self.world.link_state()
-        if self._links is None or self._links[0] != key:
-            self._links = (key, self._best_links())
-        return self._links[1]
-
-    def _best_links(self) -> tuple[list[str], np.ndarray, list[str | None], int]:
-        ue_ids, _, _, best, servers = self.world.link_budget()
+    def _best_links(self) -> tuple[list[str], np.ndarray, np.ndarray, int]:
+        """UE ids, best SNR per UE, its server code and the active-node count.
+        The SNR and codes are the world's cached link budget, whose code is
+        the serving access row; a RIS link that is stronger overrides a UE
+        with the code len(access_ids) + the panel's sorted index, and only
+        then are the arrays copied."""
+        ue_ids, access_ids, _, best, codes = self.world.link_budget()
         copied = False
-
-        # RIS-assisted links override the terrestrial path where stronger.
-        for panel_id in sorted(self.world.panels):
+        for p, panel_id in enumerate(sorted(self.world.panels)):
             for part_id, ue_id in sorted(self.controller.ris_part_assignments(panel_id).items()):
                 if ue_id not in ue_ids:
                     continue
@@ -163,27 +158,24 @@ class Simulation:
                 power = self.controller.ris_power_at(panel_id, self.world.ris_configs[panel_id], ue_id)
                 snr = power - self.scenario.channel.noise_floor_dbm()
                 if snr > best[j]:
-                    if not copied:  # the cached terrestrial arrays stay untouched
-                        best, servers, copied = best.copy(), list(servers), True
+                    if not copied:  # the cached link budget stays untouched
+                        best, codes, copied = best.copy(), codes.copy(), True
                     best[j] = snr
-                    servers[j] = panel_id
-        return ue_ids, best, servers, self.world.active_node_count()
+                    codes[j] = len(access_ids) + p
+        return ue_ids, best, codes, self.world.active_node_count()
 
-    def _link_entry(self, links: tuple) -> _LinkEntry:
-        """Coverage and contention of one `_ue_snr_db` result, kept while
-        `_ue_snr_db` hands back the same tuple. The entry holds the tuple, so
-        its identity cannot be reused."""
+    def _link_entry(self) -> _LinkEntry:
+        """The links of the current `World.link_state()` with their coverage
+        and contention, computed once per key."""
+        key = self.world.link_state()
         entry = self._entry
-        if entry is None or entry.links is not links:
-            ue_ids, best, servers, _ = links
-            index: dict[str, int] = {}
-            codes = np.array(
-                [-1 if s is None else index.setdefault(s, len(index)) for s in servers],
-                dtype=np.intp,
-            )
+        if entry is None or entry.key != key:
+            ue_ids, best, codes, active_nodes = self._best_links()
             ratio, served, share = self._contention(best, codes)
             top = float(share.max()) if share.size else -np.inf
-            entry = self._entry = _LinkEntry(links, codes, ratio, served, share, top)
+            entry = self._entry = _LinkEntry(
+                key, ue_ids, best, codes, active_nodes, ratio, served, share, top
+            )
         return entry
 
     def _contention(
@@ -196,7 +188,8 @@ class Simulation:
         served = covered & (codes >= 0)
         served_codes = codes[served]
         share = self._mcs.rates_at(best[served]) / np.bincount(served_codes)[served_codes]
-        return np.count_nonzero(covered) / best.size, served, share
+        ratio = np.count_nonzero(covered) / best.size if best.size else 1.0
+        return ratio, served, share
 
     def _capped_table(
         self, ue_ids: list[str], served: np.ndarray, share: np.ndarray, offered: float
@@ -207,11 +200,8 @@ class Simulation:
         return self._rate_table(ue_ids, rates)
 
     def measure(self, now_ms: int, apply_fading: bool | None = None) -> Sample:
-        links = self._ue_snr_db()
-        ue_ids, best, _, active_nodes = links
-        if not ue_ids:
-            return Sample(now_ms, 1.0, RateTable(), active_nodes)
-        entry = self._link_entry(links)
+        entry = self._link_entry()
+        ue_ids, active_nodes = entry.ue_ids, entry.active_nodes
         offered = self._offered_load_mbps(now_ms)
         fading = self.scenario.channel.fading if apply_fading is None else apply_fading
         if fading:
@@ -221,7 +211,7 @@ class Simulation:
             amp = np.abs(
                 rng.standard_normal(n_ue) + 1j * rng.standard_normal(n_ue)
             ) / np.sqrt(2.0)
-            best = best + 20.0 * np.log10(np.maximum(amp, 1e-12))
+            best = entry.best + 20.0 * np.log10(np.maximum(amp, 1e-12))
             ratio, served, share = self._contention(best, entry.codes)
             entry.table = None
             table = self._capped_table(ue_ids, served, share, offered)

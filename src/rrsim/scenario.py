@@ -151,12 +151,6 @@ class Scenario:
             if cfg.get("tx") not in known:
                 raise UnknownNode(f"RIS panel {panel_id} tx references unknown node {cfg.get('tx')!r}")
 
-    def node(self, node_id: str) -> Node:
-        for n in self.nodes:
-            if n.node_id == node_id:
-                return n
-        raise UnknownNode(node_id)
-
     def nodes_of_kind(self, kind: NodeKind) -> list[Node]:
         return [n for n in self.nodes if n.kind == kind]
 
@@ -252,18 +246,27 @@ def _point(raw, *path: str | int) -> tuple[float, ...]:
         raise
 
 
+def _rows_of_two(raw, shape: str, *path: str | int):
+    """raw, after checking that each of its rows is a list of two items."""
+    for i, row in enumerate(raw):
+        if not isinstance(row, (list, tuple)) or len(row) != 2:
+            raise ParseError(f"{_where(*path, i)}: expected a pair {shape}, got {row!r}")
+    return raw
+
+
 def _boxes(raw, *path: str | int) -> tuple:
     """Axis-aligned boxes, each a pair of corners."""
-    return tuple((_point(lo, *path, j, 0), _point(hi, *path, j, 1)) for j, (lo, hi) in enumerate(raw))
+    return tuple(
+        (_point(lo, *path, j, 0), _point(hi, *path, j, 1))
+        for j, (lo, hi) in enumerate(_rows_of_two(raw, "of corners [lo, hi]", *path))
+    )
 
 
 def _pairs(raw, first: type, *path: str | int) -> tuple[tuple[Any, float], ...]:
     """Rows of two numbers: first(a), float(b)."""
-    for i, row in enumerate(raw):
-        if not isinstance(row, (list, tuple)) or len(row) != 2:
-            raise ParseError(f"{_where(*path, i)}: expected a pair [a, b], got {row!r}")
     return tuple(
-        (_number(first, a, *path, i, 0), _number(float, b, *path, i, 1)) for i, (a, b) in enumerate(raw)
+        (_number(first, a, *path, i, 0), _number(float, b, *path, i, 1))
+        for i, (a, b) in enumerate(_rows_of_two(raw, "[a, b]", *path))
     )
 
 

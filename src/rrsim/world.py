@@ -120,18 +120,16 @@ def access_snr_matrix(
     return np.vstack(rows)
 
 
-def _best_server(matrix: np.ndarray, access_ids: Sequence[str]) -> tuple[np.ndarray, list[str | None]]:
-    """Best SNR per column of an access SNR matrix and the id of its row."""
+def _best_server(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best SNR per column of an access SNR matrix and its row, -1 where no
+    row is finite."""
     n_ue = matrix.shape[1]
     if matrix.size == 0:
-        return np.full(n_ue, -np.inf), [None] * n_ue
-    best_idx = np.argmax(matrix, axis=0)
-    best = matrix[best_idx, np.arange(n_ue)]
-    servers: list[str | None] = [
-        access_ids[i] if finite else None
-        for i, finite in zip(best_idx.tolist(), np.isfinite(best).tolist())
-    ]
-    return best, servers
+        return np.full(n_ue, -np.inf), np.full(n_ue, -1, dtype=np.intp)
+    rows = np.argmax(matrix, axis=0)
+    best = matrix[rows, np.arange(n_ue)]
+    rows[~np.isfinite(best)] = -1
+    return best, rows
 
 
 def best_snr_db(
@@ -141,19 +139,19 @@ def best_snr_db(
     obstacles,
 ) -> tuple[np.ndarray, list[str | None]]:
     """Best SNR per UE position and the id of the serving node."""
-    matrix = access_snr_matrix(access_nodes, ue_positions, params, obstacles)
-    return _best_server(matrix, [n.node_id for n in access_nodes])
+    best, rows = _best_server(access_snr_matrix(access_nodes, ue_positions, params, obstacles))
+    return best, [None if r < 0 else access_nodes[r].node_id for r in rows.tolist()]
 
 
 class LinkBudget(NamedTuple):
     """Access SNR of one world state: rows follow `access_ids`, columns
-    `ue_ids` (sorted), and each UE's best SNR with its serving node."""
+    `ue_ids` (sorted), and each UE's best SNR with its serving row."""
 
     ue_ids: list[str]
     access_ids: tuple[str, ...]
     snr_db: np.ndarray  # (n_access, n_ues)
     best_db: np.ndarray  # (n_ues,)
-    servers: list[str | None]
+    server_rows: np.ndarray  # (n_ues,) the snr_db row of best_db, -1 where none is finite
 
 
 class World:
@@ -317,7 +315,7 @@ class World:
             ue_ids, positions = self.ue_positions()
             access = [self.nodes[nid] for nid in access_ids]
             snr = access_snr_matrix(access, positions, self.scenario.channel, self.obstacles)
-            self._budget = (key, LinkBudget(ue_ids, access_ids, snr, *_best_server(snr, access_ids)))
+            self._budget = (key, LinkBudget(ue_ids, access_ids, snr, *_best_server(snr)))
         return self._budget[1]
 
     def ue_positions(self) -> tuple[list[str], np.ndarray]:

@@ -153,8 +153,13 @@ class TestValidation:
             ("two_ue_demo.json",
              lambda d: d["ric"].update(ue_moves=[{"time_ms": "soon", "node_id": "rx1", "position": [0, 1.7, 1]}]),
              "ric.ue_moves[0].time_ms: expected an integer, got 'soon'"),
+            ("two_ue_demo.json", lambda d: d.update(obstacles=[[[0, 0, 0], [1, 1, 1], [2, 2, 2]]]),
+             "obstacles[0]: expected a pair of corners [lo, hi], got [[0, 0, 0], [1, 1, 1], [2, 2, 2]]"),
+            ("earthquake_demo.json", lambda d: d["disasters"][0].update(blockages=[[[0, 0, 0]]]),
+             "disasters[0].blockages[0]: expected a pair of corners [lo, hi], got [[0, 0, 0]]"),
         ],
-        ids=["strike_without_time", "surge_row_of_three", "move_time"],
+        ids=["strike_without_time", "surge_row_of_three", "move_time", "obstacle_of_three_corners",
+             "blockage_of_one_corner"],
     )
     def test_malformed_structure(self, tmp_path, capsys, demo, edit, message):
         with open(bundled_scenario_path(demo)) as fh:

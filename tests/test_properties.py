@@ -63,6 +63,13 @@ _servers = st.sampled_from([None, "bs1", "bs2", "deployed_0", "ris1"])
 _link_snr = st.one_of(
     st.sampled_from([3.0, -np.inf, np.inf, 0.0]), st.floats(-40.0, 60.0, allow_nan=False)
 )
+# Server codes as `_best_links` gives them: distinct for distinct servers, -1
+# for none, and a RIS panel's after the access rows.
+_CODES = {None: -1, "bs1": 0, "bs2": 1, "deployed_0": 2, "ris1": 3}
+
+
+def _codes(servers):
+    return np.array([_CODES[s] for s in servers], dtype=np.intp)
 
 
 @st.composite
@@ -86,31 +93,37 @@ def test_measure_throughput_is_bitwise_the_scalar_step(inputs, table):
     sim._mcs = ch.McsStaircase(table)
     sim.snr_threshold_db = threshold
     sim._offered_load_mbps = lambda now_ms: offered
-    # The same list twice reuses its server codes; a changed copy rebuilds them.
-    for links in (servers, servers, changed):
-        sim._ue_snr_db = lambda links=links: (ue_ids, np.array(best, float), links, 7)
+    # The same link state twice reuses its entry; a new one rebuilds it.
+    built = []
+    for key, links in ((0, servers), (0, servers), (1, changed)):
+        sim.world.link_state = lambda key=key: key
+        sim._best_links = lambda key=key, links=links: built.append(key) or (
+            ue_ids, np.array(best, float), _codes(links), 7
+        )
         sample = sim.measure(5_000, apply_fading=False)
         ratio, rates = measure_reference(ue_ids, best, links, threshold, offered, table)
         assert sample.coverage_ratio.hex() == ratio.hex()
         assert list(sample.throughput_mbps) == list(rates)
         assert [r.hex() for r in sample.throughput_mbps.values()] == [r.hex() for r in rates.values()]
         assert sample.active_nodes == 7
+    assert built == [0, 1]
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data(), _mcs_tables, st.sampled_from([3.0, 0.0, -10.0]))
 def test_measure_sequence_is_bitwise_the_scalar_step(data, table, threshold):
-    """A run of samples whose links tuple repeats, is copied or is redrawn,
-    and whose offered load moves across the largest share: every sample is
-    the scalar step, and shares the previous sample's table object exactly
-    when its rates are bitwise the previous sample's."""
+    """A run of samples whose link state repeats, or moves to a copy of its
+    links or to new ones, and whose offered load moves across the largest
+    share: every sample is the scalar step, and shares the previous sample's
+    table object exactly when its rates are bitwise the previous sample's."""
     n = data.draw(st.integers(1, 8))
     ue_ids = [f"ue{i}" for i in range(n)]
     sim = Simulation(scenario_from_dict(_SMALL_RUN))
     sim._mcs = ch.McsStaircase(table)
     sim.snr_threshold_db = threshold
-    links, offered, previous = None, None, None
-    sim._ue_snr_db = lambda: links
+    links, key, offered, previous = None, 0, None, None
+    sim.world.link_state = lambda: key
+    sim._best_links = lambda: links
     sim._offered_load_mbps = lambda now_ms: offered
     for step in range(data.draw(st.integers(2, 10))):
         change = "new" if links is None else data.draw(st.sampled_from(["same", "same", "copy", "new"]))
@@ -118,7 +131,8 @@ def test_measure_sequence_is_bitwise_the_scalar_step(data, table, threshold):
             best = data.draw(st.lists(_link_snr, min_size=n, max_size=n))
             servers = data.draw(st.lists(_servers, min_size=n, max_size=n))
         if change != "same":
-            links = (ue_ids, np.array(best, float), list(servers), 7)
+            key += 1
+            links = (ue_ids, np.array(best, float), _codes(servers), 7)
         _, uncapped = measure_reference(ue_ids, best, servers, threshold, np.inf, table)
         shares = [
             uncapped[ue] for ue, snr, server in zip(ue_ids, best, servers)

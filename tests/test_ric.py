@@ -408,7 +408,6 @@ class TestFailureMonitorCache:
         actions = _failure_monitor(ctl, ctl.snapshot())
         assert ctl.world.version == version
         assert ctl.blackboard["out_of_service"] == {"ue1"}
-        assert ctl.blackboard["failed_nodes"] == {"gw", "bs1"}
         assert [a.kind for a in actions] == ["Note"]
 
 

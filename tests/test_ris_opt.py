@@ -318,3 +318,15 @@ class TestSweepKernel:
             with pytest.raises(EvaluatorFailure) as info:
                 iterative_optimize(path, size, n_states, initial=initial)
             assert isinstance(info.value.__cause__, IndexError)
+
+    @pytest.mark.parametrize("case", ["bench_case", "two_ue_case"])
+    def test_initial_of_wrong_length(self, two_ue_scenario, case):
+        evaluator, size, n_states, _ = getattr(self, case)(two_ue_scenario)
+        calls = []
+        kernel = evaluator.sweep
+        evaluator.sweep = lambda *args: calls.append("sweep") or kernel(*args)
+        for length in (size - 1, size + 1):
+            for path in (evaluator, lambda c: calls.append("call") or evaluator(c)):
+                with pytest.raises(ValueError, match=f"initial has {length} elements, n_elements is {size}"):
+                    iterative_optimize(path, size, n_states, initial=[0] * length)
+        assert calls == []

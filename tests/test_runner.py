@@ -121,6 +121,17 @@ class TestMeasurement:
         # baseline coverage ignores fading by contract
         assert Simulation(scenario, seed=5).baseline_coverage() == 1.0
 
+    @pytest.mark.parametrize("fading", [False, True])
+    def test_no_ues_is_full_coverage(self, fading):
+        nodes = [n for n in SMALL["nodes"] if n["kind"] != "UE"]
+        sim = Simulation(small_scenario(nodes=nodes, channel={"fading": fading}))
+        log = sim.run(60_000)
+        assert sim.baseline_coverage() == 1.0
+        assert len(log.samples) == 13
+        for sample in log.samples:
+            assert sample.coverage_ratio == 1.0
+            assert dict(sample.throughput_mbps) == {}
+
 
 def one_part_room(**overrides):
     """The two-UE demo room with only rx1 on a panel part and an offered load
