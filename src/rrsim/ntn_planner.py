@@ -18,7 +18,6 @@ from .world import (
     NodeState,
     TopologySnapshot,
     access_snr_matrix,
-    best_snr_db,
 )
 
 DEFAULT_UAV_ALTITUDE_M = 120.0
@@ -96,14 +95,8 @@ def detect_outage(
     snr_threshold_db: float,
     params: ch.ChannelParams,
 ) -> tuple[set[str], set[str], set[str]]:
-    """Classify nodes as operational or failed and find out-of-service UEs."""
-    operational, failed = node_health(snapshot)
-    access = snapshot.operational_access_nodes()
-    return operational, failed, ues_out_of_service(snapshot, access, snr_threshold_db, params)
-
-
-def node_health(snapshot: TopologySnapshot) -> tuple[set[str], set[str]]:
-    """Non-UE nodes that serve with a fresh heartbeat, and the others."""
+    """Classify non-UE nodes as operational (serving with a fresh heartbeat)
+    or failed, and find out-of-service UEs."""
     operational: set[str] = set()
     failed: set[str] = set()
     for node in snapshot.nodes:
@@ -113,7 +106,8 @@ def node_health(snapshot: TopologySnapshot) -> tuple[set[str], set[str]]:
             operational.add(node.node_id)
         else:
             failed.add(node.node_id)
-    return operational, failed
+    access = snapshot.operational_access_nodes()
+    return operational, failed, ues_out_of_service(snapshot, access, snr_threshold_db, params)
 
 
 def ues_out_of_service(
@@ -124,11 +118,10 @@ def ues_out_of_service(
 ) -> set[str]:
     """UEs whose best SNR from the given access nodes is below the threshold."""
     ues = snapshot.ues()
-    if not ues:
-        return set()
     positions = np.array([u.position for u in ues], float)
-    best, _ = best_snr_db(access, positions, params, snapshot.obstacles)
-    return {u.node_id for u, snr in zip(ues, best) if snr < snr_threshold_db}
+    matrix = access_snr_matrix(access, positions, params, snapshot.obstacles)
+    best = matrix.max(axis=0, initial=-np.inf)
+    return {u.node_id for u, snr in zip(ues, best.tolist()) if snr < snr_threshold_db}
 
 
 def candidate_lattice(
@@ -153,14 +146,14 @@ def coverage_sets(
     tx_power_dbm: float = DEFAULT_UAV_TX_DBM,
     freq_ghz: float = 3.5,
 ) -> list[set[str]]:
-    """UE ids each candidate position would cover at the SNR threshold."""
-    sets: list[set[str]] = []
-    for pos in candidates:
-        node = NodeState("cand", NodeKind.UAV, tuple(pos), NodeStatus.ACTIVE, tx_power_dbm, freq_ghz)
-        matrix = access_snr_matrix([node], ue_positions, params, obstacles)
-        covered = {ue_ids[j] for j in range(len(ue_ids)) if matrix[0, j] >= snr_threshold_db}
-        sets.append(covered)
-    return sets
+    """UE ids each candidate position would cover at the SNR threshold, from
+    one SNR matrix over all candidates."""
+    nodes = [
+        NodeState("cand", NodeKind.UAV, tuple(pos), NodeStatus.ACTIVE, tx_power_dbm, freq_ghz)
+        for pos in candidates
+    ]
+    matrix = access_snr_matrix(nodes, ue_positions, params, obstacles)
+    return [{ue_ids[j] for j in np.flatnonzero(row >= snr_threshold_db).tolist()} for row in matrix]
 
 
 def place_ntn(
@@ -209,12 +202,6 @@ def place_ntn(
         )
         for rank, idx in enumerate(chosen)
     ]
-
-
-def _link_snr_db(a_pos, b_pos, tx_power_dbm: float, freq_ghz: float, params: ch.ChannelParams, obstacles) -> tuple[float, bool]:
-    blocked = ch.los_blocked(a_pos, b_pos, obstacles)
-    pl = ch.path_loss(a_pos, b_pos, freq_ghz, params, blocked=blocked)
-    return tx_power_dbm - pl - params.noise_floor_dbm(), blocked
 
 
 def _relay_candidates(obstacles, extra_sites: Sequence[Sequence[float]], offset_m: float = 5.0):
@@ -279,37 +266,30 @@ def form_backhaul(
     # (parent, child) relay search is done at most once.
     relays: dict[tuple[str, str], tuple[tuple[float, float, float], float] | None] = {}
 
+    noise = params.noise_floor_dbm()
     while pending:
         best_edge: BackhaulEdge | None = None
         best_cost = math.inf
         for child_id in sorted(pending):
             child = pending[child_id]
             for parent_id in sorted(anchors):
-                snr, blocked = _link_snr_db(
-                    anchors[parent_id],
-                    child.position,
-                    child.tx_power_dbm,
-                    child.freq_ghz,
-                    params,
-                    snapshot.obstacles,
-                )
-                cost = ch.path_loss(
-                    anchors[parent_id], child.position, child.freq_ghz, params, blocked=blocked
-                )
+                anchor = anchors[parent_id]
+                blocked = ch.los_blocked(anchor, child.position, snapshot.obstacles)
+                clear_loss = ch.path_loss(anchor, child.position, child.freq_ghz, params)
+                # What path_loss(blocked=True) adds.
+                cost = clear_loss + params.blockage_penalty_db if blocked else clear_loss
+                snr = child.tx_power_dbm - cost - noise
                 if snr >= backhaul_threshold_db:
                     if cost < best_cost:
                         best_cost = cost
                         best_edge = BackhaulEdge(child_id, parent_id, "direct", None, snr)
                 elif blocked:
                     # Feasible only because of blockage: try a reflective relay.
-                    unblocked_snr = child.tx_power_dbm - ch.path_loss(
-                        anchors[parent_id], child.position, child.freq_ghz, params
-                    ) - params.noise_floor_dbm()
-                    if unblocked_snr < backhaul_threshold_db:
+                    if child.tx_power_dbm - clear_loss - noise < backhaul_threshold_db:
                         continue
                     if (parent_id, child_id) not in relays:
                         relays[parent_id, child_id] = _try_ris_relay(
-                            anchors[parent_id],
+                            anchor,
                             child.position,
                             child.tx_power_dbm,
                             child.freq_ghz,
@@ -321,7 +301,7 @@ def form_backhaul(
                     relay = relays[parent_id, child_id]
                     if relay is not None:
                         site, snr_via = relay
-                        relay_cost = child.tx_power_dbm - snr_via - params.noise_floor_dbm()
+                        relay_cost = child.tx_power_dbm - snr_via - noise
                         if relay_cost < best_cost:
                             best_cost = relay_cost
                             best_edge = BackhaulEdge(child_id, parent_id, "ris_relay", site, snr_via)
@@ -347,7 +327,8 @@ def build_plan(
     out_of_service: set[str] | None = None,
 ) -> DeploymentPlan:
     """Full non-real-time planning pass on one topology snapshot. A caller
-    that already has the snapshot's out-of-service UEs passes them in."""
+    that already has the snapshot's out-of-service UEs passes them in. The
+    estimate counts the UEs in service or covered by a placement."""
     snr_threshold = float(planner_cfg.get("snr_threshold_db", DEFAULT_SNR_THRESHOLD_DB))
     max_nodes = int(planner_cfg.get("max_nodes", 3))
     altitude = float(planner_cfg.get("uav_altitude_m", DEFAULT_UAV_ALTITUDE_M))
@@ -366,8 +347,7 @@ def build_plan(
             snapshot, snapshot.operational_access_nodes(), snr_threshold, params
         )
     if not out_of_service:
-        baseline = _coverage_ratio(snapshot, [], snr_threshold, params)
-        return DeploymentPlan(estimated_coverage_ratio=baseline)
+        return DeploymentPlan(estimated_coverage_ratio=1.0)
 
     bounds = planner_cfg.get("candidate_bounds")
     if bounds is None:
@@ -375,8 +355,6 @@ def build_plan(
         lo = oos_pos[:, :2].min(axis=0) - spacing
         hi = oos_pos[:, :2].max(axis=0) + spacing
         bounds = ((float(lo[0]), float(lo[1])), (float(hi[0]), float(hi[1])))
-    else:
-        bounds = (tuple(bounds[0]), tuple(bounds[1]))
     candidates = candidate_lattice(bounds, spacing, altitude)
 
     placements = place_ntn(
@@ -398,23 +376,10 @@ def build_plan(
         backhaul_threshold,
         planner_cfg.get("relay_sites", ()),
     )
-    estimate = _coverage_ratio(snapshot, placements, snr_threshold, params)
-    return DeploymentPlan(placements, backhaul, estimate)
-
-
-def _coverage_ratio(
-    snapshot: TopologySnapshot,
-    placements: list[Placement],
-    snr_threshold_db: float,
-    params: ch.ChannelParams,
-) -> float:
-    ues = snapshot.ues()
-    if not ues:
-        return 1.0
-    positions = np.array([u.position for u in ues], float)
-    access = snapshot.operational_access_nodes() + [
-        NodeState(p.node_id, p.kind, p.position, NodeStatus.ACTIVE, p.tx_power_dbm, p.freq_ghz)
-        for p in placements
-    ]
-    best, _ = best_snr_db(access, positions, params, snapshot.obstacles)
-    return float(np.count_nonzero(best >= snr_threshold_db)) / len(ues)
+    reach = coverage_sets(
+        [p.position for p in placements], ue_ids, ue_positions, snr_threshold, params,
+        snapshot.obstacles, tx_power, freq,
+    )
+    covered = set().union(*reach)
+    served = sum(1 for u in ue_ids if u in covered or u not in out_of_service)
+    return DeploymentPlan(placements, backhaul, served / len(ue_ids))

@@ -151,9 +151,7 @@ class Controller:
         kernel.schedule(kernel.clock + group[0].interval_ms, event.kind, event.payload)
 
     def _on_ue_move(self, kernel: Kernel, event: Event) -> None:
-        node_id = event.payload.get("node_id", "")
-        if node_id in self.world.nodes and "position" in event.payload:
-            self.world.move_node(node_id, event.payload["position"])
+        self.world.move_node(event.payload["node_id"], event.payload["position"])
 
     def _run_apps(self, apps: list[ControllerApp]) -> None:
         """Runs the apps in order. Each gate is checked just before its app's
@@ -289,7 +287,7 @@ def _out_of_service(ctl: Controller, snapshot: TopologySnapshot) -> set[str]:
     """UEs whose best SNR from the snapshot's operational access nodes is
     below the planner threshold, read from the world's cached link budget."""
     links = ctl._operational_links(snapshot)
-    threshold = float(ctl.world.scenario.planner.get("snr_threshold_db", DEFAULT_SNR_THRESHOLD_DB))
+    threshold = ctl.world.scenario.planner.get("snr_threshold_db", DEFAULT_SNR_THRESHOLD_DB)
     return {ue_id for ue_id, snr in zip(links.ue_ids, links.best_db.tolist()) if snr < threshold}
 
 
@@ -397,8 +395,7 @@ def _cf_clusterer(ctl: Controller, snapshot: TopologySnapshot) -> list[Action]:
     if _clusterer_idle(ctl):
         return []
     ctl.blackboard["cluster_version"] = ctl.world.version
-    max_aps = int(ctl.world.scenario.cfmimo.get("L", 2))
-    return [Action("Recluster", {"L": max_aps})]
+    return [Action("Recluster", {"L": ctl.world.scenario.cfmimo.get("L", 2)})]
 
 
 def _script_idle(ctl: Controller) -> bool:

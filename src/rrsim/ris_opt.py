@@ -323,40 +323,16 @@ class ModelEvaluator:
         full[self.part_elements] = given
         return full
 
-    def _power(self, total) -> float:
-        # received_power_dbm(tx, ComplexGain.from_complex(total)) without the
-        # object. Python's abs and math.log10, not numpy's: np.abs of a
-        # complex128 and np.log10 can differ from them in the last bit.
-        a = abs(complex(total))
-        return -math.inf if a <= 0.0 else self.tx_power_dbm + 20.0 * math.log10(a)
-
     def __call__(self, config: Sequence[int]) -> float:
         full = self._full(config)
         table, direct = self._table()
         total = np.sum(table[np.arange(full.size), full])
         total += direct
-        return self._power(total)
-
-    def _rows(self, config: Sequence[int], n_states: int) -> np.ndarray:
-        """(n_states, N) buffer with every row the gathered terms of config."""
-        full = self._full(config)
-        table, _ = self._table()
-        if n_states > table.shape[1]:
-            raise IndexError(f"state {table.shape[1]} out of range")
-        return np.repeat(table[np.arange(full.size), full][None, :], n_states, axis=0)
-
-    def element_powers(self, config: Sequence[int], k: int, n_states: int) -> list[float]:
-        """Powers with element k of config set to each of states 0..n_states-1
-        in turn, equal to that many calls. Column k of the row buffer gets the
-        element's table terms, then one reduction sums every row; each row
-        sums the same values in the same order as a call would."""
-        rows = self._rows(config, n_states)
-        table, direct = self._link
-        j = k if self.part_elements is None else int(self.part_elements[k])
-        rows[:, j] = table[j, :n_states]
-        totals = rows.sum(axis=1)
-        totals += direct
-        return [self._power(total) for total in totals.tolist()]
+        # received_power_dbm(tx, ComplexGain.from_complex(total)) without the
+        # object. Python's abs and math.log10, not numpy's: np.abs of a
+        # complex128 and np.log10 can differ from them in the last bit.
+        a = abs(complex(total))
+        return -math.inf if a <= 0.0 else self.tx_power_dbm + 20.0 * math.log10(a)
 
     def sweep(self, config: list[int], n_states: int, trace: OptimizationTrace) -> None:
         """One pass of `iterative_optimize` over config, in place: the same
@@ -370,10 +346,13 @@ class ModelEvaluator:
         is bit-identical to a call's.
         """
         try:
-            rows = self._rows(config, n_states)
+            full = self._full(config)
+            table, direct = self._table()
+            if n_states > table.shape[1]:
+                raise IndexError(f"state {table.shape[1]} out of range")
+            rows = np.repeat(table[np.arange(full.size), full][None, :], n_states, axis=0)
         except Exception as exc:
             raise EvaluatorFailure(f"evaluator failed at element 0: {exc}") from exc
-        table, direct = self._link
         direct = complex(direct)
         tx_power, log10, add = self.tx_power_dbm, math.log10, np.add.reduce
         columns = range(len(config)) if self.part_elements is None else self.part_elements.tolist()

@@ -69,9 +69,7 @@ class Simulation:
         self.kernel = Kernel(self.seed)
         self.world = World(scenario)
         self.controller = Controller(self.world, self.kernel)
-        self.snr_threshold_db = float(
-            scenario.planner.get("snr_threshold_db", DEFAULT_SNR_THRESHOLD_DB)
-        )
+        self.snr_threshold_db = scenario.planner.get("snr_threshold_db", DEFAULT_SNR_THRESHOLD_DB)
         self._strike_time: int | None = None
         self._mcs = ch.McsStaircase(scenario.channel.mcs_table)
         # The entry of the last link state, and (UE ids, rate bytes, table).

@@ -150,6 +150,9 @@ class Scenario:
                 raise ValidationError(f"RIS panel {panel_id}: entry must be an object")
             if cfg.get("tx") not in known:
                 raise UnknownNode(f"RIS panel {panel_id} tx references unknown node {cfg.get('tx')!r}")
+        for i, move in enumerate(self.ric.get("ue_moves", ())):
+            if move.get("node_id") not in known:
+                raise UnknownNode(f"ric.ue_moves[{i}].node_id: unknown node {move.get('node_id')!r}")
 
     def nodes_of_kind(self, kind: NodeKind) -> list[Node]:
         return [n for n in self.nodes if n.kind == kind]
@@ -206,21 +209,42 @@ def _where(*path: str | int) -> str:
     return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)[1:]
 
 
-def _number(kind: type, value: Any, *path: str | int) -> Any:
-    """kind(value), for kind int or float, or a ParseError that names the
+# The kinds of _number: converters by what each expects.
+_NOUNS = {int: "an integer", float: "a number"}
+
+
+def _kind(noun: str, convert: type, accept):
+    """A kind that gives convert(value) if accept passes it."""
+
+    def kind(value: Any) -> Any:
+        x = convert(value)
+        if accept(x):
+            return x
+        raise ValueError
+
+    _NOUNS[kind] = noun
+    return kind
+
+
+_finite = _kind("a finite number", float, math.isfinite)
+_positive = _kind("a finite number > 0", float, lambda x: 0.0 < x < math.inf)
+_count = _kind("an integer >= 1", int, lambda n: n >= 1)
+
+
+def _number(kind, value: Any, *path: str | int) -> Any:
+    """kind(value), for a kind of _NOUNS, or a ParseError that names the
     field. The path is formatted only on failure."""
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError):
-        noun = "an integer" if kind is int else "a number"
-        raise ParseError(f"{_where(*path)}: expected {noun}, got {value!r}") from None
+        raise ParseError(f"{_where(*path)}: expected {_NOUNS[kind]}, got {value!r}") from None
 
 
 # The default of a _field that must be present.
 _REQUIRED = object()
 
 
-def _field(raw: dict[str, Any], key: str, kind: type, default: Any, *path: str | int) -> Any:
+def _field(raw: dict[str, Any], key: str, kind, default: Any, *path: str | int) -> Any:
     value = raw.get(key, default)
     if value is _REQUIRED:
         raise ParseError(f"{_where(*path, key)}: missing")
@@ -233,45 +257,66 @@ def _object(raw, *path: str | int) -> dict[str, Any]:
     return raw
 
 
-def _optional(raw: dict[str, Any], key: str, kind: type, *path: str | int) -> Any:
+def _settings(raw, kinds: dict[str, Any], *path: str | int) -> dict[str, Any]:
+    """A free-form object, with the value of each key of kinds converted."""
+    settings = dict(_object(raw, *path))
+    for key, kind in kinds.items():
+        if key in settings:
+            settings[key] = _number(kind, settings[key], *path, key)
+    return settings
+
+
+def _optional(raw: dict[str, Any], key: str, kind, *path: str | int) -> Any:
     return None if raw.get(key) is None else _number(kind, raw[key], *path, key)
 
 
-def _point(raw, *path: str | int) -> tuple[float, ...]:
-    try:
-        return tuple(map(float, raw))
-    except (TypeError, ValueError, OverflowError):  # find the coordinate to name
-        for k, c in enumerate(raw):
-            _number(float, c, *path, k)
-        raise
-
-
-def _rows_of_two(raw, shape: str, *path: str | int):
-    """raw, after checking that each of its rows is a list of two items."""
-    for i, row in enumerate(raw):
-        if not isinstance(row, (list, tuple)) or len(row) != 2:
-            raise ParseError(f"{_where(*path, i)}: expected a pair {shape}, got {row!r}")
+def _list(raw, *path: str | int):
+    if not isinstance(raw, (list, tuple)):
+        raise ParseError(f"{_where(*path)}: expected a list, got {raw!r}")
     return raw
+
+
+def _point(raw, *path: str | int, dims: int = 3) -> tuple[float, ...]:
+    """dims finite coordinates."""
+    if not isinstance(raw, (list, tuple)) or len(raw) != dims:
+        shape = "[x, y, z]" if dims == 3 else "[x, y]"
+        raise ParseError(f"{_where(*path)}: expected a point {shape} of finite numbers, got {raw!r}")
+    try:
+        point = tuple(map(float, raw))
+        if math.isfinite(sum(point)):  # a sum that overflows takes the slow path
+            return point
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return tuple(_number(_finite, c, *path, k) for k, c in enumerate(raw))
+
+
+def _pair(raw, shape: str, *path: str | int):
+    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
+        raise ParseError(f"{_where(*path)}: expected a pair {shape}, got {raw!r}")
+    return raw
+
+
+def _corners(raw, *path: str | int, dims: int = 3) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    lo, hi = _pair(raw, "of corners [lo, hi]", *path)
+    return _point(lo, *path, 0, dims=dims), _point(hi, *path, 1, dims=dims)
 
 
 def _boxes(raw, *path: str | int) -> tuple:
     """Axis-aligned boxes, each a pair of corners."""
-    return tuple(
-        (_point(lo, *path, j, 0), _point(hi, *path, j, 1))
-        for j, (lo, hi) in enumerate(_rows_of_two(raw, "of corners [lo, hi]", *path))
-    )
+    return tuple(_corners(box, *path, j) for j, box in enumerate(_list(raw, *path)))
 
 
-def _pairs(raw, first: type, *path: str | int) -> tuple[tuple[Any, float], ...]:
-    """Rows of two numbers: first(a), float(b)."""
+def _pairs(raw, first, second, *path: str | int) -> tuple[tuple[Any, Any], ...]:
+    """Rows of two numbers: first(a), second(b)."""
+    rows = [_pair(row, "[a, b]", *path, i) for i, row in enumerate(_list(raw, *path))]
     return tuple(
-        (_number(first, a, *path, i, 0), _number(float, b, *path, i, 1))
-        for i, (a, b) in enumerate(_rows_of_two(raw, "[a, b]", *path))
+        (_number(first, a, *path, i, 0), _number(second, b, *path, i, 1))
+        for i, (a, b) in enumerate(rows)
     )
 
 
 # Panel layout keys read by World, with their types.
-_RIS_LAYOUT = (("rows", int), ("cols", int), ("pitch_m", float), ("normal_axis", int))
+_RIS_LAYOUT = {"rows": int, "cols": int, "pitch_m": float, "normal_axis": int}
 
 
 def _node_from_dict(raw: dict[str, Any], index: int) -> Node:
@@ -283,21 +328,16 @@ def _node_from_dict(raw: dict[str, Any], index: int) -> Node:
         raise ParseError(f"node entry missing key {exc}") from exc
     if "id" not in raw or "position" not in raw:
         raise ParseError(f"node entry missing 'id' or 'position': {raw}")
-    pos = raw["position"]
-    if not isinstance(pos, (list, tuple)) or len(pos) != 3:
-        raise ParseError(f"node {raw['id']}: position must be [x, y, z]")
     ris = raw.get("ris")
     if ris is not None:
-        _object(ris, "nodes", index, "ris")
-        layout = {key: _number(t, ris[key], "nodes", index, "ris", key) for key, t in _RIS_LAYOUT if key in ris}
-        ris = {**ris, **layout}
+        ris = _settings(ris, _RIS_LAYOUT, "nodes", index, "ris")
     return Node(
         node_id=str(raw["id"]),
         kind=kind,
-        position=_point(pos, "nodes", index, "position"),
+        position=_point(raw["position"], "nodes", index, "position"),
         status=NodeStatus(raw.get("status", "Operational")),
-        tx_power_dbm=_number(float, raw.get("tx_power_dbm", 30.0), "nodes", index, "tx_power_dbm"),
-        freq_ghz=_number(float, raw.get("freq_ghz", 3.5), "nodes", index, "freq_ghz"),
+        tx_power_dbm=_number(_finite, raw.get("tx_power_dbm", 30.0), "nodes", index, "tx_power_dbm"),
+        freq_ghz=_number(_positive, raw.get("freq_ghz", 3.5), "nodes", index, "freq_ghz"),
         battery_ms=_optional(raw, "battery_ms", int, "nodes", index),
         ris=ris,
     )
@@ -306,32 +346,58 @@ def _node_from_dict(raw: dict[str, Any], index: int) -> Node:
 def _channel_from_dict(raw: dict[str, Any]) -> ChannelParams:
     mcs = raw.get("mcs_table")
     return ChannelParams(
-        exponent=_field(raw, "exponent", float, 2.0, "channel"),
-        d0_m=_field(raw, "d0_m", float, 1.0, "channel"),
-        blockage_penalty_db=_field(raw, "blockage_penalty_db", float, 20.0, "channel"),
-        noise_figure_db=_field(raw, "noise_figure_db", float, 7.0, "channel"),
-        bandwidth_hz=_field(raw, "bandwidth_hz", float, 20e6, "channel"),
-        mcs_table=_pairs(mcs, float, "channel", "mcs_table") if mcs else DEFAULT_MCS,
-        scatter_floor_db=_optional(raw, "scatter_floor_db", float, "channel"),
+        exponent=_field(raw, "exponent", _finite, 2.0, "channel"),
+        d0_m=_field(raw, "d0_m", _positive, 1.0, "channel"),
+        blockage_penalty_db=_field(raw, "blockage_penalty_db", _finite, 20.0, "channel"),
+        noise_figure_db=_field(raw, "noise_figure_db", _finite, 7.0, "channel"),
+        bandwidth_hz=_field(raw, "bandwidth_hz", _positive, 20e6, "channel"),
+        mcs_table=_pairs(mcs, _finite, _finite, "channel", "mcs_table") if mcs else DEFAULT_MCS,
+        scatter_floor_db=_optional(raw, "scatter_floor_db", _finite, "channel"),
         fading=bool(raw.get("fading", False)),
     )
 
 
 def _surge(raw: dict[str, Any], key: str, default) -> tuple[tuple[int, float], ...]:
-    return default if raw.get(key) is None else _pairs(raw[key], int, "traffic", key)
+    return default if raw.get(key) is None else _pairs(raw[key], int, float, "traffic", key)
 
 
-def _ric(raw: dict[str, Any]) -> dict[str, Any]:
-    """The free-form ric object, with the time of each UE move converted."""
-    ric = dict(raw)
+def _ric(raw) -> dict[str, Any]:
+    """The free-form ric object, with the time and position of each UE move
+    converted."""
+    ric = dict(_object(raw, "ric"))
     if "ue_moves" in ric:
+        path = ("ric", "ue_moves")
         moves = []
-        for i, move in enumerate(ric["ue_moves"]):
-            _object(move, "ric", "ue_moves", i)
-            time_ms = _field(move, "time_ms", int, _REQUIRED, "ric", "ue_moves", i)
-            moves.append({**move, "time_ms": time_ms})
+        for i, move in enumerate(_list(ric["ue_moves"], *path)):
+            time_ms = _field(_object(move, *path, i), "time_ms", int, _REQUIRED, *path, i)
+            position = _point(move.get("position"), *path, i, "position")
+            moves.append({**move, "time_ms": time_ms, "position": position})
         ric["ue_moves"] = moves
     return ric
+
+
+# Planner numbers converted at load; build_plan keeps its defaults.
+_PLANNER = {
+    **dict.fromkeys(
+        ("snr_threshold_db", "uav_altitude_m", "uav_tx_power_dbm", "backhaul_threshold_db"), _finite
+    ),
+    **dict.fromkeys(("uav_freq_ghz", "candidate_spacing_m"), _positive),
+    "max_nodes": int,
+}
+
+
+def _planner(raw) -> dict[str, Any]:
+    planner = _settings(raw, _PLANNER, "planner")
+    bounds = planner.get("candidate_bounds")
+    if bounds is not None:
+        lo, hi = planner["candidate_bounds"] = _corners(bounds, "planner", "candidate_bounds", dims=2)
+        if lo[0] > hi[0] or lo[1] > hi[1]:
+            raise ParseError(f"planner.candidate_bounds: expected lo <= hi, got {bounds!r}")
+    if "relay_sites" in planner:
+        path = ("planner", "relay_sites")
+        sites = _list(planner["relay_sites"], *path)
+        planner["relay_sites"] = tuple(_point(site, *path, i) for i, site in enumerate(sites))
+    return planner
 
 
 def scenario_from_dict(data: dict[str, Any]) -> Scenario:
@@ -366,9 +432,9 @@ def scenario_from_dict(data: dict[str, Any]) -> Scenario:
         sample_interval_ms=_field(ticks, "sample_ms", int, DEFAULT_SAMPLE_INTERVAL_MS, "ticks"),
         battery_reserve_ms=_field(data, "battery_reserve_ms", int, DEFAULT_BATTERY_RESERVE_MS),
         channel=_channel_from_dict(data.get("channel", {})),
-        cfmimo=dict(data.get("cfmimo", {})),
+        cfmimo=_settings(data.get("cfmimo", {}), {"L": _count}, "cfmimo"),
         ric=_ric(data.get("ric", {})),
-        planner=dict(data.get("planner", {})),
+        planner=_planner(data.get("planner", {})),
     )
     scenario.validate()
     return scenario

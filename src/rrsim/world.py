@@ -132,17 +132,6 @@ def _best_server(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return best, rows
 
 
-def best_snr_db(
-    access_nodes: list[NodeState],
-    ue_positions: np.ndarray,
-    params: ch.ChannelParams,
-    obstacles,
-) -> tuple[np.ndarray, list[str | None]]:
-    """Best SNR per UE position and the id of the serving node."""
-    best, rows = _best_server(access_snr_matrix(access_nodes, ue_positions, params, obstacles))
-    return best, [None if r < 0 else access_nodes[r].node_id for r in rows.tolist()]
-
-
 class LinkBudget(NamedTuple):
     """Access SNR of one world state: rows follow `access_ids`, columns
     `ue_ids` (sorted), and each UE's best SNR with its serving row."""

@@ -172,6 +172,78 @@ class TestValidation:
         assert err == f"scenario error: {message}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
 
+    MOVE = {"time_ms": 1_000, "node_id": "rx1", "position": [0, 1.7, 1]}
+    BAD_SETTINGS = [
+        (("planner", "candidate_spacing_m"), "x", "planner.candidate_spacing_m: expected a finite number > 0, got 'x'"),
+        (("planner", "candidate_spacing_m"), 0, "planner.candidate_spacing_m: expected a finite number > 0, got 0"),
+        (("planner", "candidate_spacing_m"), -500, "planner.candidate_spacing_m: expected a finite number > 0, got -500"),
+        (("planner", "candidate_bounds"), [[1000, 0], [0, 1000]],
+         "planner.candidate_bounds: expected lo <= hi, got [[1000, 0], [0, 1000]]"),
+        (("planner", "candidate_bounds"), [[0, 0, 0], [1, 1, 1]],
+         "planner.candidate_bounds[0]: expected a point [x, y] of finite numbers, got [0, 0, 0]"),
+        (("planner", "candidate_bounds"), [[0, 0]],
+         "planner.candidate_bounds: expected a pair of corners [lo, hi], got [[0, 0]]"),
+        (("planner", "max_nodes"), "three", "planner.max_nodes: expected an integer, got 'three'"),
+        (("planner", "snr_threshold_db"), "high", "planner.snr_threshold_db: expected a finite number, got 'high'"),
+        (("planner", "uav_altitude_m"), float("nan"), "planner.uav_altitude_m: expected a finite number, got nan"),
+        (("planner", "uav_tx_power_dbm"), float("inf"), "planner.uav_tx_power_dbm: expected a finite number, got inf"),
+        (("planner", "backhaul_threshold_db"), None, "planner.backhaul_threshold_db: expected a finite number, got None"),
+        (("planner", "uav_freq_ghz"), 0, "planner.uav_freq_ghz: expected a finite number > 0, got 0"),
+        (("planner", "relay_sites"), [[0, 0]],
+         "planner.relay_sites[0]: expected a point [x, y, z] of finite numbers, got [0, 0]"),
+        (("planner", "relay_sites"), 5, "planner.relay_sites: expected a list, got 5"),
+        (("cfmimo", "L"), 0, "cfmimo.L: expected an integer >= 1, got 0"),
+        (("cfmimo", "L"), "two", "cfmimo.L: expected an integer >= 1, got 'two'"),
+        (("obstacles",), [[5, 6]], "obstacles[0][0]: expected a point [x, y, z] of finite numbers, got 5"),
+        (("obstacles",), 5, "obstacles: expected a list, got 5"),
+        (("obstacles",), [[[0, 0], [1, 1]]],
+         "obstacles[0][0]: expected a point [x, y, z] of finite numbers, got [0, 0]"),
+        (("obstacles",), [[[0, 0, 0], [1, float("inf"), 1]]],
+         "obstacles[0][1][1]: expected a finite number, got inf"),
+        (("disasters",), [{"time_ms": 1_000, "blockages": 5}], "disasters[0].blockages: expected a list, got 5"),
+        (("nodes", 3, "position"), [0, 0, float("nan")], "nodes[3].position[2]: expected a finite number, got nan"),
+        (("nodes", 1, "tx_power_dbm"), float("nan"), "nodes[1].tx_power_dbm: expected a finite number, got nan"),
+        (("nodes", 1, "freq_ghz"), float("inf"), "nodes[1].freq_ghz: expected a finite number > 0, got inf"),
+        (("nodes", 1, "freq_ghz"), 0, "nodes[1].freq_ghz: expected a finite number > 0, got 0"),
+        (("channel", "d0_m"), 0, "channel.d0_m: expected a finite number > 0, got 0"),
+        (("channel", "bandwidth_hz"), -1, "channel.bandwidth_hz: expected a finite number > 0, got -1"),
+        (("channel", "exponent"), float("nan"), "channel.exponent: expected a finite number, got nan"),
+        (("channel", "mcs_table"), [[float("-inf"), 1]],
+         "channel.mcs_table[0][0]: expected a finite number, got -inf"),
+        (("ric", "ue_moves"), [{**MOVE, "position": ["a", 0, 0]}],
+         "ric.ue_moves[0].position[0]: expected a finite number, got 'a'"),
+        (("ric", "ue_moves"), [{**MOVE, "position": [0, 1]}],
+         "ric.ue_moves[0].position: expected a point [x, y, z] of finite numbers, got [0, 1]"),
+        (("ric", "ue_moves"), [{"time_ms": 1_000, "node_id": "rx1"}],
+         "ric.ue_moves[0].position: expected a point [x, y, z] of finite numbers, got None"),
+        (("ric", "ue_moves"), [{**MOVE, "node_id": "ghost"}], "ric.ue_moves[0].node_id: unknown node 'ghost'"),
+        (("ric", "ue_moves"), [{"time_ms": 1_000, "position": [0, 1.7, 1]}],
+         "ric.ue_moves[0].node_id: unknown node None"),
+    ]
+
+    @pytest.mark.parametrize(
+        "keys, value, message", BAD_SETTINGS, ids=[message.split(":")[0] for _, _, message in BAD_SETTINGS]
+    )
+    def test_bad_setting_in_every_command(self, tmp_path, capsys, keys, value, message):
+        """Planner, cell-free, point and node settings are converted at load,
+        so each command rejects them before it simulates anything."""
+        with open(bundled_scenario_path("two_ue_demo.json")) as fh:
+            data = json.load(fh)
+        target = data
+        for key in keys[:-1]:
+            target = target[key] if isinstance(target, list) else target.setdefault(key, {})
+        target[keys[-1]] = value
+        scenario = write_scenario(tmp_path, data)
+        out = str(tmp_path / "out")
+        for argv in (
+            ["run", "--scenario", scenario, "--until", "5000", "--out", out],
+            ["plan", "--scenario", scenario, "--out", out],
+            ["codebook", "build", "--scenario", scenario, "--panel", "ris1", "--out", out],
+        ):
+            assert main(argv) == 2, argv
+            assert capsys.readouterr().err == f"scenario error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+
     def test_bad_panel_spec(self, capsys):
         rc = main(["ris", "bench", "--panel", "seventysix"])
         assert rc == 2

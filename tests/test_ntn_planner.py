@@ -6,12 +6,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrsim import channel as ch
 from rrsim import ntn_planner as planner
-from rrsim.scenario import scenario_from_dict
+from rrsim import world as world_mod
+from rrsim.cli import bundled_scenario_path
+from rrsim.runner import Simulation
+from rrsim.scenario import NodeKind, NodeStatus, load_scenario, scenario_from_dict
 from rrsim.simcore import rng_stream
-from rrsim.world import World
+from rrsim.world import NodeState, World, access_snr_matrix
 
 PARAMS = ch.ChannelParams(exponent=3.0)
 
@@ -274,3 +279,114 @@ class TestRelaySearchMemo:
             },
             {"child": "uav_0", "parent": "uav_1", "via": "direct", "snr_db": 86.118131},
         ]
+
+
+_xy = st.tuples(st.floats(0.0, 1000.0), st.floats(0.0, 1000.0))
+
+
+@st.composite
+def _outages(draw):
+    """A small post-strike snapshot over a 1 km square and a planner config
+    whose backhaul is always feasible."""
+    nodes = [{"id": "gw", "kind": "Gateway", "position": [500, 500, 30]}]
+    n_bs = draw(st.integers(0, 3))
+    for i in range(n_bs):
+        x, y = draw(_xy)
+        power = draw(st.floats(0.0, 40.0))
+        nodes.append({"id": f"bs_{i}", "kind": "TerrestrialBS", "position": [x, y, 25], "tx_power_dbm": power})
+    for k in range(draw(st.integers(0, 6))):
+        x, y = draw(_xy)
+        nodes.append({"id": f"ue_{k}", "kind": "UE", "position": [x, y, 1.5]})
+    obstacles = []
+    for _ in range(draw(st.integers(0, 2))):
+        (x, y), (w, h) = draw(_xy), draw(st.tuples(st.floats(1.0, 200.0), st.floats(1.0, 200.0)))
+        obstacles.append([[x, y, 0], [x + w, y + h, draw(st.floats(1.0, 60.0))]])
+    world = World(scenario_from_dict({"nodes": nodes, "obstacles": obstacles}))
+    failed = [f"bs_{i}" for i in range(n_bs) if draw(st.booleans())]
+    world.apply_strike(failed, [], [], 0)
+    world.heartbeat(0)
+    cfg = {
+        "snr_threshold_db": draw(st.floats(-10.0, 30.0)),
+        "max_nodes": draw(st.integers(1, 3)),
+        "uav_tx_power_dbm": draw(st.floats(0.0, 45.0)),
+        "candidate_bounds": ((0.0, 0.0), (1000.0, 1000.0)),
+        "candidate_spacing_m": 500.0,
+        "backhaul_threshold_db": -1e9,
+    }
+    return world.snapshot(0), cfg
+
+
+@settings(max_examples=100, deadline=None)
+@given(_outages())
+def test_one_candidate_matrix_and_the_estimate_match_per_node_oracles(case):
+    """The per-candidate loop of coverage_sets and the estimate as the best
+    SNR over the operational access nodes and the placements, computed as
+    they were before the planner shared one candidate matrix."""
+    snapshot, cfg = case
+    threshold, tx_power = cfg["snr_threshold_db"], cfg["uav_tx_power_dbm"]
+    obstacles, params = snapshot.obstacles, ch.ChannelParams()
+    ues = snapshot.ues()
+    ue_ids = [u.node_id for u in ues]
+    positions = np.array([u.position for u in ues], float).reshape(len(ues), 3)
+
+    candidates = planner.candidate_lattice(cfg["candidate_bounds"], 500.0)
+    want = []
+    for pos in candidates:
+        node = NodeState("cand", NodeKind.UAV, pos, NodeStatus.ACTIVE, tx_power, 3.5)
+        row = access_snr_matrix([node], positions, params, obstacles)[0]
+        want.append({ue_ids[j] for j in range(len(ues)) if row[j] >= threshold})
+    got = planner.coverage_sets(candidates, ue_ids, positions, threshold, params, obstacles, tx_power)
+    assert got == want
+
+    def best_snr(access):
+        matrix = access_snr_matrix(access, positions, params, obstacles)
+        if not access:
+            return np.full(len(ues), -np.inf)
+        return matrix[np.argmax(matrix, axis=0), np.arange(len(ues))]
+
+    access = snapshot.operational_access_nodes()
+    out = {ue_ids[j] for j, snr in enumerate(best_snr(access)) if snr < threshold}
+    assert planner.ues_out_of_service(snapshot, access, threshold, params) == out
+    for config in (cfg, {**cfg, "max_nodes": 0}):
+        plan = planner.build_plan(snapshot, params, config)
+        placed = [
+            NodeState(p.node_id, p.kind, p.position, NodeStatus.ACTIVE, p.tx_power_dbm, p.freq_ghz)
+            for p in plan.placements
+        ]
+        served = np.count_nonzero(best_snr(access + placed) >= threshold)
+        estimate = float(served) / len(ues) if ues else 1.0
+        assert plan.estimated_coverage_ratio == estimate
+        assert planner.build_plan(snapshot, params, config, set(out)) == plan
+        if config["max_nodes"] == 0:
+            assert plan.placements == []
+
+
+def test_planning_tick_makes_no_snr_matrix_over_access_nodes(monkeypatch):
+    """The earthquake demo plans once, at 120,000 ms. Its out-of-service set
+    comes from the monitor's link budget, so the planner builds one SNR matrix
+    over the candidates and one over the placements, none over access nodes."""
+    sim = Simulation(load_scenario(bundled_scenario_path("earthquake_demo.json")))
+    sim.run(119_999)
+    calls, plans, inside = [], [], []
+
+    def matrix(nodes, *args):
+        if inside:
+            calls.append([n.node_id for n in nodes])
+        return real_matrix(nodes, *args)
+
+    def build_plan(*args):
+        inside.append(sim.kernel.clock)
+        try:
+            plans.append(real_plan(*args))
+        finally:
+            inside.clear()
+        return plans[-1]
+
+    real_matrix, real_plan = world_mod.access_snr_matrix, planner.build_plan
+    for module in (world_mod, planner):
+        monkeypatch.setattr(module, "access_snr_matrix", matrix)
+    monkeypatch.setattr(planner, "build_plan", build_plan)
+    sim.run(120_000)
+    assert len(plans) == 1 and plans[0].placements
+    assert [set(ids) for ids in calls] == [{"cand"}, {"cand"}]
+    assert len(calls[1]) == len(plans[0].placements)

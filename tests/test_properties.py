@@ -280,9 +280,11 @@ def test_table_evaluator_is_bitwise_cascaded_gain(link, data):
         return ch.received_power_dbm(20.0, gain)
 
     assert evaluator(config) == oracle(config)
-    k = data.draw(st.integers(0, size - 1))
-    candidates = [config[:k] + [s] + config[k + 1:] for s in range(panel.n_states)]
-    assert evaluator.element_powers(config, k, panel.n_states) == [oracle(c) for c in candidates]
+    # Every power of one sweep pass from config, as the kernel logs it.
+    _, trace = iterative_optimize(evaluator, size, panel.n_states, initial=config, passes=1)
+    assert [power for _, _, power in trace.evaluations] == [
+        oracle(list(candidate)) for _, candidate, _ in trace.evaluations
+    ]
 
 
 @settings(max_examples=100, deadline=None)
@@ -297,7 +299,7 @@ def test_vectorised_sweep_matches_generic_sweep(link, passes):
     )
     size = panel.n_elements if members is None else members.size
     fast = iterative_optimize(evaluator, size, panel.n_states, passes=passes)
-    # A plain function has no element_powers, so this takes the generic path.
+    # A plain function has no sweep method, so this takes the generic path.
     slow = iterative_optimize(lambda c: evaluator(c), size, panel.n_states, passes=passes)
     assert fast[0] == slow[0]
     assert fast[1].evaluations == slow[1].evaluations

@@ -223,16 +223,18 @@ class TestModelEvaluator:
         _, evaluator = self.make()
         with pytest.raises(ch.LengthMismatch):
             evaluator([0, 0])
-        with pytest.raises(ch.LengthMismatch):
-            evaluator.element_powers([0, 0], 0, 4)
+        with pytest.raises(EvaluatorFailure) as info:
+            iterative_optimize(evaluator, 2, 4)
+        assert isinstance(info.value.__cause__, ch.LengthMismatch)
 
     def test_part_config_length_checked(self):
         _, part = self.make(part_elements=np.array([1, 3]))
         for config in ([2], [0, 1, 2]):
             with pytest.raises(ch.LengthMismatch, match=f"config length {len(config)} != part element count 2"):
                 part(config)
-            with pytest.raises(ch.LengthMismatch):
-                part.element_powers(config, 0, 4)
+            with pytest.raises(EvaluatorFailure) as info:
+                iterative_optimize(part, len(config), 4, initial=config)
+            assert isinstance(info.value.__cause__, ch.LengthMismatch)
 
     def test_rx_on_element_fails_in_the_sweep_not_at_construction(self):
         panel = ch.RisPanel.planar("p", (0, 0, 1), rows=1, cols=4, pitch_m=0.05)
@@ -266,7 +268,10 @@ class TestModelEvaluator:
         _, part = self.make(part_elements=np.array([1, 3]), base_config=base)
         base[0] = 0  # later edits of the caller's list are not seen
         assert part([2, 2]) == full([3, 2, 2, 2])
-        assert part.element_powers([2, 2], 1, 4) == [full([3, 2, 2, s]) for s in range(4)]
+        _, trace = iterative_optimize(part, 2, 4, initial=[2, 2], passes=1)
+        assert [power for _, _, power in trace.evaluations] == [
+            full([3, c[0], 2, c[1]]) for _, c, _ in trace.evaluations
+        ]
 
 
 class TestSweepKernel:

@@ -6,7 +6,7 @@ import pytest
 
 from rrsim import channel as ch
 from rrsim.scenario import NodeKind, NodeStatus, scenario_from_dict
-from rrsim.world import World, access_snr_matrix, best_snr_db
+from rrsim.world import World, access_snr_matrix
 
 BASE = {
     "nodes": [
@@ -118,17 +118,21 @@ class TestSnrHelpers:
         assert matrix.shape == (2, 1)
 
     def test_best_picks_nearest(self):
-        world = make_world()
-        access = world.snapshot(0).operational_access_nodes()
-        positions = np.array([[100.0, 0.0, 1.5], [700.0, 0.0, 1.5]])
-        best, servers = best_snr_db(access, positions, self.PARAMS, ())
-        assert servers == ["bs1", "bs2"]
-        assert best[0] > best[1] - 1e9  # finite values
+        budget = make_world().link_budget()
+        assert budget.ue_ids == ["ue1", "ue2"]
+        assert [budget.access_ids[r] for r in budget.server_rows.tolist()] == ["bs1", "bs2"]
+        assert np.all(np.isfinite(budget.best_db))
+        assert budget.best_db.tolist() == budget.snr_db.max(axis=0).tolist()
 
     def test_no_access_nodes(self):
-        best, servers = best_snr_db([], np.array([[0.0, 0.0, 1.5]]), self.PARAMS, ())
-        assert servers == [None]
-        assert best[0] == -np.inf
+        world = make_world()
+        for budget in (world.link_budget(()), world.link_budget(("bs1",))):
+            assert budget.snr_db.shape == (len(budget.access_ids), 2)
+        world.apply_strike(["bs1", "bs2"], [], [], 0)
+        budget = world.link_budget()
+        assert budget.access_ids == () and budget.snr_db.shape == (0, 2)
+        assert budget.server_rows.tolist() == [-1, -1]
+        assert budget.best_db.tolist() == [-np.inf, -np.inf]
 
     def test_blockage_reduces_snr(self):
         world = make_world()

@@ -3,7 +3,9 @@
 The runs are the three bundled scenarios at the `--until` values of
 `tests/test_golden_artifacts.py`, plus `rrs run` on the generated
 `quake_4h` and `ris_emergency` inputs and `rrs plan` on the generated
-`plan_blocked` input, seeds 0-2 (from `perfbench.inputs`). Then the RIS
+`plan_blocked` input, seeds 0-2 (from `perfbench.inputs`), and `rrs plan` on
+`earthquake_demo.json` with the default `max_nodes` and with `--max-nodes 1`
+(a planner without relays, at the full precision of `plan.json`). Then the RIS
 outputs: `rrs ris bench` on a 76x4 panel (bench seeds 0-2, the iterative,
 grouping and codebook algorithms) and `rrs codebook build` for both parts of
 the panel of `two_ue_demo.json` and of the `ris_emergency` inputs, seeds 0-2.
@@ -44,6 +46,7 @@ SEEDS = (0, 1, 2)
 RUN_ARTIFACTS = ("metrics.csv", "actions.log", "summary.json")
 RIS_BENCH = ("--panel", "76,4", "--seeds", "3", "--algorithms", "iterative,grouping,codebook")
 RIS_PANEL, RIS_PARTS = "ris1", (0, 1)
+QUAKE_PLANS = (("plan.json", ()), ("plan_max_nodes_1.json", ("--max-nodes", "1")))
 
 
 def digest(path: str) -> str:
@@ -104,6 +107,10 @@ def main() -> None:
             plan = os.path.join(tmp, f"plan_blocked_{seed}.json")
             rrs("plan", "--scenario", path, "--out", plan)
             print(f"{digest(plan)}  plan_blocked/seed{seed}/plan.json")
+        for name, options in QUAKE_PLANS:
+            plan = os.path.join(tmp, name)
+            rrs("plan", "--scenario", cli.bundled_scenario_path("earthquake_demo.json"), *options, "--out", plan)
+            print(f"{digest(plan)}  earthquake_demo.json/{name}")
 
         bench = os.path.join(tmp, "ris_bench_76x4.csv")
         rrs("ris", "bench", *RIS_BENCH, "--out", bench)
