@@ -18,17 +18,13 @@ from .ris_opt import (
     select_codeword,
 )
 from .cfmimo import ClusterAssignment, cluster
-from .scenario import NodeStatus
+from .scenario import POLICY_FAST_RECOVERY, POLICY_MAX_THROUGHPUT, POLICY_RIS_OFF, NodeStatus  # noqa: F401
 from .simcore import Event, EventKind, Kernel
-from .world import DEFAULT_SNR_THRESHOLD_DB, LinkBudget, TopologySnapshot, World
+from .world import DEFAULT_SNR_THRESHOLD_DB, LinkBudget, World
 
 NON_RT_MIN_INTERVAL_MS = 1_000
 NEAR_RT_MIN_INTERVAL_MS = 10
 NEAR_RT_MAX_INTERVAL_MS = 1_000
-
-POLICY_FAST_RECOVERY = "fast-recovery"
-POLICY_MAX_THROUGHPUT = "max-throughput"
-POLICY_RIS_OFF = "ris-off"
 
 
 class RicError(Exception):
@@ -49,7 +45,7 @@ class Action:
     params: dict[str, Any] = field(default_factory=dict)
 
 
-Handler = Callable[["Controller", TopologySnapshot], list[Action]]
+Handler = Callable[["Controller"], list[Action]]
 Gate = Callable[["Controller"], bool]
 
 
@@ -60,15 +56,17 @@ class ControllerApp:
     handler: Handler
     interval_ms: int
     # True when the handler would return [] and change nothing; the app is
-    # then skipped without a snapshot. None runs the app at every tick.
+    # then skipped. None runs the app at every tick.
     idle: Gate | None = None
 
 
 class Controller:
     """Registers apps, dispatches their ticks, and applies returned actions.
 
-    Handlers see an immutable topology snapshot; only the controller mutates
-    the world, so app effects serialize in action order. A failing handler is
+    Handlers read the live world through the controller; only the
+    controller's actions mutate it, so app effects serialize in action order
+    and each app sees what the apps before it did. Only the recovery planner
+    takes a frozen `World.snapshot`, once per plan. A failing handler is
     logged and never halts the run.
 
     Every app is periodic: a change to the world reaches an app through its
@@ -95,7 +93,6 @@ class Controller:
         self.blackboard: dict[str, Any] = {}
         self.codebooks: dict[tuple[str, int], Codebook] = {}
         self.cluster_assignment: ClusterAssignment | None = None
-        self._snapshot_cache: tuple[int, TopologySnapshot] | None = None
         # (panel, UE) -> (world version, evaluator); the table outlives
         # configuration changes, which do not bump the version.
         self._ris_links: dict[tuple[str, str], tuple[int, ModelEvaluator]] = {}
@@ -128,23 +125,6 @@ class Controller:
 
     # --- dispatch ----------------------------------------------------------
 
-    def snapshot(self) -> TopologySnapshot:
-        """The world as of now. Node tuples are rebuilt only when the world
-        version changed; a moved clock or new heartbeats just rebind those
-        two fields."""
-        key = self.world.version
-        cached = self._snapshot_cache
-        if cached is None or cached[0] != key:
-            snap = self.world.snapshot(self.kernel.clock)
-        else:
-            snap = cached[1]
-            now, beats = self.kernel.clock, self.world.last_heartbeat
-            if snap.now_ms == now and snap.last_heartbeat is beats:
-                return snap
-            snap = snap._rebind(now, beats)
-        self._snapshot_cache = (key, snap)
-        return snap
-
     def _on_tick(self, kernel: Kernel, event: Event) -> None:
         group = event.payload["apps"]
         self._run_apps(group)
@@ -162,7 +142,7 @@ class Controller:
 
     def _run_app(self, app: ControllerApp) -> None:
         try:
-            actions = app.handler(self, self.snapshot())
+            actions = app.handler(self)
         except Exception as exc:
             self.kernel.log.log_action(self.kernel.clock, f"AppError {app.name}: {exc}")
             return
@@ -212,13 +192,13 @@ class Controller:
         else:
             raise RicError(f"unknown action kind {action.kind}")
 
-    def _operational_links(self, snapshot: TopologySnapshot) -> LinkBudget:
-        """The world's link budget from the snapshot's operational access
-        nodes, those that serve with a fresh heartbeat."""
-        return self.world.link_budget(tuple(n.node_id for n in snapshot.operational_access_nodes()))
+    def _operational_links(self) -> LinkBudget:
+        """The world's link budget from the operational access nodes, those
+        that serve with a fresh heartbeat now."""
+        return self.world.link_budget(self.world.operational_access_ids(self.kernel.clock))
 
     def _recluster(self, max_aps: int) -> ClusterAssignment:
-        links = self._operational_links(self.snapshot())
+        links = self._operational_links()
         if not links.access_ids or not links.ue_ids:
             return ClusterAssignment({})
         gains = {
@@ -283,16 +263,16 @@ class Controller:
 # --- built-in applications ---------------------------------------------------
 
 
-def _out_of_service(ctl: Controller, snapshot: TopologySnapshot) -> set[str]:
-    """UEs whose best SNR from the snapshot's operational access nodes is
-    below the planner threshold, read from the world's cached link budget."""
-    links = ctl._operational_links(snapshot)
+def _out_of_service(ctl: Controller) -> set[str]:
+    """UEs whose best SNR from the operational access nodes is below the
+    planner threshold, read from the world's cached link budget."""
+    links = ctl._operational_links()
     threshold = ctl.world.scenario.planner.get("snr_threshold_db", DEFAULT_SNR_THRESHOLD_DB)
     return {ue_id for ue_id, snr in zip(links.ue_ids, links.best_db.tolist()) if snr < threshold}
 
 
-def _failure_monitor(ctl: Controller, snapshot: TopologySnapshot) -> list[Action]:
-    oos = _out_of_service(ctl, snapshot)
+def _failure_monitor(ctl: Controller) -> list[Action]:
+    oos = _out_of_service(ctl)
     previous = ctl.blackboard.get("out_of_service")
     ctl.blackboard["out_of_service"] = oos
     if previous != oos and oos:
@@ -304,11 +284,12 @@ def _planner_idle(ctl: Controller) -> bool:
     return not ctl.blackboard.get("out_of_service") or bool(ctl.blackboard.get("plan_deployed"))
 
 
-def _recovery_planner(ctl: Controller, snapshot: TopologySnapshot) -> list[Action]:
+def _recovery_planner(ctl: Controller) -> list[Action]:
     if _planner_idle(ctl):
         return []
     plan = planner.build_plan(
-        snapshot, ctl.params, ctl.world.scenario.planner, _out_of_service(ctl, snapshot)
+        ctl.world.snapshot(ctl.kernel.clock), ctl.params, ctl.world.scenario.planner,
+        _out_of_service(ctl),
     )
     if not plan.placements:
         return []
@@ -327,7 +308,7 @@ def _tracker_idle(ctl: Controller) -> bool:
     return _tracker_off(ctl) or ctl.blackboard.get("codebook_key") == ctl.world.link_state()
 
 
-def _ris_codebook_tracker(ctl: Controller, snapshot: TopologySnapshot) -> list[Action]:
+def _ris_codebook_tracker(ctl: Controller) -> list[Action]:
     if _tracker_off(ctl):
         return []
     actions: list[Action] = []
@@ -356,7 +337,7 @@ def _tuner_idle(ctl: Controller) -> bool:
     )
 
 
-def _ris_iterative_tuner(ctl: Controller, snapshot: TopologySnapshot) -> list[Action]:
+def _ris_iterative_tuner(ctl: Controller) -> list[Action]:
     if _tuner_idle(ctl):
         return []
     actions: list[Action] = []
@@ -391,7 +372,7 @@ def _clusterer_idle(ctl: Controller) -> bool:
     return ctl.blackboard.get("cluster_version") == ctl.world.version
 
 
-def _cf_clusterer(ctl: Controller, snapshot: TopologySnapshot) -> list[Action]:
+def _cf_clusterer(ctl: Controller) -> list[Action]:
     if _clusterer_idle(ctl):
         return []
     ctl.blackboard["cluster_version"] = ctl.world.version
@@ -403,13 +384,13 @@ def _script_idle(ctl: Controller) -> bool:
     return not ctl._script or ctl._script[0]["time_ms"] > ctl.kernel.clock
 
 
-def _script_runner(ctl: Controller, snapshot: TopologySnapshot) -> list[Action]:
+def _script_runner(ctl: Controller) -> list[Action]:
     if _script_idle(ctl):
         return []
     actions: list[Action] = []
     remaining = []
     for entry in ctl._script:
-        if entry["time_ms"] > snapshot.now_ms:
+        if entry["time_ms"] > ctl.kernel.clock:
             remaining.append(entry)
             continue
         if "policy" in entry:
@@ -440,7 +421,7 @@ def _stub(name: str, text: str, interval_ms: int) -> ControllerApp:
     def idle(ctl: Controller) -> bool:
         return bool(ctl.blackboard.get(key))
 
-    def handler(ctl: Controller, snapshot: TopologySnapshot) -> list[Action]:
+    def handler(ctl: Controller) -> list[Action]:
         if idle(ctl):
             return []
         ctl.blackboard[key] = True

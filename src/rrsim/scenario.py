@@ -58,6 +58,13 @@ class NodeStatus(str, Enum):
 
 ACCESS_KINDS = frozenset({NodeKind.TERRESTRIAL_BS, NodeKind.MOBILE_BS, NodeKind.UAV})
 SERVING_STATUSES = frozenset({NodeStatus.OPERATIONAL, NodeStatus.ON_BATTERY, NodeStatus.ACTIVE})
+# Iterating an Enum is slow: the names a node may use, listed once.
+_KINDS, _STATUSES = tuple(k.value for k in NodeKind), tuple(s.value for s in NodeStatus)
+
+POLICY_FAST_RECOVERY = "fast-recovery"
+POLICY_MAX_THROUGHPUT = "max-throughput"
+POLICY_RIS_OFF = "ris-off"
+POLICIES = (POLICY_FAST_RECOVERY, POLICY_MAX_THROUGHPUT, POLICY_RIS_OFF)
 
 
 @dataclass(frozen=True)
@@ -290,6 +297,14 @@ def _point(raw, *path: str | int, dims: int = 3) -> tuple[float, ...]:
     return tuple(_number(_finite, c, *path, k) for k, c in enumerate(raw))
 
 
+def _choice(raw, choices, *path: str | int):
+    """raw if it is one of choices, else a ParseError that names the field
+    by the last key of its path and lists the choices."""
+    if raw not in choices:
+        raise ParseError(f"{_where(*path)}: unknown {path[-1]} {raw!r} (choose from {', '.join(choices)})")
+    return raw
+
+
 def _pair(raw, shape: str, *path: str | int):
     if not isinstance(raw, (list, tuple)) or len(raw) != 2:
         raise ParseError(f"{_where(*path)}: expected a pair {shape}, got {raw!r}")
@@ -319,13 +334,10 @@ def _pairs(raw, first, second, *path: str | int) -> tuple[tuple[Any, Any], ...]:
 _RIS_LAYOUT = {"rows": int, "cols": int, "pitch_m": float, "normal_axis": int}
 
 
-def _node_from_dict(raw: dict[str, Any], index: int) -> Node:
-    try:
-        kind = NodeKind(raw["kind"])
-    except ValueError as exc:
-        raise ParseError(f"node {raw.get('id')!r}: unknown kind {raw.get('kind')!r}") from exc
-    except KeyError as exc:
-        raise ParseError(f"node entry missing key {exc}") from exc
+def _node_from_dict(raw, index: int) -> Node:
+    raw = _object(raw, "nodes", index)
+    kind = _choice(raw.get("kind"), _KINDS, "nodes", index, "kind")
+    status = _choice(raw.get("status", "Operational"), _STATUSES, "nodes", index, "status")
     if "id" not in raw or "position" not in raw:
         raise ParseError(f"node entry missing 'id' or 'position': {raw}")
     ris = raw.get("ris")
@@ -333,9 +345,9 @@ def _node_from_dict(raw: dict[str, Any], index: int) -> Node:
         ris = _settings(ris, _RIS_LAYOUT, "nodes", index, "ris")
     return Node(
         node_id=str(raw["id"]),
-        kind=kind,
+        kind=NodeKind(kind),
         position=_point(raw["position"], "nodes", index, "position"),
-        status=NodeStatus(raw.get("status", "Operational")),
+        status=NodeStatus(status),
         tx_power_dbm=_number(_finite, raw.get("tx_power_dbm", 30.0), "nodes", index, "tx_power_dbm"),
         freq_ghz=_number(_positive, raw.get("freq_ghz", 3.5), "nodes", index, "freq_ghz"),
         battery_ms=_optional(raw, "battery_ms", int, "nodes", index),
@@ -362,9 +374,14 @@ def _surge(raw: dict[str, Any], key: str, default) -> tuple[tuple[int, float], .
 
 
 def _ric(raw) -> dict[str, Any]:
-    """The free-form ric object, with the time and position of each UE move
-    converted."""
+    """The free-form ric object, with each policy name checked and the time
+    and position of each UE move converted."""
     ric = dict(_object(raw, "ric"))
+    if "policy" in ric:
+        _choice(ric["policy"], POLICIES, "ric", "policy")
+    for i, entry in enumerate(_list(ric.get("script", ()), "ric", "script")):
+        if "policy" in _object(entry, "ric", "script", i):
+            _choice(entry["policy"], POLICIES, "ric", "script", i, "policy")
     if "ue_moves" in ric:
         path = ("ric", "ue_moves")
         moves = []

@@ -3,8 +3,8 @@
 The scenario stays frozen after load; everything that changes during a run
 (node status, batteries, obstacles added at strike time, RIS configurations,
 heartbeats) lives here, and only `World` methods write it. Node and obstacle
-changes bump `World.version`, the key of the snapshot and link-budget caches;
-RIS configurations change through `World.configure_ris`.
+changes bump `World.version`, the key of the link-budget cache; RIS
+configurations change through `World.configure_ris`.
 """
 
 from __future__ import annotations
@@ -26,6 +26,11 @@ from .scenario import (
 
 DEFAULT_HEARTBEAT_MS = 10_000
 DEFAULT_SNR_THRESHOLD_DB = 3.0
+
+
+def _fresh(last_ms: int | None, now_ms: int, window_ms: int) -> bool:
+    """A heartbeat last seen at last_ms (None: never) is fresh at now_ms."""
+    return last_ms is not None and now_ms - last_ms <= window_ms
 
 
 @dataclass
@@ -75,17 +80,7 @@ class TopologySnapshot:
         return self.by_kind(NodeKind.GATEWAY)
 
     def heartbeat_fresh(self, node_id: str) -> bool:
-        last = self.last_heartbeat.get(node_id)
-        return last is not None and self.now_ms - last <= self.heartbeat_window_ms
-
-    def _rebind(self, now_ms: int, last_heartbeat: dict[str, int]) -> "TopologySnapshot":
-        """This snapshot at another instant: nodes and obstacles shared, clock
-        and heartbeat dict replaced. A plain copy of the instance dict, so
-        the frozen fields are not set one by one as `dataclasses.replace`
-        does through `__init__`."""
-        snap = object.__new__(TopologySnapshot)
-        snap.__dict__.update(self.__dict__, now_ms=now_ms, last_heartbeat=last_heartbeat)
-        return snap
+        return _fresh(self.last_heartbeat.get(node_id), self.now_ms, self.heartbeat_window_ms)
 
     def operational_access_nodes(self) -> list[NodeState]:
         return [
@@ -110,10 +105,7 @@ def access_snr_matrix(
     for node in access_nodes:
         pos = np.asarray(node.position, float)
         d = np.linalg.norm(ue_positions - pos, axis=1)
-        d = np.maximum(d, params.d0_m)
-        pl = ch.free_space_pl_db(params.d0_m, node.freq_ghz) + 10.0 * params.exponent * np.log10(
-            d / params.d0_m
-        )
+        pl = ch._path_loss_db_vec(d, node.freq_ghz, params)
         blocked = ch.segment_blocked_many(pos, ue_positions, obstacles)
         pl = pl + params.blockage_penalty_db * blocked
         rows.append(node.tx_power_dbm - pl - noise)
@@ -164,8 +156,8 @@ class World:
         self.ris_configs: dict[str, np.ndarray] = {}
         self._ris_bytes: tuple[bytes, ...] = ()
         self._next_deploy_index = 0
-        # Bumped by every method below that changes nodes or obstacles; caches
-        # of snapshots and link budgets are keyed on it.
+        # Bumped by every method below that changes nodes or obstacles; the
+        # serving ids and the link budget are keyed on it.
         self.version = 0
         # (version, ids of the serving nodes, sorted ids of the serving
         # access nodes) and ((version, access ids), link budget).
@@ -242,6 +234,13 @@ class World:
             access = tuple(sorted(nid for nid in ids if self.nodes[nid].kind in ACCESS_KINDS))
             self._serving = (self.version, ids, access)
         return self._serving[1], self._serving[2]
+
+    def operational_access_ids(self, now_ms: int) -> tuple[str, ...]:
+        """Sorted ids of the serving access nodes whose heartbeat is fresh at
+        now_ms: the ids of `snapshot(now_ms).operational_access_nodes()`."""
+        beats, window = self.last_heartbeat, self.heartbeat_window_ms
+        access = self._serving_ids()[1]
+        return tuple(nid for nid in access if _fresh(beats.get(nid), now_ms, window))
 
     def heartbeat(self, now_ms: int) -> None:
         """Every serving node reports now."""

@@ -157,9 +157,17 @@ class TestValidation:
              "obstacles[0]: expected a pair of corners [lo, hi], got [[0, 0, 0], [1, 1, 1], [2, 2, 2]]"),
             ("earthquake_demo.json", lambda d: d["disasters"][0].update(blockages=[[[0, 0, 0]]]),
              "disasters[0].blockages[0]: expected a pair of corners [lo, hi], got [[0, 0, 0]]"),
+            ("two_ue_demo.json", lambda d: d["nodes"][1].update(status="Broken"),
+             "nodes[1].status: unknown status 'Broken' "
+             "(choose from Operational, Failed, OnBattery, Deploying, Active)"),
+            ("two_ue_demo.json", lambda d: d["ric"].update(policy="bogus"),
+             "ric.policy: unknown policy 'bogus' (choose from fast-recovery, max-throughput, ris-off)"),
+            ("two_ue_demo.json", lambda d: d["ric"].update(script=[{"time_ms": 1_000, "policy": "fast-recovry"}]),
+             "ric.script[0].policy: unknown policy 'fast-recovry' "
+             "(choose from fast-recovery, max-throughput, ris-off)"),
         ],
         ids=["strike_without_time", "surge_row_of_three", "move_time", "obstacle_of_three_corners",
-             "blockage_of_one_corner"],
+             "blockage_of_one_corner", "unknown_status", "unknown_policy", "unknown_script_policy"],
     )
     def test_malformed_structure(self, tmp_path, capsys, demo, edit, message):
         with open(bundled_scenario_path(demo)) as fh:

@@ -372,7 +372,7 @@ class _OneTickPerApp:
 
     def _on_tick(self, kernel, event):
         app = event.payload["app"]
-        app.handler(self, None)
+        app.handler(self)
         kernel.schedule(kernel.clock + app.interval_ms, event.kind, event.payload)
 
 
@@ -405,7 +405,7 @@ def _dispatch_order(steps, grouped):
     order = []
 
     def register(name, tier, interval):
-        handler = lambda ctl, snapshot: order.append((ctl.kernel.clock, name)) or []  # noqa: E731
+        handler = lambda ctl: order.append((ctl.kernel.clock, name)) or []  # noqa: E731
         dispatcher.register_app(ControllerApp(name, tier, handler, interval))
 
     def on_event(kernel, event):

@@ -56,60 +56,71 @@ def nearrt(name, handler, interval=100):
 class TestRegistration:
     def test_duplicate_names_rejected(self):
         ctl, _ = make_controller()
-        ctl.register_app(nonrt("a", lambda c, s: []))
+        ctl.register_app(nonrt("a", lambda c: []))
         with pytest.raises(DuplicateName):
-            ctl.register_app(nonrt("a", lambda c, s: []))
+            ctl.register_app(nonrt("a", lambda c: []))
 
     def test_non_rt_interval_floor(self):
         ctl, _ = make_controller()
         with pytest.raises(InvalidInterval):
-            ctl.register_app(nonrt("fast", lambda c, s: [], interval=500))
-        ctl.register_app(nonrt("ok", lambda c, s: [], interval=1_000))
+            ctl.register_app(nonrt("fast", lambda c: [], interval=500))
+        ctl.register_app(nonrt("ok", lambda c: [], interval=1_000))
 
     def test_near_rt_interval_band(self):
         ctl, _ = make_controller()
         with pytest.raises(InvalidInterval):
-            ctl.register_app(nearrt("too_fast", lambda c, s: [], interval=5))
+            ctl.register_app(nearrt("too_fast", lambda c: [], interval=5))
         with pytest.raises(InvalidInterval):
-            ctl.register_app(nearrt("too_slow", lambda c, s: [], interval=1_500))
-        ctl.register_app(nearrt("lo", lambda c, s: [], interval=10))
-        ctl.register_app(nearrt("hi", lambda c, s: [], interval=1_000))
+            ctl.register_app(nearrt("too_slow", lambda c: [], interval=1_500))
+        ctl.register_app(nearrt("lo", lambda c: [], interval=10))
+        ctl.register_app(nearrt("hi", lambda c: [], interval=1_000))
 
 
 class TestDispatch:
     def test_periodic_ticks(self):
         ctl, kernel = make_controller()
         calls = []
-        ctl.register_app(nearrt("ticker", lambda c, s: calls.append(c.kernel.clock) or [], 100))
+        ctl.register_app(nearrt("ticker", lambda c: calls.append(c.kernel.clock) or [], 100))
         kernel.run_until(350)
         assert calls == [100, 200, 300]
 
     def test_failing_handler_is_logged_not_fatal(self):
         ctl, kernel = make_controller()
 
-        def broken(c, s):
+        def broken(c):
             raise RuntimeError("boom")
 
         ctl.register_app(nearrt("bad", broken, 100))
-        ctl.register_app(nearrt("good", lambda c, s: [Action("Note", {"text": "alive"})], 100))
+        ctl.register_app(nearrt("good", lambda c: [Action("Note", {"text": "alive"})], 100))
         kernel.run_until(100)
         texts = [d for _, d in kernel.log.actions]
         assert any("AppError bad" in t for t in texts)
         assert any("alive" in t for t in texts)
 
-    def test_snapshot_cached_within_instant(self):
-        ctl, kernel = make_controller()
-        seen = []
-        ctl.register_app(nearrt("a", lambda c, s: seen.append(s) or [], 100))
-        ctl.register_app(nearrt("b", lambda c, s: seen.append(s) or [], 100))
-        kernel.run_until(100)
-        assert seen[0] is seen[1]
+    def test_later_app_reads_the_live_world(self):
+        """An app sees what an earlier app of its group did at the same tick."""
+        from rrsim.ntn_planner import DeploymentPlan, Placement
+        from rrsim.scenario import NodeKind
 
-    def test_snapshot_refreshes_on_topology_change(self):
         ctl, kernel = make_controller()
-        first = ctl.snapshot()
-        ctl.world.version += 1
-        assert ctl.snapshot() is not first
+        plan = DeploymentPlan(placements=[Placement("uav_0", NodeKind.UAV, (50, 50, 120), 35.0, 3.5)])
+        seen = []
+        ctl.register_app(nonrt("deploy", lambda c: [Action("DeployPlan", {"plan": plan})], 1_000))
+        ctl.register_app(nonrt("read", lambda c: seen.append(c.world.operational_access_ids(1_000)) or [], 1_000))
+        kernel.run_until(1_000)
+        assert seen == [("bs1", "deployed_0")]
+
+    def test_ue_move_event_moves_the_live_node(self):
+        ctl, kernel = make_controller()
+        first = ctl.world.snapshot(0)
+        version = ctl.world.version
+        kernel.schedule(10, EventKind.UE_MOVE, {"node_id": "ue1", "position": [300, 0, 1.5]})
+        kernel.run_until(10)
+        assert ctl.world.nodes["ue1"].position == (300, 0, 1.5)
+        assert ctl.world.version == version + 1
+        ue = next(n for n in ctl.world.snapshot(10).nodes if n.node_id == "ue1")
+        assert ue.position == (300, 0, 1.5)
+        assert next(n for n in first.nodes if n.node_id == "ue1").position == (100, 0, 1.5)
 
 
 class TestTierIsolation:
@@ -119,7 +130,7 @@ class TestTierIsolation:
 
         action = Action("DeployPlan", {"plan": DeploymentPlan()})
         with pytest.raises(RicError):
-            ctl.apply_action(action, nearrt("x", lambda c, s: []))
+            ctl.apply_action(action, nearrt("x", lambda c: []))
 
     def test_ris_config_reserved_to_near_rt(self):
         data = dict(BASE)
@@ -129,20 +140,20 @@ class TestTierIsolation:
         ctl, _ = make_controller(data=data)
         action = Action("ApplyRisConfig", {"panel": "r1", "part": 0, "config": [1, 1, 1, 1]})
         with pytest.raises(RicError):
-            ctl.apply_action(action, nonrt("x", lambda c, s: []))
-        ctl.apply_action(action, nearrt("y", lambda c, s: []))
+            ctl.apply_action(action, nonrt("x", lambda c: []))
+        ctl.apply_action(action, nearrt("y", lambda c: []))
         assert list(ctl.world.ris_configs["r1"]) == [1, 1, 1, 1]
 
     def test_unknown_action_kind(self):
         ctl, _ = make_controller()
         with pytest.raises(RicError):
-            ctl.apply_action(Action("Reboot"), nonrt("x", lambda c, s: []))
+            ctl.apply_action(Action("Reboot"), nonrt("x", lambda c: []))
 
 
 class TestActions:
     def test_switch_policy(self):
         ctl, _ = make_controller()
-        ctl.apply_action(Action("SwitchPolicy", {"name": "ris-off"}), nearrt("x", lambda c, s: []))
+        ctl.apply_action(Action("SwitchPolicy", {"name": "ris-off"}), nearrt("x", lambda c: []))
         assert ctl.policy == "ris-off"
 
     def test_deploy_plan_adds_nodes_and_bumps_version(self):
@@ -155,7 +166,7 @@ class TestActions:
             placements=[Placement("uav_0", NodeKind.UAV, (50, 50, 120), 35.0, 3.5)],
             estimated_coverage_ratio=1.0,
         )
-        ctl.apply_action(Action("DeployPlan", {"plan": plan}), nonrt("x", lambda c, s: []))
+        ctl.apply_action(Action("DeployPlan", {"plan": plan}), nonrt("x", lambda c: []))
         assert ctl.world.version == before + 1
         assert ctl.blackboard["plan_deployed"]
         deployed = [n for n in ctl.world.nodes.values() if n.node_id.startswith("deployed_")]
@@ -164,7 +175,7 @@ class TestActions:
     def test_recluster_builds_assignment(self):
         ctl, _ = make_controller()
         ctl.world.heartbeat(0)
-        ctl.apply_action(Action("Recluster", {"L": 1}), nearrt("x", lambda c, s: []))
+        ctl.apply_action(Action("Recluster", {"L": 1}), nearrt("x", lambda c: []))
         assert ctl.cluster_assignment.aps_for("ue1") == ("bs1",)
 
 
@@ -190,10 +201,9 @@ class TestBuiltinApps:
     def test_codebook_tracker_idle_under_max_throughput(self, two_ue_scenario):
         sim = Simulation(two_ue_scenario)
         sim.controller.policy = "max-throughput"
-        snapshot = sim.controller.snapshot()
         from rrsim.ric import _ris_codebook_tracker
 
-        assert _ris_codebook_tracker(sim.controller, snapshot) == []
+        assert _ris_codebook_tracker(sim.controller) == []
 
     def test_offline_codebooks_built_from_config(self, two_ue_scenario):
         sim = Simulation(two_ue_scenario)
@@ -209,37 +219,6 @@ class TestBuiltinApps:
         assert any("SwitchPolicy by ScriptRunner: ris-off" in t for t in texts)
         assert any("ApplyRisConfig by ScriptRunner" in t for t in texts)
         assert list(sim.world.ris_configs["ris1"]) == [0] * 76
-
-
-class TestSnapshotCache:
-    def test_clock_only_change_rebinds_time(self):
-        ctl, kernel = make_controller()
-        first = ctl.snapshot()
-        kernel.run_until(70_000)
-        later = ctl.snapshot()
-        assert later.now_ms == 70_000
-        assert later.nodes is first.nodes
-        # freshness is judged against the rebound clock
-        assert first.heartbeat_fresh("bs1")
-        assert not later.heartbeat_fresh("bs1")
-
-    def test_heartbeat_is_seen_without_rebuild(self):
-        ctl, kernel = make_controller()
-        first = ctl.snapshot()
-        kernel.run_until(70_000)
-        ctl.world.heartbeat(70_000)
-        later = ctl.snapshot()
-        assert later.nodes is first.nodes
-        assert later.heartbeat_fresh("bs1")
-
-    def test_ue_move_rebuilds_the_snapshot(self):
-        ctl, kernel = make_controller()
-        first = ctl.snapshot()
-        kernel.schedule(10, EventKind.UE_MOVE, {"node_id": "ue1", "position": [300, 0, 1.5]})
-        kernel.run_until(10)
-        ue = next(n for n in ctl.snapshot().nodes if n.node_id == "ue1")
-        assert ue.position == (300, 0, 1.5)
-        assert next(n for n in first.nodes if n.node_id == "ue1").position == (100, 0, 1.5)
 
 
 def fresh_ris_power(ctl, panel_id, config, ue_id):
@@ -284,7 +263,7 @@ class TestRisPowerCache:
         members = ctl.world.panels["ris1"].part_elements(0)
         ctl.apply_action(
             Action("ApplyRisConfig", {"panel": "ris1", "part": 0, "config": [1] * members.size}),
-            nearrt("x", lambda c, s: []),
+            nearrt("x", lambda c: []),
         )
         assert ctl.world.version == version
         after, fresh = self.power(ctl)
@@ -318,7 +297,7 @@ class TestRisPowerCache:
             return fresh_ris_power(ctl, "ris1", full, "rx1")
 
         expected, trace = iterative_optimize(oracle, members.size, 4, initial=list(config[members]))
-        action = _ris_iterative_tuner(ctl, ctl.snapshot())[0]
+        action = _ris_iterative_tuner(ctl)[0]
         assert action.params["config"] == expected
         assert action.params["feedback"] == trace.feedback_messages == members.size * 4
 
@@ -358,7 +337,7 @@ class TestFailureMonitorCache:
         # and after it.
         assert computed(calls) == [(0, 0), (60_000, 1)]
         _, _, expected = ntn_planner.detect_outage(
-            sim.controller.snapshot(), 3.0, sim.controller.params
+            sim.world.snapshot(sim.kernel.clock), 3.0, sim.controller.params
         )
         assert sim.controller.blackboard["out_of_service"] == expected
 
@@ -402,10 +381,10 @@ class TestFailureMonitorCache:
 
     def test_stale_heartbeat_is_part_of_the_key(self):
         ctl, kernel = make_controller()
-        assert _failure_monitor(ctl, ctl.snapshot()) == []
+        assert _failure_monitor(ctl) == []
         version = ctl.world.version
         kernel.run_until(70_000)  # no heartbeats: bs1 goes stale
-        actions = _failure_monitor(ctl, ctl.snapshot())
+        actions = _failure_monitor(ctl)
         assert ctl.world.version == version
         assert ctl.blackboard["out_of_service"] == {"ue1"}
         assert [a.kind for a in actions] == ["Note"]
@@ -463,14 +442,14 @@ class TestIdleGates:
         )
 
     def checked(self, app, skipped):
-        """The app with a gate that, whenever it skips, calls the handler on
-        the snapshot the app would have seen and checks that it does nothing."""
+        """The app with a gate that, whenever it skips, calls the handler and
+        checks that it does nothing."""
 
         def idle(ctl):
             if not app.idle(ctl):
                 return False
             before = self.gated_state(ctl)
-            assert app.handler(ctl, ctl.snapshot()) == [], (app.name, ctl.kernel.clock)
+            assert app.handler(ctl) == [], (app.name, ctl.kernel.clock)
             assert self.gated_state(ctl) == before, (app.name, ctl.kernel.clock)
             skipped[app.name] += 1
             return True

@@ -95,6 +95,35 @@ class TestSnapshot:
         snap = world.snapshot(0)
         assert [n.node_id for n in snap.operational_access_nodes()] == ["bs2"]
 
+    def test_operational_access_ids_match_the_snapshot(self):
+        """The live query gives the ids of a snapshot's operational access
+        nodes after every kind of change, and when a heartbeat goes stale at
+        an unchanged version."""
+        world = make_world()
+
+        def ids(now_ms):
+            expected = tuple(n.node_id for n in world.snapshot(now_ms).operational_access_nodes())
+            assert world.operational_access_ids(now_ms) == expected
+            return expected
+
+        assert ids(0) == ("bs1", "bs2")
+        world.apply_strike(["bs1"], ["bs2"], [], 1_000)
+        assert ids(1_000) == ("bs2",)
+        world.heartbeat(30_000)
+        world.add_deployed_node(NodeKind.UAV, (400, 0, 120), 35.0, 3.5, now_ms=40_000)
+        assert ids(40_000) == ("bs2", "deployed_0")
+        world.move_node("ue1", (300, 0, 1.5))
+        assert ids(50_000) == ("bs2", "deployed_0")
+        version = world.version
+        # 60 s window: bs2 last beat at 30 s, the UAV at 40 s
+        assert ids(95_000) == ("deployed_0",)
+        assert ids(101_000) == ()
+        assert world.version == version
+        world.heartbeat(101_000)
+        assert ids(101_000) == ("bs2", "deployed_0")
+        assert world.expire_battery("bs2")
+        assert ids(101_000) == ("deployed_0",)
+
     def test_ue_positions_sorted(self):
         world = make_world()
         ids, positions = world.ue_positions()
