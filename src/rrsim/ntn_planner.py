@@ -1,5 +1,7 @@
-"""Non-real-time recovery planning: outage detection, greedy aerial-node
-placement and backhaul tree formation with RIS relay fallback."""
+"""Non-real-time recovery planning: greedy aerial-node placement and backhaul
+tree formation with RIS relay fallback. The UEs to cover are the
+out-of-service set of the snapshot's link budget, the set the failure
+monitor reads."""
 
 from __future__ import annotations
 
@@ -88,40 +90,6 @@ class DeploymentPlan:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-
-def detect_outage(
-    snapshot: TopologySnapshot,
-    snr_threshold_db: float,
-    params: ch.ChannelParams,
-) -> tuple[set[str], set[str], set[str]]:
-    """Classify non-UE nodes as operational (serving with a fresh heartbeat)
-    or failed, and find out-of-service UEs."""
-    operational: set[str] = set()
-    failed: set[str] = set()
-    for node in snapshot.nodes:
-        if node.kind == NodeKind.UE:
-            continue
-        if node.serving and snapshot.heartbeat_fresh(node.node_id):
-            operational.add(node.node_id)
-        else:
-            failed.add(node.node_id)
-    access = snapshot.operational_access_nodes()
-    return operational, failed, ues_out_of_service(snapshot, access, snr_threshold_db, params)
-
-
-def ues_out_of_service(
-    snapshot: TopologySnapshot,
-    access: list[NodeState],
-    snr_threshold_db: float,
-    params: ch.ChannelParams,
-) -> set[str]:
-    """UEs whose best SNR from the given access nodes is below the threshold."""
-    ues = snapshot.ues()
-    positions = np.array([u.position for u in ues], float)
-    matrix = access_snr_matrix(access, positions, params, snapshot.obstacles)
-    best = matrix.max(axis=0, initial=-np.inf)
-    return {u.node_id for u, snr in zip(ues, best.tolist()) if snr < snr_threshold_db}
 
 
 def candidate_lattice(
@@ -324,10 +292,9 @@ def build_plan(
     snapshot: TopologySnapshot,
     params: ch.ChannelParams,
     planner_cfg: dict[str, Any],
-    out_of_service: set[str] | None = None,
 ) -> DeploymentPlan:
-    """Full non-real-time planning pass on one topology snapshot. A caller
-    that already has the snapshot's out-of-service UEs passes them in. The
+    """Full non-real-time planning pass on one topology snapshot, for the UEs
+    out of service in its link budget at the planner's SNR threshold. The
     estimate counts the UEs in service or covered by a placement."""
     snr_threshold = float(planner_cfg.get("snr_threshold_db", DEFAULT_SNR_THRESHOLD_DB))
     max_nodes = int(planner_cfg.get("max_nodes", 3))
@@ -342,10 +309,7 @@ def build_plan(
     ues = snapshot.ues()
     ue_ids = [u.node_id for u in ues]
     ue_positions = np.array([u.position for u in ues], float).reshape(len(ues), 3)
-    if out_of_service is None:
-        out_of_service = ues_out_of_service(
-            snapshot, snapshot.operational_access_nodes(), snr_threshold, params
-        )
+    out_of_service = snapshot.links.out_of_service(snr_threshold)
     if not out_of_service:
         return DeploymentPlan(estimated_coverage_ratio=1.0)
 

@@ -66,8 +66,9 @@ class Controller:
     Handlers read the live world through the controller; only the
     controller's actions mutate it, so app effects serialize in action order
     and each app sees what the apps before it did. Only the recovery planner
-    takes a frozen `World.snapshot`, once per plan. A failing handler is
-    logged and never halts the run.
+    takes a frozen `World.snapshot`, once per plan; its link budget is the
+    one the failure monitor just read, so both see one out-of-service set. A
+    failing handler is logged and never halts the run.
 
     Every app is periodic: a change to the world reaches an app through its
     idle gate at its next tick. Apps tick in groups: one kernel event runs a
@@ -242,8 +243,6 @@ class Controller:
 
     def _build_offline_codebooks(self) -> None:
         for panel_id, cfg in self.cfg.get("ris", {}).items():
-            if panel_id not in self.world.panels:
-                continue
             self.ris_tx_node(panel_id)  # an unknown tx fails even with no part to build
             for pid_str, part_cfg in cfg.get("parts", {}).items():
                 points = part_cfg.get("reference_points")
@@ -264,11 +263,10 @@ class Controller:
 
 
 def _out_of_service(ctl: Controller) -> set[str]:
-    """UEs whose best SNR from the operational access nodes is below the
-    planner threshold, read from the world's cached link budget."""
-    links = ctl._operational_links()
+    """UEs out of service in the operational link budget at the planner
+    threshold."""
     threshold = ctl.world.scenario.planner.get("snr_threshold_db", DEFAULT_SNR_THRESHOLD_DB)
-    return {ue_id for ue_id, snr in zip(links.ue_ids, links.best_db.tolist()) if snr < threshold}
+    return ctl._operational_links().out_of_service(threshold)
 
 
 def _failure_monitor(ctl: Controller) -> list[Action]:
@@ -287,10 +285,8 @@ def _planner_idle(ctl: Controller) -> bool:
 def _recovery_planner(ctl: Controller) -> list[Action]:
     if _planner_idle(ctl):
         return []
-    plan = planner.build_plan(
-        ctl.world.snapshot(ctl.kernel.clock), ctl.params, ctl.world.scenario.planner,
-        _out_of_service(ctl),
-    )
+    snapshot = ctl.world.snapshot(ctl.kernel.clock)
+    plan = planner.build_plan(snapshot, ctl.params, ctl.world.scenario.planner)
     if not plan.placements:
         return []
     return [Action("DeployPlan", {"plan": plan})]
@@ -313,9 +309,7 @@ def _ris_codebook_tracker(ctl: Controller) -> list[Action]:
         return []
     actions: list[Action] = []
     for (panel_id, part_id), codebook in sorted(ctl.codebooks.items()):
-        ue_id = ctl.ris_part_assignments(panel_id).get(part_id)
-        if ue_id is None or ue_id not in ctl.world.nodes:
-            continue
+        ue_id = ctl.ris_part_assignments(panel_id)[part_id]
         codeword = select_codeword(codebook, ctl.world.nodes[ue_id].position)
         members = ctl.world.panels[panel_id].part_elements(part_id)
         if list(ctl.world.ris_configs[panel_id][members]) != codeword:
@@ -343,8 +337,6 @@ def _ris_iterative_tuner(ctl: Controller) -> list[Action]:
     actions: list[Action] = []
     for panel_id, panel in sorted(ctl.world.panels.items()):
         for part_id, ue_id in sorted(ctl.ris_part_assignments(panel_id).items()):
-            if ue_id not in ctl.world.nodes:
-                continue
             members = panel.part_elements(part_id)
             evaluator = ctl.ris_evaluator(panel_id, ctl.world.nodes[ue_id].position, part_id)
             # Refine whatever is currently applied (e.g. a codeword picked

@@ -152,11 +152,15 @@ class Scenario:
             for nid in (*event.failed, *event.power_loss):
                 if nid not in known:
                     raise UnknownNode(f"disaster references unknown node {nid}")
+        panels = {n.node_id: n for n in self.nodes if n.kind == NodeKind.RIS_PANEL}
         for panel_id, cfg in self.ric.get("ris", {}).items():
             if not isinstance(cfg, dict):
                 raise ValidationError(f"RIS panel {panel_id}: entry must be an object")
             if cfg.get("tx") not in known:
                 raise UnknownNode(f"RIS panel {panel_id} tx references unknown node {cfg.get('tx')!r}")
+            if panel_id not in panels:
+                raise UnknownNode(f"{_where('ric', 'ris', panel_id)}: unknown RIS panel {panel_id!r}")
+            _check_ris_parts(cfg.get("parts", {}), panels[panel_id], known, "ric", "ris", panel_id, "parts")
         for i, move in enumerate(self.ric.get("ue_moves", ())):
             if move.get("node_id") not in known:
                 raise UnknownNode(f"ric.ue_moves[{i}].node_id: unknown node {move.get('node_id')!r}")
@@ -373,15 +377,41 @@ def _surge(raw: dict[str, Any], key: str, default) -> tuple[tuple[int, float], .
     return default if raw.get(key) is None else _pairs(raw[key], int, float, "traffic", key)
 
 
+def _check_ris_parts(parts, panel: Node, known: set[str], *path: str) -> None:
+    """Each part of a ric.ris entry names a part of the panel (0, and 1
+    when the panel is split in halves), a known `ue` and 3-D reference
+    points."""
+    part_ids = ("0", "1") if (panel.ris or {}).get("parts") == 2 else ("0",)
+    for key, part in _object(parts, *path).items():
+        if key not in part_ids:
+            raise ParseError(f"{_where(*path)}: unknown part {key!r} (choose from {', '.join(part_ids)})")
+        part = _object(part, *path, key)
+        if part.get("ue") not in known:
+            raise UnknownNode(f"{_where(*path, key, 'ue')}: unknown node {part.get('ue')!r}")
+        points = (*path, key, "reference_points")
+        for k, point in enumerate(_list(part.get("reference_points") or (), *points)):
+            _point(point, *points, k)
+
+
 def _ric(raw) -> dict[str, Any]:
-    """The free-form ric object, with each policy name checked and the time
-    and position of each UE move converted."""
+    """The free-form ric object, with each policy name and `ris_off` flag
+    checked and the time of each script entry and the time and position of
+    each UE move converted."""
     ric = dict(_object(raw, "ric"))
     if "policy" in ric:
         _choice(ric["policy"], POLICIES, "ric", "policy")
-    for i, entry in enumerate(_list(ric.get("script", ()), "ric", "script")):
-        if "policy" in _object(entry, "ric", "script", i):
-            _choice(entry["policy"], POLICIES, "ric", "script", i, "policy")
+    if "script" in ric:
+        path = ("ric", "script")
+        script = []
+        for i, entry in enumerate(_list(ric["script"], *path)):
+            time_ms = _field(_object(entry, *path, i), "time_ms", int, _REQUIRED, *path, i)
+            if "policy" in entry:
+                _choice(entry["policy"], POLICIES, *path, i, "policy")
+            if not isinstance(entry.get("ris_off", False), bool):
+                flag = entry["ris_off"]
+                raise ParseError(f"{_where(*path, i, 'ris_off')}: expected true or false, got {flag!r}")
+            script.append({**entry, "time_ms": time_ms})
+        ric["script"] = script
     if "ue_moves" in ric:
         path = ("ric", "ue_moves")
         moves = []

@@ -4,7 +4,9 @@ The scenario stays frozen after load; everything that changes during a run
 (node status, batteries, obstacles added at strike time, RIS configurations,
 heartbeats) lives here, and only `World` methods write it. Node and obstacle
 changes bump `World.version`, the key of the link-budget cache; RIS
-configurations change through `World.configure_ris`.
+configurations change through `World.configure_ris`. A UE is out of service
+when its best SNR in a link budget is below a threshold
+(`LinkBudget.out_of_service`).
 """
 
 from __future__ import annotations
@@ -26,11 +28,6 @@ from .scenario import (
 
 DEFAULT_HEARTBEAT_MS = 10_000
 DEFAULT_SNR_THRESHOLD_DB = 3.0
-
-
-def _fresh(last_ms: int | None, now_ms: int, window_ms: int) -> bool:
-    """A heartbeat last seen at last_ms (None: never) is fresh at now_ms."""
-    return last_ms is not None and now_ms - last_ms <= window_ms
 
 
 @dataclass
@@ -60,15 +57,31 @@ class NodeState:
         return self.status in SERVING_STATUSES
 
 
+class LinkBudget(NamedTuple):
+    """Access SNR of one world state: rows follow `access_ids`, columns
+    `ue_ids` (sorted), and each UE's best SNR with its serving row."""
+
+    ue_ids: list[str]
+    access_ids: tuple[str, ...]
+    snr_db: np.ndarray  # (n_access, n_ues)
+    best_db: np.ndarray  # (n_ues,)
+    server_rows: np.ndarray  # (n_ues,) the snr_db row of best_db, -1 where none is finite
+
+    def out_of_service(self, threshold_db: float) -> set[str]:
+        """The UEs whose best SNR is below the threshold."""
+        return {ue_id for ue_id, snr in zip(self.ue_ids, self.best_db.tolist()) if snr < threshold_db}
+
+
 @dataclass(frozen=True)
 class TopologySnapshot:
-    """Frozen view of the world as of one instant; safe to hand to planners."""
+    """Frozen view of the world as of one instant; safe to hand to planners.
+    `links` is the link budget of the operational access nodes, those that
+    serve with a fresh heartbeat at now_ms."""
 
     now_ms: int
     nodes: tuple[NodeState, ...]
     obstacles: tuple
-    last_heartbeat: dict[str, int]
-    heartbeat_window_ms: int
+    links: LinkBudget
 
     def by_kind(self, kind: NodeKind) -> list[NodeState]:
         return [n for n in self.nodes if n.kind == kind]
@@ -78,16 +91,6 @@ class TopologySnapshot:
 
     def gateways(self) -> list[NodeState]:
         return self.by_kind(NodeKind.GATEWAY)
-
-    def heartbeat_fresh(self, node_id: str) -> bool:
-        return _fresh(self.last_heartbeat.get(node_id), self.now_ms, self.heartbeat_window_ms)
-
-    def operational_access_nodes(self) -> list[NodeState]:
-        return [
-            n
-            for n in self.nodes
-            if n.kind in ACCESS_KINDS and n.serving and self.heartbeat_fresh(n.node_id)
-        ]
 
 
 def access_snr_matrix(
@@ -124,17 +127,6 @@ def _best_server(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return best, rows
 
 
-class LinkBudget(NamedTuple):
-    """Access SNR of one world state: rows follow `access_ids`, columns
-    `ue_ids` (sorted), and each UE's best SNR with its serving row."""
-
-    ue_ids: list[str]
-    access_ids: tuple[str, ...]
-    snr_db: np.ndarray  # (n_access, n_ues)
-    best_db: np.ndarray  # (n_ues,)
-    server_rows: np.ndarray  # (n_ues,) the snr_db row of best_db, -1 where none is finite
-
-
 class World:
     """Live state of one simulation run."""
 
@@ -144,8 +136,6 @@ class World:
             n.node_id: NodeState.from_node(n) for n in scenario.nodes
         }
         self.obstacles: list = [tuple(map(tuple, box)) for box in scenario.obstacles]
-        # Replaced on every heartbeat, never mutated in place, so snapshots
-        # can share it.
         self.last_heartbeat: dict[str, int] = {nid: 0 for nid in self.nodes}
         self.heartbeat_window_ms: int = max(
             scenario.non_rt_tick_ms, 2 * DEFAULT_HEARTBEAT_MS
@@ -236,18 +226,16 @@ class World:
         return self._serving[1], self._serving[2]
 
     def operational_access_ids(self, now_ms: int) -> tuple[str, ...]:
-        """Sorted ids of the serving access nodes whose heartbeat is fresh at
-        now_ms: the ids of `snapshot(now_ms).operational_access_nodes()`."""
-        beats, window = self.last_heartbeat, self.heartbeat_window_ms
-        access = self._serving_ids()[1]
-        return tuple(nid for nid in access if _fresh(beats.get(nid), now_ms, window))
+        """Sorted ids of the operational access nodes: those that serve and
+        whose last heartbeat is at most `heartbeat_window_ms` before now_ms.
+        Every node has a heartbeat from the moment it exists."""
+        oldest = now_ms - self.heartbeat_window_ms
+        return tuple(nid for nid in self._serving_ids()[1] if self.last_heartbeat[nid] >= oldest)
 
     def heartbeat(self, now_ms: int) -> None:
         """Every serving node reports now."""
-        beats = dict(self.last_heartbeat)
         for node_id in self._serving_ids()[0]:
-            beats[node_id] = now_ms
-        self.last_heartbeat = beats
+            self.last_heartbeat[node_id] = now_ms
 
     def add_deployed_node(
         self,
@@ -262,13 +250,15 @@ class World:
         self._next_deploy_index += 1
         state = NodeState(node_id, kind, tuple(position), status, tx_power_dbm, freq_ghz)
         self.nodes[node_id] = state
-        self.last_heartbeat = {**self.last_heartbeat, node_id: now_ms}
+        self.last_heartbeat[node_id] = now_ms
         self.version += 1
         return state
 
     # --- views -------------------------------------------------------------
 
     def snapshot(self, now_ms: int) -> TopologySnapshot:
+        """The nodes and obstacles now, and the cached link budget of the
+        operational access nodes at now_ms."""
         return TopologySnapshot(
             now_ms=now_ms,
             nodes=tuple(
@@ -278,8 +268,7 @@ class World:
                 for n in sorted(self.nodes.values(), key=lambda n: n.node_id)
             ),
             obstacles=tuple(self.obstacles),
-            last_heartbeat=self.last_heartbeat,
-            heartbeat_window_ms=self.heartbeat_window_ms,
+            links=self.link_budget(self.operational_access_ids(now_ms)),
         )
 
     def link_state(self) -> tuple[int, tuple[bytes, ...]]:

@@ -227,14 +227,30 @@ class TestValidation:
         (("ric", "ue_moves"), [{**MOVE, "node_id": "ghost"}], "ric.ue_moves[0].node_id: unknown node 'ghost'"),
         (("ric", "ue_moves"), [{"time_ms": 1_000, "position": [0, 1.7, 1]}],
          "ric.ue_moves[0].node_id: unknown node None"),
+        (("ric", "script"), [{"policy": "ris-off"}], "ric.script[0].time_ms: missing"),
+        (("ric", "script"), [{"time_ms": "soon", "policy": "ris-off"}],
+         "ric.script[0].time_ms: expected an integer, got 'soon'"),
+        (("ric", "script"), [{"time_ms": 1_000, "ris_off": "no"}],
+         "ric.script[0].ris_off: expected true or false, got 'no'"),
+        (("ric", "ris", "ris1", "parts"), [{"ue": "rx1"}],
+         "ric.ris.ris1.parts: expected an object, got [{'ue': 'rx1'}]"),
+        (("ric", "ris", "ris1", "parts", "x"), {"ue": "rx1"},
+         "ric.ris.ris1.parts: unknown part 'x' (choose from 0, 1)"),
+        (("ric", "ris", "ris1", "parts", "7"), {"ue": "rx1"},
+         "ric.ris.ris1.parts: unknown part '7' (choose from 0, 1)"),
+        (("ric", "ris", "ris1", "parts", "0", "ue"), "ghost", "ric.ris.ris1.parts.0.ue: unknown node 'ghost'"),
+        (("ric", "ris", "ris1", "parts", "1", "reference_points", 2), [0.3, 1.6],
+         "ric.ris.ris1.parts.1.reference_points[2]: expected a point [x, y, z] of finite numbers, got [0.3, 1.6]"),
+        (("ric", "ris", "ghost"), {"tx": "tx1"}, "ric.ris.ghost: unknown RIS panel 'ghost'"),
     ]
 
     @pytest.mark.parametrize(
         "keys, value, message", BAD_SETTINGS, ids=[message.split(":")[0] for _, _, message in BAD_SETTINGS]
     )
     def test_bad_setting_in_every_command(self, tmp_path, capsys, keys, value, message):
-        """Planner, cell-free, point and node settings are converted at load,
-        so each command rejects them before it simulates anything."""
+        """Planner, cell-free, point, node, script and RIS part settings are
+        checked at load, so each command rejects them before it simulates
+        anything."""
         with open(bundled_scenario_path("two_ue_demo.json")) as fh:
             data = json.load(fh)
         target = data

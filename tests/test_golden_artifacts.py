@@ -1,9 +1,11 @@
 """Golden artifacts: `rrs run` on the bundled scenarios must keep writing
-byte-identical `metrics.csv`, `actions.log` and `summary.json`.
+byte-identical `metrics.csv`, `actions.log` and `summary.json`, and `rrs plan`
+on the earthquake demo a byte-identical `plan.json`.
 
-The hashes were recorded before the world-state caches and the streaming
-metrics writer went in; a change that alters any artifact on purpose names
-the defect it fixes and records new hashes here.
+The run hashes were recorded before the world-state caches and the streaming
+metrics writer went in, the plan hashes before the planner took its
+out-of-service set from the snapshot's link budget; a change that alters any
+artifact on purpose names the defect it fixes and records new hashes here.
 """
 
 import hashlib
@@ -40,6 +42,12 @@ GOLDEN = {
     ),
 }
 
+# `rrs plan` on earthquake_demo.json: options, sha256 of plan.json.
+GOLDEN_PLANS = {
+    "default": ((), "e03f0e06011e801c77bfd9632dc0aa4ef912c3476b6619eabcb5f10fb3379847"),
+    "max_nodes_1": (("--max-nodes", "1"), "94ca895ca513b408b391eea07683c7f088e867eedd64d1144f154f788da990c7"),
+}
+
 
 def artifact_hashes(out_dir) -> dict[str, str]:
     hashes = {}
@@ -61,3 +69,13 @@ def test_bundled_run_artifacts_unchanged(name, tmp_path, capsys):
     capsys.readouterr()
     assert rc == 0
     assert artifact_hashes(out) == expected
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PLANS))
+def test_earthquake_plan_unchanged(name, tmp_path, capsys):
+    options, expected = GOLDEN_PLANS[name]
+    out = tmp_path / "plan.json"
+    rc = main(["plan", "--scenario", bundled_scenario_path("earthquake_demo.json"), *options, "--out", str(out)])
+    capsys.readouterr()
+    assert rc == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == expected

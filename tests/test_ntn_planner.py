@@ -1,5 +1,5 @@
-"""Outage detection, greedy placement (with a brute-force oracle), backhaul
-formation and the full planning pass."""
+"""Outage detection in the snapshot's link budget, greedy placement (with a
+brute-force oracle), backhaul formation and the full planning pass."""
 
 import itertools
 import math
@@ -21,7 +21,7 @@ from rrsim.world import NodeState, World, access_snr_matrix
 PARAMS = ch.ChannelParams(exponent=3.0)
 
 
-def grid_scenario(failed=(), gateway_pos=(2500, 2500, 30), extra_nodes=(), obstacles=()):
+def grid_world(failed=(), gateway_pos=(2500, 2500, 30), extra_nodes=(), obstacles=()):
     nodes = [{"id": "gw", "kind": "Gateway", "position": list(gateway_pos)}]
     for i in range(3):
         for j in range(3):
@@ -43,7 +43,15 @@ def grid_scenario(failed=(), gateway_pos=(2500, 2500, 30), extra_nodes=(), obsta
     if failed:
         world.apply_strike(list(failed), [], [], 0)
     world.heartbeat(0)
-    return world.snapshot(0)
+    return world
+
+
+def grid_scenario(*args, **kwargs):
+    return grid_world(*args, **kwargs).snapshot(0)
+
+
+ALL_BS = tuple(f"bs_{i}{j}" for i in range(3) for j in range(3))
+ALL_UES = {f"ue_{k:02d}" for k in range(12)}
 
 
 def brute_force_best(sets, universe, budget):
@@ -66,32 +74,27 @@ def greedy_covered(oos, candidates, ue_ids, ue_positions, budget, sets):
 
 class TestDetectOutage:
     def test_intact_network(self):
-        snap = grid_scenario()
-        operational, failed, oos = planner.detect_outage(snap, 3.0, PARAMS)
-        assert not oos
-        assert "bs_00" in operational and not failed & {f"bs_{i}{j}" for i in range(3) for j in range(3)}
+        links = grid_scenario().links
+        assert not links.out_of_service(3.0)
+        assert links.access_ids == ALL_BS
 
     def test_failed_nodes_create_outage(self):
-        all_bs = [f"bs_{i}{j}" for i in range(3) for j in range(3)]
-        snap = grid_scenario(failed=all_bs)
-        operational, failed, oos = planner.detect_outage(snap, 3.0, PARAMS)
-        assert set(all_bs) <= failed
-        assert len(oos) == 12
+        links = grid_scenario(failed=ALL_BS).links
+        assert links.access_ids == ()
+        assert links.out_of_service(3.0) == ALL_UES
 
     def test_stale_heartbeat_counts_as_failed(self):
-        snap = grid_scenario()
-        late = planner.detect_outage(
-            snap.__class__(
-                now_ms=10**9,
-                nodes=snap.nodes,
-                obstacles=snap.obstacles,
-                last_heartbeat=snap.last_heartbeat,
-                heartbeat_window_ms=snap.heartbeat_window_ms,
-            ),
-            3.0,
-            PARAMS,
-        )
-        assert "bs_00" in late[1]
+        world = grid_world()
+        links = world.snapshot(10**9).links
+        assert links.access_ids == () and world.operational_access_ids(10**9) == ()
+        assert links.out_of_service(3.0) == ALL_UES
+
+    def test_best_snr_at_the_threshold_is_in_service(self):
+        # the complement of coverage_sets' `snr >= threshold`
+        links = grid_scenario().links
+        best = float(links.best_db[0])
+        assert links.ue_ids[0] not in links.out_of_service(best)
+        assert links.ue_ids[0] in links.out_of_service(math.nextafter(best, math.inf))
 
 
 class TestGreedyPlacement:
@@ -313,16 +316,18 @@ def _outages(draw):
         "candidate_spacing_m": 500.0,
         "backhaul_threshold_db": -1e9,
     }
-    return world.snapshot(0), cfg
+    return world, cfg
 
 
 @settings(max_examples=100, deadline=None)
 @given(_outages())
 def test_one_candidate_matrix_and_the_estimate_match_per_node_oracles(case):
-    """The per-candidate loop of coverage_sets and the estimate as the best
-    SNR over the operational access nodes and the placements, computed as
-    they were before the planner shared one candidate matrix."""
-    snapshot, cfg = case
+    """The per-candidate loop of coverage_sets, the out-of-service set and the
+    estimate as the best SNR over the operational access nodes and the
+    placements, computed as they were before the planner shared one
+    candidate matrix and took its outage from the snapshot's link budget."""
+    world, cfg = case
+    snapshot = world.snapshot(0)
     threshold, tx_power = cfg["snr_threshold_db"], cfg["uav_tx_power_dbm"]
     obstacles, params = snapshot.obstacles, ch.ChannelParams()
     ues = snapshot.ues()
@@ -344,9 +349,9 @@ def test_one_candidate_matrix_and_the_estimate_match_per_node_oracles(case):
             return np.full(len(ues), -np.inf)
         return matrix[np.argmax(matrix, axis=0), np.arange(len(ues))]
 
-    access = snapshot.operational_access_nodes()
+    access = [world.nodes[nid] for nid in world.operational_access_ids(0)]
     out = {ue_ids[j] for j, snr in enumerate(best_snr(access)) if snr < threshold}
-    assert planner.ues_out_of_service(snapshot, access, threshold, params) == out
+    assert snapshot.links.out_of_service(threshold) == out
     for config in (cfg, {**cfg, "max_nodes": 0}):
         plan = planner.build_plan(snapshot, params, config)
         placed = [
@@ -356,7 +361,6 @@ def test_one_candidate_matrix_and_the_estimate_match_per_node_oracles(case):
         served = np.count_nonzero(best_snr(access + placed) >= threshold)
         estimate = float(served) / len(ues) if ues else 1.0
         assert plan.estimated_coverage_ratio == estimate
-        assert planner.build_plan(snapshot, params, config, set(out)) == plan
         if config["max_nodes"] == 0:
             assert plan.placements == []
 

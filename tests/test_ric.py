@@ -28,7 +28,7 @@ from rrsim.ric import (
 from rrsim.runner import Simulation
 from rrsim.scenario import scenario_from_dict
 from rrsim.simcore import EventKind, Kernel
-from rrsim.world import World
+from rrsim.world import World, access_snr_matrix
 
 BASE = {
     "nodes": [
@@ -336,10 +336,15 @@ class TestFailureMonitorCache:
         # version, operational access set) keys: before the strike at 60 s
         # and after it.
         assert computed(calls) == [(0, 0), (60_000, 1)]
-        _, _, expected = ntn_planner.detect_outage(
-            sim.world.snapshot(sim.kernel.clock), 3.0, sim.controller.params
-        )
-        assert sim.controller.blackboard["out_of_service"] == expected
+        # Oracle: the best SNR over the operational access nodes, per UE.
+        world, now = sim.world, sim.kernel.clock
+        access = [world.nodes[nid] for nid in world.operational_access_ids(now)]
+        ue_ids, positions = world.ue_positions()
+        matrix = access_snr_matrix(access, positions, sim.controller.params, world.obstacles)
+        best = matrix.max(axis=0, initial=-np.inf)
+        expected = {ue_id for ue_id, snr in zip(ue_ids, best.tolist()) if snr < 3.0}
+        assert expected and sim.controller.blackboard["out_of_service"] == expected
+        assert world.snapshot(now).links.out_of_service(3.0) == expected
 
     def test_planner_reuses_the_monitors_set(self, earthquake_scenario, monkeypatch):
         sim = Simulation(earthquake_scenario)
@@ -361,6 +366,9 @@ class TestFailureMonitorCache:
         monitor, planner_ = [budget for t, v, budget in calls if (t, v) == (120_000, 1)]
         assert monitor is planner_
         [(snapshot, plan)] = plans
+        assert snapshot.links is monitor
+        threshold = earthquake_scenario.planner["snr_threshold_db"]
+        assert snapshot.links.out_of_service(threshold) == sim.controller.blackboard["out_of_service"]
         assert plan.placements
         assert plan == real_plan(snapshot, sim.controller.params, earthquake_scenario.planner)
 

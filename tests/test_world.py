@@ -70,9 +70,8 @@ class TestHeartbeats:
         world.apply_strike(["bs1"], [], [], 0)
         world.heartbeat(50_000)
         # bs1 last reported at t=0; the 60 s window has passed by t=100 s
-        snap = world.snapshot(100_000)
-        assert snap.heartbeat_fresh("bs2")
-        assert not snap.heartbeat_fresh("bs1")
+        assert (world.last_heartbeat["bs1"], world.last_heartbeat["bs2"]) == (0, 50_000)
+        assert world.operational_access_ids(100_000) == ("bs2",)
 
     def test_window_scales_with_non_rt_tick(self):
         world = make_world(ticks={"non_rt_ms": 120_000})
@@ -92,19 +91,21 @@ class TestSnapshot:
     def test_operational_access_nodes(self):
         world = make_world()
         world.apply_strike(["bs1"], [], [], 0)
-        snap = world.snapshot(0)
-        assert [n.node_id for n in snap.operational_access_nodes()] == ["bs2"]
+        assert world.operational_access_ids(0) == ("bs2",)
+        links = world.snapshot(0).links
+        assert links.access_ids == ("bs2",)
+        assert links is world.link_budget(("bs2",))
 
     def test_operational_access_ids_match_the_snapshot(self):
-        """The live query gives the ids of a snapshot's operational access
-        nodes after every kind of change, and when a heartbeat goes stale at
-        an unchanged version."""
+        """The live query gives the operational access ids after every kind
+        of change, and when a heartbeat goes stale at an unchanged version;
+        a snapshot's link budget is over exactly those ids."""
         world = make_world()
 
         def ids(now_ms):
-            expected = tuple(n.node_id for n in world.snapshot(now_ms).operational_access_nodes())
-            assert world.operational_access_ids(now_ms) == expected
-            return expected
+            got = world.operational_access_ids(now_ms)
+            assert world.snapshot(now_ms).links.access_ids == got
+            return got
 
         assert ids(0) == ("bs1", "bs2")
         world.apply_strike(["bs1"], ["bs2"], [], 1_000)
@@ -136,8 +137,7 @@ class TestSnrHelpers:
 
     def test_matrix_against_link_budget(self):
         world = make_world()
-        snap = world.snapshot(0)
-        access = snap.operational_access_nodes()
+        access = [world.nodes[nid] for nid in world.operational_access_ids(0)]
         positions = np.array([[100.0, 0.0, 1.5]])
         matrix = access_snr_matrix(access, positions, self.PARAMS, ())
         node = access[0]
@@ -165,7 +165,7 @@ class TestSnrHelpers:
 
     def test_blockage_reduces_snr(self):
         world = make_world()
-        access = world.snapshot(0).operational_access_nodes()
+        access = [world.nodes[nid] for nid in world.operational_access_ids(0)]
         positions = np.array([[100.0, 0.0, 1.5]])
         clear = access_snr_matrix(access, positions, self.PARAMS, ())
         wall = (((50.0, -5.0, 0.0), (60.0, 5.0, 50.0)),)
@@ -198,13 +198,6 @@ class TestVersion:
         assert not world.expire_battery("bs1")
         world.heartbeat(10_000)
         assert world.version == version
-
-    def test_heartbeat_replaces_the_dict_shared_with_snapshots(self):
-        world = make_world()
-        snap = world.snapshot(0)
-        world.heartbeat(10_000)
-        assert snap.last_heartbeat["bs1"] == 0
-        assert world.last_heartbeat["bs1"] == 10_000
 
     def test_heartbeat_follows_status_changes_between_beats(self):
         world = make_world()
