@@ -3,6 +3,7 @@ apps that plan recovery and reconfigure radio resources."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -71,14 +72,22 @@ class Controller:
     failing handler is logged and never halts the run.
 
     Every app is periodic: a change to the world reaches an app through its
-    idle gate at its next tick. Apps tick in groups: one kernel event runs a
-    group's apps in registration order. An app joins the latest group only
-    when it has the same tier and interval, is registered at the same clock,
-    and no kernel event was scheduled since that group's tick. Its own tick
-    would then have had the next sequence id, and since neither handlers nor
-    actions schedule kernel events, the two ticks would stay adjacent in the
-    queue at every fire time. So grouping keeps the order of everything the
-    kernel runs.
+    idle gate at its next tick. Apps tick in groups: a group has one kernel
+    event per firing, which runs its apps in registration order. An app joins
+    the latest group only when it has the same tier and interval, is
+    registered at the same clock, and no kernel event was scheduled since
+    that group's tick. Its own tick would then have had the next sequence id,
+    and since neither handlers nor actions schedule kernel events, the two
+    ticks would stay adjacent in the queue at every fire time. So grouping
+    keeps the order of everything the kernel runs.
+
+    After a tick, a group whose gates are all state-only (`_STATE_GATES`)
+    and all idle puts its next firing to sleep in the kernel instead of
+    scheduling it, with `_wake_key` and the next script entry's time. The
+    kernel skips each firing that comes due while the key holds and the
+    clock is before that time, and still gives it its sequence id, so no
+    other event moves. A group with any other gate, or whose tick kind has
+    an observer besides this controller, runs at every firing.
     """
 
     def __init__(self, world: World, kernel: Kernel, ric_cfg: dict[str, Any] | None = None) -> None:
@@ -129,7 +138,17 @@ class Controller:
     def _on_tick(self, kernel: Kernel, event: Event) -> None:
         group = event.payload["apps"]
         self._run_apps(group)
-        kernel.schedule(kernel.clock + group[0].interval_ms, event.kind, event.payload)
+        period = group[0].interval_ms
+        if all(app.idle in _STATE_GATES and app.idle(self) for app in group):
+            wake = self._script[0]["time_ms"] if self._script else math.inf
+            kernel.sleep(kernel.clock + period, period, event.kind, event.payload, self._wake_key, wake)
+        else:
+            kernel.schedule(kernel.clock + period, event.kind, event.payload)
+
+    def _wake_key(self) -> tuple:
+        """What the state-only gates read besides their own blackboard keys
+        and the clock."""
+        return self.world.link_state(), self.policy, len(self._script)
 
     def _on_ue_move(self, kernel: Kernel, event: Event) -> None:
         self.world.move_node(event.payload["node_id"], event.payload["position"])
@@ -404,6 +423,14 @@ def _script_runner(ctl: Controller) -> list[Action]:
                     )
     ctl._script = remaining
     return actions
+
+
+# Gates whose answer depends only on the world's link state, the policy, the
+# script and the clock against its next entry, and blackboard keys that only
+# their own handlers write, each to the current state. A group whose gates
+# are all of these and all idle stays idle until `Controller._wake_key`
+# moves or the next script entry falls due, so its ticks may sleep.
+_STATE_GATES = frozenset({_tracker_idle, _tuner_idle, _clusterer_idle, _script_idle})
 
 
 def _stub(name: str, text: str, interval_ms: int) -> ControllerApp:

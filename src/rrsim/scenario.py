@@ -240,6 +240,7 @@ def _kind(noun: str, convert: type, accept):
 _finite = _kind("a finite number", float, math.isfinite)
 _positive = _kind("a finite number > 0", float, lambda x: 0.0 < x < math.inf)
 _count = _kind("an integer >= 1", int, lambda n: n >= 1)
+_part_count = _kind("the integer 1 or 2", lambda v: v, lambda v: type(v) is int and v in (1, 2))
 
 
 def _number(kind, value: Any, *path: str | int) -> Any:
@@ -260,6 +261,15 @@ def _field(raw: dict[str, Any], key: str, kind, default: Any, *path: str | int) 
     if value is _REQUIRED:
         raise ParseError(f"{_where(*path, key)}: missing")
     return _number(kind, value, *path, key)
+
+
+def _flag(raw: dict[str, Any], key: str, *path: str | int) -> bool:
+    """raw[key], False when absent; any value but true or false is a
+    ParseError."""
+    value = raw.get(key, False)
+    if not isinstance(value, bool):
+        raise ParseError(f"{_where(*path, key)}: expected true or false, got {value!r}")
+    return value
 
 
 def _object(raw, *path: str | int) -> dict[str, Any]:
@@ -335,7 +345,7 @@ def _pairs(raw, first, second, *path: str | int) -> tuple[tuple[Any, Any], ...]:
 
 
 # Panel layout keys read by World, with their types.
-_RIS_LAYOUT = {"rows": int, "cols": int, "pitch_m": float, "normal_axis": int}
+_RIS_LAYOUT = {"rows": int, "cols": int, "pitch_m": float, "normal_axis": int, "parts": _part_count}
 
 
 def _node_from_dict(raw, index: int) -> Node:
@@ -369,7 +379,7 @@ def _channel_from_dict(raw: dict[str, Any]) -> ChannelParams:
         bandwidth_hz=_field(raw, "bandwidth_hz", _positive, 20e6, "channel"),
         mcs_table=_pairs(mcs, _finite, _finite, "channel", "mcs_table") if mcs else DEFAULT_MCS,
         scatter_floor_db=_optional(raw, "scatter_floor_db", _finite, "channel"),
-        fading=bool(raw.get("fading", False)),
+        fading=_flag(raw, "fading", "channel"),
     )
 
 
@@ -407,9 +417,7 @@ def _ric(raw) -> dict[str, Any]:
             time_ms = _field(_object(entry, *path, i), "time_ms", int, _REQUIRED, *path, i)
             if "policy" in entry:
                 _choice(entry["policy"], POLICIES, *path, i, "policy")
-            if not isinstance(entry.get("ris_off", False), bool):
-                flag = entry["ris_off"]
-                raise ParseError(f"{_where(*path, i, 'ris_off')}: expected true or false, got {flag!r}")
+            _flag(entry, "ris_off", *path, i)
             script.append({**entry, "time_ms": time_ms})
         ric["script"] = script
     if "ue_moves" in ric:

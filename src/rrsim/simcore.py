@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
@@ -207,9 +209,40 @@ def rng_stream(master_seed: int, label: str) -> np.random.Generator:
 
 Handler = Callable[["Kernel", Event], None]
 
+_END = (math.inf,)  # sorts after every (fire_time, sequence_id, ...) entry
+
+
+class _Handlers(list):
+    """The handlers of one event kind, how many events of the kind ran and
+    how many sleeping firings of it were skipped. The counts live on the list
+    the dispatch loop looks up anyway, so counting costs no second lookup."""
+
+    dispatched = skipped = 0
+
+
+class _Sleeper(NamedTuple):
+    """A periodic event the kernel may skip: the handlers of its kind, the
+    period, the wake key read when it slept and how to read it again, and the
+    first fire time at which it must run whatever the key."""
+
+    handlers: _Handlers
+    kind: EventKind
+    payload: Mapping[str, Any]
+    period: int
+    key: Any
+    read_key: Callable[[], Any]
+    wake_time: float
+
 
 class Kernel:
-    """Single-threaded event loop with an integer millisecond clock."""
+    """Single-threaded event loop with an integer millisecond clock.
+
+    A periodic event may `sleep` instead of being scheduled while its handler
+    would do nothing. Each of its firings draws a sequence id as if it were
+    queued, so no other event's id or order moves. A firing that comes due
+    after its wake key moved, at or past its wake time, or when its kind has
+    more than one handler is queued and runs; any other is skipped.
+    """
 
     def __init__(self, master_seed: int = 0) -> None:
         self.master_seed = master_seed
@@ -217,8 +250,9 @@ class Kernel:
         self.log = MetricsLog()
         self._queue: list[tuple[int, int, Event]] = []
         self._next_seq = 0
-        self._handlers: dict[EventKind, list[Handler]] = {}
+        self._handlers: dict[EventKind, _Handlers] = {}
         self._rngs: dict[str, np.random.Generator] = {}
+        self._sleepers: list[tuple[int, int, _Sleeper]] = []  # a heap, like the queue
 
     def rng(self, label: str) -> np.random.Generator:
         if label not in self._rngs:
@@ -227,12 +261,22 @@ class Kernel:
 
     @property
     def scheduled(self) -> int:
-        """How many events have been scheduled so far: the sequence id the
-        next one gets."""
+        """How many events have been scheduled so far, sleeping firings
+        included: the sequence id the next one gets."""
         return self._next_seq
 
+    @property
+    def dispatched(self) -> Counter[EventKind]:
+        """How many events of each kind have run."""
+        return Counter({kind: h.dispatched for kind, h in self._handlers.items() if h.dispatched})
+
+    @property
+    def skipped(self) -> Counter[EventKind]:
+        """How many sleeping firings of each kind were skipped."""
+        return Counter({kind: h.skipped for kind, h in self._handlers.items() if h.skipped})
+
     def on(self, kind: EventKind, handler: Handler) -> None:
-        self._handlers.setdefault(kind, []).append(handler)
+        self._handlers.setdefault(kind, _Handlers()).append(handler)
 
     def schedule(self, fire_time: int, kind: EventKind, payload: Mapping[str, Any] | None = None) -> Event:
         if fire_time < self.clock:
@@ -243,13 +287,66 @@ class Kernel:
         heapq.heappush(self._queue, (fire_time, seq, event))
         return event
 
+    def sleep(
+        self,
+        fire_time: int,
+        period: int,
+        kind: EventKind,
+        payload: Mapping[str, Any],
+        read_key: Callable[[], Any],
+        wake_time: float,
+    ) -> None:
+        """Like `schedule`, for an event whose handler reschedules it every
+        `period` ms and does nothing while `read_key()` returns what it
+        returns now and the clock is before `wake_time`."""
+        if fire_time < self.clock:
+            raise PastEvent(f"cannot schedule {kind.value} at t={fire_time} (clock={self.clock})")
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        handlers = self._handlers.setdefault(kind, _Handlers())
+        sleeper = _Sleeper(handlers, kind, payload, period, read_key(), read_key, wake_time)
+        heapq.heappush(self._sleepers, (fire_time, seq, sleeper))
+
+    def _rouse(self, next_time: float, t_end: int) -> None:
+        """The first sleeper is due before the event at `next_time`: queue its
+        firing, or skip it and the firings after it up to the next event, the
+        wake time or `t_end`."""
+        fire, seq, s = self._sleepers[0]
+        if fire >= s.wake_time or len(s.handlers) != 1 or s.read_key() != s.key:
+            heapq.heappop(self._sleepers)
+            heapq.heappush(self._queue, (fire, seq, Event(fire, s.kind, s.payload, seq)))
+            return
+        # Skip the firings before the next event, t_end + 1 and the wake time:
+        # at least this one, which may share the next event's time with a
+        # smaller id. Each skipped firing draws the id of the next one, so n
+        # skips leave the sleeper at the id drawn by the last of them.
+        limit = next_time if next_time <= t_end else t_end + 1
+        if s.wake_time < limit:
+            limit = s.wake_time
+        n = -((fire - limit) // s.period) or 1
+        heapq.heapreplace(self._sleepers, (fire + n * s.period, self._next_seq + n - 1, s))
+        self._next_seq += n
+        s.handlers.skipped += n
+
     def run_until(self, t_end: int) -> MetricsLog:
+        """Runs every event up to and including `t_end`; at return, every
+        sleeper fires after `t_end`."""
         if t_end < self.clock:
             raise PastEvent(f"t_end={t_end} is before the clock ({self.clock})")
-        queue, handlers, pop = self._queue, self._handlers, heapq.heappop
-        while queue and queue[0][0] <= t_end:
+        queue, sleepers, handlers, pop = self._queue, self._sleepers, self._handlers, heapq.heappop
+        while True:
+            head = queue[0] if queue else _END
+            if sleepers and sleepers[0] < head and sleepers[0][0] <= t_end:
+                self._rouse(head[0], t_end)
+                continue
+            if head[0] > t_end:
+                break
             self.clock, _, event = pop(queue)
-            for handler in handlers.get(event.kind, ()):
+            kind_handlers = handlers.get(event.kind)
+            if kind_handlers is None:
+                kind_handlers = handlers[event.kind] = _Handlers()
+            kind_handlers.dispatched += 1
+            for handler in kind_handlers:
                 try:
                     handler(self, event)
                 except SimError:

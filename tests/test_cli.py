@@ -242,6 +242,12 @@ class TestValidation:
         (("ric", "ris", "ris1", "parts", "1", "reference_points", 2), [0.3, 1.6],
          "ric.ris.ris1.parts.1.reference_points[2]: expected a point [x, y, z] of finite numbers, got [0.3, 1.6]"),
         (("ric", "ris", "ghost"), {"tx": "tx1"}, "ric.ris.ghost: unknown RIS panel 'ghost'"),
+        (("channel", "fading"), "no", "channel.fading: expected true or false, got 'no'"),
+        (("channel", "fading"), 1, "channel.fading: expected true or false, got 1"),
+        (("nodes", 2, "ris", "parts"), "2", "nodes[2].ris.parts: expected the integer 1 or 2, got '2'"),
+        (("nodes", 2, "ris", "parts"), 3, "nodes[2].ris.parts: expected the integer 1 or 2, got 3"),
+        (("nodes", 2, "ris", "parts"), None, "nodes[2].ris.parts: expected the integer 1 or 2, got None"),
+        (("nodes", 2, "ris", "parts"), True, "nodes[2].ris.parts: expected the integer 1 or 2, got True"),
     ]
 
     @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ the controller's grouped ticks against one tick event per app."""
 
 import csv
 import io
+import json
 from collections import Counter
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrsim import channel as ch
+from rrsim.cli import bundled_scenario_path
 from rrsim.ric import Controller, ControllerApp
 from rrsim.ris_opt import iterative_optimize, model_evaluator
 from rrsim.runner import Simulation
@@ -477,3 +479,125 @@ def test_link_state_follows_ris_writes(data):
         )
         assert world.link_state()[1] == tuple(config.tobytes() for _, config in sorted(expected.items()))
         assert all(not config.flags.writeable for config in world.ris_configs.values())
+
+
+with open(bundled_scenario_path("two_ue_demo.json")) as _fh:
+    _ROOM = json.load(_fh)
+_POLICIES = st.sampled_from(["fast-recovery", "max-throughput", "ris-off"])
+# Times off the tick grids below, so that script entries and moves fall
+# between ticks as well as on them.
+_times = st.integers(0, 6_000)
+
+
+def _script(draw):
+    return [
+        {"time_ms": draw(_times), "policy": draw(_POLICIES), "ris_off": draw(st.booleans())}
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+
+
+def _moves(draw, ue_ids, point):
+    return [
+        {"time_ms": draw(_times), "node_id": draw(st.sampled_from(ue_ids)), "position": draw(point)}
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+
+
+@st.composite
+def _rooms(draw):
+    """The two-UE room with its codebooks, walking UEs, a script, and maybe
+    a strike that blocks or fails the panel's transmitter."""
+    data = json.loads(json.dumps(_ROOM))
+    data["ticks"] = {"non_rt_ms": draw(st.sampled_from([1_000, 1_700])),
+                     "near_rt_ms": draw(st.sampled_from([10, 100, 130, 1_000])),
+                     "sample_ms": draw(st.sampled_from([70, 100, 250]))}
+    data["ric"]["policy"] = draw(_POLICIES)
+    data["ric"]["script"] = _script(draw)
+    arc = st.tuples(st.floats(-1.0, 1.0), st.floats(1.3, 1.7), st.just(1.0)).map(list)
+    data["ric"]["ue_moves"] = _moves(draw, ["rx1", "rx2"], arc)
+    strike = draw(st.sampled_from([None, "block", "fail"]))
+    if strike is not None:
+        data["disasters"] = [{"time_ms": draw(_times), "fail": ["tx1"] if strike == "fail" else [],
+                              "blockages": [[[-0.5, 0.5, 0.0], [0.5, 0.6, 2.0]]] if strike == "block" else []}]
+    return data, [("move", "rx1", [0.2, 1.6, 1.0]), ("policy", draw(_POLICIES)), ("ris_off",)]
+
+
+@st.composite
+def _cities(draw):
+    """A few base stations on a grid with UEs, a strike that fails some and
+    puts others on battery, a planner that may deploy, and a script."""
+    n = draw(st.integers(2, 3))
+    sites = [f"bs_{i}{j}" for i in range(n) for j in range(n)]
+    nodes = [{"id": "gw", "kind": "Gateway", "position": [500, 500, 30]}] + [
+        {"id": site, "kind": "TerrestrialBS", "position": [300 + 400 * i, 300 + 400 * j, 25],
+         "tx_power_dbm": 40.0}
+        for site, (i, j) in zip(sites, [(i, j) for i in range(n) for j in range(n)])
+    ]
+    point = st.tuples(st.floats(0, 400 * n), st.floats(0, 400 * n), st.just(1.5)).map(list)
+    ue_ids = [f"ue{k}" for k in range(draw(st.integers(1, 6)))]
+    nodes += [{"id": ue, "kind": "UE", "position": draw(point)} for ue in ue_ids]
+    failed = draw(st.lists(st.sampled_from(sites), unique=True, max_size=len(sites)))
+    battery = draw(st.lists(st.sampled_from([s for s in sites if s not in failed] or ["gw"]),
+                            unique=True, max_size=2))
+    data = {
+        "nodes": nodes,
+        "ticks": {"non_rt_ms": draw(st.sampled_from([1_000, 2_000])),
+                  "near_rt_ms": draw(st.sampled_from([10, 100, 250, 1_000])),
+                  "sample_ms": draw(st.sampled_from([100, 330]))},
+        "battery_reserve_ms": draw(st.integers(1, 3_000)),
+        "disasters": [{"time_ms": draw(_times), "fail": failed,
+                       "power_loss": [b for b in battery if b != "gw"]}],
+        "planner": {"snr_threshold_db": 3.0, "max_nodes": 2, "uav_altitude_m": 100.0,
+                    "uav_tx_power_dbm": 40.0, "candidate_spacing_m": 400.0},
+        "channel": {"exponent": 3.0},
+        "ric": {"policy": draw(_POLICIES), "script": _script(draw),
+                "ue_moves": _moves(draw, ue_ids, point)},
+    }
+    return data, [("move", ue_ids[0], draw(point)), ("policy", draw(_POLICIES))]
+
+
+def _mutate(sim, mutation):
+    """A change made between `run_until` calls, outside any event."""
+    if mutation[0] == "move":
+        sim.world.move_node(mutation[1], mutation[2])
+    elif mutation[0] == "policy":
+        sim.controller.policy = mutation[1]
+    else:
+        for panel_id, panel in sim.world.panels.items():
+            sim.world.configure_ris(panel_id, 0, [1] * panel.part_elements(0).size)
+
+
+def _observed_run(data, cuts, mutation, observe_ticks):
+    """Samples, actions, events scheduled and the (time, kind, id) of every
+    event other than a tick, after run_until at each cut, with the mutation
+    made after the first cut. An observer on both tick kinds keeps every
+    tick awake."""
+    sim = Simulation(scenario_from_dict(data))
+    dispatched = []
+    ticks = {EventKind.NON_RT_TICK, EventKind.NEAR_RT_TICK}
+    for kind in EventKind:
+        if kind not in ticks:
+            sim.kernel.on(kind, lambda k, e: dispatched.append((k.clock, e.kind, e.sequence_id)))
+        elif observe_ticks:
+            sim.kernel.on(kind, lambda k, e: None)
+    for i, cut in enumerate(cuts):
+        sim.run(cut)
+        if i == 0:
+            _mutate(sim, mutation)
+    log = sim.kernel.log
+    return (log.samples, log.actions, sim.kernel.scheduled, dispatched), sim.kernel
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_rooms(), _cities()), st.data())
+def test_sleeping_ticks_match_a_run_that_keeps_every_tick(case, data):
+    """Skipping idle tick groups changes no sample, no action, no event
+    count and no time, kind or sequence id of any other event."""
+    scenario, mutations = case
+    cuts = sorted(data.draw(st.lists(_times, min_size=1, max_size=3)))
+    mutation = data.draw(st.sampled_from(mutations))
+    slept, kernel = _observed_run(scenario, cuts, mutation, observe_ticks=False)
+    kept, oracle = _observed_run(scenario, cuts, mutation, observe_ticks=True)
+    assert not oracle.skipped
+    assert slept == kept
+    assert kernel.dispatched + kernel.skipped == oracle.dispatched + oracle.skipped

@@ -420,6 +420,37 @@ class TestTickGroups:
         }
 
 
+class TestSleepingTicks:
+    def test_earthquake_near_rt_group_runs_only_when_it_acts(self, earthquake_scenario):
+        """With no observer on the tick kinds, the NearRT group runs only at
+        its first tick, the strike, the deployment and the battery expiries,
+        where the clusterer acts; every other firing is skipped, yet draws
+        its sequence id."""
+        sim = Simulation(earthquake_scenario)
+        sim.run(14_520_000)
+        kernel = sim.kernel
+        assert kernel.dispatched[EventKind.NEAR_RT_TICK] == 4
+        assert kernel.skipped == {EventKind.NEAR_RT_TICK: 14_516}
+        assert kernel.dispatched[EventKind.NON_RT_TICK] == 484
+        assert kernel.scheduled == 19_375
+        assert sum(d.startswith("Recluster") for _, d in sim.kernel.log.actions) == 4
+
+    def test_a_replaced_gate_keeps_every_tick(self, two_ue_scenario):
+        """Only the built-in state-only gates let a group sleep."""
+        apps = [
+            app if app.idle is None else replace(app, idle=lambda ctl, gate=app.idle: gate(ctl))
+            for app in builtin_apps(two_ue_scenario.non_rt_tick_ms, two_ue_scenario.near_rt_tick_ms)
+        ]
+        sim = Simulation(two_ue_scenario, apps=apps)
+        sim.run(5_000)
+        assert not sim.kernel.skipped
+        asleep = Simulation(two_ue_scenario)
+        asleep.run(5_000)
+        assert asleep.kernel.skipped[EventKind.NEAR_RT_TICK] > 0
+        assert asleep.kernel.log.actions == sim.kernel.log.actions
+        assert asleep.kernel.scheduled == sim.kernel.scheduled
+
+
 def _room_with_moves_and_switches():
     """The two-UE room under fast-recovery with walking UEs, switches to
     max-throughput and back, and a ris_off entry."""

@@ -1,6 +1,8 @@
-"""Kernel ordering, RNG streams, metrics log and recovery-time extraction."""
+"""Kernel ordering, sleeping periodic events, RNG streams, metrics log and
+recovery-time extraction."""
 
 import io
+import math
 
 import pytest
 
@@ -86,6 +88,61 @@ class TestKernel:
         event = Event(5, EventKind.HEARTBEAT_DUE)
         with pytest.raises(AttributeError):
             event.fire_time = 7
+
+
+class TestSleep:
+    """A periodic tick that sleeps whenever it runs, next to a one-shot event
+    at 55 ms; with an observer on the tick kind, every firing runs."""
+
+    def ticking(self, wake_time=math.inf, observe=False):
+        kernel, state, runs, others = Kernel(0), {"key": "A"}, [], []
+
+        def tick(k, event):
+            runs.append(k.clock)
+            k.sleep(k.clock + 10, 10, event.kind, event.payload, lambda: state["key"], wake_time)
+
+        kernel.on(EventKind.NEAR_RT_TICK, tick)
+        if observe:
+            kernel.on(EventKind.NEAR_RT_TICK, lambda k, e: None)
+        kernel.on(EventKind.UE_MOVE, lambda k, e: others.append((k.clock, e.sequence_id)))
+        kernel.schedule(10, EventKind.NEAR_RT_TICK)
+        kernel.schedule(55, EventKind.UE_MOVE)
+        return kernel, state, runs, others
+
+    def test_skipped_firings_draw_their_sequence_ids(self):
+        kernel, _, runs, others = self.ticking()
+        oracle, _, all_runs, oracle_others = self.ticking(observe=True)
+        for t_end in (95, 100):
+            kernel.run_until(t_end)
+            oracle.run_until(t_end)
+            assert kernel.scheduled == oracle.scheduled
+        assert runs == [10] and all_runs == list(range(10, 101, 10))
+        assert others == oracle_others == [(55, 1)]
+        assert kernel.skipped == {EventKind.NEAR_RT_TICK: 9} and not oracle.skipped
+        assert kernel.dispatched == {EventKind.NEAR_RT_TICK: 1, EventKind.UE_MOVE: 1}
+        assert oracle.dispatched[EventKind.NEAR_RT_TICK] == 10
+
+    def test_key_is_read_when_the_firing_is_due(self):
+        kernel, state, runs, _ = self.ticking()
+        kernel.run_until(30)
+        state["key"] = "B"  # changed between runs: the next firing runs
+        kernel.run_until(60)
+        state["key"] = "A"
+        state["key"] = "B"  # changed and changed back: still idle
+        kernel.run_until(100)
+        assert runs == [10, 40]
+
+    def test_firings_at_or_past_the_wake_time_run(self):
+        kernel, _, runs, _ = self.ticking(wake_time=40)
+        kernel.run_until(70)
+        assert runs == [10, 40, 50, 60, 70]
+        assert kernel.skipped == {EventKind.NEAR_RT_TICK: 2}
+
+    def test_sleeping_in_the_past_is_refused(self):
+        kernel = Kernel(0)
+        kernel.run_until(100)
+        with pytest.raises(PastEvent):
+            kernel.sleep(50, 10, EventKind.NEAR_RT_TICK, {}, lambda: 0, math.inf)
 
 
 class TestRngStreams:
