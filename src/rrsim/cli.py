@@ -62,6 +62,12 @@ def bundled_scenario_path(name: str) -> str:
     return str(resources.files("rrsim").joinpath("scenarios", name))
 
 
+def _invalid(message: str) -> int:
+    """Print why an argument is invalid, and give the exit code for it."""
+    print(message, file=sys.stderr)
+    return EXIT_VALIDATION
+
+
 def _simulation(path: str, disabled_apps: set[str], seed: int | None = None) -> Simulation | None:
     """The simulation of the scenario file at path, or None after printing
     why the scenario or the disabled app names are invalid."""
@@ -74,8 +80,9 @@ def _simulation(path: str, disabled_apps: set[str], seed: int | None = None) -> 
 
 def cmd_run(args: argparse.Namespace) -> int:
     if not 0.0 < args.target_fraction <= 1.0:
-        print(f"--target-fraction must be in (0, 1], got {args.target_fraction}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return _invalid(f"--target-fraction must be in (0, 1], got {args.target_fraction}")
+    if args.until < 0:
+        return _invalid(f"--until must be >= 0, got {args.until}")
     sim = _simulation(args.scenario, set(args.disable_app or ()), args.seed)
     if sim is None:
         return EXIT_VALIDATION
@@ -126,14 +133,18 @@ def cmd_ris_bench(args: argparse.Namespace) -> int:
     try:
         n_elements, n_states = (int(v) for v in args.panel.split(","))
     except ValueError:
-        print("--panel must be N,S (e.g. 76,4)", file=sys.stderr)
-        return EXIT_VALIDATION
+        return _invalid("--panel must be N,S (e.g. 76,4)")
+    if n_elements < 1 or n_states < 2:
+        return _invalid(f"--panel must have N >= 1 elements and S >= 2 states, got {args.panel}")
+    if args.seeds < 1:
+        return _invalid(f"--seeds must be >= 1, got {args.seeds}")
     algorithms = tuple(args.algorithms.split(","))
     unknown = [a for a in algorithms if a not in bench_mod.ALGORITHMS]
     if unknown:
-        print(f"unknown algorithm(s): {', '.join(unknown)} "
-              f"(choose from {', '.join(bench_mod.ALGORITHMS)})", file=sys.stderr)
-        return EXIT_VALIDATION
+        return _invalid(f"unknown algorithm(s): {', '.join(unknown)} "
+                        f"(choose from {', '.join(bench_mod.ALGORITHMS)})")
+    if "grouping" in algorithms and not 1 <= args.group_count <= n_elements:
+        return _invalid(f"--group-count must be in [1, {n_elements}], the panel's elements, got {args.group_count}")
 
     results = bench_mod.run_bench(
         n_elements, n_states, range(args.seeds), algorithms, group_count=args.group_count
@@ -157,6 +168,8 @@ def cmd_ris_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
+    if args.max_nodes is not None and args.max_nodes < 0:
+        return _invalid(f"--max-nodes must be >= 0, got {args.max_nodes}")
     # Fast-forward through the disaster schedule with the controller disabled
     # so the plan reflects the post-strike topology.
     sim = _simulation(args.scenario, {app.name for app in builtin_apps()})
@@ -169,7 +182,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
     horizon = max((d.strike_time_ms for d in scenario.disasters), default=0)
     sim.run(horizon)
-    snapshot = sim.world.snapshot(horizon)
+    snapshot = sim.world.snapshot()
 
     try:
         plan = planner_mod.build_plan(snapshot, scenario.channel, planner_cfg)
@@ -197,15 +210,13 @@ def cmd_codebook_build(args: argparse.Namespace) -> int:
     scenario = sim.scenario
     ris_cfg = scenario.ric.get("ris", {})
     if args.panel not in ris_cfg:
-        print(f"panel {args.panel!r} has no ris{{}} entry in the scenario", file=sys.stderr)
-        return EXIT_VALIDATION
+        return _invalid(f"panel {args.panel!r} has no ris{{}} entry in the scenario")
     cfg = ris_cfg[args.panel]
     panel = sim.world.panels[args.panel]
     tx = sim.world.nodes[cfg["tx"]]
     part_cfg = cfg.get("parts", {}).get(str(args.part))
     if part_cfg is None or not part_cfg.get("reference_points"):
-        print(f"part {args.part} has no reference points configured", file=sys.stderr)
-        return EXIT_VALIDATION
+        return _invalid(f"part {args.part} has no reference points configured")
 
     # The controller built every configured part's codebook with the same
     # evaluator when the simulation was set up.

@@ -19,9 +19,9 @@ from .ris_opt import (
     select_codeword,
 )
 from .cfmimo import ClusterAssignment, cluster
-from .scenario import POLICY_FAST_RECOVERY, POLICY_MAX_THROUGHPUT, POLICY_RIS_OFF, NodeStatus  # noqa: F401
+from .scenario import POLICY_FAST_RECOVERY, POLICY_MAX_THROUGHPUT
 from .simcore import Event, EventKind, Kernel
-from .world import DEFAULT_SNR_THRESHOLD_DB, LinkBudget, World
+from .world import DEFAULT_SNR_THRESHOLD_DB, World
 
 NON_RT_MIN_INTERVAL_MS = 1_000
 NEAR_RT_MIN_INTERVAL_MS = 10
@@ -68,8 +68,9 @@ class Controller:
     controller's actions mutate it, so app effects serialize in action order
     and each app sees what the apps before it did. Only the recovery planner
     takes a frozen `World.snapshot`, once per plan; its link budget is the
-    one the failure monitor just read, so both see one out-of-service set. A
-    failing handler is logged and never halts the run.
+    world's budget of the current version, the object the failure monitor
+    just read, so both see one out-of-service set. A failing handler is
+    logged and never halts the run.
 
     Every app is periodic: a change to the world reaches an app through its
     idle gate at its next tick. Apps tick in groups: a group has one kernel
@@ -178,9 +179,7 @@ class Controller:
                 raise RicError("DeployPlan actions are reserved to the NonRT tier")
             plan: planner.DeploymentPlan = action.params["plan"]
             for p in plan.placements:
-                self.world.add_deployed_node(
-                    p.kind, p.position, p.tx_power_dbm, p.freq_ghz, NodeStatus.ACTIVE, now
-                )
+                self.world.add_deployed_node(p.kind, p.position, p.tx_power_dbm, p.freq_ghz)
             self.blackboard["plan_deployed"] = True
             self.kernel.log.log_action(
                 now,
@@ -212,13 +211,8 @@ class Controller:
         else:
             raise RicError(f"unknown action kind {action.kind}")
 
-    def _operational_links(self) -> LinkBudget:
-        """The world's link budget from the operational access nodes, those
-        that serve with a fresh heartbeat now."""
-        return self.world.link_budget(self.world.operational_access_ids(self.kernel.clock))
-
     def _recluster(self, max_aps: int) -> ClusterAssignment:
-        links = self._operational_links()
+        links = self.world.link_budget()
         if not links.access_ids or not links.ue_ids:
             return ClusterAssignment({})
         gains = {
@@ -282,10 +276,10 @@ class Controller:
 
 
 def _out_of_service(ctl: Controller) -> set[str]:
-    """UEs out of service in the operational link budget at the planner
+    """UEs out of service in the world's link budget at the planner
     threshold."""
     threshold = ctl.world.scenario.planner.get("snr_threshold_db", DEFAULT_SNR_THRESHOLD_DB)
-    return ctl._operational_links().out_of_service(threshold)
+    return ctl.world.link_budget().out_of_service(threshold)
 
 
 def _failure_monitor(ctl: Controller) -> list[Action]:
@@ -304,7 +298,7 @@ def _planner_idle(ctl: Controller) -> bool:
 def _recovery_planner(ctl: Controller) -> list[Action]:
     if _planner_idle(ctl):
         return []
-    snapshot = ctl.world.snapshot(ctl.kernel.clock)
+    snapshot = ctl.world.snapshot()
     plan = planner.build_plan(snapshot, ctl.params, ctl.world.scenario.planner)
     if not plan.placements:
         return []
@@ -456,8 +450,9 @@ def builtin_apps(
     """Default app set: failure monitoring and recovery planning in the NonRT
     tier; RIS tracking/tuning, clustering and scripted policy switches in the
     NearRT tier; energy and sensing management are log-only stubs. Only the
-    failure monitor has no idle gate: heartbeat staleness makes its output
-    depend on the clock."""
+    failure monitor has no idle gate: it writes `out_of_service`, the key the
+    planner's gate reads just after it, from the link budget that the world
+    keeps per version, so a run costs one set comparison."""
     non_rt, near_rt = non_rt_interval_ms, near_rt_interval_ms
     return [
         ControllerApp("FailureMonitor", "NonRT", _failure_monitor, non_rt),

@@ -13,7 +13,7 @@ from . import channel as ch
 from .ric import Controller, ControllerApp, builtin_apps
 from .scenario import Scenario, ValidationError, inject_disaster, traffic_multiplier
 from .simcore import Event, EventKind, Kernel, MetricsLog, RateTable, Sample
-from .world import DEFAULT_HEARTBEAT_MS, DEFAULT_SNR_THRESHOLD_DB, World
+from .world import DEFAULT_SNR_THRESHOLD_DB, World
 
 
 @dataclass(eq=False, slots=True)
@@ -78,7 +78,6 @@ class Simulation:
 
         self.kernel.on(EventKind.DISASTER_STRIKE, self._on_strike)
         self.kernel.on(EventKind.BATTERY_EXPIRY, self._on_battery_expiry)
-        self.kernel.on(EventKind.HEARTBEAT_DUE, self._on_heartbeat)
         self.kernel.on(EventKind.MEASUREMENT_DONE, self._on_measurement)
 
         for app in app_list:
@@ -94,8 +93,6 @@ class Simulation:
                 EventKind.UE_MOVE,
                 {"node_id": move["node_id"], "position": move["position"]},
             )
-        self.world.heartbeat(0)
-        self.kernel.schedule(DEFAULT_HEARTBEAT_MS, EventKind.HEARTBEAT_DUE)
         self.kernel.schedule(0, EventKind.MEASUREMENT_DONE)
 
     # --- event handlers ------------------------------------------------------
@@ -119,10 +116,6 @@ class Simulation:
         node_id = event.payload["node_id"]
         if self.world.expire_battery(node_id):
             kernel.log.log_action(kernel.clock, f"BatteryExpiry: {node_id} failed")
-
-    def _on_heartbeat(self, kernel: Kernel, event: Event) -> None:
-        self.world.heartbeat(kernel.clock)
-        kernel.schedule(kernel.clock + DEFAULT_HEARTBEAT_MS, EventKind.HEARTBEAT_DUE)
 
     def _on_measurement(self, kernel: Kernel, event: Event) -> None:
         sample = self.measure(kernel.clock)

@@ -443,6 +443,8 @@ _PLANNER = {
 
 def _planner(raw) -> dict[str, Any]:
     planner = _settings(raw, _PLANNER, "planner")
+    if planner.get("max_nodes", 0) < 0:
+        raise ParseError(f"planner.max_nodes: expected an integer >= 0, got {planner['max_nodes']!r}")
     bounds = planner.get("candidate_bounds")
     if bounds is not None:
         lo, hi = planner["candidate_bounds"] = _corners(bounds, "planner", "candidate_bounds", dims=2)

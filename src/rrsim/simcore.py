@@ -29,7 +29,6 @@ class NoDisaster(SimError):
 class EventKind(str, Enum):
     DISASTER_STRIKE = "DisasterStrike"
     BATTERY_EXPIRY = "BatteryExpiry"
-    HEARTBEAT_DUE = "HeartbeatDue"
     NON_RT_TICK = "NonRtTick"
     NEAR_RT_TICK = "NearRtTick"
     UE_MOVE = "UeMove"

@@ -1,12 +1,12 @@
 """Mutable run-time world state and immutable topology snapshots.
 
 The scenario stays frozen after load; everything that changes during a run
-(node status, batteries, obstacles added at strike time, RIS configurations,
-heartbeats) lives here, and only `World` methods write it. Node and obstacle
-changes bump `World.version`, the key of the link-budget cache; RIS
-configurations change through `World.configure_ris`. A UE is out of service
-when its best SNR in a link budget is below a threshold
-(`LinkBudget.out_of_service`).
+(node status, batteries, obstacles added at strike time, RIS configurations)
+lives here, and only `World` methods write it. A node is live while its status
+serves (`SERVING_STATUSES`). Node and obstacle changes bump `World.version`,
+the key of the serving-node count and the link budget; RIS configurations
+change through `World.configure_ris`. A UE is out of service when its best SNR in the
+link budget is below a threshold (`LinkBudget.out_of_service`).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .scenario import (
     Scenario,
 )
 
-DEFAULT_HEARTBEAT_MS = 10_000
 DEFAULT_SNR_THRESHOLD_DB = 3.0
 
 
@@ -74,11 +73,9 @@ class LinkBudget(NamedTuple):
 
 @dataclass(frozen=True)
 class TopologySnapshot:
-    """Frozen view of the world as of one instant; safe to hand to planners.
-    `links` is the link budget of the operational access nodes, those that
-    serve with a fresh heartbeat at now_ms."""
+    """Frozen view of the world at one version; safe to hand to planners.
+    `links` is the world's link budget at that version."""
 
-    now_ms: int
     nodes: tuple[NodeState, ...]
     obstacles: tuple
     links: LinkBudget
@@ -136,10 +133,6 @@ class World:
             n.node_id: NodeState.from_node(n) for n in scenario.nodes
         }
         self.obstacles: list = [tuple(map(tuple, box)) for box in scenario.obstacles]
-        self.last_heartbeat: dict[str, int] = {nid: 0 for nid in self.nodes}
-        self.heartbeat_window_ms: int = max(
-            scenario.non_rt_tick_ms, 2 * DEFAULT_HEARTBEAT_MS
-        )
         self.panels: dict[str, ch.RisPanel] = {}
         # Each panel's element states, read-only: `configure_ris` replaces the
         # array. _ris_bytes holds their bytes in sorted panel order.
@@ -147,12 +140,11 @@ class World:
         self._ris_bytes: tuple[bytes, ...] = ()
         self._next_deploy_index = 0
         # Bumped by every method below that changes nodes or obstacles; the
-        # serving ids and the link budget are keyed on it.
+        # serving-node count and the link budget are keyed on it.
         self.version = 0
-        # (version, ids of the serving nodes, sorted ids of the serving
-        # access nodes) and ((version, access ids), link budget).
-        self._serving: tuple[int, list[str], tuple[str, ...]] = (-1, [], ())
-        self._budget: tuple[tuple[int, tuple[str, ...]], LinkBudget] | None = None
+        # (version, number of serving nodes, link budget) of the last version
+        # read.
+        self._at_version: tuple[int, int, LinkBudget] | None = None
         for node in scenario.nodes:
             if node.kind == NodeKind.RIS_PANEL:
                 self._register_panel(node)
@@ -215,28 +207,6 @@ class World:
         config[members] = np.asarray(codeword, int)
         self._set_ris_config(panel_id, config)
 
-    def _serving_ids(self) -> tuple[list[str], tuple[str, ...]]:
-        """Ids of the serving nodes, and the sorted ids of the serving access
-        nodes. Which nodes serve changes only with the version, so both are
-        kept until it moves."""
-        if self._serving[0] != self.version:
-            ids = [nid for nid, node in self.nodes.items() if node.status in SERVING_STATUSES]
-            access = tuple(sorted(nid for nid in ids if self.nodes[nid].kind in ACCESS_KINDS))
-            self._serving = (self.version, ids, access)
-        return self._serving[1], self._serving[2]
-
-    def operational_access_ids(self, now_ms: int) -> tuple[str, ...]:
-        """Sorted ids of the operational access nodes: those that serve and
-        whose last heartbeat is at most `heartbeat_window_ms` before now_ms.
-        Every node has a heartbeat from the moment it exists."""
-        oldest = now_ms - self.heartbeat_window_ms
-        return tuple(nid for nid in self._serving_ids()[1] if self.last_heartbeat[nid] >= oldest)
-
-    def heartbeat(self, now_ms: int) -> None:
-        """Every serving node reports now."""
-        for node_id in self._serving_ids()[0]:
-            self.last_heartbeat[node_id] = now_ms
-
     def add_deployed_node(
         self,
         kind: NodeKind,
@@ -244,23 +214,19 @@ class World:
         tx_power_dbm: float,
         freq_ghz: float,
         status: NodeStatus = NodeStatus.ACTIVE,
-        now_ms: int = 0,
     ) -> NodeState:
         node_id = f"deployed_{self._next_deploy_index}"
         self._next_deploy_index += 1
         state = NodeState(node_id, kind, tuple(position), status, tx_power_dbm, freq_ghz)
         self.nodes[node_id] = state
-        self.last_heartbeat[node_id] = now_ms
         self.version += 1
         return state
 
     # --- views -------------------------------------------------------------
 
-    def snapshot(self, now_ms: int) -> TopologySnapshot:
-        """The nodes and obstacles now, and the cached link budget of the
-        operational access nodes at now_ms."""
+    def snapshot(self) -> TopologySnapshot:
+        """The nodes and obstacles now, and the cached link budget."""
         return TopologySnapshot(
-            now_ms=now_ms,
             nodes=tuple(
                 NodeState(
                     n.node_id, n.kind, n.position, n.status, n.tx_power_dbm, n.freq_ghz, n.battery_ms
@@ -268,7 +234,7 @@ class World:
                 for n in sorted(self.nodes.values(), key=lambda n: n.node_id)
             ),
             obstacles=tuple(self.obstacles),
-            links=self.link_budget(self.operational_access_ids(now_ms)),
+            links=self.link_budget(),
         )
 
     def link_state(self) -> tuple[int, tuple[bytes, ...]]:
@@ -277,23 +243,26 @@ class World:
         the last write. A configuration revisited gives its old key back."""
         return self.version, self._ris_bytes
 
-    def active_node_count(self) -> int:
-        return len(self._serving_ids()[0])
-
-    def link_budget(self, access_ids: tuple[str, ...] | None = None) -> LinkBudget:
-        """Access SNR from the given access nodes, by default every serving
-        one, to every UE. Kept until the version or the access ids change, so
-        the measurement and the controller apps share one computation per
-        world state. Callers must not modify it."""
-        if access_ids is None:
-            access_ids = self._serving_ids()[1]
-        key = (self.version, access_ids)
-        if self._budget is None or self._budget[0] != key:
+    def _serving_state(self) -> tuple[int, LinkBudget]:
+        """The number of serving nodes and the access SNR from every serving
+        access node, in sorted id order, to every UE. Which nodes serve
+        changes only with the version, so both are kept until it moves."""
+        if self._at_version is None or self._at_version[0] != self.version:
+            serving = [n for n in self.nodes.values() if n.status in SERVING_STATUSES]
+            access = sorted((n for n in serving if n.kind in ACCESS_KINDS), key=lambda n: n.node_id)
             ue_ids, positions = self.ue_positions()
-            access = [self.nodes[nid] for nid in access_ids]
             snr = access_snr_matrix(access, positions, self.scenario.channel, self.obstacles)
-            self._budget = (key, LinkBudget(ue_ids, access_ids, snr, *_best_server(snr)))
-        return self._budget[1]
+            budget = LinkBudget(ue_ids, tuple(n.node_id for n in access), snr, *_best_server(snr))
+            self._at_version = (self.version, len(serving), budget)
+        return self._at_version[1], self._at_version[2]
+
+    def active_node_count(self) -> int:
+        return self._serving_state()[0]
+
+    def link_budget(self) -> LinkBudget:
+        """The link budget of the current version, shared by the measurement,
+        the controller apps and snapshots. Callers must not modify it."""
+        return self._serving_state()[1]
 
     def ue_positions(self) -> tuple[list[str], np.ndarray]:
         ues = sorted(

@@ -318,12 +318,10 @@ class TestCriterion7:
         )
         strike = scenario.disasters[0].strike_time_ms
         sim.run(strike)
-        snapshot = sim.world.snapshot(strike)
+        snapshot = sim.world.snapshot()
         plan = planner_mod.build_plan(snapshot, scenario.channel, scenario.planner)
         for p in plan.placements:
-            sim.world.add_deployed_node(
-                p.kind, p.position, p.tx_power_dbm, p.freq_ghz, now_ms=strike
-            )
+            sim.world.add_deployed_node(p.kind, p.position, p.tx_power_dbm, p.freq_ghz)
         restored = sim.measure(strike, apply_fading=False).coverage_ratio
         elapsed = time.perf_counter() - start
         assert restored >= plan.estimated_coverage_ratio - 1e-9

@@ -284,6 +284,40 @@ class TestValidation:
         assert rc == 2
         assert "magic" in capsys.readouterr().err
 
+    BENCH = ["ris", "bench", "--seeds", "1"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--until", "-5"], "--until must be >= 0, got -5"),
+            (BENCH + ["--panel", "0,4"], "--panel must have N >= 1 elements and S >= 2 states, got 0,4"),
+            (BENCH + ["--panel", "8,1"], "--panel must have N >= 1 elements and S >= 2 states, got 8,1"),
+            (["ris", "bench", "--panel", "8,4", "--seeds", "0"], "--seeds must be >= 1, got 0"),
+            (["ris", "bench", "--panel", "8,4", "--seeds", "-2"], "--seeds must be >= 1, got -2"),
+            (BENCH + ["--panel", "8,4", "--group-count", "0"],
+             "--group-count must be in [1, 8], the panel's elements, got 0"),
+            (BENCH + ["--panel", "8,4", "--group-count", "99"],
+             "--group-count must be in [1, 8], the panel's elements, got 99"),
+            (["plan", "--max-nodes", "-1"], "--max-nodes must be >= 0, got -1"),
+        ],
+        ids=["until", "panel_elements", "panel_states", "seeds_zero", "seeds_negative",
+             "group_count_zero", "group_count_above_panel", "max_nodes"],
+    )
+    def test_bad_number_argument(self, tmp_path, capsys, argv, message):
+        """Each exits 2 with one line that names the argument, before it
+        writes anything."""
+        out = str(tmp_path / "out")
+        if argv[0] in ("run", "plan"):
+            argv = argv + ["--scenario", bundled_scenario_path("earthquake_demo.json")]
+        assert main(argv + ["--out", out]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"{message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_group_count_is_checked_only_for_grouping(self, tmp_path):
+        argv = ["ris", "bench", "--panel", "2,2", "--seeds", "1", "--algorithms", "iterative"]
+        assert main(argv + ["--group-count", "3", "--out", str(tmp_path / "b.csv")]) == 0
+
 
 class TestRun:
     def test_artifacts_and_summary(self, tmp_path, capsys):

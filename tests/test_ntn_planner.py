@@ -14,7 +14,7 @@ from rrsim import ntn_planner as planner
 from rrsim import world as world_mod
 from rrsim.cli import bundled_scenario_path
 from rrsim.runner import Simulation
-from rrsim.scenario import NodeKind, NodeStatus, load_scenario, scenario_from_dict
+from rrsim.scenario import ACCESS_KINDS, NodeKind, NodeStatus, load_scenario, scenario_from_dict
 from rrsim.simcore import rng_stream
 from rrsim.world import NodeState, World, access_snr_matrix
 
@@ -42,12 +42,11 @@ def grid_world(failed=(), gateway_pos=(2500, 2500, 30), extra_nodes=(), obstacle
     world = World(scenario_from_dict(data))
     if failed:
         world.apply_strike(list(failed), [], [], 0)
-    world.heartbeat(0)
     return world
 
 
 def grid_scenario(*args, **kwargs):
-    return grid_world(*args, **kwargs).snapshot(0)
+    return grid_world(*args, **kwargs).snapshot()
 
 
 ALL_BS = tuple(f"bs_{i}{j}" for i in range(3) for j in range(3))
@@ -81,12 +80,6 @@ class TestDetectOutage:
     def test_failed_nodes_create_outage(self):
         links = grid_scenario(failed=ALL_BS).links
         assert links.access_ids == ()
-        assert links.out_of_service(3.0) == ALL_UES
-
-    def test_stale_heartbeat_counts_as_failed(self):
-        world = grid_world()
-        links = world.snapshot(10**9).links
-        assert links.access_ids == () and world.operational_access_ids(10**9) == ()
         assert links.out_of_service(3.0) == ALL_UES
 
     def test_best_snr_at_the_threshold_is_in_service(self):
@@ -191,7 +184,7 @@ class TestBackhaul:
             {"id": "ue", "kind": "UE", "position": [5, 5, 1.5]},
         ]
         data = {"nodes": nodes, "obstacles": [list(map(list, wall))]}
-        snap = World(scenario_from_dict(data)).snapshot(0)
+        snap = World(scenario_from_dict(data)).snapshot()
         uav = self.placement((40.0, 0.0, 10.0))
         params = ch.ChannelParams(exponent=2.0, blockage_penalty_db=60.0)
         assert ch.los_blocked((0, 0, 10), (40, 0, 10), snap.obstacles)
@@ -256,7 +249,7 @@ class TestRelaySearchMemo:
             {"id": "gw", "kind": "Gateway", "position": [0, 0, 10]},
             {"id": "ue", "kind": "UE", "position": [5, 5, 1.5]},
         ]
-        snap = World(scenario_from_dict({"nodes": nodes, "obstacles": [list(map(list, wall))]})).snapshot(0)
+        snap = World(scenario_from_dict({"nodes": nodes, "obstacles": [list(map(list, wall))]})).snapshot()
         uavs = [
             planner.Placement(f"uav_{i}", planner.NodeKind.UAV, pos, 45.0, 3.5)
             for i, pos in enumerate([(40.0, 0.0, 10.0), (40.0, 3.0, 10.0)])
@@ -307,7 +300,6 @@ def _outages(draw):
     world = World(scenario_from_dict({"nodes": nodes, "obstacles": obstacles}))
     failed = [f"bs_{i}" for i in range(n_bs) if draw(st.booleans())]
     world.apply_strike(failed, [], [], 0)
-    world.heartbeat(0)
     cfg = {
         "snr_threshold_db": draw(st.floats(-10.0, 30.0)),
         "max_nodes": draw(st.integers(1, 3)),
@@ -323,11 +315,11 @@ def _outages(draw):
 @given(_outages())
 def test_one_candidate_matrix_and_the_estimate_match_per_node_oracles(case):
     """The per-candidate loop of coverage_sets, the out-of-service set and the
-    estimate as the best SNR over the operational access nodes and the
+    estimate as the best SNR over the serving access nodes and the
     placements, computed as they were before the planner shared one
     candidate matrix and took its outage from the snapshot's link budget."""
     world, cfg = case
-    snapshot = world.snapshot(0)
+    snapshot = world.snapshot()
     threshold, tx_power = cfg["snr_threshold_db"], cfg["uav_tx_power_dbm"]
     obstacles, params = snapshot.obstacles, ch.ChannelParams()
     ues = snapshot.ues()
@@ -349,7 +341,10 @@ def test_one_candidate_matrix_and_the_estimate_match_per_node_oracles(case):
             return np.full(len(ues), -np.inf)
         return matrix[np.argmax(matrix, axis=0), np.arange(len(ues))]
 
-    access = [world.nodes[nid] for nid in world.operational_access_ids(0)]
+    access = sorted(
+        (n for n in world.nodes.values() if n.serving and n.kind in ACCESS_KINDS),
+        key=lambda n: n.node_id,
+    )
     out = {ue_ids[j] for j, snr in enumerate(best_snr(access)) if snr < threshold}
     assert snapshot.links.out_of_service(threshold) == out
     for config in (cfg, {**cfg, "max_nodes": 0}):

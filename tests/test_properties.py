@@ -421,7 +421,7 @@ def _dispatch_order(steps, grouped):
         tiers = {"NonRT" if event.kind == EventKind.NON_RT_TICK else "NearRT"}
         assert {app.tier for app in event.payload["apps"]} == tiers
 
-    kernel.on(EventKind.HEARTBEAT_DUE, on_event)
+    kernel.on(EventKind.BATTERY_EXPIRY, on_event)
     if grouped:  # a group never mixes tiers, even at one interval
         kernel.on(EventKind.NON_RT_TICK, tier_of_group)
         kernel.on(EventKind.NEAR_RT_TICK, tier_of_group)
@@ -429,10 +429,10 @@ def _dispatch_order(steps, grouped):
         if step[0] == "app":
             register(f"app{i}", *step[1])
         elif step[0] == "event":
-            kernel.schedule(kernel.clock + step[1], EventKind.HEARTBEAT_DUE,
+            kernel.schedule(kernel.clock + step[1], EventKind.BATTERY_EXPIRY,
                             {"name": f"event{i}", "period": step[2]})
         elif step[0] == "app_in_event":
-            kernel.schedule(kernel.clock + step[1], EventKind.HEARTBEAT_DUE,
+            kernel.schedule(kernel.clock + step[1], EventKind.BATTERY_EXPIRY,
                             {"name": f"event{i}", "app": step[2]})
         else:
             kernel.run_until(kernel.clock + step[1])

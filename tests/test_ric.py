@@ -21,12 +21,11 @@ from rrsim.ric import (
     DuplicateName,
     InvalidInterval,
     RicError,
-    _failure_monitor,
     _ris_iterative_tuner,
     builtin_apps,
 )
 from rrsim.runner import Simulation
-from rrsim.scenario import scenario_from_dict
+from rrsim.scenario import ACCESS_KINDS, scenario_from_dict
 from rrsim.simcore import EventKind, Kernel
 from rrsim.world import World, access_snr_matrix
 
@@ -106,19 +105,19 @@ class TestDispatch:
         plan = DeploymentPlan(placements=[Placement("uav_0", NodeKind.UAV, (50, 50, 120), 35.0, 3.5)])
         seen = []
         ctl.register_app(nonrt("deploy", lambda c: [Action("DeployPlan", {"plan": plan})], 1_000))
-        ctl.register_app(nonrt("read", lambda c: seen.append(c.world.operational_access_ids(1_000)) or [], 1_000))
+        ctl.register_app(nonrt("read", lambda c: seen.append(c.world.link_budget().access_ids) or [], 1_000))
         kernel.run_until(1_000)
         assert seen == [("bs1", "deployed_0")]
 
     def test_ue_move_event_moves_the_live_node(self):
         ctl, kernel = make_controller()
-        first = ctl.world.snapshot(0)
+        first = ctl.world.snapshot()
         version = ctl.world.version
         kernel.schedule(10, EventKind.UE_MOVE, {"node_id": "ue1", "position": [300, 0, 1.5]})
         kernel.run_until(10)
         assert ctl.world.nodes["ue1"].position == (300, 0, 1.5)
         assert ctl.world.version == version + 1
-        ue = next(n for n in ctl.world.snapshot(10).nodes if n.node_id == "ue1")
+        ue = next(n for n in ctl.world.snapshot().nodes if n.node_id == "ue1")
         assert ue.position == (300, 0, 1.5)
         assert next(n for n in first.nodes if n.node_id == "ue1").position == (100, 0, 1.5)
 
@@ -174,7 +173,6 @@ class TestActions:
 
     def test_recluster_builds_assignment(self):
         ctl, _ = make_controller()
-        ctl.world.heartbeat(0)
         ctl.apply_action(Action("Recluster", {"L": 1}), nearrt("x", lambda c: []))
         assert ctl.cluster_assignment.aps_for("ue1") == ("bs1",)
 
@@ -332,19 +330,18 @@ class TestFailureMonitorCache:
         sim = Simulation(earthquake_scenario, disabled_apps={"RecoveryPlanner"})
         calls = record_link_budgets(monkeypatch, sim)
         sim.run(1_200_000)
-        # 20 NonRT ticks, 241 samples and 1,200 NearRT ticks, but two (world
-        # version, operational access set) keys: before the strike at 60 s
-        # and after it.
+        # 20 NonRT ticks, 241 samples and 1,200 NearRT ticks, but two world
+        # versions: before the strike at 60 s and after it.
         assert computed(calls) == [(0, 0), (60_000, 1)]
-        # Oracle: the best SNR over the operational access nodes, per UE.
-        world, now = sim.world, sim.kernel.clock
-        access = [world.nodes[nid] for nid in world.operational_access_ids(now)]
+        # Oracle: the best SNR over the serving access nodes, per UE.
+        world = sim.world
+        access = [n for n in world.nodes.values() if n.serving and n.kind in ACCESS_KINDS]
         ue_ids, positions = world.ue_positions()
         matrix = access_snr_matrix(access, positions, sim.controller.params, world.obstacles)
         best = matrix.max(axis=0, initial=-np.inf)
         expected = {ue_id for ue_id, snr in zip(ue_ids, best.tolist()) if snr < 3.0}
         assert expected and sim.controller.blackboard["out_of_service"] == expected
-        assert world.snapshot(now).links.out_of_service(3.0) == expected
+        assert world.snapshot().links.out_of_service(3.0) == expected
 
     def test_planner_reuses_the_monitors_set(self, earthquake_scenario, monkeypatch):
         sim = Simulation(earthquake_scenario)
@@ -387,16 +384,6 @@ class TestFailureMonitorCache:
         # One matrix per world version, before and after the strike.
         assert len(calls) == 2
 
-    def test_stale_heartbeat_is_part_of_the_key(self):
-        ctl, kernel = make_controller()
-        assert _failure_monitor(ctl) == []
-        version = ctl.world.version
-        kernel.run_until(70_000)  # no heartbeats: bs1 goes stale
-        actions = _failure_monitor(ctl)
-        assert ctl.world.version == version
-        assert ctl.blackboard["out_of_service"] == {"ue1"}
-        assert [a.kind for a in actions] == ["Note"]
-
 
 class TestTickGroups:
     def test_earthquake_run_has_one_tick_per_group(self, earthquake_scenario):
@@ -432,7 +419,7 @@ class TestSleepingTicks:
         assert kernel.dispatched[EventKind.NEAR_RT_TICK] == 4
         assert kernel.skipped == {EventKind.NEAR_RT_TICK: 14_516}
         assert kernel.dispatched[EventKind.NON_RT_TICK] == 484
-        assert kernel.scheduled == 19_375
+        assert kernel.scheduled == 17_922
         assert sum(d.startswith("Recluster") for _, d in sim.kernel.log.actions) == 4
 
     def test_a_replaced_gate_keeps_every_tick(self, two_ue_scenario):

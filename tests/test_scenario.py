@@ -111,6 +111,11 @@ class TestValidation:
         with pytest.raises(ValidationError):
             minimal(traffic={"data_surge": [[100, 2.0], [50, 1.0]]})
 
+    def test_max_nodes_must_not_be_negative(self):
+        with pytest.raises(ParseError, match=r"^planner.max_nodes: expected an integer >= 0, got -2$"):
+            minimal(planner={"max_nodes": -2})
+        assert minimal(planner={"max_nodes": 0}).planner["max_nodes"] == 0
+
 
 class TestTrafficSurge:
     PROFILE = TrafficProfile(

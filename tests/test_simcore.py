@@ -34,9 +34,9 @@ class TestKernel:
     def test_events_fire_in_time_order(self):
         kernel = Kernel()
         fired = []
-        kernel.on(EventKind.HEARTBEAT_DUE, lambda k, e: fired.append(e.fire_time))
+        kernel.on(EventKind.BATTERY_EXPIRY, lambda k, e: fired.append(e.fire_time))
         for t in (30, 10, 20):
-            kernel.schedule(t, EventKind.HEARTBEAT_DUE)
+            kernel.schedule(t, EventKind.BATTERY_EXPIRY)
         kernel.run_until(100)
         assert fired == [10, 20, 30]
         assert kernel.clock == 100
@@ -44,9 +44,9 @@ class TestKernel:
     def test_same_time_ties_break_by_schedule_order(self):
         kernel = Kernel()
         fired = []
-        kernel.on(EventKind.HEARTBEAT_DUE, lambda k, e: fired.append(e.payload["tag"]))
+        kernel.on(EventKind.BATTERY_EXPIRY, lambda k, e: fired.append(e.payload["tag"]))
         for tag in ("a", "b", "c"):
-            kernel.schedule(50, EventKind.HEARTBEAT_DUE, {"tag": tag})
+            kernel.schedule(50, EventKind.BATTERY_EXPIRY, {"tag": tag})
         kernel.run_until(50)
         assert fired == ["a", "b", "c"]
 
@@ -57,35 +57,35 @@ class TestKernel:
         def chain(k, e):
             fired.append(k.clock)
             if k.clock < 30:
-                k.schedule(k.clock + 10, EventKind.HEARTBEAT_DUE)
+                k.schedule(k.clock + 10, EventKind.BATTERY_EXPIRY)
 
-        kernel.on(EventKind.HEARTBEAT_DUE, chain)
-        kernel.schedule(10, EventKind.HEARTBEAT_DUE)
+        kernel.on(EventKind.BATTERY_EXPIRY, chain)
+        kernel.schedule(10, EventKind.BATTERY_EXPIRY)
         kernel.run_until(100)
         assert fired == [10, 20, 30]
 
     def test_past_event_rejected(self):
         kernel = Kernel()
-        kernel.schedule(10, EventKind.HEARTBEAT_DUE)
+        kernel.schedule(10, EventKind.BATTERY_EXPIRY)
         kernel.run_until(20)
         with pytest.raises(PastEvent):
-            kernel.schedule(15, EventKind.HEARTBEAT_DUE)
+            kernel.schedule(15, EventKind.BATTERY_EXPIRY)
         with pytest.raises(PastEvent):
             kernel.run_until(5)
 
     def test_run_until_stops_at_boundary(self):
         kernel = Kernel()
         fired = []
-        kernel.on(EventKind.HEARTBEAT_DUE, lambda k, e: fired.append(e.fire_time))
-        kernel.schedule(10, EventKind.HEARTBEAT_DUE)
-        kernel.schedule(11, EventKind.HEARTBEAT_DUE)
+        kernel.on(EventKind.BATTERY_EXPIRY, lambda k, e: fired.append(e.fire_time))
+        kernel.schedule(10, EventKind.BATTERY_EXPIRY)
+        kernel.schedule(11, EventKind.BATTERY_EXPIRY)
         kernel.run_until(10)
         assert fired == [10]
         kernel.run_until(11)
         assert fired == [10, 11]
 
     def test_event_is_frozen(self):
-        event = Event(5, EventKind.HEARTBEAT_DUE)
+        event = Event(5, EventKind.BATTERY_EXPIRY)
         with pytest.raises(AttributeError):
             event.fire_time = 7
 

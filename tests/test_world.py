@@ -1,4 +1,4 @@
-"""Run-time world state: strikes, batteries, heartbeats, snapshots and RIS
+"""Run-time world state: strikes, batteries, snapshots and RIS
 configurations."""
 
 import numpy as np
@@ -57,31 +57,16 @@ class TestTransitions:
 
     def test_deployed_nodes_get_fresh_heartbeat(self):
         world = make_world()
-        state = world.add_deployed_node(NodeKind.UAV, (100, 100, 120), 35.0, 3.5, now_ms=90_000)
+        state = world.add_deployed_node(NodeKind.UAV, (100, 100, 120), 35.0, 3.5)
         assert state.node_id == "deployed_0"
-        assert world.last_heartbeat[state.node_id] == 90_000
         second = world.add_deployed_node(NodeKind.UAV, (0, 0, 120), 35.0, 3.5)
         assert second.node_id == "deployed_1"
-
-
-class TestHeartbeats:
-    def test_failed_nodes_go_stale(self):
-        world = make_world()
-        world.apply_strike(["bs1"], [], [], 0)
-        world.heartbeat(50_000)
-        # bs1 last reported at t=0; the 60 s window has passed by t=100 s
-        assert (world.last_heartbeat["bs1"], world.last_heartbeat["bs2"]) == (0, 50_000)
-        assert world.operational_access_ids(100_000) == ("bs2",)
-
-    def test_window_scales_with_non_rt_tick(self):
-        world = make_world(ticks={"non_rt_ms": 120_000})
-        assert world.heartbeat_window_ms == 120_000
 
 
 class TestSnapshot:
     def test_nodes_sorted_and_copied(self):
         world = make_world()
-        snap = world.snapshot(0)
+        snap = world.snapshot()
         ids = [n.node_id for n in snap.nodes]
         assert ids == sorted(ids)
         world.nodes["bs1"].status = NodeStatus.FAILED
@@ -91,39 +76,32 @@ class TestSnapshot:
     def test_operational_access_nodes(self):
         world = make_world()
         world.apply_strike(["bs1"], [], [], 0)
-        assert world.operational_access_ids(0) == ("bs2",)
-        links = world.snapshot(0).links
+        links = world.snapshot().links
         assert links.access_ids == ("bs2",)
-        assert links is world.link_budget(("bs2",))
+        assert links is world.link_budget()
 
     def test_operational_access_ids_match_the_snapshot(self):
-        """The live query gives the operational access ids after every kind
-        of change, and when a heartbeat goes stale at an unchanged version;
-        a snapshot's link budget is over exactly those ids."""
+        """A snapshot's `links` is `world.link_budget()` after every kind of
+        change, over the serving access nodes in id order, and a change
+        that serves no node differently still makes a new budget."""
         world = make_world()
 
-        def ids(now_ms):
-            got = world.operational_access_ids(now_ms)
-            assert world.snapshot(now_ms).links.access_ids == got
-            return got
+        def ids():
+            links = world.snapshot().links
+            assert links is world.link_budget()
+            return links.access_ids
 
-        assert ids(0) == ("bs1", "bs2")
+        assert ids() == ("bs1", "bs2")
         world.apply_strike(["bs1"], ["bs2"], [], 1_000)
-        assert ids(1_000) == ("bs2",)
-        world.heartbeat(30_000)
-        world.add_deployed_node(NodeKind.UAV, (400, 0, 120), 35.0, 3.5, now_ms=40_000)
-        assert ids(40_000) == ("bs2", "deployed_0")
+        assert ids() == ("bs2",)
+        world.add_deployed_node(NodeKind.UAV, (400, 0, 120), 35.0, 3.5)
+        assert ids() == ("bs2", "deployed_0")
+        before = world.link_budget()
         world.move_node("ue1", (300, 0, 1.5))
-        assert ids(50_000) == ("bs2", "deployed_0")
-        version = world.version
-        # 60 s window: bs2 last beat at 30 s, the UAV at 40 s
-        assert ids(95_000) == ("deployed_0",)
-        assert ids(101_000) == ()
-        assert world.version == version
-        world.heartbeat(101_000)
-        assert ids(101_000) == ("bs2", "deployed_0")
+        assert ids() == ("bs2", "deployed_0")
+        assert world.link_budget() is not before
         assert world.expire_battery("bs2")
-        assert ids(101_000) == ("deployed_0",)
+        assert ids() == ("deployed_0",)
 
     def test_ue_positions_sorted(self):
         world = make_world()
@@ -137,7 +115,7 @@ class TestSnrHelpers:
 
     def test_matrix_against_link_budget(self):
         world = make_world()
-        access = [world.nodes[nid] for nid in world.operational_access_ids(0)]
+        access = [world.nodes[nid] for nid in world.link_budget().access_ids]
         positions = np.array([[100.0, 0.0, 1.5]])
         matrix = access_snr_matrix(access, positions, self.PARAMS, ())
         node = access[0]
@@ -155,8 +133,9 @@ class TestSnrHelpers:
 
     def test_no_access_nodes(self):
         world = make_world()
-        for budget in (world.link_budget(()), world.link_budget(("bs1",))):
-            assert budget.snr_db.shape == (len(budget.access_ids), 2)
+        world.apply_strike(["bs1"], [], [], 0)
+        budget = world.link_budget()
+        assert budget.snr_db.shape == (len(budget.access_ids), 2) == (1, 2)
         world.apply_strike(["bs1", "bs2"], [], [], 0)
         budget = world.link_budget()
         assert budget.access_ids == () and budget.snr_db.shape == (0, 2)
@@ -165,7 +144,7 @@ class TestSnrHelpers:
 
     def test_blockage_reduces_snr(self):
         world = make_world()
-        access = [world.nodes[nid] for nid in world.operational_access_ids(0)]
+        access = [world.nodes[nid] for nid in world.link_budget().access_ids]
         positions = np.array([[100.0, 0.0, 1.5]])
         clear = access_snr_matrix(access, positions, self.PARAMS, ())
         wall = (((50.0, -5.0, 0.0), (60.0, 5.0, 50.0)),)
@@ -196,22 +175,18 @@ class TestVersion:
         world = make_world()
         version = world.version
         assert not world.expire_battery("bs1")
-        world.heartbeat(10_000)
         assert world.version == version
 
     def test_heartbeat_follows_status_changes_between_beats(self):
+        """The serving-node count follows every status change between two
+        reads: gw, bs1, bs2, ue1 and ue2 serve at first."""
         world = make_world()
-        world.heartbeat(10_000)
+        assert world.active_node_count() == 5
         world.apply_strike(["bs1"], ["bs2"], [], 15_000)
-        deployed = world.add_deployed_node(NodeKind.UAV, (0, 0, 120), 35.0, 3.5, now_ms=15_000)
-        world.heartbeat(20_000)
+        world.add_deployed_node(NodeKind.UAV, (0, 0, 120), 35.0, 3.5)
+        assert world.active_node_count() == 5
         world.expire_battery("bs2")
-        world.heartbeat(30_000)
-        beats = world.last_heartbeat
-        assert (beats["bs1"], beats["bs2"], beats[deployed.node_id], beats["ue1"]) == (
-            10_000, 20_000, 30_000, 30_000
-        )
-        assert list(beats) == list(world.nodes)
+        assert world.active_node_count() == 4
 
 
 class TestRisConfiguration:
