@@ -175,17 +175,11 @@ def cmd_plan(args: argparse.Namespace) -> int:
     sim = _simulation(args.scenario, {app.name for app in builtin_apps()})
     if sim is None:
         return EXIT_VALIDATION
-    scenario = sim.scenario
-    planner_cfg = dict(scenario.planner)
-    if args.max_nodes is not None:
-        planner_cfg["max_nodes"] = args.max_nodes
-
-    horizon = max((d.strike_time_ms for d in scenario.disasters), default=0)
+    horizon = max((d.strike_time_ms for d in sim.scenario.disasters), default=0)
     sim.run(horizon)
-    snapshot = sim.world.snapshot()
 
     try:
-        plan = planner_mod.build_plan(snapshot, scenario.channel, planner_cfg)
+        plan = planner_mod.build_plan(sim.world, args.max_nodes)
     except planner_mod.UnreachablePlacement as exc:
         print(f"planning failed: {exc}", file=sys.stderr)
         return EXIT_UNREACHABLE

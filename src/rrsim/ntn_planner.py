@@ -1,6 +1,7 @@
 """Non-real-time recovery planning: greedy aerial-node placement and backhaul
-tree formation with RIS relay fallback. The UEs to cover are the
-out-of-service set of the snapshot's link budget, the set the failure
+tree formation with RIS relay fallback. A planning pass reads the live
+`World`: its nodes and obstacles, the scenario's channel and planner settings,
+and the UEs to cover, which are `World.out_of_service()`, the set the failure
 monitor reads."""
 
 from __future__ import annotations
@@ -15,12 +16,7 @@ import numpy as np
 from . import channel as ch
 from .ris_opt import iterative_optimize, model_evaluator
 from .scenario import NodeKind, NodeStatus
-from .world import (
-    DEFAULT_SNR_THRESHOLD_DB,
-    NodeState,
-    TopologySnapshot,
-    access_snr_matrix,
-)
+from .world import NodeState, World, access_snr_matrix
 
 DEFAULT_UAV_ALTITUDE_M = 120.0
 DEFAULT_UAV_TX_DBM = 35.0
@@ -211,25 +207,26 @@ def _try_ris_relay(
 
 def form_backhaul(
     placements: list[Placement],
-    snapshot: TopologySnapshot,
-    params: ch.ChannelParams,
+    world: World,
     backhaul_threshold_db: float = DEFAULT_BACKHAUL_THRESHOLD_DB,
     relay_sites: Sequence[Sequence[float]] = (),
 ) -> list[BackhaulEdge]:
-    """Minimum-cost forest rooted at gateways; infeasible blocked edges retry
-    through a RIS relay before the placement is declared unreachable."""
-    gateways = snapshot.gateways()
+    """Minimum-cost forest rooted at the world's gateways, over its channel
+    and obstacles; infeasible blocked edges retry through a RIS relay before
+    a serving satellite, the first by id, feeds the placement, or it is
+    declared unreachable."""
+    params, obstacles = world.scenario.channel, world.obstacles
+    nodes = sorted(world.nodes.values(), key=lambda n: n.node_id)
+    gateways = [n for n in nodes if n.kind == NodeKind.GATEWAY]
     if not gateways:
         raise PlannerError("at least one gateway required")
-    satellites = [
-        n for n in snapshot.by_kind(NodeKind.SATELLITE) if n.serving
-    ]
+    satellites = [n for n in nodes if n.kind == NodeKind.SATELLITE and n.serving]
     anchors: dict[str, tuple[float, float, float]] = {
         g.node_id: g.position for g in gateways
     }
     pending = {p.node_id: p for p in placements}
     edges: list[BackhaulEdge] = []
-    all_relay_sites = _relay_candidates(snapshot.obstacles, relay_sites)
+    all_relay_sites = _relay_candidates(obstacles, relay_sites)
     # Anchor and child positions are fixed for the whole call, so each
     # (parent, child) relay search is done at most once.
     relays: dict[tuple[str, str], tuple[tuple[float, float, float], float] | None] = {}
@@ -242,7 +239,7 @@ def form_backhaul(
             child = pending[child_id]
             for parent_id in sorted(anchors):
                 anchor = anchors[parent_id]
-                blocked = ch.los_blocked(anchor, child.position, snapshot.obstacles)
+                blocked = ch.los_blocked(anchor, child.position, obstacles)
                 clear_loss = ch.path_loss(anchor, child.position, child.freq_ghz, params)
                 # What path_loss(blocked=True) adds.
                 cost = clear_loss + params.blockage_penalty_db if blocked else clear_loss
@@ -262,7 +259,7 @@ def form_backhaul(
                             child.tx_power_dbm,
                             child.freq_ghz,
                             params,
-                            snapshot.obstacles,
+                            obstacles,
                             all_relay_sites,
                             backhaul_threshold_db,
                         )
@@ -288,32 +285,26 @@ def form_backhaul(
     return edges
 
 
-def build_plan(
-    snapshot: TopologySnapshot,
-    params: ch.ChannelParams,
-    planner_cfg: dict[str, Any],
-) -> DeploymentPlan:
-    """Full non-real-time planning pass on one topology snapshot, for the UEs
-    out of service in its link budget at the planner's SNR threshold. The
-    estimate counts the UEs in service or covered by a placement."""
-    snr_threshold = float(planner_cfg.get("snr_threshold_db", DEFAULT_SNR_THRESHOLD_DB))
-    max_nodes = int(planner_cfg.get("max_nodes", 3))
-    altitude = float(planner_cfg.get("uav_altitude_m", DEFAULT_UAV_ALTITUDE_M))
-    spacing = float(planner_cfg.get("candidate_spacing_m", 500.0))
-    tx_power = float(planner_cfg.get("uav_tx_power_dbm", DEFAULT_UAV_TX_DBM))
-    freq = float(planner_cfg.get("uav_freq_ghz", 3.5))
-    backhaul_threshold = float(
-        planner_cfg.get("backhaul_threshold_db", DEFAULT_BACKHAUL_THRESHOLD_DB)
-    )
+def build_plan(world: World, max_nodes: int | None = None) -> DeploymentPlan:
+    """Full non-real-time planning pass on the live world, with the
+    scenario's planner settings, for the UEs out of service now. max_nodes,
+    when given, replaces `planner.max_nodes`. The estimate counts the UEs in
+    service or covered by a placement."""
+    cfg, params, obstacles = world.scenario.planner, world.scenario.channel, world.obstacles
+    snr_threshold = world.snr_threshold_db
+    if max_nodes is None:
+        max_nodes = cfg.get("max_nodes", 3)
+    altitude = cfg.get("uav_altitude_m", DEFAULT_UAV_ALTITUDE_M)
+    spacing = cfg.get("candidate_spacing_m", 500.0)
+    tx_power = cfg.get("uav_tx_power_dbm", DEFAULT_UAV_TX_DBM)
+    freq = cfg.get("uav_freq_ghz", 3.5)
 
-    ues = snapshot.ues()
-    ue_ids = [u.node_id for u in ues]
-    ue_positions = np.array([u.position for u in ues], float).reshape(len(ues), 3)
-    out_of_service = snapshot.links.out_of_service(snr_threshold)
+    ue_ids, ue_positions = world.ue_positions()
+    out_of_service = world.out_of_service()
     if not out_of_service:
         return DeploymentPlan(estimated_coverage_ratio=1.0)
 
-    bounds = planner_cfg.get("candidate_bounds")
+    bounds = cfg.get("candidate_bounds")
     if bounds is None:
         oos_pos = ue_positions[[ue_ids.index(u) for u in sorted(out_of_service)]]
         lo = oos_pos[:, :2].min(axis=0) - spacing
@@ -329,20 +320,19 @@ def build_plan(
         max_nodes,
         snr_threshold,
         params,
-        snapshot.obstacles,
+        obstacles,
         tx_power,
         freq,
     )
     backhaul = form_backhaul(
         placements,
-        snapshot,
-        params,
-        backhaul_threshold,
-        planner_cfg.get("relay_sites", ()),
+        world,
+        cfg.get("backhaul_threshold_db", DEFAULT_BACKHAUL_THRESHOLD_DB),
+        cfg.get("relay_sites", ()),
     )
     reach = coverage_sets(
         [p.position for p in placements], ue_ids, ue_positions, snr_threshold, params,
-        snapshot.obstacles, tx_power, freq,
+        obstacles, tx_power, freq,
     )
     covered = set().union(*reach)
     served = sum(1 for u in ue_ids if u in covered or u not in out_of_service)

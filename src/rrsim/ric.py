@@ -21,7 +21,7 @@ from .ris_opt import (
 from .cfmimo import ClusterAssignment, cluster
 from .scenario import POLICY_FAST_RECOVERY, POLICY_MAX_THROUGHPUT
 from .simcore import Event, EventKind, Kernel
-from .world import DEFAULT_SNR_THRESHOLD_DB, World
+from .world import World
 
 NON_RT_MIN_INTERVAL_MS = 1_000
 NEAR_RT_MIN_INTERVAL_MS = 10
@@ -66,11 +66,10 @@ class Controller:
 
     Handlers read the live world through the controller; only the
     controller's actions mutate it, so app effects serialize in action order
-    and each app sees what the apps before it did. Only the recovery planner
-    takes a frozen `World.snapshot`, once per plan; its link budget is the
-    world's budget of the current version, the object the failure monitor
-    just read, so both see one out-of-service set. A failing handler is
-    logged and never halts the run.
+    and each app sees what the apps before it did. The recovery planner reads
+    the same world: at a planning tick `World.out_of_service()` is the set
+    that the failure monitor has just read, from one link budget. A failing
+    handler is logged and never halts the run.
 
     Every app is periodic: a change to the world reaches an app through its
     idle gate at its next tick. Apps tick in groups: a group has one kernel
@@ -91,11 +90,10 @@ class Controller:
     an observer besides this controller, runs at every firing.
     """
 
-    def __init__(self, world: World, kernel: Kernel, ric_cfg: dict[str, Any] | None = None) -> None:
+    def __init__(self, world: World, kernel: Kernel) -> None:
         self.world = world
         self.kernel = kernel
-        self.cfg = dict(ric_cfg or world.scenario.ric)
-        self.params = world.scenario.channel
+        self.cfg = world.scenario.ric
         self.policy: str = self.cfg.get("policy", POLICY_MAX_THROUGHPUT)
         self.apps: dict[str, ControllerApp] = {}
         # (tier, interval, clock, events scheduled so far) when the latest
@@ -238,7 +236,8 @@ class Controller:
         tx = self.ris_tx_node(panel_id)
         panel = self.world.panels[panel_id]
         return model_evaluator(
-            panel, tx.position, tx.tx_power_dbm, rx_pos, tx.freq_ghz, self.params,
+            panel, tx.position, tx.tx_power_dbm, rx_pos, tx.freq_ghz,
+            self.world.scenario.channel,
             obstacles=self.world.obstacles,
             part_elements=None if part_id is None else panel.part_elements(part_id),
             base_config=self.world.ris_configs[panel_id],
@@ -275,15 +274,8 @@ class Controller:
 # --- built-in applications ---------------------------------------------------
 
 
-def _out_of_service(ctl: Controller) -> set[str]:
-    """UEs out of service in the world's link budget at the planner
-    threshold."""
-    threshold = ctl.world.scenario.planner.get("snr_threshold_db", DEFAULT_SNR_THRESHOLD_DB)
-    return ctl.world.link_budget().out_of_service(threshold)
-
-
 def _failure_monitor(ctl: Controller) -> list[Action]:
-    oos = _out_of_service(ctl)
+    oos = ctl.world.out_of_service()
     previous = ctl.blackboard.get("out_of_service")
     ctl.blackboard["out_of_service"] = oos
     if previous != oos and oos:
@@ -298,8 +290,7 @@ def _planner_idle(ctl: Controller) -> bool:
 def _recovery_planner(ctl: Controller) -> list[Action]:
     if _planner_idle(ctl):
         return []
-    snapshot = ctl.world.snapshot()
-    plan = planner.build_plan(snapshot, ctl.params, ctl.world.scenario.planner)
+    plan = planner.build_plan(ctl.world)
     if not plan.placements:
         return []
     return [Action("DeployPlan", {"plan": plan})]

@@ -13,7 +13,7 @@ from . import channel as ch
 from .ric import Controller, ControllerApp, builtin_apps
 from .scenario import Scenario, ValidationError, inject_disaster, traffic_multiplier
 from .simcore import Event, EventKind, Kernel, MetricsLog, RateTable, Sample
-from .world import DEFAULT_SNR_THRESHOLD_DB, World
+from .world import World
 
 
 @dataclass(eq=False, slots=True)
@@ -69,7 +69,6 @@ class Simulation:
         self.kernel = Kernel(self.seed)
         self.world = World(scenario)
         self.controller = Controller(self.world, self.kernel)
-        self.snr_threshold_db = scenario.planner.get("snr_threshold_db", DEFAULT_SNR_THRESHOLD_DB)
         self._strike_time: int | None = None
         self._mcs = ch.McsStaircase(scenario.channel.mcs_table)
         # The entry of the last link state, and (UE ids, rate bytes, table).
@@ -102,7 +101,6 @@ class Simulation:
             event.payload["failed"],
             event.payload["power_loss"],
             event.payload["blockages"],
-            kernel.clock,
         )
         self._strike_time = kernel.clock
         kernel.log.log_action(
@@ -175,7 +173,7 @@ class Simulation:
         """Coverage ratio, the served mask and each served UE's share: a
         covered UE with a server shares that server's rate equally with the
         other covered UEs on it."""
-        covered = best >= self.snr_threshold_db
+        covered = best >= self.world.snr_threshold_db
         served = covered & (codes >= 0)
         served_codes = codes[served]
         share = self._mcs.rates_at(best[served]) / np.bincount(served_codes)[served_codes]

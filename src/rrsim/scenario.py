@@ -165,9 +165,6 @@ class Scenario:
             if move.get("node_id") not in known:
                 raise UnknownNode(f"ric.ue_moves[{i}].node_id: unknown node {move.get('node_id')!r}")
 
-    def nodes_of_kind(self, kind: NodeKind) -> list[Node]:
-        return [n for n in self.nodes if n.kind == kind]
-
 
 def traffic_multiplier(profile: TrafficProfile, traffic_class: str, t_since_strike_ms: float) -> float:
     """Piecewise-linear surge multiplier; pre-disaster times map to 1.0."""

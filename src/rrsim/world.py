@@ -1,4 +1,5 @@
-"""Mutable run-time world state and immutable topology snapshots.
+"""Mutable run-time world state, the one view that the measurement, the
+controller apps and the planner read.
 
 The scenario stays frozen after load; everything that changes during a run
 (node status, batteries, obstacles added at strike time, RIS configurations)
@@ -6,7 +7,7 @@ lives here, and only `World` methods write it. A node is live while its status
 serves (`SERVING_STATUSES`). Node and obstacle changes bump `World.version`,
 the key of the serving-node count and the link budget; RIS configurations
 change through `World.configure_ris`. A UE is out of service when its best SNR in the
-link budget is below a threshold (`LinkBudget.out_of_service`).
+link budget is below the scenario's coverage threshold (`World.out_of_service`).
 """
 
 from __future__ import annotations
@@ -71,25 +72,6 @@ class LinkBudget(NamedTuple):
         return {ue_id for ue_id, snr in zip(self.ue_ids, self.best_db.tolist()) if snr < threshold_db}
 
 
-@dataclass(frozen=True)
-class TopologySnapshot:
-    """Frozen view of the world at one version; safe to hand to planners.
-    `links` is the world's link budget at that version."""
-
-    nodes: tuple[NodeState, ...]
-    obstacles: tuple
-    links: LinkBudget
-
-    def by_kind(self, kind: NodeKind) -> list[NodeState]:
-        return [n for n in self.nodes if n.kind == kind]
-
-    def ues(self) -> list[NodeState]:
-        return self.by_kind(NodeKind.UE)
-
-    def gateways(self) -> list[NodeState]:
-        return self.by_kind(NodeKind.GATEWAY)
-
-
 def access_snr_matrix(
     access_nodes: list[NodeState],
     ue_positions: np.ndarray,
@@ -129,6 +111,9 @@ class World:
 
     def __init__(self, scenario: Scenario) -> None:
         self.scenario = scenario
+        # The coverage threshold of the measurement, the failure monitor and
+        # the planner.
+        self.snr_threshold_db: float = scenario.planner.get("snr_threshold_db", DEFAULT_SNR_THRESHOLD_DB)
         self.nodes: dict[str, NodeState] = {
             n.node_id: NodeState.from_node(n) for n in scenario.nodes
         }
@@ -172,7 +157,7 @@ class World:
 
     # --- state transitions -------------------------------------------------
 
-    def apply_strike(self, failed: list[str], power_loss: list[str], blockages, now_ms: int) -> None:
+    def apply_strike(self, failed: list[str], power_loss: list[str], blockages) -> None:
         for nid in failed:
             self.nodes[nid].status = NodeStatus.FAILED
         reserve = self.scenario.battery_reserve_ms
@@ -224,19 +209,6 @@ class World:
 
     # --- views -------------------------------------------------------------
 
-    def snapshot(self) -> TopologySnapshot:
-        """The nodes and obstacles now, and the cached link budget."""
-        return TopologySnapshot(
-            nodes=tuple(
-                NodeState(
-                    n.node_id, n.kind, n.position, n.status, n.tx_power_dbm, n.freq_ghz, n.battery_ms
-                )
-                for n in sorted(self.nodes.values(), key=lambda n: n.node_id)
-            ),
-            obstacles=tuple(self.obstacles),
-            links=self.link_budget(),
-        )
-
     def link_state(self) -> tuple[int, tuple[bytes, ...]]:
         """A key that changes whenever any link can: the version, and the
         bytes of each panel's configuration in sorted panel order, kept from
@@ -261,8 +233,13 @@ class World:
 
     def link_budget(self) -> LinkBudget:
         """The link budget of the current version, shared by the measurement,
-        the controller apps and snapshots. Callers must not modify it."""
+        the controller apps and the planner. Callers must not modify it."""
         return self._serving_state()[1]
+
+    def out_of_service(self) -> set[str]:
+        """The UEs whose best SNR in the link budget is below the coverage
+        threshold."""
+        return self.link_budget().out_of_service(self.snr_threshold_db)
 
     def ue_positions(self) -> tuple[list[str], np.ndarray]:
         ues = sorted(

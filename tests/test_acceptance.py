@@ -318,8 +318,7 @@ class TestCriterion7:
         )
         strike = scenario.disasters[0].strike_time_ms
         sim.run(strike)
-        snapshot = sim.world.snapshot()
-        plan = planner_mod.build_plan(snapshot, scenario.channel, scenario.planner)
+        plan = planner_mod.build_plan(sim.world)
         for p in plan.placements:
             sim.world.add_deployed_node(p.kind, p.position, p.tx_power_dbm, p.freq_ghz)
         restored = sim.measure(strike, apply_fading=False).coverage_ratio

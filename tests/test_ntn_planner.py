@@ -1,6 +1,8 @@
-"""Outage detection in the snapshot's link budget, greedy placement (with a
-brute-force oracle), backhaul formation and the full planning pass."""
+"""Outage detection in the world's link budget, greedy placement (with a
+brute-force oracle), backhaul formation and the full planning pass, which
+reads the live world and leaves it as it was."""
 
+import copy
 import itertools
 import math
 
@@ -19,9 +21,11 @@ from rrsim.simcore import rng_stream
 from rrsim.world import NodeState, World, access_snr_matrix
 
 PARAMS = ch.ChannelParams(exponent=3.0)
+# A short-range channel where a wall's penalty closes the direct link.
+RELAY_CHANNEL = {"exponent": 2.0, "blockage_penalty_db": 60.0}
 
 
-def grid_world(failed=(), gateway_pos=(2500, 2500, 30), extra_nodes=(), obstacles=()):
+def grid_world(failed=(), gateway_pos=(2500, 2500, 30), extra_nodes=(), obstacles=(), planner_cfg=None):
     nodes = [{"id": "gw", "kind": "Gateway", "position": list(gateway_pos)}]
     for i in range(3):
         for j in range(3):
@@ -38,15 +42,16 @@ def grid_world(failed=(), gateway_pos=(2500, 2500, 30), extra_nodes=(), obstacle
             {"id": f"ue_{k:02d}", "kind": "UE", "position": [250 * k + 100, 700 + 90 * k, 1.5]}
         )
     nodes.extend(extra_nodes)
-    data = {"nodes": nodes, "channel": {"exponent": 3.0}, "obstacles": [list(map(list, o)) for o in obstacles]}
+    data = {
+        "nodes": nodes,
+        "channel": {"exponent": 3.0},
+        "obstacles": [list(map(list, o)) for o in obstacles],
+        "planner": planner_cfg or {},
+    }
     world = World(scenario_from_dict(data))
     if failed:
-        world.apply_strike(list(failed), [], [], 0)
+        world.apply_strike(list(failed), [], [])
     return world
-
-
-def grid_scenario(*args, **kwargs):
-    return grid_world(*args, **kwargs).snapshot()
 
 
 ALL_BS = tuple(f"bs_{i}{j}" for i in range(3) for j in range(3))
@@ -73,18 +78,18 @@ def greedy_covered(oos, candidates, ue_ids, ue_positions, budget, sets):
 
 class TestDetectOutage:
     def test_intact_network(self):
-        links = grid_scenario().links
+        links = grid_world().link_budget()
         assert not links.out_of_service(3.0)
         assert links.access_ids == ALL_BS
 
     def test_failed_nodes_create_outage(self):
-        links = grid_scenario(failed=ALL_BS).links
+        links = grid_world(failed=ALL_BS).link_budget()
         assert links.access_ids == ()
         assert links.out_of_service(3.0) == ALL_UES
 
     def test_best_snr_at_the_threshold_is_in_service(self):
         # the complement of coverage_sets' `snr >= threshold`
-        links = grid_scenario().links
+        links = grid_world().link_budget()
         best = float(links.best_db[0])
         assert links.ue_ids[0] not in links.out_of_service(best)
         assert links.ue_ids[0] in links.out_of_service(math.nextafter(best, math.inf))
@@ -158,8 +163,8 @@ class TestBackhaul:
         return planner.Placement("uav_0", planner.NodeKind.UAV, pos, power, 3.5)
 
     def test_direct_edge_to_gateway(self):
-        snap = grid_scenario()
-        edges = planner.form_backhaul([self.placement((2000, 2000, 120))], snap, PARAMS, 0.0)
+        world = grid_world()
+        edges = planner.form_backhaul([self.placement((2000, 2000, 120))], world, 0.0)
         assert len(edges) == 1
         assert edges[0].via == "direct"
         assert edges[0].parent == "gw"
@@ -169,8 +174,8 @@ class TestBackhaul:
         # second UAV is out of direct gateway range but reaches the first
         near = planner.Placement("uav_0", planner.NodeKind.UAV, (2000.0, 2500.0, 120.0), 45.0, 3.5)
         far = planner.Placement("uav_1", planner.NodeKind.UAV, (900.0, 2500.0, 120.0), 45.0, 3.5)
-        snap = grid_scenario()
-        edges = planner.form_backhaul([near, far], snap, PARAMS, backhaul_threshold_db=4.0)
+        world = grid_world()
+        edges = planner.form_backhaul([near, far], world, backhaul_threshold_db=4.0)
         parents = {e.child: e.parent for e in edges}
         assert parents["uav_0"] == "gw"
         assert parents["uav_1"] == "uav_0"
@@ -183,41 +188,39 @@ class TestBackhaul:
             {"id": "gw", "kind": "Gateway", "position": [0, 0, 10]},
             {"id": "ue", "kind": "UE", "position": [5, 5, 1.5]},
         ]
-        data = {"nodes": nodes, "obstacles": [list(map(list, wall))]}
-        snap = World(scenario_from_dict(data)).snapshot()
+        data = {"nodes": nodes, "obstacles": [list(map(list, wall))], "channel": RELAY_CHANNEL}
+        world = World(scenario_from_dict(data))
         uav = self.placement((40.0, 0.0, 10.0))
-        params = ch.ChannelParams(exponent=2.0, blockage_penalty_db=60.0)
-        assert ch.los_blocked((0, 0, 10), (40, 0, 10), snap.obstacles)
-        edges = planner.form_backhaul([uav], snap, params, backhaul_threshold_db=10.0)
+        assert ch.los_blocked((0, 0, 10), (40, 0, 10), world.obstacles)
+        edges = planner.form_backhaul([uav], world, backhaul_threshold_db=10.0)
         assert edges[0].via == "ris_relay"
         assert edges[0].relay_position is not None
         assert edges[0].snr_db >= 10.0
 
     def test_satellite_fallback(self):
         sat = {"id": "sat", "kind": "Satellite", "position": [0, 0, 550_000]}
-        snap = grid_scenario(extra_nodes=[sat])
+        world = grid_world(extra_nodes=[sat])
         uav = self.placement((100_000.0, 100_000.0, 120.0), power=10.0)
-        edges = planner.form_backhaul([uav], snap, PARAMS, backhaul_threshold_db=30.0)
+        edges = planner.form_backhaul([uav], world, backhaul_threshold_db=30.0)
         assert edges[0].parent == "sat"
         assert edges[0].snr_db == planner.SATELLITE_SNR_DB
 
     def test_unreachable_placement(self):
-        snap = grid_scenario()
+        world = grid_world()
         uav = self.placement((100_000.0, 100_000.0, 120.0), power=10.0)
         with pytest.raises(planner.UnreachablePlacement):
-            planner.form_backhaul([uav], snap, PARAMS, backhaul_threshold_db=30.0)
+            planner.form_backhaul([uav], world, backhaul_threshold_db=30.0)
 
 
 class TestBuildPlan:
     def test_no_outage_returns_empty_plan(self):
-        snap = grid_scenario()
-        plan = planner.build_plan(snap, PARAMS, {"snr_threshold_db": 3.0})
+        world = grid_world(planner_cfg={"snr_threshold_db": 3.0})
+        plan = planner.build_plan(world)
         assert plan.placements == []
         assert plan.estimated_coverage_ratio == 1.0
 
     def test_plan_restores_coverage(self):
         all_bs = [f"bs_{i}{j}" for i in range(3) for j in range(3)]
-        snap = grid_scenario(failed=all_bs)
         cfg = {
             "snr_threshold_db": 3.0,
             "max_nodes": 3,
@@ -225,16 +228,17 @@ class TestBuildPlan:
             "candidate_spacing_m": 500.0,
             "backhaul_threshold_db": 0.0,
         }
-        plan = planner.build_plan(snap, PARAMS, cfg)
+        world = grid_world(failed=all_bs, planner_cfg=cfg)
+        plan = planner.build_plan(world)
         assert plan.placements
         assert plan.estimated_coverage_ratio == 1.0
         assert {e.child for e in plan.backhaul} == {p.node_id for p in plan.placements}
 
     def test_plan_serializes(self):
         all_bs = [f"bs_{i}{j}" for i in range(3) for j in range(3)]
-        snap = grid_scenario(failed=all_bs)
         cfg = {"max_nodes": 2, "uav_tx_power_dbm": 45.0, "backhaul_threshold_db": 0.0}
-        plan = planner.build_plan(snap, PARAMS, cfg)
+        world = grid_world(failed=all_bs, planner_cfg=cfg)
+        plan = planner.build_plan(world)
         text = plan.to_json()
         assert '"placements"' in text and '"backhaul"' in text
 
@@ -249,12 +253,12 @@ class TestRelaySearchMemo:
             {"id": "gw", "kind": "Gateway", "position": [0, 0, 10]},
             {"id": "ue", "kind": "UE", "position": [5, 5, 1.5]},
         ]
-        snap = World(scenario_from_dict({"nodes": nodes, "obstacles": [list(map(list, wall))]})).snapshot()
+        data = {"nodes": nodes, "obstacles": [list(map(list, wall))], "channel": RELAY_CHANNEL}
+        world = World(scenario_from_dict(data))
         uavs = [
             planner.Placement(f"uav_{i}", planner.NodeKind.UAV, pos, 45.0, 3.5)
             for i, pos in enumerate([(40.0, 0.0, 10.0), (40.0, 3.0, 10.0)])
         ]
-        params = ch.ChannelParams(exponent=2.0, blockage_penalty_db=60.0)
         searches = []
         search = planner._try_ris_relay
 
@@ -263,7 +267,7 @@ class TestRelaySearchMemo:
             return search(a_pos, b_pos, *args)
 
         monkeypatch.setattr(planner, "_try_ris_relay", counting)
-        edges = planner.form_backhaul(uavs, snap, params, backhaul_threshold_db=10.0)
+        edges = planner.form_backhaul(uavs, world, backhaul_threshold_db=10.0)
         assert len(searches) == len(set(searches)) == 2
         assert planner.DeploymentPlan(backhaul=edges).to_dict()["backhaul"] == [
             {
@@ -282,8 +286,8 @@ _xy = st.tuples(st.floats(0.0, 1000.0), st.floats(0.0, 1000.0))
 
 @st.composite
 def _outages(draw):
-    """A small post-strike snapshot over a 1 km square and a planner config
-    whose backhaul is always feasible."""
+    """A small post-strike world over a 1 km square, whose planner settings
+    make every backhaul feasible."""
     nodes = [{"id": "gw", "kind": "Gateway", "position": [500, 500, 30]}]
     n_bs = draw(st.integers(0, 3))
     for i in range(n_bs):
@@ -297,9 +301,6 @@ def _outages(draw):
     for _ in range(draw(st.integers(0, 2))):
         (x, y), (w, h) = draw(_xy), draw(st.tuples(st.floats(1.0, 200.0), st.floats(1.0, 200.0)))
         obstacles.append([[x, y, 0], [x + w, y + h, draw(st.floats(1.0, 60.0))]])
-    world = World(scenario_from_dict({"nodes": nodes, "obstacles": obstacles}))
-    failed = [f"bs_{i}" for i in range(n_bs) if draw(st.booleans())]
-    world.apply_strike(failed, [], [], 0)
     cfg = {
         "snr_threshold_db": draw(st.floats(-10.0, 30.0)),
         "max_nodes": draw(st.integers(1, 3)),
@@ -308,6 +309,9 @@ def _outages(draw):
         "candidate_spacing_m": 500.0,
         "backhaul_threshold_db": -1e9,
     }
+    world = World(scenario_from_dict({"nodes": nodes, "obstacles": obstacles, "planner": cfg}))
+    failed = [f"bs_{i}" for i in range(n_bs) if draw(st.booleans())]
+    world.apply_strike(failed, [], [])
     return world, cfg
 
 
@@ -317,46 +321,46 @@ def test_one_candidate_matrix_and_the_estimate_match_per_node_oracles(case):
     """The per-candidate loop of coverage_sets, the out-of-service set and the
     estimate as the best SNR over the serving access nodes and the
     placements, computed as they were before the planner shared one
-    candidate matrix and took its outage from the snapshot's link budget."""
+    candidate matrix and took its outage from the world's link budget. A
+    planning pass leaves the world as it found it."""
     world, cfg = case
-    snapshot = world.snapshot()
     threshold, tx_power = cfg["snr_threshold_db"], cfg["uav_tx_power_dbm"]
-    obstacles, params = snapshot.obstacles, ch.ChannelParams()
-    ues = snapshot.ues()
-    ue_ids = [u.node_id for u in ues]
-    positions = np.array([u.position for u in ues], float).reshape(len(ues), 3)
+    obstacles, params = world.obstacles, ch.ChannelParams()
+    ue_ids, positions = world.ue_positions()
 
     candidates = planner.candidate_lattice(cfg["candidate_bounds"], 500.0)
     want = []
     for pos in candidates:
         node = NodeState("cand", NodeKind.UAV, pos, NodeStatus.ACTIVE, tx_power, 3.5)
         row = access_snr_matrix([node], positions, params, obstacles)[0]
-        want.append({ue_ids[j] for j in range(len(ues)) if row[j] >= threshold})
+        want.append({ue_ids[j] for j in range(len(ue_ids)) if row[j] >= threshold})
     got = planner.coverage_sets(candidates, ue_ids, positions, threshold, params, obstacles, tx_power)
     assert got == want
 
     def best_snr(access):
         matrix = access_snr_matrix(access, positions, params, obstacles)
         if not access:
-            return np.full(len(ues), -np.inf)
-        return matrix[np.argmax(matrix, axis=0), np.arange(len(ues))]
+            return np.full(len(ue_ids), -np.inf)
+        return matrix[np.argmax(matrix, axis=0), np.arange(len(ue_ids))]
 
     access = sorted(
         (n for n in world.nodes.values() if n.serving and n.kind in ACCESS_KINDS),
         key=lambda n: n.node_id,
     )
     out = {ue_ids[j] for j, snr in enumerate(best_snr(access)) if snr < threshold}
-    assert snapshot.links.out_of_service(threshold) == out
-    for config in (cfg, {**cfg, "max_nodes": 0}):
-        plan = planner.build_plan(snapshot, params, config)
+    assert world.link_budget().out_of_service(threshold) == world.out_of_service() == out
+    for max_nodes in (None, 0):
+        before = (world.version, world.link_state(), copy.deepcopy(world.nodes), copy.deepcopy(world.obstacles))
+        plan = planner.build_plan(world, max_nodes)
+        assert (world.version, world.link_state(), world.nodes, world.obstacles) == before
         placed = [
             NodeState(p.node_id, p.kind, p.position, NodeStatus.ACTIVE, p.tx_power_dbm, p.freq_ghz)
             for p in plan.placements
         ]
         served = np.count_nonzero(best_snr(access + placed) >= threshold)
-        estimate = float(served) / len(ues) if ues else 1.0
+        estimate = float(served) / len(ue_ids) if ue_ids else 1.0
         assert plan.estimated_coverage_ratio == estimate
-        if config["max_nodes"] == 0:
+        if max_nodes == 0:
             assert plan.placements == []
 
 

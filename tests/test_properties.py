@@ -93,7 +93,7 @@ def test_measure_throughput_is_bitwise_the_scalar_step(inputs, table):
     ue_ids, best, servers, changed, threshold, offered = inputs
     sim = Simulation(scenario_from_dict(_SMALL_RUN))
     sim._mcs = ch.McsStaircase(table)
-    sim.snr_threshold_db = threshold
+    sim.world.snr_threshold_db = threshold
     sim._offered_load_mbps = lambda now_ms: offered
     # The same link state twice reuses its entry; a new one rebuilds it.
     built = []
@@ -122,7 +122,7 @@ def test_measure_sequence_is_bitwise_the_scalar_step(data, table, threshold):
     ue_ids = [f"ue{i}" for i in range(n)]
     sim = Simulation(scenario_from_dict(_SMALL_RUN))
     sim._mcs = ch.McsStaircase(table)
-    sim.snr_threshold_db = threshold
+    sim.world.snr_threshold_db = threshold
     links, key, offered, previous = None, 0, None, None
     sim.world.link_state = lambda: key
     sim._best_links = lambda: links

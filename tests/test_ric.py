@@ -38,10 +38,10 @@ BASE = {
 }
 
 
-def make_controller(ric_cfg=None, data=None):
+def make_controller(data=None):
     world = World(scenario_from_dict(data or BASE))
     kernel = Kernel(0)
-    return Controller(world, kernel, ric_cfg), kernel
+    return Controller(world, kernel), kernel
 
 
 def nonrt(name, handler, interval=60_000):
@@ -111,15 +111,15 @@ class TestDispatch:
 
     def test_ue_move_event_moves_the_live_node(self):
         ctl, kernel = make_controller()
-        first = ctl.world.snapshot()
+        first = ctl.world.nodes["ue1"].position
         version = ctl.world.version
         kernel.schedule(10, EventKind.UE_MOVE, {"node_id": "ue1", "position": [300, 0, 1.5]})
         kernel.run_until(10)
         assert ctl.world.nodes["ue1"].position == (300, 0, 1.5)
         assert ctl.world.version == version + 1
-        ue = next(n for n in ctl.world.snapshot().nodes if n.node_id == "ue1")
+        ue = ctl.world.nodes["ue1"]
         assert ue.position == (300, 0, 1.5)
-        assert next(n for n in first.nodes if n.node_id == "ue1").position == (100, 0, 1.5)
+        assert first == (100, 0, 1.5)
 
 
 class TestTierIsolation:
@@ -224,7 +224,7 @@ def fresh_ris_power(ctl, panel_id, config, ue_id):
     tx = ctl.ris_tx_node(panel_id)
     gain = ch.cascaded_gain(
         tx.position, ctl.world.panels[panel_id], config, ctl.world.nodes[ue_id].position,
-        tx.freq_ghz, ctl.params, ctl.world.obstacles,
+        tx.freq_ghz, ctl.world.scenario.channel, ctl.world.obstacles,
     )
     return ch.received_power_dbm(tx.tx_power_dbm, gain)
 
@@ -251,7 +251,7 @@ class TestRisPowerCache:
         assert moved == fresh != before
         tx, ue = ctl.ris_tx_node("ris1").position, ctl.world.nodes["rx1"].position
         mid = [(a + b) / 2 for a, b in zip(tx, ue)]
-        ctl.world.apply_strike([], [], [([c - 0.1 for c in mid], [c + 0.1 for c in mid])], 0)
+        ctl.world.apply_strike([], [], [([c - 0.1 for c in mid], [c + 0.1 for c in mid])])
         struck, fresh = self.power(ctl)
         assert struck == fresh != moved
 
@@ -337,20 +337,21 @@ class TestFailureMonitorCache:
         world = sim.world
         access = [n for n in world.nodes.values() if n.serving and n.kind in ACCESS_KINDS]
         ue_ids, positions = world.ue_positions()
-        matrix = access_snr_matrix(access, positions, sim.controller.params, world.obstacles)
+        matrix = access_snr_matrix(access, positions, world.scenario.channel, world.obstacles)
         best = matrix.max(axis=0, initial=-np.inf)
         expected = {ue_id for ue_id, snr in zip(ue_ids, best.tolist()) if snr < 3.0}
         assert expected and sim.controller.blackboard["out_of_service"] == expected
-        assert world.snapshot().links.out_of_service(3.0) == expected
+        assert world.link_budget().out_of_service(3.0) == expected
 
     def test_planner_reuses_the_monitors_set(self, earthquake_scenario, monkeypatch):
         sim = Simulation(earthquake_scenario)
         plans = []
         real_plan = ntn_planner.build_plan
 
-        def recorded(snapshot, *args):
-            plan = real_plan(snapshot, *args)
-            plans.append((snapshot, plan))
+        def recorded(world, *args):
+            start = len(calls)
+            plan = real_plan(world, *args)
+            plans.append(([budget for _, _, budget in calls[start:]], plan))
             return plan
 
         calls = record_link_budgets(monkeypatch, sim)
@@ -362,12 +363,15 @@ class TestFailureMonitorCache:
         assert computed(calls) == [(0, 0), (60_000, 1), (120_000, 4)]
         monitor, planner_ = [budget for t, v, budget in calls if (t, v) == (120_000, 1)]
         assert monitor is planner_
-        [(snapshot, plan)] = plans
-        assert snapshot.links is monitor
+        [([links], plan)] = plans
+        assert links is monitor
         threshold = earthquake_scenario.planner["snr_threshold_db"]
-        assert snapshot.links.out_of_service(threshold) == sim.controller.blackboard["out_of_service"]
+        assert links.out_of_service(threshold) == sim.controller.blackboard["out_of_service"]
         assert plan.placements
-        assert plan == real_plan(snapshot, sim.controller.params, earthquake_scenario.planner)
+        # The same world at the planning tick, with no planner to change it.
+        fresh = Simulation(earthquake_scenario, disabled_apps={"RecoveryPlanner"})
+        fresh.run(120_000)
+        assert plan == real_plan(fresh.world)
 
     def test_measurement_monitor_and_clusterer_share_one_matrix(self, earthquake_scenario, monkeypatch):
         calls = []

@@ -187,8 +187,8 @@ class TestBundledScenarios:
 
     def test_earthquake_inventory(self, earthquake_scenario):
         s = earthquake_scenario
-        assert len(s.nodes_of_kind(NodeKind.TERRESTRIAL_BS)) == 25
-        assert len(s.nodes_of_kind(NodeKind.UE)) == 200
+        assert sum(n.kind == NodeKind.TERRESTRIAL_BS for n in s.nodes) == 25
+        assert sum(n.kind == NodeKind.UE for n in s.nodes) == 200
         assert len(s.disasters) == 1
         assert len(s.disasters[0].failed) == 10
         assert len(s.disasters[0].power_loss) == 8

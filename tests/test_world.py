@@ -1,4 +1,4 @@
-"""Run-time world state: strikes, batteries, snapshots and RIS
+"""Run-time world state: strikes, batteries, the link budget and RIS
 configurations."""
 
 import numpy as np
@@ -34,7 +34,7 @@ def make_ris_world():
 class TestTransitions:
     def test_strike_fails_and_batteries(self):
         world = make_world()
-        world.apply_strike(["bs1"], ["bs2"], [], 1000)
+        world.apply_strike(["bs1"], ["bs2"], [])
         assert world.nodes["bs1"].status == NodeStatus.FAILED
         assert world.nodes["bs2"].status == NodeStatus.ON_BATTERY
         assert world.nodes["bs2"].battery_ms == world.scenario.battery_reserve_ms
@@ -43,12 +43,12 @@ class TestTransitions:
 
     def test_strike_adds_blockages(self):
         world = make_world()
-        world.apply_strike([], [], [[[1, 1, 0], [2, 2, 2]]], 0)
+        world.apply_strike([], [], [[[1, 1, 0], [2, 2, 2]]])
         assert ((1.0, 1.0, 0.0), (2.0, 2.0, 2.0)) in world.obstacles
 
     def test_battery_expiry_only_on_battery_nodes(self):
         world = make_world()
-        world.apply_strike([], ["bs2"], [], 0)
+        world.apply_strike([], ["bs2"], [])
         assert world.expire_battery("bs2")
         assert world.nodes["bs2"].status == NodeStatus.FAILED
         # a second expiry event for the same node is a no-op
@@ -64,35 +64,29 @@ class TestTransitions:
 
 
 class TestSnapshot:
-    def test_nodes_sorted_and_copied(self):
-        world = make_world()
-        snap = world.snapshot()
-        ids = [n.node_id for n in snap.nodes]
-        assert ids == sorted(ids)
-        world.nodes["bs1"].status = NodeStatus.FAILED
-        # the snapshot keeps the state as of its creation
-        assert next(n for n in snap.nodes if n.node_id == "bs1").serving
+    """The views that every reader of the world shares: the link budget of
+    the current version and the UE positions."""
 
     def test_operational_access_nodes(self):
         world = make_world()
-        world.apply_strike(["bs1"], [], [], 0)
-        links = world.snapshot().links
+        world.apply_strike(["bs1"], [], [])
+        links = world.link_budget()
         assert links.access_ids == ("bs2",)
         assert links is world.link_budget()
 
     def test_operational_access_ids_match_the_snapshot(self):
-        """A snapshot's `links` is `world.link_budget()` after every kind of
-        change, over the serving access nodes in id order, and a change
+        """`world.link_budget()` is one object per version after every kind
+        of change, over the serving access nodes in id order, and a change
         that serves no node differently still makes a new budget."""
         world = make_world()
 
         def ids():
-            links = world.snapshot().links
+            links = world.link_budget()
             assert links is world.link_budget()
             return links.access_ids
 
         assert ids() == ("bs1", "bs2")
-        world.apply_strike(["bs1"], ["bs2"], [], 1_000)
+        world.apply_strike(["bs1"], ["bs2"], [])
         assert ids() == ("bs2",)
         world.add_deployed_node(NodeKind.UAV, (400, 0, 120), 35.0, 3.5)
         assert ids() == ("bs2", "deployed_0")
@@ -133,10 +127,10 @@ class TestSnrHelpers:
 
     def test_no_access_nodes(self):
         world = make_world()
-        world.apply_strike(["bs1"], [], [], 0)
+        world.apply_strike(["bs1"], [], [])
         budget = world.link_budget()
         assert budget.snr_db.shape == (len(budget.access_ids), 2) == (1, 2)
-        world.apply_strike(["bs1", "bs2"], [], [], 0)
+        world.apply_strike(["bs1", "bs2"], [], [])
         budget = world.link_budget()
         assert budget.access_ids == () and budget.snr_db.shape == (0, 2)
         assert budget.server_rows.tolist() == [-1, -1]
@@ -161,7 +155,7 @@ class TestVersion:
             seen.append(world.version)
             return seen[-1] > seen[-2]
 
-        world.apply_strike([], ["bs2"], [], 0)
+        world.apply_strike([], ["bs2"], [])
         assert bumped()
         world.expire_battery("bs2")
         assert bumped()
@@ -182,7 +176,7 @@ class TestVersion:
         reads: gw, bs1, bs2, ue1 and ue2 serve at first."""
         world = make_world()
         assert world.active_node_count() == 5
-        world.apply_strike(["bs1"], ["bs2"], [], 15_000)
+        world.apply_strike(["bs1"], ["bs2"], [])
         world.add_deployed_node(NodeKind.UAV, (0, 0, 120), 35.0, 3.5)
         assert world.active_node_count() == 5
         world.expire_battery("bs2")
