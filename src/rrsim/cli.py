@@ -201,24 +201,19 @@ def cmd_codebook_build(args: argparse.Namespace) -> int:
     sim = _simulation(args.scenario, {app.name for app in builtin_apps()})
     if sim is None:
         return EXIT_VALIDATION
-    scenario = sim.scenario
-    ris_cfg = scenario.ric.get("ris", {})
-    if args.panel not in ris_cfg:
+    if args.panel not in sim.scenario.ric.ris:
         return _invalid(f"panel {args.panel!r} has no ris{{}} entry in the scenario")
-    cfg = ris_cfg[args.panel]
-    panel = sim.world.panels[args.panel]
-    tx = sim.world.nodes[cfg["tx"]]
-    part_cfg = cfg.get("parts", {}).get(str(args.part))
-    if part_cfg is None or not part_cfg.get("reference_points"):
+    # The controller built the codebook of every part with reference points,
+    # with the same evaluator, when the simulation was set up.
+    built = sim.controller.codebooks.get((args.panel, args.part))
+    if built is None:
         return _invalid(f"part {args.part} has no reference points configured")
-
-    # The controller built every configured part's codebook with the same
-    # evaluator when the simulation was set up.
+    panel, tx = sim.world.panels[args.panel], sim.controller.ris_tx_node(args.panel)
     codebook = replace(
-        sim.controller.codebooks[(args.panel, args.part)],
+        built,
         metadata={
-            "grid": {"points": len(part_cfg["reference_points"])},
-            "evaluator_hash": evaluator_hash(panel, tx.position, tx.freq_ghz, scenario.channel),
+            "grid": {"points": len(built.reference_points)},
+            "evaluator_hash": evaluator_hash(panel, tx.position, tx.freq_ghz, sim.scenario.channel),
         },
     )
     _atomic_write(args.out, lambda fh: (fh.write(codebook.to_json()), fh.write("\n")))

@@ -1,8 +1,10 @@
 """Non-real-time recovery planning: greedy aerial-node placement and backhaul
 tree formation with RIS relay fallback. A planning pass reads the live
-`World`: its nodes and obstacles, the scenario's channel and planner settings,
-and the UEs to cover, which are `World.out_of_service()`, the set the failure
-monitor reads."""
+`World`: its nodes and obstacles, the scenario's channel and
+`PlannerSettings`, and the UEs to cover, which are `World.out_of_service()`,
+the set the failure monitor reads. The UAV defaults of the functions below
+are those of `PlannerSettings`. Backhaul is rooted at the serving gateways
+only, with a serving satellite as the fallback."""
 
 from __future__ import annotations
 
@@ -15,12 +17,9 @@ import numpy as np
 
 from . import channel as ch
 from .ris_opt import iterative_optimize, model_evaluator
-from .scenario import NodeKind, NodeStatus
+from .scenario import NodeKind, NodeStatus, PlannerSettings
 from .world import NodeState, World, access_snr_matrix
 
-DEFAULT_UAV_ALTITUDE_M = 120.0
-DEFAULT_UAV_TX_DBM = 35.0
-DEFAULT_BACKHAUL_THRESHOLD_DB = 10.0
 DEFAULT_RELAY_ELEMENTS = (8, 8)
 SATELLITE_SNR_DB = 12.0  # always-reachable space segment, fixed link quality
 
@@ -91,7 +90,7 @@ class DeploymentPlan:
 def candidate_lattice(
     bounds: tuple[tuple[float, float], tuple[float, float]],
     spacing_m: float,
-    altitude_m: float = DEFAULT_UAV_ALTITUDE_M,
+    altitude_m: float = PlannerSettings.uav_altitude_m,
 ) -> list[tuple[float, float, float]]:
     """Fixed lattice of aerial candidate positions over a bounding box."""
     (x0, y0), (x1, y1) = bounds
@@ -107,8 +106,8 @@ def coverage_sets(
     snr_threshold_db: float,
     params: ch.ChannelParams,
     obstacles,
-    tx_power_dbm: float = DEFAULT_UAV_TX_DBM,
-    freq_ghz: float = 3.5,
+    tx_power_dbm: float = PlannerSettings.uav_tx_power_dbm,
+    freq_ghz: float = PlannerSettings.uav_freq_ghz,
 ) -> list[set[str]]:
     """UE ids each candidate position would cover at the SNR threshold, from
     one SNR matrix over all candidates."""
@@ -129,8 +128,8 @@ def place_ntn(
     snr_threshold_db: float,
     params: ch.ChannelParams,
     obstacles=(),
-    tx_power_dbm: float = DEFAULT_UAV_TX_DBM,
-    freq_ghz: float = 3.5,
+    tx_power_dbm: float = PlannerSettings.uav_tx_power_dbm,
+    freq_ghz: float = PlannerSettings.uav_freq_ghz,
 ) -> list[Placement]:
     """Greedy maximum coverage: repeatedly take the candidate covering the most
     still-uncovered UEs; ties resolve to the lowest candidate index."""
@@ -208,18 +207,16 @@ def _try_ris_relay(
 def form_backhaul(
     placements: list[Placement],
     world: World,
-    backhaul_threshold_db: float = DEFAULT_BACKHAUL_THRESHOLD_DB,
+    backhaul_threshold_db: float = PlannerSettings.backhaul_threshold_db,
     relay_sites: Sequence[Sequence[float]] = (),
 ) -> list[BackhaulEdge]:
-    """Minimum-cost forest rooted at the world's gateways, over its channel
-    and obstacles; infeasible blocked edges retry through a RIS relay before
-    a serving satellite, the first by id, feeds the placement, or it is
-    declared unreachable."""
+    """Minimum-cost forest rooted at the world's serving gateways, over its
+    channel and obstacles; infeasible blocked edges retry through a RIS relay
+    before a serving satellite, the first by id, feeds the placement, or it
+    is declared unreachable."""
     params, obstacles = world.scenario.channel, world.obstacles
     nodes = sorted(world.nodes.values(), key=lambda n: n.node_id)
-    gateways = [n for n in nodes if n.kind == NodeKind.GATEWAY]
-    if not gateways:
-        raise PlannerError("at least one gateway required")
+    gateways = [n for n in nodes if n.kind == NodeKind.GATEWAY and n.serving]
     satellites = [n for n in nodes if n.kind == NodeKind.SATELLITE and n.serving]
     anchors: dict[str, tuple[float, float, float]] = {
         g.node_id: g.position for g in gateways
@@ -293,24 +290,21 @@ def build_plan(world: World, max_nodes: int | None = None) -> DeploymentPlan:
     cfg, params, obstacles = world.scenario.planner, world.scenario.channel, world.obstacles
     snr_threshold = world.snr_threshold_db
     if max_nodes is None:
-        max_nodes = cfg.get("max_nodes", 3)
-    altitude = cfg.get("uav_altitude_m", DEFAULT_UAV_ALTITUDE_M)
-    spacing = cfg.get("candidate_spacing_m", 500.0)
-    tx_power = cfg.get("uav_tx_power_dbm", DEFAULT_UAV_TX_DBM)
-    freq = cfg.get("uav_freq_ghz", 3.5)
+        max_nodes = cfg.max_nodes
+    spacing, tx_power, freq = cfg.candidate_spacing_m, cfg.uav_tx_power_dbm, cfg.uav_freq_ghz
 
     ue_ids, ue_positions = world.ue_positions()
     out_of_service = world.out_of_service()
     if not out_of_service:
         return DeploymentPlan(estimated_coverage_ratio=1.0)
 
-    bounds = cfg.get("candidate_bounds")
+    bounds = cfg.candidate_bounds
     if bounds is None:
         oos_pos = ue_positions[[ue_ids.index(u) for u in sorted(out_of_service)]]
         lo = oos_pos[:, :2].min(axis=0) - spacing
         hi = oos_pos[:, :2].max(axis=0) + spacing
         bounds = ((float(lo[0]), float(lo[1])), (float(hi[0]), float(hi[1])))
-    candidates = candidate_lattice(bounds, spacing, altitude)
+    candidates = candidate_lattice(bounds, spacing, cfg.uav_altitude_m)
 
     placements = place_ntn(
         out_of_service,
@@ -324,12 +318,7 @@ def build_plan(world: World, max_nodes: int | None = None) -> DeploymentPlan:
         tx_power,
         freq,
     )
-    backhaul = form_backhaul(
-        placements,
-        world,
-        cfg.get("backhaul_threshold_db", DEFAULT_BACKHAUL_THRESHOLD_DB),
-        cfg.get("relay_sites", ()),
-    )
+    backhaul = form_backhaul(placements, world, cfg.backhaul_threshold_db, cfg.relay_sites)
     reach = coverage_sets(
         [p.position for p in placements], ue_ids, ue_positions, snr_threshold, params,
         obstacles, tx_power, freq,

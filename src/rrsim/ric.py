@@ -19,7 +19,7 @@ from .ris_opt import (
     select_codeword,
 )
 from .cfmimo import ClusterAssignment, cluster
-from .scenario import POLICY_FAST_RECOVERY, POLICY_MAX_THROUGHPUT
+from .scenario import DEFAULT_NEAR_RT_TICK_MS, DEFAULT_NON_RT_TICK_MS, POLICY_FAST_RECOVERY, POLICY_MAX_THROUGHPUT
 from .simcore import Event, EventKind, Kernel
 from .world import World
 
@@ -94,7 +94,7 @@ class Controller:
         self.world = world
         self.kernel = kernel
         self.cfg = world.scenario.ric
-        self.policy: str = self.cfg.get("policy", POLICY_MAX_THROUGHPUT)
+        self.policy: str = self.cfg.policy
         self.apps: dict[str, ControllerApp] = {}
         # (tier, interval, clock, events scheduled so far) when the latest
         # group's tick was scheduled, and that group's apps.
@@ -105,7 +105,7 @@ class Controller:
         # (panel, UE) -> (world version, evaluator); the table outlives
         # configuration changes, which do not bump the version.
         self._ris_links: dict[tuple[str, str], tuple[int, ModelEvaluator]] = {}
-        self._script = sorted(self.cfg.get("script", ()), key=lambda s: s["time_ms"])
+        self._script = sorted(self.cfg.script, key=lambda s: s.time_ms)
         kernel.on(EventKind.NON_RT_TICK, self._on_tick)
         kernel.on(EventKind.NEAR_RT_TICK, self._on_tick)
         kernel.on(EventKind.UE_MOVE, self._on_ue_move)
@@ -139,7 +139,7 @@ class Controller:
         self._run_apps(group)
         period = group[0].interval_ms
         if all(app.idle in _STATE_GATES and app.idle(self) for app in group):
-            wake = self._script[0]["time_ms"] if self._script else math.inf
+            wake = self._script[0].time_ms if self._script else math.inf
             kernel.sleep(kernel.clock + period, period, event.kind, event.payload, self._wake_key, wake)
         else:
             kernel.schedule(kernel.clock + period, event.kind, event.payload)
@@ -198,7 +198,7 @@ class Controller:
                 f"feedback={action.params.get('feedback', 0)}",
             )
         elif action.kind == "Recluster":
-            max_aps = int(action.params.get("L", 2))
+            max_aps = int(action.params["L"])
             self.cluster_assignment = self._recluster(max_aps)
             self.kernel.log.log_action(now, f"Recluster by {app.name}: L={max_aps}")
         elif action.kind == "SwitchPolicy":
@@ -222,12 +222,12 @@ class Controller:
     # --- RIS plumbing --------------------------------------------------------
 
     def ris_part_assignments(self, panel_id: str) -> dict[int, str]:
-        cfg = self.cfg.get("ris", {}).get(panel_id, {})
-        return {int(pid): part["ue"] for pid, part in cfg.get("parts", {}).items()}
+        if panel_id not in self.cfg.ris:
+            return {}
+        return {int(pid): part.ue for pid, part in self.cfg.ris[panel_id].parts.items()}
 
     def ris_tx_node(self, panel_id: str):
-        cfg = self.cfg.get("ris", {}).get(panel_id, {})
-        return self.world.nodes[cfg["tx"]]
+        return self.world.nodes[self.cfg.ris[panel_id].tx]
 
     def ris_evaluator(self, panel_id: str, rx_pos, part_id: int | None = None) -> ModelEvaluator:
         """Power (dBm) at rx_pos through the panel from its configured tx, in
@@ -254,17 +254,16 @@ class Controller:
         return cached[1](full_config)
 
     def _build_offline_codebooks(self) -> None:
-        for panel_id, cfg in self.cfg.get("ris", {}).items():
+        for panel_id, settings in self.cfg.ris.items():
             self.ris_tx_node(panel_id)  # an unknown tx fails even with no part to build
-            for pid_str, part_cfg in cfg.get("parts", {}).items():
-                points = part_cfg.get("reference_points")
-                if not points:
+            for pid_str, part in settings.parts.items():
+                if not part.reference_points:
                     continue
                 part_id = int(pid_str)
                 self.codebooks[(panel_id, part_id)] = build_codebook(
                     self.world.panels[panel_id],
                     part_id,
-                    points,
+                    part.reference_points,
                     lambda point, panel_id=panel_id, part_id=part_id: self.ris_evaluator(
                         panel_id, point, part_id
                     ),
@@ -372,12 +371,12 @@ def _cf_clusterer(ctl: Controller) -> list[Action]:
     if _clusterer_idle(ctl):
         return []
     ctl.blackboard["cluster_version"] = ctl.world.version
-    return [Action("Recluster", {"L": ctl.world.scenario.cfmimo.get("L", 2)})]
+    return [Action("Recluster", {"L": ctl.world.scenario.cfmimo.L})]
 
 
 def _script_idle(ctl: Controller) -> bool:
     """No entry is due: the script is sorted by time."""
-    return not ctl._script or ctl._script[0]["time_ms"] > ctl.kernel.clock
+    return not ctl._script or ctl._script[0].time_ms > ctl.kernel.clock
 
 
 def _script_runner(ctl: Controller) -> list[Action]:
@@ -386,12 +385,12 @@ def _script_runner(ctl: Controller) -> list[Action]:
     actions: list[Action] = []
     remaining = []
     for entry in ctl._script:
-        if entry["time_ms"] > ctl.kernel.clock:
+        if entry.time_ms > ctl.kernel.clock:
             remaining.append(entry)
             continue
-        if "policy" in entry:
-            actions.append(Action("SwitchPolicy", {"name": entry["policy"]}))
-        if entry.get("ris_off"):
+        if entry.policy is not None:
+            actions.append(Action("SwitchPolicy", {"name": entry.policy}))
+        if entry.ris_off:
             for panel_id, panel in sorted(ctl.world.panels.items()):
                 for part_id in sorted({int(p) for p in np.unique(panel.partition)}):
                     members = panel.part_elements(part_id)
@@ -435,8 +434,8 @@ def _stub(name: str, text: str, interval_ms: int) -> ControllerApp:
 
 
 def builtin_apps(
-    non_rt_interval_ms: int = 60_000,
-    near_rt_interval_ms: int = 100,
+    non_rt_interval_ms: int = DEFAULT_NON_RT_TICK_MS,
+    near_rt_interval_ms: int = DEFAULT_NEAR_RT_TICK_MS,
 ) -> list[ControllerApp]:
     """Default app set: failure monitoring and recovery planning in the NonRT
     tier; RIS tracking/tuning, clustering and scripted policy switches in the

@@ -58,7 +58,7 @@ class Simulation:
             scenario.non_rt_tick_ms, scenario.near_rt_tick_ms
         )
         names = [app.name for app in app_list]
-        disabled = set(disabled_apps or ()) | set(scenario.ric.get("disabled_apps", ()))
+        disabled = set(disabled_apps or ()) | set(scenario.ric.disabled_apps)
         unknown = sorted(disabled.difference(names))
         if unknown:
             raise ValidationError(
@@ -86,11 +86,9 @@ class Simulation:
         for disaster in scenario.disasters:
             for fire_time, kind, payload in inject_disaster(scenario, disaster):
                 self.kernel.schedule(fire_time, EventKind(kind), payload)
-        for move in scenario.ric.get("ue_moves", ()):
+        for move in scenario.ric.ue_moves:
             self.kernel.schedule(
-                move["time_ms"],
-                EventKind.UE_MOVE,
-                {"node_id": move["node_id"], "position": move["position"]},
+                move.time_ms, EventKind.UE_MOVE, {"node_id": move.node_id, "position": move.position}
             )
         self.kernel.schedule(0, EventKind.MEASUREMENT_DONE)
 

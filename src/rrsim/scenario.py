@@ -1,16 +1,29 @@
 """World model: node inventory, geometry, traffic surge profile, disaster schedule,
-and scenario file ingestion."""
+and scenario file ingestion.
+
+A scenario file is parsed once, here, into frozen values. Each settings
+object (`channel`, `traffic`, `planner`, `ric` with its RIS panels, parts and
+script rows, `cfmimo`, and a node's `ris`) is a type whose fields hold their
+defaults. One reader, `_read`, turns a JSON object into any of them, or into
+a `Node` or a `DisasterEvent`, whose keys are not all field names; the top
+level, `ticks` and `ric.ue_moves` go through the same checks. At every level
+a key that is not a field, a missing required key, or a value of the wrong
+shape is a `ParseError` that names its path. `Scenario.validate` checks what
+spans objects, such as the node ids that settings refer to. The rest of the
+program reads attributes.
+"""
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
+from functools import partial
 from itertools import pairwise
-from typing import Any
+from typing import Any, NamedTuple, NoReturn
 
-from .channel import DEFAULT_MCS, ChannelParams
+from .channel import ChannelParams
 
 DEFAULT_BATTERY_RESERVE_MS = 14_400_000  # 4 hours of internal energy reserve
 DEFAULT_NON_RT_TICK_MS = 60_000
@@ -58,13 +71,23 @@ class NodeStatus(str, Enum):
 
 ACCESS_KINDS = frozenset({NodeKind.TERRESTRIAL_BS, NodeKind.MOBILE_BS, NodeKind.UAV})
 SERVING_STATUSES = frozenset({NodeStatus.OPERATIONAL, NodeStatus.ON_BATTERY, NodeStatus.ACTIVE})
-# Iterating an Enum is slow: the names a node may use, listed once.
-_KINDS, _STATUSES = tuple(k.value for k in NodeKind), tuple(s.value for s in NodeStatus)
 
 POLICY_FAST_RECOVERY = "fast-recovery"
 POLICY_MAX_THROUGHPUT = "max-throughput"
 POLICY_RIS_OFF = "ris-off"
 POLICIES = (POLICY_FAST_RECOVERY, POLICY_MAX_THROUGHPUT, POLICY_RIS_OFF)
+
+
+@dataclass(frozen=True)
+class RisLayout:
+    """A node's `ris`: the element grid of a RisPanel, split in halves when
+    parts is 2."""
+
+    rows: int = 4
+    cols: int = 19
+    pitch_m: float = 0.04
+    normal_axis: int = 1
+    parts: int = 1
 
 
 @dataclass(frozen=True)
@@ -76,7 +99,7 @@ class Node:
     tx_power_dbm: float = 30.0
     freq_ghz: float = 3.5
     battery_ms: int | None = None
-    ris: dict[str, Any] | None = None  # RisPanel layout for kind == RIS_PANEL
+    ris: RisLayout = RisLayout()  # read only when kind == RIS_PANEL
 
     def validate(self) -> None:
         if self.kind == NodeKind.UAV and self.position[2] <= 0:
@@ -118,6 +141,74 @@ class DisasterEvent:
 
 
 @dataclass(frozen=True)
+class RisPart:
+    """`ric.ris.<panel>.parts.<id>`: the UE that a panel part serves, and the
+    points of its offline codebook (none, no codebook)."""
+
+    ue: str
+    reference_points: tuple[tuple[float, float, float], ...] = ()
+
+
+@dataclass(frozen=True)
+class RisPanelSettings:
+    """`ric.ris.<panel>`: the panel's transmitter, and its parts by id ("0",
+    and "1" for a panel split in halves)."""
+
+    tx: str
+    parts: dict[str, RisPart] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class ScriptEntry:
+    """`ric.script[i]`: at time_ms, switch to policy (None keeps the
+    current one) and, with ris_off, set every panel part to state 0."""
+
+    time_ms: int
+    policy: str | None = None
+    ris_off: bool = False
+
+
+class UeMove(NamedTuple):
+    """`ric.ue_moves[i]`: the UE node_id walks to position at time_ms."""
+
+    time_ms: int
+    node_id: str
+    position: tuple[float, float, float]
+
+
+@dataclass(frozen=True)
+class RicSettings:
+    policy: str = POLICY_MAX_THROUGHPUT
+    ris: dict[str, RisPanelSettings] = field(default_factory=dict)
+    script: tuple[ScriptEntry, ...] = ()
+    ue_moves: tuple[UeMove, ...] = ()
+    disabled_apps: tuple[str, ...] = ()  # built-in apps that are not registered
+
+
+@dataclass(frozen=True)
+class PlannerSettings:
+    """The coverage threshold, which the measurement and the failure monitor
+    share with the planner, and the UAVs of one planning pass. Without
+    candidate_bounds, the candidates span the UEs out of service plus one
+    spacing."""
+
+    snr_threshold_db: float = 3.0
+    max_nodes: int = 3
+    uav_altitude_m: float = 120.0
+    uav_tx_power_dbm: float = 35.0
+    uav_freq_ghz: float = 3.5
+    candidate_spacing_m: float = 500.0
+    candidate_bounds: tuple[tuple[float, float], tuple[float, float]] | None = None
+    backhaul_threshold_db: float = 10.0
+    relay_sites: tuple[tuple[float, float, float], ...] = ()
+
+
+@dataclass(frozen=True)
+class CellFreeSettings:
+    L: int = 2  # access points serving each UE
+
+
+@dataclass(frozen=True)
 class Scenario:
     nodes: tuple[Node, ...]
     traffic: TrafficProfile = TrafficProfile()
@@ -129,9 +220,9 @@ class Scenario:
     sample_interval_ms: int = DEFAULT_SAMPLE_INTERVAL_MS
     battery_reserve_ms: int = DEFAULT_BATTERY_RESERVE_MS
     channel: ChannelParams = ChannelParams()
-    cfmimo: dict[str, Any] = field(default_factory=dict)
-    ric: dict[str, Any] = field(default_factory=dict)
-    planner: dict[str, Any] = field(default_factory=dict)
+    cfmimo: CellFreeSettings = CellFreeSettings()
+    ric: RicSettings = RicSettings()
+    planner: PlannerSettings = PlannerSettings()
 
     def validate(self) -> None:
         ids = [n.node_id for n in self.nodes]
@@ -153,17 +244,23 @@ class Scenario:
                 if nid not in known:
                     raise UnknownNode(f"disaster references unknown node {nid}")
         panels = {n.node_id: n for n in self.nodes if n.kind == NodeKind.RIS_PANEL}
-        for panel_id, cfg in self.ric.get("ris", {}).items():
-            if not isinstance(cfg, dict):
-                raise ValidationError(f"RIS panel {panel_id}: entry must be an object")
-            if cfg.get("tx") not in known:
-                raise UnknownNode(f"RIS panel {panel_id} tx references unknown node {cfg.get('tx')!r}")
+        for panel_id, panel in self.ric.ris.items():
+            if panel.tx not in known:
+                raise UnknownNode(f"RIS panel {panel_id} tx references unknown node {panel.tx!r}")
             if panel_id not in panels:
-                raise UnknownNode(f"{_where('ric', 'ris', panel_id)}: unknown RIS panel {panel_id!r}")
-            _check_ris_parts(cfg.get("parts", {}), panels[panel_id], known, "ric", "ris", panel_id, "parts")
-        for i, move in enumerate(self.ric.get("ue_moves", ())):
-            if move.get("node_id") not in known:
-                raise UnknownNode(f"ric.ue_moves[{i}].node_id: unknown node {move.get('node_id')!r}")
+                raise UnknownNode(f"ric.ris.{panel_id}: unknown RIS panel {panel_id!r}")
+            part_ids = ("0", "1") if panels[panel_id].ris.parts == 2 else ("0",)
+            for part_id, part in panel.parts.items():
+                path = f"ric.ris.{panel_id}.parts"
+                if part_id not in part_ids:
+                    raise ValidationError(
+                        f"{path}: unknown part {part_id!r} (choose from {', '.join(part_ids)})"
+                    )
+                if part.ue not in known:
+                    raise UnknownNode(f"{path}.{part_id}.ue: unknown node {part.ue!r}")
+        for i, move in enumerate(self.ric.ue_moves):
+            if move.node_id not in known:
+                raise UnknownNode(f"ric.ue_moves[{i}].node_id: unknown node {move.node_id!r}")
 
 
 def traffic_multiplier(profile: TrafficProfile, traffic_class: str, t_since_strike_ms: float) -> float:
@@ -212,61 +309,54 @@ def inject_disaster(scenario: Scenario, event: DisasterEvent) -> list[tuple[int,
     return specs
 
 
+# --- reading a scenario file ---------------------------------------------------
+#
+# A reader takes a JSON value and its field path, and gives the value of the
+# field or raises a ParseError that names the path. The path is formatted
+# only on failure.
+
+
 def _where(*path: str | int) -> str:
-    """The field path ("nodes", 3, "position", 0) as nodes[3].position[0]."""
-    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)[1:]
+    """The field path ("nodes", 3, "position", 0) as nodes[3].position[0];
+    the top level is "scenario"."""
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)[1:] or "scenario"
 
 
-# The kinds of _number: converters by what each expects.
-_NOUNS = {int: "an integer", float: "a number"}
+def _kind(noun: str, convert, accept=None):
+    """A reader that gives convert(value) if accept passes it."""
+
+    def read(value: Any, *path: str | int) -> Any:
+        try:
+            x = convert(value)
+            if accept is None or accept(x):
+                return x
+        except (TypeError, ValueError, OverflowError):
+            pass
+        raise ParseError(f"{_where(*path)}: expected {noun}, got {value!r}")
+
+    return read
 
 
-def _kind(noun: str, convert: type, accept):
-    """A kind that gives convert(value) if accept passes it."""
-
-    def kind(value: Any) -> Any:
-        x = convert(value)
-        if accept(x):
-            return x
-        raise ValueError
-
-    _NOUNS[kind] = noun
-    return kind
-
-
+_int = _kind("an integer", int)
+_float = _kind("a number", float)
 _finite = _kind("a finite number", float, math.isfinite)
 _positive = _kind("a finite number > 0", float, lambda x: 0.0 < x < math.inf)
 _count = _kind("an integer >= 1", int, lambda n: n >= 1)
+_size = _kind("an integer >= 0", int, lambda n: n >= 0)
 _part_count = _kind("the integer 1 or 2", lambda v: v, lambda v: type(v) is int and v in (1, 2))
+_flag = _kind("true or false", lambda v: v, lambda v: isinstance(v, bool))
 
 
-def _number(kind, value: Any, *path: str | int) -> Any:
-    """kind(value), for a kind of _NOUNS, or a ParseError that names the
-    field. The path is formatted only on failure."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"{_where(*path)}: expected {_NOUNS[kind]}, got {value!r}") from None
+def _name(raw, *path: str | int) -> str:
+    """A node or app name."""
+    if isinstance(raw, str):
+        return raw
+    raise ParseError(f"{_where(*path)}: expected a string, got {raw!r}")
 
 
-# The default of a _field that must be present.
-_REQUIRED = object()
-
-
-def _field(raw: dict[str, Any], key: str, kind, default: Any, *path: str | int) -> Any:
-    value = raw.get(key, default)
-    if value is _REQUIRED:
-        raise ParseError(f"{_where(*path, key)}: missing")
-    return _number(kind, value, *path, key)
-
-
-def _flag(raw: dict[str, Any], key: str, *path: str | int) -> bool:
-    """raw[key], False when absent; any value but true or false is a
-    ParseError."""
-    value = raw.get(key, False)
-    if not isinstance(value, bool):
-        raise ParseError(f"{_where(*path, key)}: expected true or false, got {value!r}")
-    return value
+def _optional(read):
+    """read, with null as None."""
+    return lambda value, *path: None if value is None else read(value, *path)
 
 
 def _object(raw, *path: str | int) -> dict[str, Any]:
@@ -275,23 +365,15 @@ def _object(raw, *path: str | int) -> dict[str, Any]:
     return raw
 
 
-def _settings(raw, kinds: dict[str, Any], *path: str | int) -> dict[str, Any]:
-    """A free-form object, with the value of each key of kinds converted."""
-    settings = dict(_object(raw, *path))
-    for key, kind in kinds.items():
-        if key in settings:
-            settings[key] = _number(kind, settings[key], *path, key)
-    return settings
-
-
-def _optional(raw: dict[str, Any], key: str, kind, *path: str | int) -> Any:
-    return None if raw.get(key) is None else _number(kind, raw[key], *path, key)
-
-
 def _list(raw, *path: str | int):
     if not isinstance(raw, (list, tuple)):
         raise ParseError(f"{_where(*path)}: expected a list, got {raw!r}")
     return raw
+
+
+def _rows(read):
+    """A reader of a list, each of whose items read reads."""
+    return lambda raw, *path: tuple([read(row, *path, i) for i, row in enumerate(_list(raw, *path))])
 
 
 def _point(raw, *path: str | int, dims: int = 3) -> tuple[float, ...]:
@@ -305,10 +387,10 @@ def _point(raw, *path: str | int, dims: int = 3) -> tuple[float, ...]:
             return point
     except (TypeError, ValueError, OverflowError):
         pass
-    return tuple(_number(_finite, c, *path, k) for k, c in enumerate(raw))
+    return tuple(_finite(c, *path, k) for k, c in enumerate(raw))
 
 
-def _choice(raw, choices, *path: str | int):
+def _choice(choices, raw, *path: str | int):
     """raw if it is one of choices, else a ParseError that names the field
     by the last key of its path and lists the choices."""
     if raw not in choices:
@@ -327,169 +409,167 @@ def _corners(raw, *path: str | int, dims: int = 3) -> tuple[tuple[float, ...], t
     return _point(lo, *path, 0, dims=dims), _point(hi, *path, 1, dims=dims)
 
 
-def _boxes(raw, *path: str | int) -> tuple:
-    """Axis-aligned boxes, each a pair of corners."""
-    return tuple(_corners(box, *path, j) for j, box in enumerate(_list(raw, *path)))
+def _bounds(raw, *path: str | int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    lo, hi = _corners(raw, *path, dims=2)
+    if lo[0] > hi[0] or lo[1] > hi[1]:
+        raise ParseError(f"{_where(*path)}: expected lo <= hi, got {raw!r}")
+    return lo, hi
 
 
-def _pairs(raw, first, second, *path: str | int) -> tuple[tuple[Any, Any], ...]:
-    """Rows of two numbers: first(a), second(b)."""
-    rows = [_pair(row, "[a, b]", *path, i) for i, row in enumerate(_list(raw, *path))]
-    return tuple(
-        (_number(first, a, *path, i, 0), _number(second, b, *path, i, 1))
-        for i, (a, b) in enumerate(rows)
-    )
+def _pairs(first, second):
+    """A reader of rows of two numbers: first(a), second(b)."""
+
+    def read(raw, *path: str | int) -> tuple[tuple[Any, Any], ...]:
+        rows = [_pair(row, "[a, b]", *path, i) for i, row in enumerate(_list(raw, *path))]
+        return tuple((first(a, *path, i, 0), second(b, *path, i, 1)) for i, (a, b) in enumerate(rows))
+
+    return read
 
 
-# Panel layout keys read by World, with their types.
-_RIS_LAYOUT = {"rows": int, "cols": int, "pitch_m": float, "normal_axis": int, "parts": _part_count}
+def _keys(*keys: str):
+    """keys as an ordered set-like view."""
+    return dict.fromkeys(keys).keys()
 
 
-def _node_from_dict(raw, index: int) -> Node:
-    raw = _object(raw, "nodes", index)
-    kind = _choice(raw.get("kind"), _KINDS, "nodes", index, "kind")
-    status = _choice(raw.get("status", "Operational"), _STATUSES, "nodes", index, "status")
-    if "id" not in raw or "position" not in raw:
-        raise ParseError(f"node entry missing 'id' or 'position': {raw}")
-    ris = raw.get("ris")
-    if ris is not None:
-        ris = _settings(ris, _RIS_LAYOUT, "nodes", index, "ris")
-    return Node(
-        node_id=str(raw["id"]),
-        kind=NodeKind(kind),
-        position=_point(raw["position"], "nodes", index, "position"),
-        status=NodeStatus(status),
-        tx_power_dbm=_number(_finite, raw.get("tx_power_dbm", 30.0), "nodes", index, "tx_power_dbm"),
-        freq_ghz=_number(_positive, raw.get("freq_ghz", 3.5), "nodes", index, "freq_ghz"),
-        battery_ms=_optional(raw, "battery_ms", int, "nodes", index),
-        ris=ris,
-    )
+def _reject(raw, keys, required, *path: str | int) -> NoReturn:
+    _object(raw, *path)
+    if not keys >= raw.keys():
+        key = min(raw.keys() - keys)
+        raise ParseError(f"{_where(*path)}: unknown key {key!r} (choose from {', '.join(keys)})")
+    key = next(key for key in required if key not in raw)
+    raise ParseError(f"{_where(*path, key)}: missing")
 
 
-def _channel_from_dict(raw: dict[str, Any]) -> ChannelParams:
-    mcs = raw.get("mcs_table")
-    return ChannelParams(
-        exponent=_field(raw, "exponent", _finite, 2.0, "channel"),
-        d0_m=_field(raw, "d0_m", _positive, 1.0, "channel"),
-        blockage_penalty_db=_field(raw, "blockage_penalty_db", _finite, 20.0, "channel"),
-        noise_figure_db=_field(raw, "noise_figure_db", _finite, 7.0, "channel"),
-        bandwidth_hz=_field(raw, "bandwidth_hz", _positive, 20e6, "channel"),
-        mcs_table=_pairs(mcs, _finite, _finite, "channel", "mcs_table") if mcs else DEFAULT_MCS,
-        scatter_floor_db=_optional(raw, "scatter_floor_db", _finite, "channel"),
-        fading=_flag(raw, "fading", "channel"),
-    )
+def _record(table, required, raw, *path: str | int) -> dict[str, Any]:
+    """The fields that the JSON object raw gives, by name. table maps each
+    key that raw may have to its field and reader, and required holds the
+    keys that raw must have (set-like views, in the order messages list
+    them)."""
+    if not (isinstance(raw, dict) and table.keys() >= raw.keys() >= required):
+        _reject(raw, table.keys(), required, *path)
+    return {name: read(value, *path, key) for key, value in raw.items() for name, read in (table[key],)}
 
 
-def _surge(raw: dict[str, Any], key: str, default) -> tuple[tuple[int, float], ...]:
-    return default if raw.get(key) is None else _pairs(raw[key], int, float, "traffic", key)
+# The table and the required keys of each type that `_read` reads.
+_SCHEMAS: dict[type, tuple[dict[str, tuple[str, Any]], Any]] = {}
 
 
-def _check_ris_parts(parts, panel: Node, known: set[str], *path: str) -> None:
-    """Each part of a ric.ris entry names a part of the panel (0, and 1
-    when the panel is split in halves), a known `ue` and 3-D reference
-    points."""
-    part_ids = ("0", "1") if (panel.ris or {}).get("parts") == 2 else ("0",)
-    for key, part in _object(parts, *path).items():
-        if key not in part_ids:
-            raise ParseError(f"{_where(*path)}: unknown part {key!r} (choose from {', '.join(part_ids)})")
-        part = _object(part, *path, key)
-        if part.get("ue") not in known:
-            raise UnknownNode(f"{_where(*path, key, 'ue')}: unknown node {part.get('ue')!r}")
-        points = (*path, key, "reference_points")
-        for k, point in enumerate(_list(part.get("reference_points") or (), *points)):
-            _point(point, *points, k)
+def _schema(cls: type, **readers) -> None:
+    """Register cls, whose keys are its field names, with the reader of each;
+    the fields without a default are required."""
+    required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
+    _SCHEMAS[cls] = {key: (key, read) for key, read in readers.items()}, _keys(*required)
 
 
-def _ric(raw) -> dict[str, Any]:
-    """The free-form ric object, with each policy name and `ris_off` flag
-    checked and the time of each script entry and the time and position of
-    each UE move converted."""
-    ric = dict(_object(raw, "ric"))
-    if "policy" in ric:
-        _choice(ric["policy"], POLICIES, "ric", "policy")
-    if "script" in ric:
-        path = ("ric", "script")
-        script = []
-        for i, entry in enumerate(_list(ric["script"], *path)):
-            time_ms = _field(_object(entry, *path, i), "time_ms", int, _REQUIRED, *path, i)
-            if "policy" in entry:
-                _choice(entry["policy"], POLICIES, *path, i, "policy")
-            _flag(entry, "ris_off", *path, i)
-            script.append({**entry, "time_ms": time_ms})
-        ric["script"] = script
-    if "ue_moves" in ric:
-        path = ("ric", "ue_moves")
-        moves = []
-        for i, move in enumerate(_list(ric["ue_moves"], *path)):
-            time_ms = _field(_object(move, *path, i), "time_ms", int, _REQUIRED, *path, i)
-            position = _point(move.get("position"), *path, i, "position")
-            moves.append({**move, "time_ms": time_ms, "position": position})
-        ric["ue_moves"] = moves
-    return ric
+def _read(cls: type, raw, *path: str | int):
+    """The JSON object raw as cls."""
+    return cls(**_record(*_SCHEMAS[cls], raw, *path))
 
 
-# Planner numbers converted at load; build_plan keeps its defaults.
-_PLANNER = {
-    **dict.fromkeys(
-        ("snr_threshold_db", "uav_altitude_m", "uav_tx_power_dbm", "backhaul_threshold_db"), _finite
-    ),
-    **dict.fromkeys(("uav_freq_ghz", "candidate_spacing_m"), _positive),
-    "max_nodes": int,
+def _objects(cls: type):
+    """A reader of an object whose every value is a cls, by key."""
+    return lambda raw, *path: {
+        key: _read(cls, value, *path, key) for key, value in _object(raw, *path).items()
+    }
+
+
+def _enum(enum: type[Enum]):
+    """A reader of the value of a member of enum. Calling an Enum is slow,
+    so the reader looks its members up in a dict."""
+    members = {member.value: member for member in enum}
+
+    def read(raw, *path: str | int) -> Enum:
+        try:
+            return members[raw]
+        except (KeyError, TypeError):
+            return _choice(tuple(members), raw, *path)
+
+    return read
+
+
+_MOVE_KEYS = _keys(*UeMove._fields)
+_new_move = tuple.__new__  # UeMove(...) without its Python-level __new__
+
+
+def _ue_moves(raw, *path: str | int) -> tuple[UeMove, ...]:
+    """`ric.ue_moves`. A walk has a row per UE per step, so the rows are
+    read in one loop, not by `_read`."""
+    moves = []
+    for i, row in enumerate(_list(raw, *path)):
+        if not (isinstance(row, dict) and row.keys() == _MOVE_KEYS):
+            _reject(row, _MOVE_KEYS, _MOVE_KEYS, *path, i)
+        time_ms = _int(row["time_ms"], *path, i, "time_ms")
+        node_id = _name(row["node_id"], *path, i, "node_id")
+        moves.append(_new_move(UeMove, (time_ms, node_id, _point(row["position"], *path, i, "position"))))
+    return tuple(moves)
+
+
+_points, _policy = _rows(_point), partial(_choice, POLICIES)
+_schema(RisLayout, rows=_int, cols=_int, pitch_m=_float, normal_axis=_int, parts=_part_count)
+_schema(
+    TrafficProfile, data_mbps=_float, voice_mbps=_float,
+    data_surge=_pairs(_int, _float), voice_surge=_pairs(_int, _float),
+)
+_schema(
+    ChannelParams, exponent=_finite, d0_m=_positive, blockage_penalty_db=_finite,
+    noise_figure_db=_finite, bandwidth_hz=_positive, mcs_table=_pairs(_finite, _finite),
+    scatter_floor_db=_optional(_finite), fading=_flag,
+)
+_schema(
+    PlannerSettings, snr_threshold_db=_finite, max_nodes=_size, uav_altitude_m=_finite,
+    uav_tx_power_dbm=_finite, uav_freq_ghz=_positive, candidate_spacing_m=_positive,
+    candidate_bounds=_optional(_bounds), backhaul_threshold_db=_finite, relay_sites=_points,
+)
+_schema(CellFreeSettings, L=_count)
+_schema(RisPart, ue=_name, reference_points=_points)
+_schema(RisPanelSettings, tx=_name, parts=_objects(RisPart))
+_schema(ScriptEntry, time_ms=_int, policy=_policy, ris_off=_flag)
+_schema(
+    RicSettings, policy=_policy, ris=_objects(RisPanelSettings),
+    script=_rows(partial(_read, ScriptEntry)), ue_moves=_ue_moves, disabled_apps=_rows(_name),
+)
+# The objects whose keys are not all field names: a node's `id` is its
+# node_id, a disaster's `time_ms` and `fail` are its strike_time_ms and
+# failed, and `ticks` holds three Scenario fields.
+_SCHEMAS[Node] = {
+    "id": ("node_id", _name),
+    "kind": ("kind", _enum(NodeKind)),
+    "position": ("position", _point),
+    "status": ("status", _enum(NodeStatus)),
+    "tx_power_dbm": ("tx_power_dbm", _finite),
+    "freq_ghz": ("freq_ghz", _positive),
+    "battery_ms": ("battery_ms", _optional(_int)),
+    "ris": ("ris", partial(_read, RisLayout)),
+}, _keys("id", "kind", "position")
+_SCHEMAS[DisasterEvent] = {
+    "time_ms": ("strike_time_ms", _int),
+    "fail": ("failed", _rows(_name)),
+    "power_loss": ("power_loss", _rows(_name)),
+    "blockages": ("blockages", _rows(_corners)),
+}, _keys("time_ms")
+_TICKS = {
+    "non_rt_ms": ("non_rt_tick_ms", _int),
+    "near_rt_ms": ("near_rt_tick_ms", _int),
+    "sample_ms": ("sample_interval_ms", _int),
 }
-
-
-def _planner(raw) -> dict[str, Any]:
-    planner = _settings(raw, _PLANNER, "planner")
-    if planner.get("max_nodes", 0) < 0:
-        raise ParseError(f"planner.max_nodes: expected an integer >= 0, got {planner['max_nodes']!r}")
-    bounds = planner.get("candidate_bounds")
-    if bounds is not None:
-        lo, hi = planner["candidate_bounds"] = _corners(bounds, "planner", "candidate_bounds", dims=2)
-        if lo[0] > hi[0] or lo[1] > hi[1]:
-            raise ParseError(f"planner.candidate_bounds: expected lo <= hi, got {bounds!r}")
-    if "relay_sites" in planner:
-        path = ("planner", "relay_sites")
-        sites = _list(planner["relay_sites"], *path)
-        planner["relay_sites"] = tuple(_point(site, *path, i) for i, site in enumerate(sites))
-    return planner
+_SCENARIO = {key: (key, read) for key, read in {
+    "seed": _int,
+    "ticks": partial(_record, _TICKS, _keys()),
+    "nodes": _rows(partial(_read, Node)),
+    "obstacles": _rows(_corners),
+    "traffic": partial(_read, TrafficProfile),
+    "disasters": _rows(partial(_read, DisasterEvent)),
+    "battery_reserve_ms": _int,
+    "channel": partial(_read, ChannelParams),
+    "planner": partial(_read, PlannerSettings),
+    "ric": partial(_read, RicSettings),
+    "cfmimo": partial(_read, CellFreeSettings),
+}.items()}
 
 
 def scenario_from_dict(data: dict[str, Any]) -> Scenario:
-    if "nodes" not in data:
-        raise ParseError("scenario file missing 'nodes'")
-    nodes = tuple(_node_from_dict(n, i) for i, n in enumerate(data["nodes"]))
-    traffic_raw = data.get("traffic", {})
-    traffic = TrafficProfile(
-        data_mbps=_field(traffic_raw, "data_mbps", float, 2.0, "traffic"),
-        voice_mbps=_field(traffic_raw, "voice_mbps", float, 0.1, "traffic"),
-        data_surge=_surge(traffic_raw, "data_surge", DEFAULT_DATA_SURGE),
-        voice_surge=_surge(traffic_raw, "voice_surge", DEFAULT_VOICE_SURGE),
-    )
-    disasters = tuple(
-        DisasterEvent(
-            strike_time_ms=_field(_object(d, "disasters", i), "time_ms", int, _REQUIRED, "disasters", i),
-            failed=tuple(d.get("fail", ())),
-            power_loss=tuple(d.get("power_loss", ())),
-            blockages=_boxes(d.get("blockages", ()), "disasters", i, "blockages"),
-        )
-        for i, d in enumerate(data.get("disasters", ()))
-    )
-    ticks = data.get("ticks", {})
-    scenario = Scenario(
-        nodes=nodes,
-        traffic=traffic,
-        disasters=disasters,
-        obstacles=_boxes(data.get("obstacles", ()), "obstacles"),
-        seed=_field(data, "seed", int, 0),
-        non_rt_tick_ms=_field(ticks, "non_rt_ms", int, DEFAULT_NON_RT_TICK_MS, "ticks"),
-        near_rt_tick_ms=_field(ticks, "near_rt_ms", int, DEFAULT_NEAR_RT_TICK_MS, "ticks"),
-        sample_interval_ms=_field(ticks, "sample_ms", int, DEFAULT_SAMPLE_INTERVAL_MS, "ticks"),
-        battery_reserve_ms=_field(data, "battery_reserve_ms", int, DEFAULT_BATTERY_RESERVE_MS),
-        channel=_channel_from_dict(data.get("channel", {})),
-        cfmimo=_settings(data.get("cfmimo", {}), {"L": _count}, "cfmimo"),
-        ric=_ric(data.get("ric", {})),
-        planner=_planner(data.get("planner", {})),
-    )
+    settings = _record(_SCENARIO, _keys("nodes"), data)
+    scenario = Scenario(**settings.pop("ticks", {}), **settings)
     scenario.validate()
     return scenario
 

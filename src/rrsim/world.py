@@ -27,8 +27,6 @@ from .scenario import (
     Scenario,
 )
 
-DEFAULT_SNR_THRESHOLD_DB = 3.0
-
 
 @dataclass
 class NodeState:
@@ -113,7 +111,7 @@ class World:
         self.scenario = scenario
         # The coverage threshold of the measurement, the failure monitor and
         # the planner.
-        self.snr_threshold_db: float = scenario.planner.get("snr_threshold_db", DEFAULT_SNR_THRESHOLD_DB)
+        self.snr_threshold_db: float = scenario.planner.snr_threshold_db
         self.nodes: dict[str, NodeState] = {
             n.node_id: NodeState.from_node(n) for n in scenario.nodes
         }
@@ -135,17 +133,16 @@ class World:
                 self._register_panel(node)
 
     def _register_panel(self, node: Node) -> None:
-        spec = node.ris or {}
+        layout = node.ris
         panel = ch.RisPanel.planar(
             node.node_id,
             node.position,
-            rows=spec.get("rows", 4),
-            cols=spec.get("cols", 19),
-            pitch_m=spec.get("pitch_m", 0.04),
-            normal_axis=spec.get("normal_axis", 1),
+            rows=layout.rows,
+            cols=layout.cols,
+            pitch_m=layout.pitch_m,
+            normal_axis=layout.normal_axis,
         )
-        parts = spec.get("parts")
-        if parts == 2:
+        if layout.parts == 2:
             panel.split_halves()
         self.panels[node.node_id] = panel
         self._set_ris_config(node.node_id, np.zeros(panel.n_elements, dtype=int))

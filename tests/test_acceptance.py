@@ -178,15 +178,14 @@ class TestCriterion4:
                                                          "CfClusterer", "ScriptRunner",
                                                          "EnergyManager", "SensingManager"})
         panel = sim.world.panels["ris1"]
-        cfg = two_ue_scenario.ric["ris"]["ris1"]
-        tx = sim.world.nodes[cfg["tx"]]
+        cfg = two_ue_scenario.ric.ris["ris1"]
+        tx = sim.world.nodes[cfg.tx]
         zero_base = np.zeros(panel.n_elements, dtype=int)
         min_gap_cb = math.inf
         min_gap_zero = math.inf
         for part_id in (0, 1):
-            part_cfg = cfg["parts"][str(part_id)]
             members = panel.part_elements(part_id)
-            refs = part_cfg["reference_points"]
+            refs = cfg.parts[str(part_id)].reference_points
             assert len(refs) == 7
 
             def evaluator_at(point):

@@ -191,7 +191,7 @@ class TestValidation:
          "planner.candidate_bounds[0]: expected a point [x, y] of finite numbers, got [0, 0, 0]"),
         (("planner", "candidate_bounds"), [[0, 0]],
          "planner.candidate_bounds: expected a pair of corners [lo, hi], got [[0, 0]]"),
-        (("planner", "max_nodes"), "three", "planner.max_nodes: expected an integer, got 'three'"),
+        (("planner", "max_nodes"), "three", "planner.max_nodes: expected an integer >= 0, got 'three'"),
         (("planner", "snr_threshold_db"), "high", "planner.snr_threshold_db: expected a finite number, got 'high'"),
         (("planner", "uav_altitude_m"), float("nan"), "planner.uav_altitude_m: expected a finite number, got nan"),
         (("planner", "uav_tx_power_dbm"), float("inf"), "planner.uav_tx_power_dbm: expected a finite number, got inf"),
@@ -222,11 +222,9 @@ class TestValidation:
          "ric.ue_moves[0].position[0]: expected a finite number, got 'a'"),
         (("ric", "ue_moves"), [{**MOVE, "position": [0, 1]}],
          "ric.ue_moves[0].position: expected a point [x, y, z] of finite numbers, got [0, 1]"),
-        (("ric", "ue_moves"), [{"time_ms": 1_000, "node_id": "rx1"}],
-         "ric.ue_moves[0].position: expected a point [x, y, z] of finite numbers, got None"),
+        (("ric", "ue_moves"), [{"time_ms": 1_000, "node_id": "rx1"}], "ric.ue_moves[0].position: missing"),
         (("ric", "ue_moves"), [{**MOVE, "node_id": "ghost"}], "ric.ue_moves[0].node_id: unknown node 'ghost'"),
-        (("ric", "ue_moves"), [{"time_ms": 1_000, "position": [0, 1.7, 1]}],
-         "ric.ue_moves[0].node_id: unknown node None"),
+        (("ric", "ue_moves"), [{"time_ms": 1_000, "position": [0, 1.7, 1]}], "ric.ue_moves[0].node_id: missing"),
         (("ric", "script"), [{"policy": "ris-off"}], "ric.script[0].time_ms: missing"),
         (("ric", "script"), [{"time_ms": "soon", "policy": "ris-off"}],
          "ric.script[0].time_ms: expected an integer, got 'soon'"),
@@ -248,13 +246,41 @@ class TestValidation:
         (("nodes", 2, "ris", "parts"), 3, "nodes[2].ris.parts: expected the integer 1 or 2, got 3"),
         (("nodes", 2, "ris", "parts"), None, "nodes[2].ris.parts: expected the integer 1 or 2, got None"),
         (("nodes", 2, "ris", "parts"), True, "nodes[2].ris.parts: expected the integer 1 or 2, got True"),
+        # Shapes that crashed with a TypeError or an AttributeError, or were
+        # misread character by character.
+        (("ric", "ris", "ris1", "tx"), ["tx1"], "ric.ris.ris1.tx: expected a string, got ['tx1']"),
+        (("ric", "ris", "ris1", "parts", "1", "ue"), ["rx2"],
+         "ric.ris.ris1.parts.1.ue: expected a string, got ['rx2']"),
+        (("ric", "ue_moves"), [MOVE, {**MOVE, "node_id": ["rx1"]}],
+         "ric.ue_moves[1].node_id: expected a string, got ['rx1']"),
+        (("disasters",), [{"time_ms": 1_000, "fail": 5}], "disasters[0].fail: expected a list, got 5"),
+        (("disasters",), [{"time_ms": 1_000, "fail": "tx1"}], "disasters[0].fail: expected a list, got 'tx1'"),
+        (("ric", "disabled_apps"), 5, "ric.disabled_apps: expected a list, got 5"),
+        (("ric", "disabled_apps"), "CfClusterer", "ric.disabled_apps: expected a list, got 'CfClusterer'"),
+        (("ric", "ris"), ["ris1"], "ric.ris: expected an object, got ['ris1']"),
+        (("ticks",), 100, "ticks: expected an object, got 100"),
+        (("traffic",), 2.0, "traffic: expected an object, got 2.0"),
+        (("channel",), "free-space", "channel: expected an object, got 'free-space'"),
+        (("nodes",), {"gw1": {"kind": "Gateway"}}, "nodes: expected a list, got {'gw1': {'kind': 'Gateway'}}"),
+        # Misspelt keys, which loaded with no message.
+        (("disasters",), [{"time_ms": 1_000, "failed": ["tx1"]}],
+         "disasters[0]: unknown key 'failed' (choose from time_ms, fail, power_loss, blockages)"),
+        (("planner", "max_node"), 1,
+         "planner: unknown key 'max_node' (choose from snr_threshold_db, max_nodes, uav_altitude_m, "
+         "uav_tx_power_dbm, uav_freq_ghz, candidate_spacing_m, candidate_bounds, backhaul_threshold_db, "
+         "relay_sites)"),
+        (("ticks", "nonrt_ms"), 60_000, "ticks: unknown key 'nonrt_ms' (choose from non_rt_ms, near_rt_ms, sample_ms)"),
+        (("channel", "exponant"), 2.2,
+         "channel: unknown key 'exponant' (choose from exponent, d0_m, blockage_penalty_db, noise_figure_db, "
+         "bandwidth_hz, mcs_table, scatter_floor_db, fading)"),
     ]
 
     @pytest.mark.parametrize(
         "keys, value, message", BAD_SETTINGS, ids=[message.split(":")[0] for _, _, message in BAD_SETTINGS]
     )
     def test_bad_setting_in_every_command(self, tmp_path, capsys, keys, value, message):
-        """Planner, cell-free, point, node, script and RIS part settings are
+        """Planner, cell-free, point, node, script and RIS part settings, the
+        shape of every object and list, and the keys of every object are
         checked at load, so each command rejects them before it simulates
         anything."""
         with open(bundled_scenario_path("two_ue_demo.json")) as fh:
@@ -522,6 +548,32 @@ class TestPlan:
         rc = main(["plan", "--scenario", scenario, "--out", str(tmp_path / "plan.json")])
         assert rc == 4
         assert "planning failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("satellite", [True, False], ids=["satellite", "no_satellite"])
+    def test_failed_gateway_roots_no_backhaul(self, tmp_path, capsys, satellite):
+        """The strike fails the only gateway with the base station: the UAV
+        is fed by the satellite, or the plan fails with exit 4."""
+        nodes = [
+            {"id": "gw", "kind": "Gateway", "position": [0, 0, 10]},
+            {"id": "bs", "kind": "TerrestrialBS", "position": [100, 0, 25], "tx_power_dbm": 43},
+            {"id": "ue", "kind": "UE", "position": [50, 10, 1.5]},
+        ]
+        if satellite:
+            nodes.append({"id": "sat", "kind": "Satellite", "position": [0, 0, 550_000]})
+        data = {
+            "nodes": nodes,
+            "disasters": [{"time_ms": 1_000, "fail": ["gw", "bs"]}],
+            "planner": {"uav_tx_power_dbm": 45.0, "backhaul_threshold_db": 0.0},
+        }
+        out = tmp_path / "plan.json"
+        rc = main(["plan", "--scenario", write_scenario(tmp_path, data), "--out", str(out)])
+        if satellite:
+            assert rc == 0
+            assert [(e["child"], e["parent"]) for e in json.loads(out.read_text())["backhaul"]] == [("uav_0", "sat")]
+        else:
+            assert rc == 4
+            assert capsys.readouterr().err == "planning failed: no feasible backhaul path for placement uav_0\n"
+            assert not out.exists()
 
 
 class TestCodebookBuild:

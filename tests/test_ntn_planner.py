@@ -211,6 +211,21 @@ class TestBackhaul:
         with pytest.raises(planner.UnreachablePlacement):
             planner.form_backhaul([uav], world, backhaul_threshold_db=30.0)
 
+    @pytest.mark.parametrize("satellite", [True, False], ids=["satellite", "no_satellite"])
+    def test_failed_gateway_roots_nothing(self, satellite):
+        # The UAV hovers next to the gateway, but the strike failed it: the
+        # satellite feeds the UAV, or no root is left.
+        sat = {"id": "sat", "kind": "Satellite", "position": [0, 0, 550_000]}
+        world = grid_world(failed=("gw", *ALL_BS), extra_nodes=[sat] if satellite else [])
+        uav = self.placement((2500.0, 2500.0, 120.0))
+        if satellite:
+            edges = planner.form_backhaul([uav], world, backhaul_threshold_db=0.0)
+            assert [(e.child, e.parent, e.snr_db) for e in edges] == [("uav_0", "sat", planner.SATELLITE_SNR_DB)]
+        else:
+            with pytest.raises(planner.UnreachablePlacement, match="uav_0"):
+                planner.form_backhaul([uav], world, backhaul_threshold_db=0.0)
+            assert planner.form_backhaul([], world) == []
+
 
 class TestBuildPlan:
     def test_no_outage_returns_empty_plan(self):

@@ -365,7 +365,7 @@ class TestFailureMonitorCache:
         assert monitor is planner_
         [([links], plan)] = plans
         assert links is monitor
-        threshold = earthquake_scenario.planner["snr_threshold_db"]
+        threshold = earthquake_scenario.planner.snr_threshold_db
         assert links.out_of_service(threshold) == sim.controller.blackboard["out_of_service"]
         assert plan.placements
         # The same world at the planning tick, with no planner to change it.

@@ -1,11 +1,15 @@
 """Scenario schema, validation rules, surge curve and disaster expansion."""
 
+import importlib.util
 import json
+import os
 
 import pytest
 
+from rrsim.cli import bundled_scenario_path
 from rrsim.scenario import (
     DEFAULT_BATTERY_RESERVE_MS,
+    POLICY_MAX_THROUGHPUT,
     DisasterEvent,
     Node,
     NodeKind,
@@ -66,6 +70,64 @@ class TestParsing:
             load_scenario("/nonexistent/scenario.json")
 
 
+class TestDefaults:
+    def test_empty_sections_take_the_documented_defaults(self):
+        panel = {"id": "p", "kind": "RisPanel", "position": [10, 0, 2], "ris": {}}
+        s = minimal(
+            nodes=MINIMAL["nodes"] + [panel], planner={}, ric={}, cfmimo={}, channel={}, traffic={}, ticks={}
+        )
+        p = s.planner
+        assert (p.snr_threshold_db, p.max_nodes, p.uav_altitude_m, p.uav_tx_power_dbm) == (3.0, 3, 120.0, 35.0)
+        assert (p.uav_freq_ghz, p.candidate_spacing_m, p.backhaul_threshold_db) == (3.5, 500.0, 10.0)
+        assert (p.candidate_bounds, p.relay_sites) == (None, ())
+        layout = s.nodes[-1].ris
+        assert (layout.rows, layout.cols, layout.pitch_m, layout.normal_axis, layout.parts) == (4, 19, 0.04, 1, 1)
+        assert s.cfmimo.L == 2
+        assert s.ric.policy == POLICY_MAX_THROUGHPUT == "max-throughput"
+        assert (s.ric.ris, s.ric.script, s.ric.ue_moves, s.ric.disabled_apps) == ({}, (), (), ())
+        bare = {key: value for key, value in panel.items() if key != "ris"}
+        assert s.nodes[-1] == minimal(nodes=MINIMAL["nodes"] + [bare]).nodes[-1]
+
+    def test_a_missing_section_is_its_empty_object(self):
+        assert minimal() == minimal(planner={}, ric={}, cfmimo={}, channel={}, traffic={}, ticks={})
+
+
+def _objects(value, path=()):
+    """Every JSON object in value with its path, outermost first."""
+    if isinstance(value, dict):
+        yield path, value
+        for key, item in value.items():
+            yield from _objects(item, (*path, key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _objects(item, (*path, i))
+
+
+def _where(path):
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)[1:] or "scenario"
+
+
+class TestUnknownKeys:
+    @pytest.mark.parametrize("name", ["earthquake_demo.json", "two_ue_demo.json", "indoor_ris_demo.json"])
+    def test_a_bogus_key_in_any_object_names_that_object(self, name):
+        """In an object of fields the key is unknown; in an object keyed by
+        RIS panel or part id, its value is not an object."""
+        with open(bundled_scenario_path(name)) as fh:
+            text = fh.read()
+        paths = [path for path, _ in _objects(json.loads(text))]
+        assert len(paths) >= 5
+        for path in paths:
+            data = json.loads(text)
+            target = data
+            for key in path:
+                target = target[key]
+            target["bogus"] = 1
+            with pytest.raises(ParseError) as info:
+                scenario_from_dict(data)
+            where = _where(path)
+            assert str(info.value).startswith((f"{where}: unknown key 'bogus' (choose from ", f"{where}.bogus: ")), path
+
+
 class TestValidation:
     def test_duplicate_ids(self):
         nodes = MINIMAL["nodes"] + [{"id": "bs", "kind": "TerrestrialBS", "position": [1, 1, 1]}]
@@ -81,7 +143,7 @@ class TestValidation:
         ric = {"ris": {"p": {"tx": "nope", "parts": {"0": {"ue": "ue"}}}}}
         with pytest.raises(UnknownNode, match="RIS panel p tx references unknown node 'nope'"):
             minimal(nodes=nodes, ric=ric)
-        with pytest.raises(ValidationError, match="entry must be an object"):
+        with pytest.raises(ParseError, match="^ric.ris.p: expected an object, got 'bs'$"):
             minimal(nodes=nodes, ric={"ris": {"p": "bs"}})
         minimal(nodes=nodes, ric={"ris": {"p": {"tx": "bs", "parts": {"0": {"ue": "ue"}}}}})
 
@@ -114,7 +176,7 @@ class TestValidation:
     def test_max_nodes_must_not_be_negative(self):
         with pytest.raises(ParseError, match=r"^planner.max_nodes: expected an integer >= 0, got -2$"):
             minimal(planner={"max_nodes": -2})
-        assert minimal(planner={"max_nodes": 0}).planner["max_nodes"] == 0
+        assert minimal(planner={"max_nodes": 0}).planner.max_nodes == 0
 
 
 class TestTrafficSurge:
@@ -184,6 +246,16 @@ class TestBundledScenarios:
     def test_all_bundled_files_validate(self, indoor_scenario, two_ue_scenario, earthquake_scenario):
         for s in (indoor_scenario, two_ue_scenario, earthquake_scenario):
             s.validate()
+
+    def test_generator_reproduces_the_bundled_files(self):
+        path = os.path.join(os.path.dirname(__file__), "..", "tools", "make_scenarios.py")
+        spec = importlib.util.spec_from_file_location("make_scenarios", path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        assert len(tool.BUILDERS) == 3
+        for name, builder in tool.BUILDERS.items():
+            with open(bundled_scenario_path(name)) as fh:
+                assert tool.render(builder) == fh.read(), name
 
     def test_earthquake_inventory(self, earthquake_scenario):
         s = earthquake_scenario

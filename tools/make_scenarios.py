@@ -137,17 +137,24 @@ def earthquake_demo():
     }
 
 
+BUILDERS = {
+    "indoor_ris_demo.json": indoor_ris_demo,
+    "two_ue_demo.json": two_ue_demo,
+    "earthquake_demo.json": earthquake_demo,
+}
+
+
+def render(builder) -> str:
+    """The text of the scenario file that builder returns."""
+    return json.dumps(builder(), indent=2) + "\n"
+
+
 def main():
     os.makedirs(OUT_DIR, exist_ok=True)
-    for name, builder in (
-        ("indoor_ris_demo", indoor_ris_demo),
-        ("two_ue_demo", two_ue_demo),
-        ("earthquake_demo", earthquake_demo),
-    ):
-        path = os.path.join(OUT_DIR, f"{name}.json")
+    for name, builder in BUILDERS.items():
+        path = os.path.join(OUT_DIR, name)
         with open(path, "w") as fh:
-            json.dump(builder(), fh, indent=2)
-            fh.write("\n")
+            fh.write(render(builder))
         print("wrote", os.path.normpath(path))
 
 
