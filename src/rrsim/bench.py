@@ -33,6 +33,7 @@ REFERENCE_DISTANCE_M = 1.70
 LOCATION_ERROR_SIGMA_M = 0.5
 
 TWO_STATES = ((1.0, 0.0), (1.0, math.pi))
+MAX_STATES = len(ch.HV4_STATES)  # a bench panel has TWO_STATES or the first S of these
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,12 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from importlib import resources
 from typing import Iterable
@@ -18,7 +20,7 @@ from typing import Iterable
 from . import bench as bench_mod
 from . import ntn_planner as planner_mod
 from .ric import builtin_apps
-from .ris_opt import evaluator_hash
+from .ris_opt import EXHAUSTIVE_GUARD, evaluator_hash
 from .runner import Simulation, summarize_run
 from .scenario import ParseError, ValidationError, load_scenario
 from .simcore import NOT_RECOVERED, recovery_time, write_metrics_csv
@@ -37,6 +39,19 @@ def _configure_logging() -> None:
     logging.basicConfig(level=mapping.get(level, logging.WARNING), format="%(levelname)s %(name)s: %(message)s")
 
 
+class CannotWrite(Exception):
+    """An output that cannot be written; `main` prints it and exits 2."""
+
+
+@contextmanager
+def _writing(path: str):
+    """Turn an OSError from writing path into a CannotWrite that names it."""
+    try:
+        yield
+    except OSError as exc:
+        raise CannotWrite(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _atomic_write(path: str, write_fn) -> None:
     """Write to a temp file in the target directory and rename into place.
 
@@ -44,18 +59,19 @@ def _atomic_write(path: str, write_fn) -> None:
     mkstemp's 0600.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rrs_tmp_")
-    try:
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)
-        with os.fdopen(fd, "w", newline="") as fh:
-            write_fn(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with _writing(path):
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rrs_tmp_")
+        try:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
+            with os.fdopen(fd, "w", newline="") as fh:
+                write_fn(fh)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
 
 
 def bundled_scenario_path(name: str) -> str:
@@ -86,6 +102,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     sim = _simulation(args.scenario, set(args.disable_app or ()), args.seed)
     if sim is None:
         return EXIT_VALIDATION
+    with _writing(args.out):
+        os.makedirs(args.out, exist_ok=True)
     start = time.perf_counter()
     baseline = sim.baseline_coverage()
     metrics = sim.run(args.until)
@@ -98,7 +116,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         else:
             log.warning("intact coverage is 0, so the recovery time is undefined")
 
-    os.makedirs(args.out, exist_ok=True)
     _atomic_write(os.path.join(args.out, "metrics.csv"), lambda fh: write_metrics_csv(fh, metrics.samples))
     _atomic_write(
         os.path.join(args.out, "actions.log"),
@@ -136,6 +153,8 @@ def cmd_ris_bench(args: argparse.Namespace) -> int:
         return _invalid("--panel must be N,S (e.g. 76,4)")
     if n_elements < 1 or n_states < 2:
         return _invalid(f"--panel must have N >= 1 elements and S >= 2 states, got {args.panel}")
+    if n_states > bench_mod.MAX_STATES:
+        return _invalid(f"--panel must have S <= {bench_mod.MAX_STATES} states, got {args.panel}")
     if args.seeds < 1:
         return _invalid(f"--seeds must be >= 1, got {args.seeds}")
     algorithms = tuple(args.algorithms.split(","))
@@ -143,6 +162,10 @@ def cmd_ris_bench(args: argparse.Namespace) -> int:
     if unknown:
         return _invalid(f"unknown algorithm(s): {', '.join(unknown)} "
                         f"(choose from {', '.join(bench_mod.ALGORITHMS)})")
+    # Compared in log2, so that a long panel does not make S**N a huge integer.
+    if "exhaustive" in algorithms and n_elements * math.log2(n_states) > math.log2(EXHAUSTIVE_GUARD):
+        return _invalid(f"--algorithms exhaustive needs S^N <= {EXHAUSTIVE_GUARD} configurations, "
+                        f"got {n_states}^{n_elements}")
     if "grouping" in algorithms and not 1 <= args.group_count <= n_elements:
         return _invalid(f"--group-count must be in [1, {n_elements}], the panel's elements, got {args.group_count}")
 
@@ -266,7 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Iterable[str] | None = None) -> int:
     _configure_logging()
     args = build_parser().parse_args(list(argv) if argv is not None else None)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CannotWrite as exc:
+        return _invalid(str(exc))
 
 
 if __name__ == "__main__":

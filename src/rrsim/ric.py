@@ -102,9 +102,6 @@ class Controller:
         self.blackboard: dict[str, Any] = {}
         self.codebooks: dict[tuple[str, int], Codebook] = {}
         self.cluster_assignment: ClusterAssignment | None = None
-        # (panel, UE) -> (world version, evaluator); the table outlives
-        # configuration changes, which do not bump the version.
-        self._ris_links: dict[tuple[str, str], tuple[int, ModelEvaluator]] = {}
         self._script = sorted(self.cfg.script, key=lambda s: s.time_ms)
         kernel.on(EventKind.NON_RT_TICK, self._on_tick)
         kernel.on(EventKind.NEAR_RT_TICK, self._on_tick)
@@ -244,18 +241,11 @@ class Controller:
         )
 
     def ris_power_at(self, panel_id: str, full_config, ue_id: str) -> float:
-        """Received power (dBm) at a UE through the panel at the given config.
-        The link table is kept per (panel, UE) until the world version moves."""
-        version = self.world.version
-        cached = self._ris_links.get((panel_id, ue_id))
-        if cached is None or cached[0] != version:
-            cached = (version, self.ris_evaluator(panel_id, self.world.nodes[ue_id].position))
-            self._ris_links[panel_id, ue_id] = cached
-        return cached[1](full_config)
+        """Received power (dBm) at a UE through the panel at the given config."""
+        return self.ris_evaluator(panel_id, self.world.nodes[ue_id].position)(full_config)
 
     def _build_offline_codebooks(self) -> None:
         for panel_id, settings in self.cfg.ris.items():
-            self.ris_tx_node(panel_id)  # an unknown tx fails even with no part to build
             for pid_str, part in settings.parts.items():
                 if not part.reference_points:
                     continue

@@ -1,5 +1,9 @@
 """End-to-end simulation runner: wires the event kernel, world state, RIC
-controller and periodic metrics sampling for one scenario run."""
+controller and periodic metrics sampling for one scenario run.
+
+A `Scenario` is checked when it is built, so the runner checks none of it
+again: it schedules each disaster and UE move from the parsed values as they
+are, and checks only the disabled app names against the apps it is given."""
 
 from __future__ import annotations
 
@@ -11,7 +15,7 @@ import numpy as np
 
 from . import channel as ch
 from .ric import Controller, ControllerApp, builtin_apps
-from .scenario import Scenario, ValidationError, inject_disaster, traffic_multiplier
+from .scenario import DisasterEvent, Scenario, ValidationError, traffic_multiplier
 from .simcore import Event, EventKind, Kernel, MetricsLog, RateTable, Sample
 from .world import World
 
@@ -53,7 +57,6 @@ class Simulation:
         apps: list[ControllerApp] | None = None,
         disabled_apps: set[str] | None = None,
     ) -> None:
-        scenario.validate()
         app_list = apps if apps is not None else builtin_apps(
             scenario.non_rt_tick_ms, scenario.near_rt_tick_ms
         )
@@ -84,8 +87,11 @@ class Simulation:
                 self.controller.register_app(app)
 
         for disaster in scenario.disasters:
-            for fire_time, kind, payload in inject_disaster(scenario, disaster):
-                self.kernel.schedule(fire_time, EventKind(kind), payload)
+            strike = disaster.strike_time_ms
+            self.kernel.schedule(strike, EventKind.DISASTER_STRIKE, {"disaster": disaster})
+            for node_id in disaster.power_loss:
+                expiry = strike + scenario.battery_reserve_ms
+                self.kernel.schedule(expiry, EventKind.BATTERY_EXPIRY, {"node_id": node_id})
         for move in scenario.ric.ue_moves:
             self.kernel.schedule(
                 move.time_ms, EventKind.UE_MOVE, {"node_id": move.node_id, "position": move.position}
@@ -95,17 +101,13 @@ class Simulation:
     # --- event handlers ------------------------------------------------------
 
     def _on_strike(self, kernel: Kernel, event: Event) -> None:
-        self.world.apply_strike(
-            event.payload["failed"],
-            event.payload["power_loss"],
-            event.payload["blockages"],
-        )
+        disaster: DisasterEvent = event.payload["disaster"]
+        self.world.apply_strike(disaster.failed, disaster.power_loss, disaster.blockages)
         self._strike_time = kernel.clock
         kernel.log.log_action(
             kernel.clock,
-            f"DisasterStrike: {len(event.payload['failed'])} failed, "
-            f"{len(event.payload['power_loss'])} on battery, "
-            f"{len(event.payload['blockages'])} new blockages",
+            f"DisasterStrike: {len(disaster.failed)} failed, {len(disaster.power_loss)} on battery, "
+            f"{len(disaster.blockages)} new blockages",
         )
 
     def _on_battery_expiry(self, kernel: Kernel, event: Event) -> None:
@@ -139,8 +141,6 @@ class Simulation:
         copied = False
         for p, panel_id in enumerate(sorted(self.world.panels)):
             for part_id, ue_id in sorted(self.controller.ris_part_assignments(panel_id).items()):
-                if ue_id not in ue_ids:
-                    continue
                 j = ue_ids.index(ue_id)
                 power = self.controller.ris_power_at(panel_id, self.world.ris_configs[panel_id], ue_id)
                 snr = power - self.scenario.channel.noise_floor_dbm()

@@ -8,9 +8,13 @@ defaults. One reader, `_read`, turns a JSON object into any of them, or into
 a `Node` or a `DisasterEvent`, whose keys are not all field names; the top
 level, `ticks` and `ric.ue_moves` go through the same checks. At every level
 a key that is not a field, a missing required key, or a value of the wrong
-shape is a `ParseError` that names its path. `Scenario.validate` checks what
-spans objects, such as the node ids that settings refer to. The rest of the
-program reads attributes.
+shape is a `ParseError` that names its path.
+
+A value is checked once, when it is built: `Node`, `TrafficProfile` and
+`DisasterEvent` check their own fields, and `Scenario` what spans objects,
+such as the node ids that settings refer to. A scenario built in Python or
+by `dataclasses.replace` is checked the same way, so a `Scenario` that exists
+is valid, and the rest of the program reads its attributes as they are.
 """
 
 from __future__ import annotations
@@ -99,9 +103,11 @@ class Node:
     tx_power_dbm: float = 30.0
     freq_ghz: float = 3.5
     battery_ms: int | None = None
-    ris: RisLayout = RisLayout()  # read only when kind == RIS_PANEL
+    ris: RisLayout | None = None  # a RisPanel's grid, the default one if not given; only a RisPanel has one
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        if self.kind == NodeKind.RIS_PANEL and self.ris is None:
+            object.__setattr__(self, "ris", RisLayout())
         if self.kind == NodeKind.UAV and self.position[2] <= 0:
             raise ValidationError(f"UAV {self.node_id} altitude must be > 0")
         if self.status == NodeStatus.ON_BATTERY and not (self.battery_ms and self.battery_ms > 0):
@@ -115,7 +121,7 @@ class TrafficProfile:
     data_surge: tuple[tuple[int, float], ...] = DEFAULT_DATA_SURGE
     voice_surge: tuple[tuple[int, float], ...] = DEFAULT_VOICE_SURGE
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name, load in (("data_mbps", self.data_mbps), ("voice_mbps", self.voice_mbps)):
             if not (0.0 <= load < math.inf):
                 raise ValidationError(f"traffic {name} must be finite and non-negative, got {load}")
@@ -134,7 +140,7 @@ class DisasterEvent:
     power_loss: tuple[str, ...] = ()
     blockages: tuple[tuple[tuple[float, float, float], tuple[float, float, float]], ...] = ()
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         overlap = set(self.failed) & set(self.power_loss)
         if overlap:
             raise ValidationError(f"nodes in both failure and power-loss sets: {sorted(overlap)}")
@@ -224,28 +230,29 @@ class Scenario:
     ric: RicSettings = RicSettings()
     planner: PlannerSettings = PlannerSettings()
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         ids = [n.node_id for n in self.nodes]
         if len(ids) != len(set(ids)):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise ValidationError(f"node ids unique: duplicates {dupes}")
         if not any(n.kind == NodeKind.GATEWAY for n in self.nodes):
             raise ValidationError("scenario needs at least one Gateway")
-        for node in self.nodes:
-            node.validate()
-        self.traffic.validate()
+        for i, node in enumerate(self.nodes):
+            if node.ris is not None and node.kind != NodeKind.RIS_PANEL:
+                raise ValidationError(
+                    f"nodes[{i}].ris: only a RisPanel has a layout, {node.node_id} is a {node.kind.value}"
+                )
         thresholds = [min_snr for min_snr, _ in self.channel.mcs_table]
         if thresholds != sorted(thresholds):
             raise ValidationError("MCS table must be sorted by min SNR")
-        known = set(ids)
+        kinds = {n.node_id: n.kind for n in self.nodes}
         for event in self.disasters:
-            event.validate()
             for nid in (*event.failed, *event.power_loss):
-                if nid not in known:
+                if nid not in kinds:
                     raise UnknownNode(f"disaster references unknown node {nid}")
         panels = {n.node_id: n for n in self.nodes if n.kind == NodeKind.RIS_PANEL}
         for panel_id, panel in self.ric.ris.items():
-            if panel.tx not in known:
+            if panel.tx not in kinds:
                 raise UnknownNode(f"RIS panel {panel_id} tx references unknown node {panel.tx!r}")
             if panel_id not in panels:
                 raise UnknownNode(f"ric.ris.{panel_id}: unknown RIS panel {panel_id!r}")
@@ -256,10 +263,13 @@ class Scenario:
                     raise ValidationError(
                         f"{path}: unknown part {part_id!r} (choose from {', '.join(part_ids)})"
                     )
-                if part.ue not in known:
+                if part.ue not in kinds:
                     raise UnknownNode(f"{path}.{part_id}.ue: unknown node {part.ue!r}")
+                if kinds[part.ue] != NodeKind.UE:
+                    kind = kinds[part.ue].value
+                    raise ValidationError(f"{path}.{part_id}.ue: {part.ue} is a {kind}, not a UE")
         for i, move in enumerate(self.ric.ue_moves):
-            if move.node_id not in known:
+            if move.node_id not in kinds:
                 raise UnknownNode(f"ric.ue_moves[{i}].node_id: unknown node {move.node_id!r}")
 
 
@@ -281,32 +291,6 @@ def traffic_multiplier(profile: TrafficProfile, traffic_class: str, t_since_stri
         if t_since_strike_ms <= t1:
             return m0 + (t_since_strike_ms - t0) / (t1 - t0) * (m1 - m0)
     return curve[-1][1]
-
-
-def inject_disaster(scenario: Scenario, event: DisasterEvent) -> list[tuple[int, str, dict[str, Any]]]:
-    """Expand one disaster into kernel event specs: the strike itself plus a
-    battery expiry per power-loss node at strike + reserve."""
-    event.validate()
-    known = {n.node_id for n in scenario.nodes}
-    for nid in (*event.failed, *event.power_loss):
-        if nid not in known:
-            raise UnknownNode(nid)
-    specs: list[tuple[int, str, dict[str, Any]]] = [
-        (
-            event.strike_time_ms,
-            "DisasterStrike",
-            {
-                "failed": list(event.failed),
-                "power_loss": list(event.power_loss),
-                "blockages": [list(map(list, b)) for b in event.blockages],
-            },
-        )
-    ]
-    for nid in event.power_loss:
-        specs.append(
-            (event.strike_time_ms + scenario.battery_reserve_ms, "BatteryExpiry", {"node_id": nid})
-        )
-    return specs
 
 
 # --- reading a scenario file ---------------------------------------------------
@@ -569,9 +553,7 @@ _SCENARIO = {key: (key, read) for key, read in {
 
 def scenario_from_dict(data: dict[str, Any]) -> Scenario:
     settings = _record(_SCENARIO, _keys("nodes"), data)
-    scenario = Scenario(**settings.pop("ticks", {}), **settings)
-    scenario.validate()
-    return scenario
+    return Scenario(**settings.pop("ticks", {}), **settings)
 
 
 def load_scenario(file_path: str) -> Scenario:

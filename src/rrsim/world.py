@@ -154,7 +154,7 @@ class World:
 
     # --- state transitions -------------------------------------------------
 
-    def apply_strike(self, failed: list[str], power_loss: list[str], blockages) -> None:
+    def apply_strike(self, failed: Sequence[str], power_loss: Sequence[str], blockages) -> None:
         for nid in failed:
             self.nodes[nid].status = NodeStatus.FAILED
         reserve = self.scenario.battery_reserve_ms

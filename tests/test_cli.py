@@ -246,6 +246,11 @@ class TestValidation:
         (("nodes", 2, "ris", "parts"), 3, "nodes[2].ris.parts: expected the integer 1 or 2, got 3"),
         (("nodes", 2, "ris", "parts"), None, "nodes[2].ris.parts: expected the integer 1 or 2, got None"),
         (("nodes", 2, "ris", "parts"), True, "nodes[2].ris.parts: expected the integer 1 or 2, got True"),
+        # Settings that loaded with no message and were ignored or misused.
+        (("nodes", 3, "ris"), {"rows": 99, "parts": 2}, "nodes[3].ris: only a RisPanel has a layout, rx1 is a UE"),
+        (("nodes", 1, "ris"), {}, "nodes[1].ris: only a RisPanel has a layout, tx1 is a TerrestrialBS"),
+        (("ric", "ris", "ris1", "parts", "0", "ue"), "tx1",
+         "ric.ris.ris1.parts.0.ue: tx1 is a TerrestrialBS, not a UE"),
         # Shapes that crashed with a TypeError or an AttributeError, or were
         # misread character by character.
         (("ric", "ris", "ris1", "tx"), ["tx1"], "ric.ris.ris1.tx: expected a string, got ['tx1']"),
@@ -325,9 +330,15 @@ class TestValidation:
             (BENCH + ["--panel", "8,4", "--group-count", "99"],
              "--group-count must be in [1, 8], the panel's elements, got 99"),
             (["plan", "--max-nodes", "-1"], "--max-nodes must be >= 0, got -1"),
+            (BENCH + ["--panel", "8,5"], "--panel must have S <= 4 states, got 8,5"),
+            (BENCH + ["--panel", "30,4", "--algorithms", "iterative,exhaustive"],
+             "--algorithms exhaustive needs S^N <= 1048576 configurations, got 4^30"),
+            (BENCH + ["--panel", "21,2", "--algorithms", "exhaustive"],
+             "--algorithms exhaustive needs S^N <= 1048576 configurations, got 2^21"),
         ],
         ids=["until", "panel_elements", "panel_states", "seeds_zero", "seeds_negative",
-             "group_count_zero", "group_count_above_panel", "max_nodes"],
+             "group_count_zero", "group_count_above_panel", "max_nodes", "panel_states_above_four",
+             "exhaustive_too_large", "exhaustive_one_past_the_guard"],
     )
     def test_bad_number_argument(self, tmp_path, capsys, argv, message):
         """Each exits 2 with one line that names the argument, before it
@@ -339,6 +350,30 @@ class TestValidation:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"{message}\n")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, out, reason",
+        [
+            (["run", "--until", "1000"], "file/out", "Not a directory"),
+            (["run", "--until", "1000"], "file", "File exists"),
+            (["plan"], "missing/plan.json", "No such file or directory"),
+            (["plan"], "file/plan.json", "Not a directory"),
+            (["codebook", "build", "--panel", "ris1"], "missing/cb.json", "No such file or directory"),
+            (["codebook", "build", "--panel", "ris1"], "file/cb.json", "Not a directory"),
+            (["ris", "bench", "--panel", "4,2", "--seeds", "1"], "missing/b.csv", "No such file or directory"),
+            (["ris", "bench", "--panel", "4,2", "--seeds", "1"], "file/b.csv", "Not a directory"),
+        ],
+    )
+    def test_unwritable_out(self, tmp_path, capsys, argv, out, reason):
+        """An --out under a missing directory or a regular file exits 2 with
+        one line that names it, and leaves nothing behind."""
+        (tmp_path / "file").write_text("")
+        if argv[0] != "ris":
+            argv = argv + ["--scenario", bundled_scenario_path("two_ue_demo.json")]
+        out = str(tmp_path / out)
+        assert main(argv + ["--out", out]) == 2
+        assert capsys.readouterr().err == f"cannot write {out}: {reason}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
     def test_group_count_is_checked_only_for_grouping(self, tmp_path):
         argv = ["ris", "bench", "--panel", "2,2", "--seeds", "1", "--algorithms", "iterative"]

@@ -1,28 +1,33 @@
-"""Scenario schema, validation rules, surge curve and disaster expansion."""
+"""Scenario schema, validation rules, surge curve, and the events a
+disaster schedules."""
 
+import dataclasses
 import importlib.util
 import json
 import os
 
 import pytest
 
+from rrsim import scenario as scenario_mod
 from rrsim.cli import bundled_scenario_path
+from rrsim.runner import Simulation
 from rrsim.scenario import (
     DEFAULT_BATTERY_RESERVE_MS,
     POLICY_MAX_THROUGHPUT,
     DisasterEvent,
     Node,
     NodeKind,
+    NodeStatus,
     ParseError,
     Scenario,
     TrafficProfile,
     UnknownNode,
     ValidationError,
-    inject_disaster,
     load_scenario,
     scenario_from_dict,
     traffic_multiplier,
 )
+from rrsim.simcore import EventKind
 
 MINIMAL = {
     "nodes": [
@@ -157,9 +162,8 @@ class TestValidation:
             minimal(nodes=nodes)
 
     def test_on_battery_needs_reserve(self):
-        node = Node("b", NodeKind.TERRESTRIAL_BS, (0, 0, 25), status="OnBattery")
         with pytest.raises(ValidationError):
-            node.validate()
+            Node("b", NodeKind.TERRESTRIAL_BS, (0, 0, 25), status="OnBattery")
 
     def test_disaster_unknown_node(self):
         with pytest.raises(UnknownNode):
@@ -215,24 +219,72 @@ class TestTrafficSurge:
 
 class TestDisasterExpansion:
     def test_strike_plus_battery_expiries(self):
-        s = minimal(disasters=[{"time_ms": 5000, "fail": ["bs"], "power_loss": []}])
-        event = DisasterEvent(5000, failed=("bs",), power_loss=("gw",))
-        specs = inject_disaster(s, event)
-        assert specs[0] == (
-            5000,
-            "DisasterStrike",
-            {"failed": ["bs"], "power_loss": ["gw"], "blockages": []},
+        """A Simulation queues each strike, then one expiry per power-loss
+        node at strike + reserve, on consecutive sequence ids."""
+        nodes = MINIMAL["nodes"] + [{"id": "bs2", "kind": "TerrestrialBS", "position": [200, 0, 25]}]
+        box = [[40, 0, 0], [45, 20, 30]]
+        sim = Simulation(minimal(nodes=nodes, disasters=[
+            {"time_ms": 5000, "fail": ["bs"], "power_loss": ["gw", "bs2"], "blockages": [box]},
+        ]), apps=[])
+        queued = [e for _, _, e in sorted(sim.kernel._queue)
+                  if e.kind in (EventKind.DISASTER_STRIKE, EventKind.BATTERY_EXPIRY)]
+        expiry = 5000 + DEFAULT_BATTERY_RESERVE_MS
+        assert [(e.fire_time, e.kind) for e in queued] == [
+            (5000, EventKind.DISASTER_STRIKE),
+            (expiry, EventKind.BATTERY_EXPIRY),
+            (expiry, EventKind.BATTERY_EXPIRY),
+        ]
+        assert queued[0].payload == {"disaster": sim.scenario.disasters[0]}
+        assert [e.payload for e in queued[1:]] == [{"node_id": "gw"}, {"node_id": "bs2"}]
+        seqs = [e.sequence_id for e in queued]
+        assert seqs == list(range(seqs[0], seqs[0] + 3))
+
+        sim.run(5000)
+        status = {nid: n.status for nid, n in sim.world.nodes.items()}
+        assert (status["bs"], status["gw"], status["bs2"]) == (
+            NodeStatus.FAILED, NodeStatus.ON_BATTERY, NodeStatus.ON_BATTERY
         )
-        assert specs[1] == (
-            5000 + DEFAULT_BATTERY_RESERVE_MS,
-            "BatteryExpiry",
-            {"node_id": "gw"},
-        )
+        assert sim.world.obstacles == [((40.0, 0.0, 0.0), (45.0, 20.0, 30.0))]
+        assert sim.kernel.log.actions == [(5000, "DisasterStrike: 1 failed, 2 on battery, 1 new blockages")]
+        sim.run(expiry)
+        assert sim.world.nodes["gw"].status == sim.world.nodes["bs2"].status == NodeStatus.FAILED
+        assert sim.kernel.log.actions[1:] == [(expiry, "BatteryExpiry: gw failed"), (expiry, "BatteryExpiry: bs2 failed")]
 
     def test_expansion_checks_node_ids(self):
+        """The node ids of a disaster are checked where the Scenario is
+        built, also in Python or by dataclasses.replace."""
         s = minimal()
-        with pytest.raises(UnknownNode):
-            inject_disaster(s, DisasterEvent(0, failed=("ghost",)))
+        with pytest.raises(UnknownNode, match="unknown node ghost"):
+            dataclasses.replace(s, disasters=(DisasterEvent(0, failed=("ghost",)),))
+        with pytest.raises(UnknownNode, match="unknown node ghost"):
+            Scenario(s.nodes, disasters=(DisasterEvent(0, power_loss=("ghost",)),))
+
+
+class TestCheckedOnce:
+    def test_a_scenario_built_in_python_is_checked(self):
+        s = minimal()
+        with pytest.raises(ValidationError, match=r"duplicates \['bs'\]"):
+            dataclasses.replace(s, nodes=s.nodes + (s.nodes[1],))
+        with pytest.raises(ValidationError, match=r"duplicates \['gw'\]"):
+            Scenario(s.nodes + (s.nodes[0],))
+        with pytest.raises(ValidationError, match="failure and power-loss"):
+            DisasterEvent(0, failed=("bs",), power_loss=("bs",))
+        with pytest.raises(ValidationError, match="surge knots"):
+            TrafficProfile(data_surge=((100, 2.0), (50, 1.0)))
+
+    def test_load_checks_once_and_the_simulation_not_again(self, monkeypatch):
+        calls = []
+        check = Scenario.__post_init__
+
+        def counted(self):
+            calls.append(self)
+            check(self)
+
+        monkeypatch.setattr(scenario_mod.Scenario, "__post_init__", counted)
+        s = load_scenario(bundled_scenario_path("two_ue_demo.json"))
+        assert len(calls) == 1
+        Simulation(s).run(5000)
+        assert len(calls) == 1
 
 
 class TestRoundTrip:
@@ -243,9 +295,12 @@ class TestRoundTrip:
 
 
 class TestBundledScenarios:
-    def test_all_bundled_files_validate(self, indoor_scenario, two_ue_scenario, earthquake_scenario):
-        for s in (indoor_scenario, two_ue_scenario, earthquake_scenario):
-            s.validate()
+    def test_all_bundled_files_validate(self):
+        """Loading is the check: each file loads, and a copy rebuilt field
+        by field passes the same checks."""
+        for name in ("earthquake_demo.json", "two_ue_demo.json", "indoor_ris_demo.json"):
+            s = load_scenario(bundled_scenario_path(name))
+            assert dataclasses.replace(s) == s, name
 
     def test_generator_reproduces_the_bundled_files(self):
         path = os.path.join(os.path.dirname(__file__), "..", "tools", "make_scenarios.py")
