@@ -17,8 +17,8 @@ import numpy as np
 
 from . import channel as ch
 from .ris_opt import iterative_optimize, model_evaluator
-from .scenario import NodeKind, NodeStatus, PlannerSettings
-from .world import NodeState, World, access_snr_matrix
+from .scenario import Node, NodeKind, NodeStatus, PlannerSettings
+from .world import World, access_snr_matrix
 
 DEFAULT_RELAY_ELEMENTS = (8, 8)
 SATELLITE_SNR_DB = 12.0  # always-reachable space segment, fixed link quality
@@ -35,15 +35,6 @@ class UnreachablePlacement(PlannerError):
 
 
 @dataclass(frozen=True)
-class Placement:
-    node_id: str
-    kind: NodeKind
-    position: tuple[float, float, float]
-    tx_power_dbm: float
-    freq_ghz: float
-
-
-@dataclass(frozen=True)
 class BackhaulEdge:
     child: str
     parent: str
@@ -54,7 +45,7 @@ class BackhaulEdge:
 
 @dataclass
 class DeploymentPlan:
-    placements: list[Placement] = field(default_factory=list)
+    placements: list[Node] = field(default_factory=list)  # the UAVs to deploy
     backhaul: list[BackhaulEdge] = field(default_factory=list)
     estimated_coverage_ratio: float = 0.0
 
@@ -99,6 +90,11 @@ def candidate_lattice(
     return [(float(x), float(y), altitude_m) for x in xs for y in ys]
 
 
+def _uav(node_id: str, position: Sequence[float], tx_power_dbm: float, freq_ghz: float) -> Node:
+    """An active UAV; `Node` rejects one at altitude <= 0."""
+    return Node(node_id, NodeKind.UAV, tuple(position), NodeStatus.ACTIVE, tx_power_dbm, freq_ghz)
+
+
 def coverage_sets(
     candidates: Sequence[Sequence[float]],
     ue_ids: list[str],
@@ -111,10 +107,7 @@ def coverage_sets(
 ) -> list[set[str]]:
     """UE ids each candidate position would cover at the SNR threshold, from
     one SNR matrix over all candidates."""
-    nodes = [
-        NodeState("cand", NodeKind.UAV, tuple(pos), NodeStatus.ACTIVE, tx_power_dbm, freq_ghz)
-        for pos in candidates
-    ]
+    nodes = [_uav("cand", pos, tx_power_dbm, freq_ghz) for pos in candidates]
     matrix = access_snr_matrix(nodes, ue_positions, params, obstacles)
     return [{ue_ids[j] for j in np.flatnonzero(row >= snr_threshold_db).tolist()} for row in matrix]
 
@@ -130,7 +123,7 @@ def place_ntn(
     obstacles=(),
     tx_power_dbm: float = PlannerSettings.uav_tx_power_dbm,
     freq_ghz: float = PlannerSettings.uav_freq_ghz,
-) -> list[Placement]:
+) -> list[Node]:
     """Greedy maximum coverage: repeatedly take the candidate covering the most
     still-uncovered UEs; ties resolve to the lowest candidate index."""
     if max_nodes <= 0 or not out_of_service:
@@ -156,13 +149,7 @@ def place_ntn(
         chosen.append(best_idx)
         uncovered -= sets[best_idx]
     return [
-        Placement(
-            node_id=f"uav_{rank}",
-            kind=NodeKind.UAV,
-            position=tuple(float(c) for c in candidates[idx]),
-            tx_power_dbm=tx_power_dbm,
-            freq_ghz=freq_ghz,
-        )
+        _uav(f"uav_{rank}", [float(c) for c in candidates[idx]], tx_power_dbm, freq_ghz)
         for rank, idx in enumerate(chosen)
     ]
 
@@ -205,7 +192,7 @@ def _try_ris_relay(
 
 
 def form_backhaul(
-    placements: list[Placement],
+    placements: list[Node],
     world: World,
     backhaul_threshold_db: float = PlannerSettings.backhaul_threshold_db,
     relay_sites: Sequence[Sequence[float]] = (),

@@ -19,13 +19,17 @@ from .ris_opt import (
     select_codeword,
 )
 from .cfmimo import ClusterAssignment, cluster
-from .scenario import DEFAULT_NEAR_RT_TICK_MS, DEFAULT_NON_RT_TICK_MS, POLICY_FAST_RECOVERY, POLICY_MAX_THROUGHPUT
+from .scenario import (
+    DEFAULT_NEAR_RT_TICK_MS,
+    DEFAULT_NON_RT_TICK_MS,
+    NEAR_RT_MAX_INTERVAL_MS,
+    NEAR_RT_MIN_INTERVAL_MS,
+    NON_RT_MIN_INTERVAL_MS,
+    POLICY_FAST_RECOVERY,
+    POLICY_MAX_THROUGHPUT,
+)
 from .simcore import Event, EventKind, Kernel
 from .world import World
-
-NON_RT_MIN_INTERVAL_MS = 1_000
-NEAR_RT_MIN_INTERVAL_MS = 10
-NEAR_RT_MAX_INTERVAL_MS = 1_000
 
 
 class RicError(Exception):
@@ -114,11 +118,13 @@ class Controller:
         if app.name in self.apps:
             raise DuplicateName(app.name)
         if app.tier == "NonRT" and app.interval_ms < NON_RT_MIN_INTERVAL_MS:
-            raise InvalidInterval(f"{app.name}: NonRT interval must be >= 1 s")
+            raise InvalidInterval(f"{app.name}: NonRT interval must be >= {NON_RT_MIN_INTERVAL_MS} ms")
         if app.tier == "NearRT" and not (
             NEAR_RT_MIN_INTERVAL_MS <= app.interval_ms <= NEAR_RT_MAX_INTERVAL_MS
         ):
-            raise InvalidInterval(f"{app.name}: NearRT interval must be in [10 ms, 1 s]")
+            raise InvalidInterval(
+                f"{app.name}: NearRT interval must be in [{NEAR_RT_MIN_INTERVAL_MS}, {NEAR_RT_MAX_INTERVAL_MS}] ms"
+            )
         self.apps[app.name] = app
         tick = (app.tier, app.interval_ms, self.kernel.clock)
         if self._open_group is not None and self._open_group[0] == (*tick, self.kernel.scheduled):

@@ -2,8 +2,9 @@
 controller and periodic metrics sampling for one scenario run.
 
 A `Scenario` is checked when it is built, so the runner checks none of it
-again: it schedules each disaster and UE move from the parsed values as they
-are, and checks only the disabled app names against the apps it is given."""
+again: it schedules the expiry of each node loaded on battery, each disaster
+and each UE move from the parsed values as they are, and checks only the
+disabled app names against the apps it is given."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import channel as ch
 from .ric import Controller, ControllerApp, builtin_apps
-from .scenario import DisasterEvent, Scenario, ValidationError, traffic_multiplier
+from .scenario import DisasterEvent, NodeStatus, Scenario, ValidationError, traffic_multiplier
 from .simcore import Event, EventKind, Kernel, MetricsLog, RateTable, Sample
 from .world import World
 
@@ -86,6 +87,9 @@ class Simulation:
             if app.name not in disabled:
                 self.controller.register_app(app)
 
+        for node in scenario.nodes:
+            if node.status == NodeStatus.ON_BATTERY:
+                self.kernel.schedule(node.battery_ms, EventKind.BATTERY_EXPIRY, {"node_id": node.node_id})
         for disaster in scenario.disasters:
             strike = disaster.strike_time_ms
             self.kernel.schedule(strike, EventKind.DISASTER_STRIKE, {"disaster": disaster})

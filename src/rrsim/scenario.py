@@ -33,6 +33,10 @@ DEFAULT_BATTERY_RESERVE_MS = 14_400_000  # 4 hours of internal energy reserve
 DEFAULT_NON_RT_TICK_MS = 60_000
 DEFAULT_NEAR_RT_TICK_MS = 100
 DEFAULT_SAMPLE_INTERVAL_MS = 5_000
+# The tick ranges of the controller tiers, ms.
+NON_RT_MIN_INTERVAL_MS = 1_000
+NEAR_RT_MIN_INTERVAL_MS = 10
+NEAR_RT_MAX_INTERVAL_MS = 1_000
 
 # Default surge curve knots, ms since strike -> multiplier. Data and voice
 # peak at 2.6x / 91.5x half an hour in, hold for two hours, then decay.
@@ -112,6 +116,10 @@ class Node:
             raise ValidationError(f"UAV {self.node_id} altitude must be > 0")
         if self.status == NodeStatus.ON_BATTERY and not (self.battery_ms and self.battery_ms > 0):
             raise ValidationError(f"OnBattery node {self.node_id} needs battery_ms > 0")
+
+    @property
+    def serving(self) -> bool:
+        return self.status in SERVING_STATUSES
 
 
 @dataclass(frozen=True)
@@ -271,6 +279,9 @@ class Scenario:
         for i, move in enumerate(self.ric.ue_moves):
             if move.node_id not in kinds:
                 raise UnknownNode(f"ric.ue_moves[{i}].node_id: unknown node {move.node_id!r}")
+            if kinds[move.node_id] != NodeKind.UE:
+                kind = kinds[move.node_id].value
+                raise ValidationError(f"ric.ue_moves[{i}].node_id: {move.node_id} is a {kind}, not a UE")
 
 
 def traffic_multiplier(profile: TrafficProfile, traffic_class: str, t_since_strike_ms: float) -> float:
@@ -326,7 +337,13 @@ _float = _kind("a number", float)
 _finite = _kind("a finite number", float, math.isfinite)
 _positive = _kind("a finite number > 0", float, lambda x: 0.0 < x < math.inf)
 _count = _kind("an integer >= 1", int, lambda n: n >= 1)
-_size = _kind("an integer >= 0", int, lambda n: n >= 0)
+_natural = _kind("an integer >= 0", int, lambda n: n >= 0)
+_non_rt_ms = _kind(f"an integer >= {NON_RT_MIN_INTERVAL_MS}", int, lambda n: n >= NON_RT_MIN_INTERVAL_MS)
+_near_rt_ms = _kind(
+    f"an integer in [{NEAR_RT_MIN_INTERVAL_MS}, {NEAR_RT_MAX_INTERVAL_MS}]",
+    int,
+    lambda n: NEAR_RT_MIN_INTERVAL_MS <= n <= NEAR_RT_MAX_INTERVAL_MS,
+)
 _part_count = _kind("the integer 1 or 2", lambda v: v, lambda v: type(v) is int and v in (1, 2))
 _flag = _kind("true or false", lambda v: v, lambda v: isinstance(v, bool))
 
@@ -482,7 +499,7 @@ def _ue_moves(raw, *path: str | int) -> tuple[UeMove, ...]:
     for i, row in enumerate(_list(raw, *path)):
         if not (isinstance(row, dict) and row.keys() == _MOVE_KEYS):
             _reject(row, _MOVE_KEYS, _MOVE_KEYS, *path, i)
-        time_ms = _int(row["time_ms"], *path, i, "time_ms")
+        time_ms = _natural(row["time_ms"], *path, i, "time_ms")
         node_id = _name(row["node_id"], *path, i, "node_id")
         moves.append(_new_move(UeMove, (time_ms, node_id, _point(row["position"], *path, i, "position"))))
     return tuple(moves)
@@ -500,7 +517,7 @@ _schema(
     scatter_floor_db=_optional(_finite), fading=_flag,
 )
 _schema(
-    PlannerSettings, snr_threshold_db=_finite, max_nodes=_size, uav_altitude_m=_finite,
+    PlannerSettings, snr_threshold_db=_finite, max_nodes=_natural, uav_altitude_m=_positive,
     uav_tx_power_dbm=_finite, uav_freq_ghz=_positive, candidate_spacing_m=_positive,
     candidate_bounds=_optional(_bounds), backhaul_threshold_db=_finite, relay_sites=_points,
 )
@@ -526,15 +543,15 @@ _SCHEMAS[Node] = {
     "ris": ("ris", partial(_read, RisLayout)),
 }, _keys("id", "kind", "position")
 _SCHEMAS[DisasterEvent] = {
-    "time_ms": ("strike_time_ms", _int),
+    "time_ms": ("strike_time_ms", _natural),
     "fail": ("failed", _rows(_name)),
     "power_loss": ("power_loss", _rows(_name)),
     "blockages": ("blockages", _rows(_corners)),
 }, _keys("time_ms")
 _TICKS = {
-    "non_rt_ms": ("non_rt_tick_ms", _int),
-    "near_rt_ms": ("near_rt_tick_ms", _int),
-    "sample_ms": ("sample_interval_ms", _int),
+    "non_rt_ms": ("non_rt_tick_ms", _non_rt_ms),
+    "near_rt_ms": ("near_rt_tick_ms", _near_rt_ms),
+    "sample_ms": ("sample_interval_ms", _count),
 }
 _SCENARIO = {key: (key, read) for key, read in {
     "seed": _int,
@@ -543,7 +560,7 @@ _SCENARIO = {key: (key, read) for key, read in {
     "obstacles": _rows(_corners),
     "traffic": partial(_read, TrafficProfile),
     "disasters": _rows(partial(_read, DisasterEvent)),
-    "battery_reserve_ms": _int,
+    "battery_reserve_ms": _count,
     "channel": partial(_read, ChannelParams),
     "planner": partial(_read, PlannerSettings),
     "ric": partial(_read, RicSettings),

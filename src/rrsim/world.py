@@ -3,8 +3,10 @@ controller apps and the planner read.
 
 The scenario stays frozen after load; everything that changes during a run
 (node status, batteries, obstacles added at strike time, RIS configurations)
-lives here, and only `World` methods write it. A node is live while its status
-serves (`SERVING_STATUSES`). Node and obstacle changes bump `World.version`,
+lives here, and only `World` methods write it. `World.nodes` holds frozen
+scenario `Node`s: a change stores a new one, which checks itself as it is
+built, and a write to a node's field raises `FrozenInstanceError`. A node is
+live while it serves (`Node.serving`). Node and obstacle changes bump `World.version`,
 the key of the serving-node count and the link budget; RIS configurations
 change through `World.configure_ris`. A UE is out of service when its best SNR in the
 link budget is below the scenario's coverage threshold (`World.out_of_service`).
@@ -12,47 +14,13 @@ link budget is below the scenario's coverage threshold (`World.out_of_service`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import channel as ch
-from .scenario import (
-    ACCESS_KINDS,
-    SERVING_STATUSES,
-    Node,
-    NodeKind,
-    NodeStatus,
-    Scenario,
-)
-
-
-@dataclass
-class NodeState:
-    node_id: str
-    kind: NodeKind
-    position: tuple[float, float, float]
-    status: NodeStatus
-    tx_power_dbm: float
-    freq_ghz: float
-    battery_ms: int | None = None
-
-    @classmethod
-    def from_node(cls, node: Node) -> "NodeState":
-        return cls(
-            node.node_id,
-            node.kind,
-            node.position,
-            node.status,
-            node.tx_power_dbm,
-            node.freq_ghz,
-            node.battery_ms,
-        )
-
-    @property
-    def serving(self) -> bool:
-        return self.status in SERVING_STATUSES
+from .scenario import ACCESS_KINDS, Node, NodeKind, NodeStatus, Scenario
 
 
 class LinkBudget(NamedTuple):
@@ -71,7 +39,7 @@ class LinkBudget(NamedTuple):
 
 
 def access_snr_matrix(
-    access_nodes: list[NodeState],
+    access_nodes: list[Node],
     ue_positions: np.ndarray,
     params: ch.ChannelParams,
     obstacles,
@@ -112,9 +80,7 @@ class World:
         # The coverage threshold of the measurement, the failure monitor and
         # the planner.
         self.snr_threshold_db: float = scenario.planner.snr_threshold_db
-        self.nodes: dict[str, NodeState] = {
-            n.node_id: NodeState.from_node(n) for n in scenario.nodes
-        }
+        self.nodes: dict[str, Node] = {n.node_id: n for n in scenario.nodes}
         self.obstacles: list = [tuple(map(tuple, box)) for box in scenario.obstacles]
         self.panels: dict[str, ch.RisPanel] = {}
         # Each panel's element states, read-only: `configure_ris` replaces the
@@ -155,13 +121,11 @@ class World:
     # --- state transitions -------------------------------------------------
 
     def apply_strike(self, failed: Sequence[str], power_loss: Sequence[str], blockages) -> None:
+        nodes, reserve = self.nodes, self.scenario.battery_reserve_ms
         for nid in failed:
-            self.nodes[nid].status = NodeStatus.FAILED
-        reserve = self.scenario.battery_reserve_ms
+            nodes[nid] = replace(nodes[nid], status=NodeStatus.FAILED)
         for nid in power_loss:
-            node = self.nodes[nid]
-            node.status = NodeStatus.ON_BATTERY
-            node.battery_ms = reserve
+            nodes[nid] = replace(nodes[nid], status=NodeStatus.ON_BATTERY, battery_ms=reserve)
         for box in blockages:
             self.obstacles.append((tuple(box[0]), tuple(box[1])))
         self.version += 1
@@ -169,14 +133,13 @@ class World:
     def expire_battery(self, node_id: str) -> bool:
         node = self.nodes[node_id]
         if node.status == NodeStatus.ON_BATTERY:
-            node.status = NodeStatus.FAILED
-            node.battery_ms = None
+            self.nodes[node_id] = replace(node, status=NodeStatus.FAILED, battery_ms=None)
             self.version += 1
             return True
         return False
 
     def move_node(self, node_id: str, position) -> None:
-        self.nodes[node_id].position = tuple(position)
+        self.nodes[node_id] = replace(self.nodes[node_id], position=tuple(position))
         self.version += 1
 
     def configure_ris(self, panel_id: str, part_id: int, codeword: Sequence[int]) -> None:
@@ -196,13 +159,13 @@ class World:
         tx_power_dbm: float,
         freq_ghz: float,
         status: NodeStatus = NodeStatus.ACTIVE,
-    ) -> NodeState:
+    ) -> Node:
         node_id = f"deployed_{self._next_deploy_index}"
+        node = Node(node_id, kind, tuple(position), status, tx_power_dbm, freq_ghz)
         self._next_deploy_index += 1
-        state = NodeState(node_id, kind, tuple(position), status, tx_power_dbm, freq_ghz)
-        self.nodes[node_id] = state
+        self.nodes[node_id] = node
         self.version += 1
-        return state
+        return node
 
     # --- views -------------------------------------------------------------
 
@@ -217,7 +180,7 @@ class World:
         access node, in sorted id order, to every UE. Which nodes serve
         changes only with the version, so both are kept until it moves."""
         if self._at_version is None or self._at_version[0] != self.version:
-            serving = [n for n in self.nodes.values() if n.status in SERVING_STATUSES]
+            serving = [n for n in self.nodes.values() if n.serving]
             access = sorted((n for n in serving if n.kind in ACCESS_KINDS), key=lambda n: n.node_id)
             ue_ids, positions = self.ue_positions()
             snr = access_snr_matrix(access, positions, self.scenario.channel, self.obstacles)

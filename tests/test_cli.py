@@ -35,6 +35,12 @@ def write_scenario(tmp_path, data, name="scenario.json"):
     return str(path)
 
 
+def setting_id(keys, value):
+    """A test id from a key path and a value, e.g. `ticks.sample_ms=0`."""
+    path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)[1:]
+    return f"{path}={json.dumps(value, separators=(',', ':'))}"
+
+
 class TestValidation:
     def test_missing_scenario_file(self, tmp_path, capsys):
         rc = main(["run", "--scenario", str(tmp_path / "nope.json"), "--until", "1000"])
@@ -152,7 +158,7 @@ class TestValidation:
              "traffic.data_surge[0]: expected a pair [a, b], got [0, 1.0, 2.0]"),
             ("two_ue_demo.json",
              lambda d: d["ric"].update(ue_moves=[{"time_ms": "soon", "node_id": "rx1", "position": [0, 1.7, 1]}]),
-             "ric.ue_moves[0].time_ms: expected an integer, got 'soon'"),
+             "ric.ue_moves[0].time_ms: expected an integer >= 0, got 'soon'"),
             ("two_ue_demo.json", lambda d: d.update(obstacles=[[[0, 0, 0], [1, 1, 1], [2, 2, 2]]]),
              "obstacles[0]: expected a pair of corners [lo, hi], got [[0, 0, 0], [1, 1, 1], [2, 2, 2]]"),
             ("earthquake_demo.json", lambda d: d["disasters"][0].update(blockages=[[[0, 0, 0]]]),
@@ -193,7 +199,7 @@ class TestValidation:
          "planner.candidate_bounds: expected a pair of corners [lo, hi], got [[0, 0]]"),
         (("planner", "max_nodes"), "three", "planner.max_nodes: expected an integer >= 0, got 'three'"),
         (("planner", "snr_threshold_db"), "high", "planner.snr_threshold_db: expected a finite number, got 'high'"),
-        (("planner", "uav_altitude_m"), float("nan"), "planner.uav_altitude_m: expected a finite number, got nan"),
+        (("planner", "uav_altitude_m"), float("nan"), "planner.uav_altitude_m: expected a finite number > 0, got nan"),
         (("planner", "uav_tx_power_dbm"), float("inf"), "planner.uav_tx_power_dbm: expected a finite number, got inf"),
         (("planner", "backhaul_threshold_db"), None, "planner.backhaul_threshold_db: expected a finite number, got None"),
         (("planner", "uav_freq_ghz"), 0, "planner.uav_freq_ghz: expected a finite number > 0, got 0"),
@@ -279,9 +285,34 @@ class TestValidation:
          "channel: unknown key 'exponant' (choose from exponent, d0_m, blockage_penalty_db, noise_figure_db, "
          "bandwidth_hz, mcs_table, scatter_floor_db, fading)"),
     ]
+    # The rows above are named by their message up to its first ":", with
+    # pytest's 0, 1, ... on repeats, so a row added among them could rename an
+    # old test. Every row from here on is named by its key path and value
+    # (`setting_id`), which no other row shares.
+    NAMED_BY_MESSAGE = [message.split(":")[0] for _, _, message in BAD_SETTINGS]
+    BAD_SETTINGS += [
+        # Times and tick ranges that crashed in the kernel or the controller.
+        (("ticks", "sample_ms"), 0, "ticks.sample_ms: expected an integer >= 1, got 0"),
+        (("ticks", "sample_ms"), -5, "ticks.sample_ms: expected an integer >= 1, got -5"),
+        (("disasters",), [{"time_ms": -5}], "disasters[0].time_ms: expected an integer >= 0, got -5"),
+        (("ric", "ue_moves"), [{**MOVE, "time_ms": -1}], "ric.ue_moves[0].time_ms: expected an integer >= 0, got -1"),
+        (("battery_reserve_ms",), -100_000, "battery_reserve_ms: expected an integer >= 1, got -100000"),
+        (("ticks", "non_rt_ms"), 10, "ticks.non_rt_ms: expected an integer >= 1000, got 10"),
+        (("ticks", "near_rt_ms"), 5_000, "ticks.near_rt_ms: expected an integer in [10, 1000], got 5000"),
+        # Values that a stored `Node` rejects: a UAV at altitude <= 0, and an
+        # empty battery reserve.
+        (("planner", "uav_altitude_m"), 0, "planner.uav_altitude_m: expected a finite number > 0, got 0"),
+        (("planner", "uav_altitude_m"), -50, "planner.uav_altitude_m: expected a finite number > 0, got -50"),
+        (("battery_reserve_ms",), 0, "battery_reserve_ms: expected an integer >= 1, got 0"),
+        # A move of a node that is not a UE: a UAV moved to the ground would
+        # fail mid-run, when its new `Node` checks itself.
+        (("ric", "ue_moves"), [{**MOVE, "node_id": "tx1"}], "ric.ue_moves[0].node_id: tx1 is a TerrestrialBS, not a UE"),
+    ]
 
     @pytest.mark.parametrize(
-        "keys, value, message", BAD_SETTINGS, ids=[message.split(":")[0] for _, _, message in BAD_SETTINGS]
+        "keys, value, message",
+        BAD_SETTINGS,
+        ids=NAMED_BY_MESSAGE + [setting_id(keys, value) for keys, value, _ in BAD_SETTINGS[len(NAMED_BY_MESSAGE):]],
     )
     def test_bad_setting_in_every_command(self, tmp_path, capsys, keys, value, message):
         """Planner, cell-free, point, node, script and RIS part settings, the

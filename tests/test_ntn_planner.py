@@ -16,9 +16,17 @@ from rrsim import ntn_planner as planner
 from rrsim import world as world_mod
 from rrsim.cli import bundled_scenario_path
 from rrsim.runner import Simulation
-from rrsim.scenario import ACCESS_KINDS, NodeKind, NodeStatus, load_scenario, scenario_from_dict
+from rrsim.scenario import (
+    ACCESS_KINDS,
+    Node,
+    NodeKind,
+    NodeStatus,
+    ValidationError,
+    load_scenario,
+    scenario_from_dict,
+)
 from rrsim.simcore import rng_stream
-from rrsim.world import NodeState, World, access_snr_matrix
+from rrsim.world import World, access_snr_matrix
 
 PARAMS = ch.ChannelParams(exponent=3.0)
 # A short-range channel where a wall's penalty closes the direct link.
@@ -149,6 +157,17 @@ class TestGreedyPlacement:
         )
         assert [p.node_id for p in placements] == ["uav_0", "uav_1"]
 
+    def test_placements_are_uav_nodes(self):
+        """A placement is the `Node` that its deployment adds, so a candidate
+        checks its altitude like any node."""
+        ue_positions = np.array([[0.0, 10.0, 1.5]])
+        placements = planner.place_ntn(
+            {"a"}, [(0.0, 0.0, 120.0)], ["a"], ue_positions, 1, 3.0, PARAMS, tx_power_dbm=45.0
+        )
+        assert placements == [Node("uav_0", NodeKind.UAV, (0.0, 0.0, 120.0), NodeStatus.ACTIVE, 45.0, 3.5)]
+        with pytest.raises(ValidationError, match="altitude must be > 0"):
+            planner.coverage_sets([(0.0, 0.0, 0.0)], ["a"], ue_positions, 3.0, PARAMS, ())
+
 
 class TestGrid:
     def test_candidate_lattice_bounds(self):
@@ -160,7 +179,7 @@ class TestGrid:
 
 class TestBackhaul:
     def placement(self, pos, power=45.0):
-        return planner.Placement("uav_0", planner.NodeKind.UAV, pos, power, 3.5)
+        return Node("uav_0", NodeKind.UAV, pos, tx_power_dbm=power, freq_ghz=3.5)
 
     def test_direct_edge_to_gateway(self):
         world = grid_world()
@@ -172,8 +191,8 @@ class TestBackhaul:
 
     def test_chained_placements_relay_through_each_other(self):
         # second UAV is out of direct gateway range but reaches the first
-        near = planner.Placement("uav_0", planner.NodeKind.UAV, (2000.0, 2500.0, 120.0), 45.0, 3.5)
-        far = planner.Placement("uav_1", planner.NodeKind.UAV, (900.0, 2500.0, 120.0), 45.0, 3.5)
+        near = Node("uav_0", NodeKind.UAV, (2000.0, 2500.0, 120.0), tx_power_dbm=45.0, freq_ghz=3.5)
+        far = Node("uav_1", NodeKind.UAV, (900.0, 2500.0, 120.0), tx_power_dbm=45.0, freq_ghz=3.5)
         world = grid_world()
         edges = planner.form_backhaul([near, far], world, backhaul_threshold_db=4.0)
         parents = {e.child: e.parent for e in edges}
@@ -271,7 +290,7 @@ class TestRelaySearchMemo:
         data = {"nodes": nodes, "obstacles": [list(map(list, wall))], "channel": RELAY_CHANNEL}
         world = World(scenario_from_dict(data))
         uavs = [
-            planner.Placement(f"uav_{i}", planner.NodeKind.UAV, pos, 45.0, 3.5)
+            Node(f"uav_{i}", NodeKind.UAV, pos, tx_power_dbm=45.0, freq_ghz=3.5)
             for i, pos in enumerate([(40.0, 0.0, 10.0), (40.0, 3.0, 10.0)])
         ]
         searches = []
@@ -346,7 +365,7 @@ def test_one_candidate_matrix_and_the_estimate_match_per_node_oracles(case):
     candidates = planner.candidate_lattice(cfg["candidate_bounds"], 500.0)
     want = []
     for pos in candidates:
-        node = NodeState("cand", NodeKind.UAV, pos, NodeStatus.ACTIVE, tx_power, 3.5)
+        node = Node("cand", NodeKind.UAV, pos, NodeStatus.ACTIVE, tx_power, 3.5)
         row = access_snr_matrix([node], positions, params, obstacles)[0]
         want.append({ue_ids[j] for j in range(len(ue_ids)) if row[j] >= threshold})
     got = planner.coverage_sets(candidates, ue_ids, positions, threshold, params, obstacles, tx_power)
@@ -368,11 +387,7 @@ def test_one_candidate_matrix_and_the_estimate_match_per_node_oracles(case):
         before = (world.version, world.link_state(), copy.deepcopy(world.nodes), copy.deepcopy(world.obstacles))
         plan = planner.build_plan(world, max_nodes)
         assert (world.version, world.link_state(), world.nodes, world.obstacles) == before
-        placed = [
-            NodeState(p.node_id, p.kind, p.position, NodeStatus.ACTIVE, p.tx_power_dbm, p.freq_ghz)
-            for p in plan.placements
-        ]
-        served = np.count_nonzero(best_snr(access + placed) >= threshold)
+        served = np.count_nonzero(best_snr(access + plan.placements) >= threshold)
         estimate = float(served) / len(ue_ids) if ue_ids else 1.0
         assert plan.estimated_coverage_ratio == estimate
         if max_nodes == 0:

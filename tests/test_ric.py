@@ -98,11 +98,11 @@ class TestDispatch:
 
     def test_later_app_reads_the_live_world(self):
         """An app sees what an earlier app of its group did at the same tick."""
-        from rrsim.ntn_planner import DeploymentPlan, Placement
-        from rrsim.scenario import NodeKind
+        from rrsim.ntn_planner import DeploymentPlan
+        from rrsim.scenario import Node, NodeKind
 
         ctl, kernel = make_controller()
-        plan = DeploymentPlan(placements=[Placement("uav_0", NodeKind.UAV, (50, 50, 120), 35.0, 3.5)])
+        plan = DeploymentPlan(placements=[Node("uav_0", NodeKind.UAV, (50, 50, 120), tx_power_dbm=35.0, freq_ghz=3.5)])
         seen = []
         ctl.register_app(nonrt("deploy", lambda c: [Action("DeployPlan", {"plan": plan})], 1_000))
         ctl.register_app(nonrt("read", lambda c: seen.append(c.world.link_budget().access_ids) or [], 1_000))
@@ -156,13 +156,13 @@ class TestActions:
         assert ctl.policy == "ris-off"
 
     def test_deploy_plan_adds_nodes_and_bumps_version(self):
-        from rrsim.ntn_planner import DeploymentPlan, Placement
-        from rrsim.scenario import NodeKind
+        from rrsim.ntn_planner import DeploymentPlan
+        from rrsim.scenario import Node, NodeKind
 
         ctl, _ = make_controller()
         before = ctl.world.version
         plan = DeploymentPlan(
-            placements=[Placement("uav_0", NodeKind.UAV, (50, 50, 120), 35.0, 3.5)],
+            placements=[Node("uav_0", NodeKind.UAV, (50, 50, 120), tx_power_dbm=35.0, freq_ghz=3.5)],
             estimated_coverage_ratio=1.0,
         )
         ctl.apply_action(Action("DeployPlan", {"plan": plan}), nonrt("x", lambda c: []))

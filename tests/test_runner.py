@@ -9,7 +9,7 @@ import pytest
 
 from rrsim.cli import bundled_scenario_path
 from rrsim.runner import Simulation, summarize_run
-from rrsim.scenario import scenario_from_dict
+from rrsim.scenario import NodeStatus, scenario_from_dict
 from rrsim.simcore import NOT_RECOVERED, rng_stream
 
 SMALL = {
@@ -54,6 +54,18 @@ class TestEventFlow:
         assert expiries == [70_000]
         cov = {s.time_ms: s.coverage_ratio for s in log.samples}
         assert cov[65_000] == 1.0 and cov[70_000] == 0.5
+
+    def test_node_loaded_on_battery_fails_when_it_runs_out(self):
+        """A node that the scenario puts on battery fails battery_ms after the
+        start, like one that a strike puts there."""
+        nodes = [dict(n) for n in SMALL["nodes"]]
+        nodes[2].update(status="OnBattery", battery_ms=12_000)
+        sim = Simulation(small_scenario(nodes=nodes, disasters=[]))
+        log = sim.run(20_000)
+        assert [(t, d) for t, d in log.actions if d.startswith("BatteryExpiry")] == [(12_000, "BatteryExpiry: bs2 failed")]
+        assert sim.world.nodes["bs2"].status == NodeStatus.FAILED
+        cov = {s.time_ms: s.coverage_ratio for s in log.samples}
+        assert cov[10_000] == 1.0 and cov[15_000] == 0.5
 
     def test_ue_move_changes_measurement(self):
         scenario = small_scenario(

@@ -1,11 +1,13 @@
 """Run-time world state: strikes, batteries, the link budget and RIS
 configurations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from rrsim import channel as ch
-from rrsim.scenario import NodeKind, NodeStatus, scenario_from_dict
+from rrsim.scenario import NodeKind, NodeStatus, ValidationError, scenario_from_dict
 from rrsim.world import World, access_snr_matrix
 
 BASE = {
@@ -32,6 +34,30 @@ def make_ris_world():
 
 
 class TestTransitions:
+    def test_nodes_are_the_scenarios_frozen_nodes(self):
+        """The world holds the scenario's own nodes, and a change replaces a
+        node: a write to one of its fields raises."""
+        world = make_world()
+        assert all(world.nodes[n.node_id] is n for n in world.scenario.nodes)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            world.nodes["bs1"].status = NodeStatus.FAILED
+        world.apply_strike(["bs1"], [], [])
+        assert world.nodes["bs1"] == dataclasses.replace(world.scenario.nodes[1], status=NodeStatus.FAILED)
+        assert world.scenario.nodes[1].status == NodeStatus.OPERATIONAL
+
+    def test_a_change_that_makes_an_invalid_node_is_refused(self):
+        """Each stored node checks itself: a UAV moved to the ground raises,
+        and the world keeps the node and its version."""
+        world = make_world()
+        uav = world.add_deployed_node(NodeKind.UAV, (100, 100, 120), 35.0, 3.5)
+        version = world.version
+        with pytest.raises(ValidationError, match="altitude must be > 0"):
+            world.move_node(uav.node_id, (100, 100, 0))
+        with pytest.raises(ValidationError, match="altitude must be > 0"):
+            world.add_deployed_node(NodeKind.UAV, (0, 0, -50), 35.0, 3.5)
+        assert world.nodes[uav.node_id] is uav and world.version == version
+        assert world.add_deployed_node(NodeKind.UAV, (0, 0, 50), 35.0, 3.5).node_id == "deployed_1"
+
     def test_strike_fails_and_batteries(self):
         world = make_world()
         world.apply_strike(["bs1"], ["bs2"], [])
