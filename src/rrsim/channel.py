@@ -65,9 +65,6 @@ class ComplexGain:
     def from_complex(cls, value: complex) -> "ComplexGain":
         return cls(abs(value), math.atan2(value.imag, value.real))
 
-    def as_complex(self) -> complex:
-        return self.amplitude * complex(math.cos(self.phase), math.sin(self.phase))
-
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -91,23 +88,14 @@ def free_space_pl_db(distance_m: float, freq_ghz: float) -> float:
     return 20.0 * math.log10(4.0 * math.pi * distance_m / wavelength)
 
 
-def path_loss(
-    tx_pos,
-    rx_pos,
-    freq_ghz: float,
-    params: ChannelParams,
-    blocked: bool = False,
-) -> float:
+def path_loss(tx_pos, rx_pos, freq_ghz: float, params: ChannelParams) -> float:
     """Log-distance path loss in dB, referenced to free space at d0."""
     d = float(np.linalg.norm(np.asarray(rx_pos, float) - np.asarray(tx_pos, float)))
     if d <= 0.0:
         raise ZeroDistance("tx and rx positions coincide")
     d = max(d, params.d0_m)
     pl0 = free_space_pl_db(params.d0_m, freq_ghz)
-    pl = pl0 + 10.0 * params.exponent * math.log10(d / params.d0_m)
-    if blocked:
-        pl += params.blockage_penalty_db
-    return pl
+    return pl0 + 10.0 * params.exponent * math.log10(d / params.d0_m)
 
 
 def los_blocked(tx_pos, rx_pos, obstacles) -> bool:
@@ -325,10 +313,6 @@ def received_power_dbm(tx_power_dbm: float, gain: ComplexGain) -> float:
     if gain.amplitude <= 0.0:
         return -math.inf
     return tx_power_dbm + 20.0 * math.log10(gain.amplitude)
-
-
-def snr_db(received_dbm: float, params: ChannelParams) -> float:
-    return received_dbm - params.noise_floor_dbm()
 
 
 def throughput(snr: float, mcs_table=DEFAULT_MCS) -> float:

@@ -225,7 +225,6 @@ def form_backhaul(
                 anchor = anchors[parent_id]
                 blocked = ch.los_blocked(anchor, child.position, obstacles)
                 clear_loss = ch.path_loss(anchor, child.position, child.freq_ghz, params)
-                # What path_loss(blocked=True) adds.
                 cost = clear_loss + params.blockage_penalty_db if blocked else clear_loss
                 snr = child.tx_power_dbm - cost - noise
                 if snr >= backhaul_threshold_db:

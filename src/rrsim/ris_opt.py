@@ -86,10 +86,6 @@ class OptimizationTrace:
     def evaluations(self) -> list[tuple[int, tuple[int, ...], float]]:
         return [(i, config, power) for i, (config, power) in enumerate(self._calls())]
 
-    def best_so_far(self) -> list[float]:
-        best = itertools.accumulate((power for _, power in self._calls()), max, initial=-math.inf)
-        return list(best)[1:]
-
 
 def _evaluate(evaluator: Evaluator, config: Sequence[int], trace: OptimizationTrace, context: str) -> float:
     try:
@@ -399,7 +395,6 @@ def build_codebook(
     reference_points: Sequence[Sequence[float]],
     evaluator_at: Callable[[Sequence[float]], Evaluator],
     n_states: int | None = None,
-    metadata: dict | None = None,
 ) -> Codebook:
     """Run the iterative sweep once per reference point and store the result."""
     if not len(reference_points):
@@ -416,7 +411,6 @@ def build_codebook(
         part_id=part_id,
         reference_points=[tuple(float(c) for c in p) for p in reference_points],
         codewords=codewords,
-        metadata=metadata or {},
     )
 
 

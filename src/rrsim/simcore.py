@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -208,8 +207,6 @@ def rng_stream(master_seed: int, label: str) -> np.random.Generator:
 
 Handler = Callable[["Kernel", Event], None]
 
-_END = (math.inf,)  # sorts after every (fire_time, sequence_id, ...) entry
-
 
 class _Handlers(list):
     """The handlers of one event kind, how many events of the kind ran and
@@ -237,21 +234,20 @@ class Kernel:
     """Single-threaded event loop with an integer millisecond clock.
 
     A periodic event may `sleep` instead of being scheduled while its handler
-    would do nothing. Each of its firings draws a sequence id as if it were
-    queued, so no other event's id or order moves. A firing that comes due
-    after its wake key moved, at or past its wake time, or when its kind has
-    more than one handler is queued and runs; any other is skipped.
+    would do nothing. Its firings wait in the one queue and each draws a
+    sequence id as if it ran, so no other event's id or order moves. A firing
+    that comes due after its wake key moved, at or past its wake time, or when
+    its kind has more than one handler runs; any other is skipped.
     """
 
     def __init__(self, master_seed: int = 0) -> None:
         self.master_seed = master_seed
         self.clock: int = 0
         self.log = MetricsLog()
-        self._queue: list[tuple[int, int, Event]] = []
+        self._queue: list[tuple[int, int, Event | _Sleeper]] = []  # a heap
         self._next_seq = 0
         self._handlers: dict[EventKind, _Handlers] = {}
         self._rngs: dict[str, np.random.Generator] = {}
-        self._sleepers: list[tuple[int, int, _Sleeper]] = []  # a heap, like the queue
 
     def rng(self, label: str) -> np.random.Generator:
         if label not in self._rngs:
@@ -304,43 +300,41 @@ class Kernel:
         self._next_seq = seq + 1
         handlers = self._handlers.setdefault(kind, _Handlers())
         sleeper = _Sleeper(handlers, kind, payload, period, read_key(), read_key, wake_time)
-        heapq.heappush(self._sleepers, (fire_time, seq, sleeper))
+        heapq.heappush(self._queue, (fire_time, seq, sleeper))
 
-    def _rouse(self, next_time: float, t_end: int) -> None:
-        """The first sleeper is due before the event at `next_time`: queue its
-        firing, or skip it and the firings after it up to the next event, the
-        wake time or `t_end`."""
-        fire, seq, s = self._sleepers[0]
+    def _rouse(self, fire: int, seq: int, s: _Sleeper, t_end: int) -> Event | None:
+        """A sleeping firing popped from the queue: the event to run, or None
+        once it and its later firings before the next queued entry are
+        skipped."""
         if fire >= s.wake_time or len(s.handlers) != 1 or s.read_key() != s.key:
-            heapq.heappop(self._sleepers)
-            heapq.heappush(self._queue, (fire, seq, Event(fire, s.kind, s.payload, seq)))
-            return
-        # Skip the firings before the next event, t_end + 1 and the wake time:
-        # at least this one, which may share the next event's time with a
+            return Event(fire, s.kind, s.payload, seq)
+        # Skip the firings before the next entry, t_end + 1 and the wake time:
+        # at least this one, which may share the next entry's time with a
         # smaller id. Each skipped firing draws the id of the next one, so n
         # skips leave the sleeper at the id drawn by the last of them.
-        limit = next_time if next_time <= t_end else t_end + 1
+        queue = self._queue
+        limit = queue[0][0] if queue and queue[0][0] <= t_end else t_end + 1
         if s.wake_time < limit:
             limit = s.wake_time
         n = -((fire - limit) // s.period) or 1
-        heapq.heapreplace(self._sleepers, (fire + n * s.period, self._next_seq + n - 1, s))
+        heapq.heappush(queue, (fire + n * s.period, self._next_seq + n - 1, s))
         self._next_seq += n
         s.handlers.skipped += n
+        return None
 
     def run_until(self, t_end: int) -> MetricsLog:
         """Runs every event up to and including `t_end`; at return, every
         sleeper fires after `t_end`."""
         if t_end < self.clock:
             raise PastEvent(f"t_end={t_end} is before the clock ({self.clock})")
-        queue, sleepers, handlers, pop = self._queue, self._sleepers, self._handlers, heapq.heappop
-        while True:
-            head = queue[0] if queue else _END
-            if sleepers and sleepers[0] < head and sleepers[0][0] <= t_end:
-                self._rouse(head[0], t_end)
-                continue
-            if head[0] > t_end:
-                break
-            self.clock, _, event = pop(queue)
+        queue, handlers, pop, rouse = self._queue, self._handlers, heapq.heappop, self._rouse
+        while queue and queue[0][0] <= t_end:
+            fire, seq, event = pop(queue)
+            if event.__class__ is _Sleeper:
+                event = rouse(fire, seq, event, t_end)
+                if event is None:
+                    continue
+            self.clock = fire
             kind_handlers = handlers.get(event.kind)
             if kind_handlers is None:
                 kind_handlers = handlers[event.kind] = _Handlers()

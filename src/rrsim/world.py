@@ -121,11 +121,14 @@ class World:
     # --- state transitions -------------------------------------------------
 
     def apply_strike(self, failed: Sequence[str], power_loss: Sequence[str], blockages) -> None:
+        """A failed node stays failed, and a node already on battery keeps
+        draining the charge it has."""
         nodes, reserve = self.nodes, self.scenario.battery_reserve_ms
         for nid in failed:
             nodes[nid] = replace(nodes[nid], status=NodeStatus.FAILED)
         for nid in power_loss:
-            nodes[nid] = replace(nodes[nid], status=NodeStatus.ON_BATTERY, battery_ms=reserve)
+            if nodes[nid].status not in (NodeStatus.FAILED, NodeStatus.ON_BATTERY):
+                nodes[nid] = replace(nodes[nid], status=NodeStatus.ON_BATTERY, battery_ms=reserve)
         for box in blockages:
             self.obstacles.append((tuple(box[0]), tuple(box[1])))
         self.version += 1
@@ -152,16 +155,9 @@ class World:
         config[members] = np.asarray(codeword, int)
         self._set_ris_config(panel_id, config)
 
-    def add_deployed_node(
-        self,
-        kind: NodeKind,
-        position,
-        tx_power_dbm: float,
-        freq_ghz: float,
-        status: NodeStatus = NodeStatus.ACTIVE,
-    ) -> Node:
+    def add_deployed_node(self, kind: NodeKind, position, tx_power_dbm: float, freq_ghz: float) -> Node:
         node_id = f"deployed_{self._next_deploy_index}"
-        node = Node(node_id, kind, tuple(position), status, tx_power_dbm, freq_ghz)
+        node = Node(node_id, kind, tuple(position), NodeStatus.ACTIVE, tx_power_dbm, freq_ghz)
         self._next_deploy_index += 1
         self.nodes[node_id] = node
         self.version += 1

@@ -1,5 +1,6 @@
 """Phase-configuration search algorithms and codebooks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -51,18 +52,6 @@ class TestIterative:
     def test_tie_goes_to_lowest_state(self):
         config, _ = iterative_optimize(lambda c: 0.0, 4, 4)
         assert config == [0, 0, 0, 0]
-
-    def test_trace_best_so_far_monotone(self):
-        rng = np.random.default_rng(5)
-        values = {}
-
-        def noisy(config):
-            return values.setdefault(tuple(config), float(rng.normal()))
-
-        _, trace = iterative_optimize(noisy, 6, 3, passes=2)
-        best = trace.best_so_far()
-        assert all(b >= a for a, b in zip(best, best[1:]))
-        assert len(best) == trace.evaluations_used
 
     def test_initial_configuration_respected(self):
         target = [1, 1, 1]
@@ -164,7 +153,7 @@ class TestCodebook:
         def evaluator_at(point):
             return model_evaluator(panel, (-2.0, 1.0, 1.0), 20.0, point, 3.5, params)
 
-        return build_codebook(panel, 0, self.ring(1.7), evaluator_at, metadata={"grid": "ring"})
+        return dataclasses.replace(build_codebook(panel, 0, self.ring(1.7), evaluator_at), metadata={"grid": "ring"})
 
     def test_one_codeword_per_reference_point(self):
         cb = self.build()
@@ -310,7 +299,6 @@ class TestSweepKernel:
         assert kernel_passes and fast[1].evaluations_used == len(kernel_passes) * size * n_states
         assert fast[0] == slow[0]
         assert fast[1].evaluations == slow[1].evaluations
-        assert fast[1].best_so_far() == slow[1].best_so_far()
         assert fast[1].evaluations_used == slow[1].evaluations_used
         assert fast[1].feedback_messages == slow[1].feedback_messages
 

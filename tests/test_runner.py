@@ -67,6 +67,37 @@ class TestEventFlow:
         cov = {s.time_ms: s.coverage_ratio for s in log.samples}
         assert cov[10_000] == 1.0 and cov[15_000] == 0.5
 
+    @staticmethod
+    def two_ue_demo(disasters, battery_reserve_ms, tx1=None):
+        with open(bundled_scenario_path("two_ue_demo.json")) as fh:
+            data = json.load(fh)
+        data.update(disasters=disasters, battery_reserve_ms=battery_reserve_ms)
+        data["nodes"][1].update(tx1 or {})
+        return Simulation(scenario_from_dict(data))
+
+    def test_power_loss_leaves_a_failed_node_failed(self):
+        sim = self.two_ue_demo([
+            {"time_ms": 1_000, "fail": ["tx1"]},
+            {"time_ms": 4_000, "power_loss": ["tx1"]},
+        ], battery_reserve_ms=5_000)
+        log = sim.run(10_000)
+        assert not [d for _, d in log.actions if d.startswith("BatteryExpiry")]
+        assert sim.world.nodes["tx1"].status == NodeStatus.FAILED
+        active = {s.time_ms: s.active_nodes for s in log.samples}
+        assert active[900] == 5 and active[1_000] == active[4_000] == active[10_000] == 4
+
+    def test_power_loss_leaves_a_node_on_battery_draining(self):
+        sim = self.two_ue_demo(
+            [{"time_ms": 4_000, "power_loss": ["tx1"]}],
+            battery_reserve_ms=100_000,
+            tx1={"status": "OnBattery", "battery_ms": 5_000},
+        )
+        sim.run(4_000)
+        assert sim.world.nodes["tx1"].battery_ms == 5_000
+        log = sim.run(10_000)
+        assert [(t, d) for t, d in log.actions if d.startswith("BatteryExpiry")] == [(5_000, "BatteryExpiry: tx1 failed")]
+        assert sim.world.nodes["tx1"].status == NodeStatus.FAILED
+
     def test_ue_move_changes_measurement(self):
         scenario = small_scenario(
             disasters=[],

@@ -138,6 +138,46 @@ class TestSleep:
         assert runs == [10, 40, 50, 60, 70]
         assert kernel.skipped == {EventKind.NEAR_RT_TICK: 2}
 
+    def two_ticks(self, observe=False):
+        """Tick A every 10 ms from 10 ms and tick B every 15 ms from 15 ms,
+        both sleeping on one key that a one-shot event at 52 ms changes. Each
+        tick logs the firings at which the key has moved since it last acted."""
+        kernel, state, acted = Kernel(0), {"key": 0}, []
+
+        def ticker(name, period):
+            seen = []
+
+            def tick(k, event):
+                if seen[-1:] != [state["key"]]:
+                    seen.append(state["key"])
+                    acted.append((k.clock, name, event.sequence_id))
+                k.sleep(k.clock + period, period, event.kind, event.payload, lambda: state["key"], math.inf)
+
+            return tick
+
+        def change_key(k, event):
+            state["key"] = 1
+            acted.append((k.clock, "change", event.sequence_id))
+
+        for kind, name, period in ((EventKind.NEAR_RT_TICK, "A", 10), (EventKind.NON_RT_TICK, "B", 15)):
+            kernel.on(kind, ticker(name, period))
+            if observe:
+                kernel.on(kind, lambda k, e: None)
+            kernel.schedule(period, kind)
+        kernel.on(EventKind.UE_MOVE, change_key)
+        kernel.schedule(52, EventKind.UE_MOVE)
+        kernel.run_until(100)
+        return kernel, acted
+
+    def test_two_sleeping_ticks_keep_the_order_of_a_run_that_keeps_every_tick(self):
+        kernel, acted = self.two_ticks()
+        oracle, oracle_acted = self.two_ticks(observe=True)
+        assert acted == oracle_acted
+        assert [(t, name) for t, name, _ in acted if t >= 52] == [(52, "change"), (60, "B"), (60, "A")]
+        assert kernel.scheduled == oracle.scheduled == 19
+        assert kernel.skipped == {EventKind.NEAR_RT_TICK: 8, EventKind.NON_RT_TICK: 4}
+        assert not oracle.skipped
+
     def test_sleeping_in_the_past_is_refused(self):
         kernel = Kernel(0)
         kernel.run_until(100)

@@ -1,7 +1,7 @@
 """Print one sha256 per artifact that `rrs` writes for a fixed set of runs.
 
 The runs are the three bundled scenarios at the `--until` values of
-`tests/test_golden_artifacts.py`, plus `rrs run` on the generated
+`BUNDLED`, plus `rrs run` on the generated
 `quake_4h` and `ris_emergency` inputs and `rrs plan` on the generated
 `plan_blocked` input, seeds 0-2 (from `perfbench.inputs`), and `rrs plan` on
 `earthquake_demo.json` with the default `max_nodes` and with `--max-nodes 1`
@@ -19,6 +19,9 @@ To check that two source trees write the same artifacts, run this from the
 root of each and compare the outputs:
 
     PYTHONPATH=src python3 tools/artifact_digest.py > digest.txt
+
+`tests/test_golden_artifacts.py` runs `main()` and compares its output with
+the recorded `tests/artifact_digest.txt`.
 """
 
 from __future__ import annotations
