@@ -99,6 +99,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         return _invalid(f"--target-fraction must be in (0, 1], got {args.target_fraction}")
     if args.until < 0:
         return _invalid(f"--until must be >= 0, got {args.until}")
+    if args.seed is not None and args.seed < 0:
+        return _invalid(f"--seed must be >= 0, got {args.seed}")
     sim = _simulation(args.scenario, set(args.disable_app or ()), args.seed)
     if sim is None:
         return EXIT_VALIDATION
@@ -133,7 +135,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     print(json.dumps({k: v for k, v in summary.items() if k != "actions"}, sort_keys=True))
     log.info(
-        "%d samples, %d distinct rate tables, %d actions; simulated in %.3f s, wrote artifacts in %.3f s",
+        "%d samples, %d rate tables, %d actions; simulated in %.3f s, wrote artifacts in %.3f s",
         len(metrics.samples),
         len({id(s.throughput_mbps) for s in metrics.samples}),
         len(metrics.actions),

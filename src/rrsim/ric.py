@@ -109,7 +109,6 @@ class Controller:
         self._script = sorted(self.cfg.script, key=lambda s: s.time_ms)
         kernel.on(EventKind.NON_RT_TICK, self._on_tick)
         kernel.on(EventKind.NEAR_RT_TICK, self._on_tick)
-        kernel.on(EventKind.UE_MOVE, self._on_ue_move)
         self._build_offline_codebooks()
 
     # --- registration ------------------------------------------------------
@@ -151,9 +150,6 @@ class Controller:
         """What the state-only gates read besides their own blackboard keys
         and the clock."""
         return self.world.link_state(), self.policy, len(self._script)
-
-    def _on_ue_move(self, kernel: Kernel, event: Event) -> None:
-        self.world.move_node(event.payload["node_id"], event.payload["position"])
 
     def _run_apps(self, apps: list[ControllerApp]) -> None:
         """Runs the apps in order. Each gate is checked just before its app's

@@ -4,7 +4,9 @@ controller and periodic metrics sampling for one scenario run.
 A `Scenario` is checked when it is built, so the runner checks none of it
 again: it schedules the expiry of each node loaded on battery, each disaster
 and each UE move from the parsed values as they are, and checks only the
-disabled app names against the apps it is given."""
+disabled app names against the apps it is given. Every world change that the
+scenario schedules (a strike, a battery expiry, a UE move) is handled here;
+the controller handles only its ticks."""
 
 from __future__ import annotations
 
@@ -24,21 +26,20 @@ from .world import World
 @dataclass(eq=False, slots=True)
 class _LinkEntry:
     """What a sample takes from one `World.link_state()` key: the UE ids,
-    best SNR per UE, server code per UE (-1 for none) and active-node count;
-    without fading also the coverage ratio, the served mask, each served UE's
-    share and the largest share (-inf with none served), plus the last such
-    sample's offered load and rate table."""
+    best SNR per UE and server code per UE (-1 for none); without fading also
+    the coverage ratio, the served mask, each served UE's share and the
+    largest share (-inf with none served), plus the last such sample's cap
+    and rate table. NaN equals no cap, so the first sample builds its table."""
 
     key: tuple
     ue_ids: list[str]
     best: np.ndarray
     codes: np.ndarray
-    active_nodes: int
     coverage_ratio: float
     served: np.ndarray
     share: np.ndarray
     top: float
-    offered: float = math.nan
+    cap: float = math.nan
     table: RateTable | None = None
 
 
@@ -75,12 +76,12 @@ class Simulation:
         self.controller = Controller(self.world, self.kernel)
         self._strike_time: int | None = None
         self._mcs = ch.McsStaircase(scenario.channel.mcs_table)
-        # The entry of the last link state, and (UE ids, rate bytes, table).
+        # The entry of the last link state.
         self._entry: _LinkEntry | None = None
-        self._table: tuple[tuple[str, ...], bytes, RateTable] | None = None
 
         self.kernel.on(EventKind.DISASTER_STRIKE, self._on_strike)
         self.kernel.on(EventKind.BATTERY_EXPIRY, self._on_battery_expiry)
+        self.kernel.on(EventKind.UE_MOVE, self._on_ue_move)
         self.kernel.on(EventKind.MEASUREMENT_DONE, self._on_measurement)
 
         for app in app_list:
@@ -91,11 +92,7 @@ class Simulation:
             if node.status == NodeStatus.ON_BATTERY:
                 self.kernel.schedule(node.battery_ms, EventKind.BATTERY_EXPIRY, {"node_id": node.node_id})
         for disaster in scenario.disasters:
-            strike = disaster.strike_time_ms
-            self.kernel.schedule(strike, EventKind.DISASTER_STRIKE, {"disaster": disaster})
-            for node_id in disaster.power_loss:
-                expiry = strike + scenario.battery_reserve_ms
-                self.kernel.schedule(expiry, EventKind.BATTERY_EXPIRY, {"node_id": node_id})
+            self.kernel.schedule(disaster.strike_time_ms, EventKind.DISASTER_STRIKE, {"disaster": disaster})
         for move in scenario.ric.ue_moves:
             self.kernel.schedule(
                 move.time_ms, EventKind.UE_MOVE, {"node_id": move.node_id, "position": move.position}
@@ -106,7 +103,12 @@ class Simulation:
 
     def _on_strike(self, kernel: Kernel, event: Event) -> None:
         disaster: DisasterEvent = event.payload["disaster"]
-        self.world.apply_strike(disaster.failed, disaster.power_loss, disaster.blockages)
+        on_battery = self.world.apply_strike(
+            disaster.failed, disaster.power_loss, disaster.blockages, kernel.clock
+        )
+        for node_id in on_battery:
+            expiry = self.world.nodes[node_id].battery_ms
+            kernel.schedule(expiry, EventKind.BATTERY_EXPIRY, {"node_id": node_id})
         self._strike_time = kernel.clock
         kernel.log.log_action(
             kernel.clock,
@@ -118,6 +120,9 @@ class Simulation:
         node_id = event.payload["node_id"]
         if self.world.expire_battery(node_id):
             kernel.log.log_action(kernel.clock, f"BatteryExpiry: {node_id} failed")
+
+    def _on_ue_move(self, kernel: Kernel, event: Event) -> None:
+        self.world.move_node(event.payload["node_id"], event.payload["position"])
 
     def _on_measurement(self, kernel: Kernel, event: Event) -> None:
         sample = self.measure(kernel.clock)
@@ -135,12 +140,12 @@ class Simulation:
         voice = profile.voice_mbps * traffic_multiplier(profile, "voice", t_since)
         return data + voice
 
-    def _best_links(self) -> tuple[list[str], np.ndarray, np.ndarray, int]:
-        """UE ids, best SNR per UE, its server code and the active-node count.
-        The SNR and codes are the world's cached link budget, whose code is
-        the serving access row; a RIS link that is stronger overrides a UE
-        with the code len(access_ids) + the panel's sorted index, and only
-        then are the arrays copied."""
+    def _best_links(self) -> tuple[list[str], np.ndarray, np.ndarray]:
+        """UE ids, best SNR per UE and its server code. The SNR and codes are
+        the world's cached link budget, whose code is the serving access row;
+        a RIS link that is stronger overrides a UE with the code
+        len(access_ids) + the panel's sorted index, and only then are the
+        arrays copied."""
         ue_ids, access_ids, _, best, codes = self.world.link_budget()
         copied = False
         for p, panel_id in enumerate(sorted(self.world.panels)):
@@ -153,7 +158,7 @@ class Simulation:
                         best, codes, copied = best.copy(), codes.copy(), True
                     best[j] = snr
                     codes[j] = len(access_ids) + p
-        return ue_ids, best, codes, self.world.active_node_count()
+        return ue_ids, best, codes
 
     def _link_entry(self) -> _LinkEntry:
         """The links of the current `World.link_state()` with their coverage
@@ -161,12 +166,10 @@ class Simulation:
         key = self.world.link_state()
         entry = self._entry
         if entry is None or entry.key != key:
-            ue_ids, best, codes, active_nodes = self._best_links()
+            ue_ids, best, codes = self._best_links()
             ratio, served, share = self._contention(best, codes)
             top = float(share.max()) if share.size else -np.inf
-            entry = self._entry = _LinkEntry(
-                key, ue_ids, best, codes, active_nodes, ratio, served, share, top
-            )
+            entry = self._entry = _LinkEntry(key, ue_ids, best, codes, ratio, served, share, top)
         return entry
 
     def _contention(
@@ -188,11 +191,11 @@ class Simulation:
         """Served UEs at min(offered, share), every other UE at 0."""
         rates = np.zeros(len(ue_ids))
         rates[served] = np.where(share < offered, share, offered)  # min(offered, share)
-        return self._rate_table(ue_ids, rates)
+        return RateTable(zip(ue_ids, rates.tolist()))
 
     def measure(self, now_ms: int, apply_fading: bool | None = None) -> Sample:
         entry = self._link_entry()
-        ue_ids, active_nodes = entry.ue_ids, entry.active_nodes
+        ue_ids = entry.ue_ids
         offered = self._offered_load_mbps(now_ms)
         fading = self.scenario.channel.fading if apply_fading is None else apply_fading
         if fading:
@@ -204,28 +207,17 @@ class Simulation:
             ) / np.sqrt(2.0)
             best = entry.best + 20.0 * np.log10(np.maximum(amp, 1e-12))
             ratio, served, share = self._contention(best, entry.codes)
-            entry.table = None
             table = self._capped_table(ue_ids, served, share, offered)
-            return Sample(now_ms, ratio, table, active_nodes)
-        # The previous sample's rates stand when the offered load is bitwise
-        # the same, or when it exceeded every share then and does now, so
-        # that no UE was or is capped.
-        last = entry.offered
-        if entry.table is None or not (
-            (offered == last and math.copysign(1.0, offered) == math.copysign(1.0, last))
-            or (offered > entry.top and last > entry.top)
-        ):
+            return Sample(now_ms, ratio, table)
+        # The rates stand while the entry and its cap do. The cap is the
+        # offered load, or inf above the largest share, where no UE is capped;
+        # caps compare bitwise, so 0.0 and -0.0 differ and NaN never repeats.
+        cap = math.inf if offered > entry.top else offered
+        last = entry.cap
+        if not (cap == last and math.copysign(1.0, cap) == math.copysign(1.0, last)):
             entry.table = self._capped_table(ue_ids, entry.served, entry.share, offered)
-            entry.offered = offered
-        return Sample(now_ms, entry.coverage_ratio, entry.table, active_nodes)
-
-    def _rate_table(self, ue_ids: list[str], rates: np.ndarray) -> RateTable:
-        """The previous sample's table when its UE ids and rates are bitwise
-        the same, else a new one: most samples repeat the one before."""
-        ids, data = tuple(ue_ids), rates.tobytes()
-        if self._table is None or self._table[:2] != (ids, data):
-            self._table = (ids, data, RateTable(zip(ue_ids, rates.tolist())))
-        return self._table[2]
+            entry.cap = cap
+        return Sample(now_ms, entry.coverage_ratio, entry.table)
 
     def baseline_coverage(self) -> float:
         """Coverage ratio of the intact scenario before any event fires."""

@@ -250,6 +250,11 @@ class Scenario:
                 raise ValidationError(
                     f"nodes[{i}].ris: only a RisPanel has a layout, {node.node_id} is a {node.kind.value}"
                 )
+            if node.ris is not None and node.ris.parts == 2 and node.ris.rows * node.ris.cols < 2:
+                raise ValidationError(
+                    f"nodes[{i}].ris: a panel in 2 parts needs at least 2 elements, {node.node_id} has "
+                    f"{node.ris.rows * node.ris.cols}"
+                )
         thresholds = [min_snr for min_snr, _ in self.channel.mcs_table]
         if thresholds != sorted(thresholds):
             raise ValidationError("MCS table must be sorted by min SNR")
@@ -344,6 +349,7 @@ _near_rt_ms = _kind(
     int,
     lambda n: NEAR_RT_MIN_INTERVAL_MS <= n <= NEAR_RT_MAX_INTERVAL_MS,
 )
+_axis = _kind("an integer in [0, 2]", int, lambda n: 0 <= n <= 2)
 _part_count = _kind("the integer 1 or 2", lambda v: v, lambda v: type(v) is int and v in (1, 2))
 _flag = _kind("true or false", lambda v: v, lambda v: isinstance(v, bool))
 
@@ -506,7 +512,7 @@ def _ue_moves(raw, *path: str | int) -> tuple[UeMove, ...]:
 
 
 _points, _policy = _rows(_point), partial(_choice, POLICIES)
-_schema(RisLayout, rows=_int, cols=_int, pitch_m=_float, normal_axis=_int, parts=_part_count)
+_schema(RisLayout, rows=_count, cols=_count, pitch_m=_positive, normal_axis=_axis, parts=_part_count)
 _schema(
     TrafficProfile, data_mbps=_float, voice_mbps=_float,
     data_surge=_pairs(_int, _float), voice_surge=_pairs(_int, _float),
@@ -554,7 +560,7 @@ _TICKS = {
     "sample_ms": ("sample_interval_ms", _count),
 }
 _SCENARIO = {key: (key, read) for key, read in {
-    "seed": _int,
+    "seed": _natural,
     "ticks": partial(_record, _TICKS, _keys()),
     "nodes": _rows(partial(_read, Node)),
     "obstacles": _rows(_corners),

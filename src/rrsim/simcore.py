@@ -68,7 +68,6 @@ class Sample:
     time_ms: int
     coverage_ratio: float
     throughput_mbps: Mapping[str, float]
-    active_nodes: int
 
 
 @dataclass

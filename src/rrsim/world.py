@@ -7,7 +7,7 @@ lives here, and only `World` methods write it. `World.nodes` holds frozen
 scenario `Node`s: a change stores a new one, which checks itself as it is
 built, and a write to a node's field raises `FrozenInstanceError`. A node is
 live while it serves (`Node.serving`). Node and obstacle changes bump `World.version`,
-the key of the serving-node count and the link budget; RIS configurations
+the key of the link budget; RIS configurations
 change through `World.configure_ris`. A UE is out of service when its best SNR in the
 link budget is below the scenario's coverage threshold (`World.out_of_service`).
 """
@@ -89,11 +89,10 @@ class World:
         self._ris_bytes: tuple[bytes, ...] = ()
         self._next_deploy_index = 0
         # Bumped by every method below that changes nodes or obstacles; the
-        # serving-node count and the link budget are keyed on it.
+        # link budget is keyed on it.
         self.version = 0
-        # (version, number of serving nodes, link budget) of the last version
-        # read.
-        self._at_version: tuple[int, int, LinkBudget] | None = None
+        # (version, link budget) of the last version read.
+        self._at_version: tuple[int, LinkBudget] | None = None
         for node in scenario.nodes:
             if node.kind == NodeKind.RIS_PANEL:
                 self._register_panel(node)
@@ -120,18 +119,25 @@ class World:
 
     # --- state transitions -------------------------------------------------
 
-    def apply_strike(self, failed: Sequence[str], power_loss: Sequence[str], blockages) -> None:
-        """A failed node stays failed, and a node already on battery keeps
-        draining the charge it has."""
-        nodes, reserve = self.nodes, self.scenario.battery_reserve_ms
+    def apply_strike(
+        self, failed: Sequence[str], power_loss: Sequence[str], blockages, now_ms: int
+    ) -> list[str]:
+        """The ids of the nodes that the strike at now_ms puts on battery,
+        each with `battery_ms` now_ms + the scenario's reserve. A failed node
+        stays failed, and a node already on battery keeps draining the charge
+        it has."""
+        nodes, expiry = self.nodes, now_ms + self.scenario.battery_reserve_ms
         for nid in failed:
             nodes[nid] = replace(nodes[nid], status=NodeStatus.FAILED)
+        on_battery = []
         for nid in power_loss:
             if nodes[nid].status not in (NodeStatus.FAILED, NodeStatus.ON_BATTERY):
-                nodes[nid] = replace(nodes[nid], status=NodeStatus.ON_BATTERY, battery_ms=reserve)
+                nodes[nid] = replace(nodes[nid], status=NodeStatus.ON_BATTERY, battery_ms=expiry)
+                on_battery.append(nid)
         for box in blockages:
             self.obstacles.append((tuple(box[0]), tuple(box[1])))
         self.version += 1
+        return on_battery
 
     def expire_battery(self, node_id: str) -> bool:
         node = self.nodes[node_id]
@@ -171,26 +177,19 @@ class World:
         the last write. A configuration revisited gives its old key back."""
         return self.version, self._ris_bytes
 
-    def _serving_state(self) -> tuple[int, LinkBudget]:
-        """The number of serving nodes and the access SNR from every serving
-        access node, in sorted id order, to every UE. Which nodes serve
-        changes only with the version, so both are kept until it moves."""
+    def link_budget(self) -> LinkBudget:
+        """The access SNR from every serving access node, in sorted id order,
+        to every UE. Which nodes serve changes only with the version, so the
+        budget is kept until it moves; the measurement, the controller apps
+        and the planner share it, and must not modify it."""
         if self._at_version is None or self._at_version[0] != self.version:
-            serving = [n for n in self.nodes.values() if n.serving]
-            access = sorted((n for n in serving if n.kind in ACCESS_KINDS), key=lambda n: n.node_id)
+            serving = (n for n in self.nodes.values() if n.serving and n.kind in ACCESS_KINDS)
+            access = sorted(serving, key=lambda n: n.node_id)
             ue_ids, positions = self.ue_positions()
             snr = access_snr_matrix(access, positions, self.scenario.channel, self.obstacles)
             budget = LinkBudget(ue_ids, tuple(n.node_id for n in access), snr, *_best_server(snr))
-            self._at_version = (self.version, len(serving), budget)
-        return self._at_version[1], self._at_version[2]
-
-    def active_node_count(self) -> int:
-        return self._serving_state()[0]
-
-    def link_budget(self) -> LinkBudget:
-        """The link budget of the current version, shared by the measurement,
-        the controller apps and the planner. Callers must not modify it."""
-        return self._serving_state()[1]
+            self._at_version = (self.version, budget)
+        return self._at_version[1]
 
     def out_of_service(self) -> set[str]:
         """The UEs whose best SNR in the link budget is below the coverage

@@ -307,6 +307,16 @@ class TestValidation:
         # A move of a node that is not a UE: a UAV moved to the ground would
         # fail mid-run, when its new `Node` checks itself.
         (("ric", "ue_moves"), [{**MOVE, "node_id": "tx1"}], "ric.ue_moves[0].node_id: tx1 is a TerrestrialBS, not a UE"),
+        # A negative seed crashed with fading on, and ran with it off.
+        (("seed",), -3, "seed: expected an integer >= 0, got -3"),
+        # RIS layouts that crashed every command with a ValueError, or put
+        # the panel's elements where no axis or pitch can.
+        (("nodes", 2, "ris", "rows"), 0, "nodes[2].ris.rows: expected an integer >= 1, got 0"),
+        (("nodes", 2, "ris", "cols"), -4, "nodes[2].ris.cols: expected an integer >= 1, got -4"),
+        (("nodes", 2, "ris", "pitch_m"), 0, "nodes[2].ris.pitch_m: expected a finite number > 0, got 0"),
+        (("nodes", 2, "ris", "normal_axis"), 7, "nodes[2].ris.normal_axis: expected an integer in [0, 2], got 7"),
+        (("nodes", 2, "ris"), {"rows": 1, "cols": 1, "parts": 2},
+         "nodes[2].ris: a panel in 2 parts needs at least 2 elements, ris1 has 1"),
     ]
 
     @pytest.mark.parametrize(
@@ -352,6 +362,7 @@ class TestValidation:
         "argv, message",
         [
             (["run", "--until", "-5"], "--until must be >= 0, got -5"),
+            (["run", "--until", "1000", "--seed", "-1"], "--seed must be >= 0, got -1"),
             (BENCH + ["--panel", "0,4"], "--panel must have N >= 1 elements and S >= 2 states, got 0,4"),
             (BENCH + ["--panel", "8,1"], "--panel must have N >= 1 elements and S >= 2 states, got 8,1"),
             (["ris", "bench", "--panel", "8,4", "--seeds", "0"], "--seeds must be >= 1, got 0"),
@@ -367,7 +378,7 @@ class TestValidation:
             (BENCH + ["--panel", "21,2", "--algorithms", "exhaustive"],
              "--algorithms exhaustive needs S^N <= 1048576 configurations, got 2^21"),
         ],
-        ids=["until", "panel_elements", "panel_states", "seeds_zero", "seeds_negative",
+        ids=["until", "seed", "panel_elements", "panel_states", "seeds_zero", "seeds_negative",
              "group_count_zero", "group_count_above_panel", "max_nodes", "panel_states_above_four",
              "exhaustive_too_large", "exhaustive_one_past_the_guard"],
     )
@@ -536,17 +547,17 @@ class TestRun:
 
         log = Simulation(load_scenario(scenario)).run(60_000)
         samples = log.samples
-        distinct = 1 + sum(a.throughput_mbps != b.throughput_mbps for a, b in zip(samples, samples[1:]))
+        tables = len({id(s.throughput_mbps) for s in samples})
         infos = [r.getMessage() for r in caplog.records if r.name == "rrs" and r.levelno == logging.INFO]
         assert len(infos) == 1
         match = re.fullmatch(
-            r"(\d+) samples, (\d+) distinct rate tables, (\d+) actions; "
+            r"(\d+) samples, (\d+) rate tables, (\d+) actions; "
             r"simulated in \d+\.\d{3} s, wrote artifacts in \d+\.\d{3} s",
             infos[0],
         )
         assert match is not None, infos[0]
-        assert [int(n) for n in match.groups()] == [len(samples), distinct, len(log.actions)]
-        assert distinct < len(samples)
+        assert [int(n) for n in match.groups()] == [len(samples), tables, len(log.actions)]
+        assert tables < len(samples)
 
     def test_a_run_does_not_depend_on_the_runs_before_it(self, tmp_path, capsys):
         quake = bundled_scenario_path("earthquake_demo.json")

@@ -1,8 +1,8 @@
 """Golden artifacts: every artifact that `tools/artifact_digest.py` hashes
 must stay byte-identical to the hashes recorded in `tests/artifact_digest.txt`.
 Those are `rrs run` on the bundled scenarios and on the benchmark's generated
-inputs, `rrs plan`, `rrs ris bench`, `rrs codebook build` and two runs with
-fading on. The tool runs once, in-process; the per-scenario tests below read
+inputs, `rrs plan`, `rrs ris bench`, `rrs codebook build`, two runs with fading on
+and three battery runs of `two_ue_demo.json`. The tool runs once, in-process; the per-scenario tests below read
 the same output, so a failure names the bundled scenario whose artifacts moved.
 
 The hashes were recorded before the one-queue kernel went in. A change that

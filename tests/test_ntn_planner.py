@@ -58,7 +58,7 @@ def grid_world(failed=(), gateway_pos=(2500, 2500, 30), extra_nodes=(), obstacle
     }
     world = World(scenario_from_dict(data))
     if failed:
-        world.apply_strike(list(failed), [], [])
+        world.apply_strike(list(failed), [], [], 0)
     return world
 
 
@@ -345,7 +345,7 @@ def _outages(draw):
     }
     world = World(scenario_from_dict({"nodes": nodes, "obstacles": obstacles, "planner": cfg}))
     failed = [f"bs_{i}" for i in range(n_bs) if draw(st.booleans())]
-    world.apply_strike(failed, [], [])
+    world.apply_strike(failed, [], [], 0)
     return world, cfg
 
 

@@ -100,14 +100,13 @@ def test_measure_throughput_is_bitwise_the_scalar_step(inputs, table):
     for key, links in ((0, servers), (0, servers), (1, changed)):
         sim.world.link_state = lambda key=key: key
         sim._best_links = lambda key=key, links=links: built.append(key) or (
-            ue_ids, np.array(best, float), _codes(links), 7
+            ue_ids, np.array(best, float), _codes(links)
         )
         sample = sim.measure(5_000, apply_fading=False)
         ratio, rates = measure_reference(ue_ids, best, links, threshold, offered, table)
         assert sample.coverage_ratio.hex() == ratio.hex()
         assert list(sample.throughput_mbps) == list(rates)
         assert [r.hex() for r in sample.throughput_mbps.values()] == [r.hex() for r in rates.values()]
-        assert sample.active_nodes == 7
     assert built == [0, 1]
 
 
@@ -117,7 +116,8 @@ def test_measure_sequence_is_bitwise_the_scalar_step(data, table, threshold):
     """A run of samples whose link state repeats, or moves to a copy of its
     links or to new ones, and whose offered load moves across the largest
     share: every sample is the scalar step, and shares the previous sample's
-    table object exactly when its rates are bitwise the previous sample's."""
+    table object exactly when its link key and its cap are unchanged. The cap
+    is the offered load, or inf above the largest share, compared bitwise."""
     n = data.draw(st.integers(1, 8))
     ue_ids = [f"ue{i}" for i in range(n)]
     sim = Simulation(scenario_from_dict(_SMALL_RUN))
@@ -134,7 +134,7 @@ def test_measure_sequence_is_bitwise_the_scalar_step(data, table, threshold):
             servers = data.draw(st.lists(_servers, min_size=n, max_size=n))
         if change != "same":
             key += 1
-            links = (ue_ids, np.array(best, float), _codes(servers), 7)
+            links = (ue_ids, np.array(best, float), _codes(servers))
         _, uncapped = measure_reference(ue_ids, best, servers, threshold, np.inf, table)
         shares = [
             uncapped[ue] for ue, snr, server in zip(ue_ids, best, servers)
@@ -151,9 +151,10 @@ def test_measure_sequence_is_bitwise_the_scalar_step(data, table, threshold):
         assert list(sample.throughput_mbps) == list(rates)
         got = [r.hex() for r in sample.throughput_mbps.values()]
         assert got == [r.hex() for r in rates.values()]
+        cap = (float("inf") if offered > max(shares, default=-np.inf) else offered).hex()
         if previous is not None:
-            assert (sample.throughput_mbps is previous[0]) == (got == previous[1])
-        previous = (sample.throughput_mbps, got)
+            assert (sample.throughput_mbps is previous[0]) == ((key, cap) == previous[1])
+        previous = (sample.throughput_mbps, (key, cap))
 
 
 _ue_ids = st.one_of(st.sampled_from(["ue_1", "a,b", 'q"t', "x\r\ny", "", " s"]), st.text(max_size=6))
@@ -170,7 +171,7 @@ def _samples(draw):
     for _ in range(draw(st.integers(0, 5))):
         t += draw(st.integers(1, 10_000))
         rates = draw(st.dictionaries(_ue_ids, _rates, max_size=6))
-        samples.append(Sample(t, draw(st.floats(0.0, 1.0)), rates, 0))
+        samples.append(Sample(t, draw(st.floats(0.0, 1.0)), rates))
     return samples
 
 
@@ -205,7 +206,7 @@ def _samples_sharing_tables(draw):
     t = 0
     for index in draw(st.lists(st.integers(0, len(pool) - 1), max_size=10)):
         t += draw(st.integers(1, 10_000))
-        samples.append(Sample(t, draw(st.floats(0.0, 1.0)), pool[index], 0))
+        samples.append(Sample(t, draw(st.floats(0.0, 1.0)), pool[index]))
     return samples
 
 

@@ -109,18 +109,6 @@ class TestDispatch:
         kernel.run_until(1_000)
         assert seen == [("bs1", "deployed_0")]
 
-    def test_ue_move_event_moves_the_live_node(self):
-        ctl, kernel = make_controller()
-        first = ctl.world.nodes["ue1"].position
-        version = ctl.world.version
-        kernel.schedule(10, EventKind.UE_MOVE, {"node_id": "ue1", "position": [300, 0, 1.5]})
-        kernel.run_until(10)
-        assert ctl.world.nodes["ue1"].position == (300, 0, 1.5)
-        assert ctl.world.version == version + 1
-        ue = ctl.world.nodes["ue1"]
-        assert ue.position == (300, 0, 1.5)
-        assert first == (100, 0, 1.5)
-
 
 class TestTierIsolation:
     def test_deploy_reserved_to_non_rt(self):
@@ -251,7 +239,7 @@ class TestRisPowerCache:
         assert moved == fresh != before
         tx, ue = ctl.ris_tx_node("ris1").position, ctl.world.nodes["rx1"].position
         mid = [(a + b) / 2 for a, b in zip(tx, ue)]
-        ctl.world.apply_strike([], [], [([c - 0.1 for c in mid], [c + 0.1 for c in mid])])
+        ctl.world.apply_strike([], [], [([c - 0.1 for c in mid], [c + 0.1 for c in mid])], 0)
         struck, fresh = self.power(ctl)
         assert struck == fresh != moved
 

@@ -10,7 +10,7 @@ import pytest
 from rrsim.cli import bundled_scenario_path
 from rrsim.runner import Simulation, summarize_run
 from rrsim.scenario import NodeStatus, scenario_from_dict
-from rrsim.simcore import NOT_RECOVERED, rng_stream
+from rrsim.simcore import NOT_RECOVERED, EventKind, rng_stream
 
 SMALL = {
     "seed": 3,
@@ -80,11 +80,24 @@ class TestEventFlow:
             {"time_ms": 1_000, "fail": ["tx1"]},
             {"time_ms": 4_000, "power_loss": ["tx1"]},
         ], battery_reserve_ms=5_000)
+        sim.run(4_000)
+        assert sim.world.nodes["tx1"].status == NodeStatus.FAILED
         log = sim.run(10_000)
         assert not [d for _, d in log.actions if d.startswith("BatteryExpiry")]
         assert sim.world.nodes["tx1"].status == NodeStatus.FAILED
-        active = {s.time_ms: s.active_nodes for s in log.samples}
-        assert active[900] == 5 and active[1_000] == active[4_000] == active[10_000] == 4
+        # The strike puts no node on battery, so no expiry is scheduled.
+        assert sim.kernel.dispatched[EventKind.BATTERY_EXPIRY] == 0
+
+    def test_power_loss_puts_the_battery_deadline_on_the_node(self):
+        """A strike stores when the charge runs out, as a node loaded on
+        battery has it, and the node fails then."""
+        sim = self.two_ue_demo([{"time_ms": 4_000, "power_loss": ["tx1"]}], battery_reserve_ms=5_000)
+        sim.run(4_000)
+        assert sim.world.nodes["tx1"].status == NodeStatus.ON_BATTERY
+        assert sim.world.nodes["tx1"].battery_ms == 9_000
+        log = sim.run(10_000)
+        assert [(t, d) for t, d in log.actions if d.startswith("BatteryExpiry")] == [(9_000, "BatteryExpiry: tx1 failed")]
+        assert sim.kernel.dispatched[EventKind.BATTERY_EXPIRY] == 1
 
     def test_power_loss_leaves_a_node_on_battery_draining(self):
         sim = self.two_ue_demo(
@@ -106,6 +119,17 @@ class TestEventFlow:
         sim = Simulation(scenario)
         sim.run(20_000)
         assert sim.world.nodes["ue2"].position == (60, 10, 1.5)
+
+    def test_ue_move_event_moves_the_live_node(self):
+        """The simulation handles a UE move: the live node moves, and the
+        world's version moves with it."""
+        sim = Simulation(small_scenario(disasters=[]))
+        version = sim.world.version
+        assert sim.world.nodes["ue1"].position == (50, 10, 1.5)
+        sim.kernel.schedule(10, EventKind.UE_MOVE, {"node_id": "ue1", "position": [300, 0, 1.5]})
+        sim.run(10)
+        assert sim.world.nodes["ue1"].position == (300, 0, 1.5)
+        assert sim.world.version == version + 1
 
     def test_sample_cadence(self):
         sim = Simulation(small_scenario())

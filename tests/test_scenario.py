@@ -219,31 +219,35 @@ class TestTrafficSurge:
 
 class TestDisasterExpansion:
     def test_strike_plus_battery_expiries(self):
-        """A Simulation queues each strike, then one expiry per power-loss
-        node at strike + reserve, on consecutive sequence ids."""
+        """A Simulation queues each strike; the strike queues one expiry per
+        node it puts on battery, at strike + reserve, on consecutive sequence
+        ids."""
         nodes = MINIMAL["nodes"] + [{"id": "bs2", "kind": "TerrestrialBS", "position": [200, 0, 25]}]
         box = [[40, 0, 0], [45, 20, 30]]
         sim = Simulation(minimal(nodes=nodes, disasters=[
             {"time_ms": 5000, "fail": ["bs"], "power_loss": ["gw", "bs2"], "blockages": [box]},
         ]), apps=[])
-        queued = [e for _, _, e in sorted(sim.kernel._queue)
-                  if e.kind in (EventKind.DISASTER_STRIKE, EventKind.BATTERY_EXPIRY)]
-        expiry = 5000 + DEFAULT_BATTERY_RESERVE_MS
-        assert [(e.fire_time, e.kind) for e in queued] == [
-            (5000, EventKind.DISASTER_STRIKE),
-            (expiry, EventKind.BATTERY_EXPIRY),
-            (expiry, EventKind.BATTERY_EXPIRY),
-        ]
-        assert queued[0].payload == {"disaster": sim.scenario.disasters[0]}
-        assert [e.payload for e in queued[1:]] == [{"node_id": "gw"}, {"node_id": "bs2"}]
-        seqs = [e.sequence_id for e in queued]
-        assert seqs == list(range(seqs[0], seqs[0] + 3))
+
+        def queued():
+            return [e for _, _, e in sorted(sim.kernel._queue)
+                    if e.kind in (EventKind.DISASTER_STRIKE, EventKind.BATTERY_EXPIRY)]
+
+        [strike] = queued()
+        assert (strike.fire_time, strike.kind) == (5000, EventKind.DISASTER_STRIKE)
+        assert strike.payload == {"disaster": sim.scenario.disasters[0]}
 
         sim.run(5000)
+        expiry = 5000 + DEFAULT_BATTERY_RESERVE_MS
+        expiries = queued()
+        assert [(e.fire_time, e.kind) for e in expiries] == [(expiry, EventKind.BATTERY_EXPIRY)] * 2
+        assert [e.payload for e in expiries] == [{"node_id": "gw"}, {"node_id": "bs2"}]
+        seqs = [e.sequence_id for e in expiries]
+        assert seqs == list(range(seqs[0], seqs[0] + 2))
         status = {nid: n.status for nid, n in sim.world.nodes.items()}
         assert (status["bs"], status["gw"], status["bs2"]) == (
             NodeStatus.FAILED, NodeStatus.ON_BATTERY, NodeStatus.ON_BATTERY
         )
+        assert sim.world.nodes["gw"].battery_ms == sim.world.nodes["bs2"].battery_ms == expiry
         assert sim.world.obstacles == [((40.0, 0.0, 0.0), (45.0, 20.0, 30.0))]
         assert sim.kernel.log.actions == [(5000, "DisasterStrike: 1 failed, 2 on battery, 1 new blockages")]
         sim.run(expiry)

