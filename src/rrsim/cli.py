@@ -233,7 +233,8 @@ def cmd_codebook_build(args: argparse.Namespace) -> int:
     built = sim.controller.codebooks.get((args.panel, args.part))
     if built is None:
         return _invalid(f"part {args.part} has no reference points configured")
-    panel, tx = sim.world.panels[args.panel], sim.controller.ris_tx_node(args.panel)
+    panel = sim.world.panels[args.panel]
+    tx = sim.world.nodes[sim.scenario.ric.ris[args.panel].tx]
     codebook = replace(
         built,
         metadata={

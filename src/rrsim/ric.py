@@ -10,14 +10,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import ntn_planner as planner
-from .ris_opt import (
-    Codebook,
-    ModelEvaluator,
-    build_codebook,
-    iterative_optimize,
-    model_evaluator,
-    select_codeword,
-)
+from .ris_opt import Codebook, build_codebook, iterative_optimize, select_codeword
 from .cfmimo import ClusterAssignment, cluster
 from .scenario import (
     DEFAULT_NEAR_RT_TICK_MS,
@@ -72,8 +65,11 @@ class Controller:
     controller's actions mutate it, so app effects serialize in action order
     and each app sees what the apps before it did. The recovery planner reads
     the same world: at a planning tick `World.out_of_service()` is the set
-    that the failure monitor has just read, from one link budget. A failing
-    handler is logged and never halts the run.
+    that the failure monitor has just read, from one link budget. The RIS
+    apps and the offline codebooks take each panel part's UE and evaluator
+    from the world too (`World.ris_parts`, `World.ris_evaluator`); the
+    controller keeps only the codebooks. A failing handler is logged and
+    never halts the run.
 
     Every app is periodic: a change to the world reaches an app through its
     idle gate at its next tick. Apps tick in groups: a group has one kernel
@@ -218,33 +214,7 @@ class Controller:
         }
         return cluster(gains, max_aps, set(links.access_ids))
 
-    # --- RIS plumbing --------------------------------------------------------
-
-    def ris_part_assignments(self, panel_id: str) -> dict[int, str]:
-        if panel_id not in self.cfg.ris:
-            return {}
-        return {int(pid): part.ue for pid, part in self.cfg.ris[panel_id].parts.items()}
-
-    def ris_tx_node(self, panel_id: str):
-        return self.world.nodes[self.cfg.ris[panel_id].tx]
-
-    def ris_evaluator(self, panel_id: str, rx_pos, part_id: int | None = None) -> ModelEvaluator:
-        """Power (dBm) at rx_pos through the panel from its configured tx, in
-        the current world. With part_id it takes that part's configuration,
-        spliced over the panel's current one; otherwise a full-panel config."""
-        tx = self.ris_tx_node(panel_id)
-        panel = self.world.panels[panel_id]
-        return model_evaluator(
-            panel, tx.position, tx.tx_power_dbm, rx_pos, tx.freq_ghz,
-            self.world.scenario.channel,
-            obstacles=self.world.obstacles,
-            part_elements=None if part_id is None else panel.part_elements(part_id),
-            base_config=self.world.ris_configs[panel_id],
-        )
-
-    def ris_power_at(self, panel_id: str, full_config, ue_id: str) -> float:
-        """Received power (dBm) at a UE through the panel at the given config."""
-        return self.ris_evaluator(panel_id, self.world.nodes[ue_id].position)(full_config)
+    # --- RIS codebooks -------------------------------------------------------
 
     def _build_offline_codebooks(self) -> None:
         for panel_id, settings in self.cfg.ris.items():
@@ -256,7 +226,7 @@ class Controller:
                     self.world.panels[panel_id],
                     part_id,
                     part.reference_points,
-                    lambda point, panel_id=panel_id, part_id=part_id: self.ris_evaluator(
+                    lambda point, panel_id=panel_id, part_id=part_id: self.world.ris_evaluator(
                         panel_id, point, part_id
                     ),
                 )
@@ -304,7 +274,7 @@ def _ris_codebook_tracker(ctl: Controller) -> list[Action]:
         return []
     actions: list[Action] = []
     for (panel_id, part_id), codebook in sorted(ctl.codebooks.items()):
-        ue_id = ctl.ris_part_assignments(panel_id)[part_id]
+        ue_id = ctl.world.ris_parts[(panel_id, part_id)]
         codeword = select_codeword(codebook, ctl.world.nodes[ue_id].position)
         members = ctl.world.panels[panel_id].part_elements(part_id)
         if list(ctl.world.ris_configs[panel_id][members]) != codeword:
@@ -330,27 +300,27 @@ def _ris_iterative_tuner(ctl: Controller) -> list[Action]:
     if _tuner_idle(ctl):
         return []
     actions: list[Action] = []
-    for panel_id, panel in sorted(ctl.world.panels.items()):
-        for part_id, ue_id in sorted(ctl.ris_part_assignments(panel_id).items()):
-            members = panel.part_elements(part_id)
-            evaluator = ctl.ris_evaluator(panel_id, ctl.world.nodes[ue_id].position, part_id)
-            # Refine whatever is currently applied (e.g. a codeword picked
-            # under fast-recovery); the sweep never makes it worse.
-            config, trace = iterative_optimize(
-                evaluator, members.size, panel.n_states,
-                initial=list(ctl.world.ris_configs[panel_id][members]),
+    for (panel_id, part_id), ue_id in ctl.world.ris_parts.items():
+        panel = ctl.world.panels[panel_id]
+        members = panel.part_elements(part_id)
+        evaluator = ctl.world.ris_evaluator(panel_id, ctl.world.nodes[ue_id].position, part_id)
+        # Refine whatever is currently applied (e.g. a codeword picked
+        # under fast-recovery); the sweep never makes it worse.
+        config, trace = iterative_optimize(
+            evaluator, members.size, panel.n_states,
+            initial=list(ctl.world.ris_configs[panel_id][members]),
+        )
+        actions.append(
+            Action(
+                "ApplyRisConfig",
+                {
+                    "panel": panel_id,
+                    "part": part_id,
+                    "config": config,
+                    "feedback": trace.feedback_messages,
+                },
             )
-            actions.append(
-                Action(
-                    "ApplyRisConfig",
-                    {
-                        "panel": panel_id,
-                        "part": part_id,
-                        "config": config,
-                        "feedback": trace.feedback_messages,
-                    },
-                )
-            )
+        )
     ctl.blackboard["ris_tuned_version"] = ctl.world.version
     return actions
 

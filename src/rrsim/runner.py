@@ -1,12 +1,13 @@
-"""End-to-end simulation runner: wires the event kernel, world state, RIC
-controller and periodic metrics sampling for one scenario run.
+"""End-to-end simulation runner: wires the event kernel, world state, the RIC
+`Controller` and periodic metrics sampling for one scenario run.
 
 A `Scenario` is checked when it is built, so the runner checks none of it
 again: it schedules the expiry of each node loaded on battery, each disaster
 and each UE move from the parsed values as they are, and checks only the
 disabled app names against the apps it is given. Every world change that the
 scenario schedules (a strike, a battery expiry, a UE move) is handled here;
-the controller handles only its ticks."""
+the `Controller` handles only its ticks. A sample reads its links, RIS links
+included, from `World.best_links` alone."""
 
 from __future__ import annotations
 
@@ -140,33 +141,13 @@ class Simulation:
         voice = profile.voice_mbps * traffic_multiplier(profile, "voice", t_since)
         return data + voice
 
-    def _best_links(self) -> tuple[list[str], np.ndarray, np.ndarray]:
-        """UE ids, best SNR per UE and its server code. The SNR and codes are
-        the world's cached link budget, whose code is the serving access row;
-        a RIS link that is stronger overrides a UE with the code
-        len(access_ids) + the panel's sorted index, and only then are the
-        arrays copied."""
-        ue_ids, access_ids, _, best, codes = self.world.link_budget()
-        copied = False
-        for p, panel_id in enumerate(sorted(self.world.panels)):
-            for part_id, ue_id in sorted(self.controller.ris_part_assignments(panel_id).items()):
-                j = ue_ids.index(ue_id)
-                power = self.controller.ris_power_at(panel_id, self.world.ris_configs[panel_id], ue_id)
-                snr = power - self.scenario.channel.noise_floor_dbm()
-                if snr > best[j]:
-                    if not copied:  # the cached link budget stays untouched
-                        best, codes, copied = best.copy(), codes.copy(), True
-                    best[j] = snr
-                    codes[j] = len(access_ids) + p
-        return ue_ids, best, codes
-
     def _link_entry(self) -> _LinkEntry:
         """The links of the current `World.link_state()` with their coverage
         and contention, computed once per key."""
         key = self.world.link_state()
         entry = self._entry
         if entry is None or entry.key != key:
-            ue_ids, best, codes = self._best_links()
+            ue_ids, best, codes = self.world.best_links()
             ratio, served, share = self._contention(best, codes)
             top = float(share.max()) if share.size else -np.inf
             entry = self._entry = _LinkEntry(key, ue_ids, best, codes, ratio, served, share, top)

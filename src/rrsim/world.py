@@ -1,5 +1,6 @@
 """Mutable run-time world state, the one view that the measurement, the
-controller apps and the planner read.
+controller apps and the planner read, and the one model of every radio link:
+the access link budget, and each RIS panel part's link from its tx to its UE.
 
 The scenario stays frozen after load; everything that changes during a run
 (node status, batteries, obstacles added at strike time, RIS configurations)
@@ -10,6 +11,9 @@ live while it serves (`Node.serving`). Node and obstacle changes bump `World.ver
 the key of the link budget; RIS configurations
 change through `World.configure_ris`. A UE is out of service when its best SNR in the
 link budget is below the scenario's coverage threshold (`World.out_of_service`).
+`World.ris_evaluator` builds every model-driven evaluator of a panel's link,
+and `World.best_links` lets a stronger RIS link override the budget for the
+measurement.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import channel as ch
+from .ris_opt import ModelEvaluator, model_evaluator
 from .scenario import ACCESS_KINDS, Node, NodeKind, NodeStatus, Scenario
 
 
@@ -93,6 +98,12 @@ class World:
         self.version = 0
         # (version, link budget) of the last version read.
         self._at_version: tuple[int, LinkBudget] | None = None
+        # (panel id, part id) -> the UE that the part serves, in sorted order.
+        self.ris_parts: dict[tuple[str, int], str] = dict(sorted(
+            ((panel_id, int(part_id)), part.ue)
+            for panel_id, settings in scenario.ric.ris.items()
+            for part_id, part in settings.parts.items()
+        ))
         for node in scenario.nodes:
             if node.kind == NodeKind.RIS_PANEL:
                 self._register_panel(node)
@@ -190,6 +201,40 @@ class World:
             budget = LinkBudget(ue_ids, tuple(n.node_id for n in access), snr, *_best_server(snr))
             self._at_version = (self.version, budget)
         return self._at_version[1]
+
+    def ris_evaluator(self, panel_id: str, rx_pos, part_id: int | None = None) -> ModelEvaluator:
+        """Power (dBm) at rx_pos through the panel from its configured tx, in
+        the current world. With part_id it takes that part's configuration,
+        spliced over the panel's current one; otherwise a full-panel config."""
+        tx = self.nodes[self.scenario.ric.ris[panel_id].tx]
+        panel = self.panels[panel_id]
+        return model_evaluator(
+            panel, tx.position, tx.tx_power_dbm, rx_pos, tx.freq_ghz,
+            self.scenario.channel,
+            obstacles=self.obstacles,
+            part_elements=None if part_id is None else panel.part_elements(part_id),
+            base_config=self.ris_configs[panel_id],
+        )
+
+    def best_links(self) -> tuple[list[str], np.ndarray, np.ndarray]:
+        """UE ids, best SNR per UE and its server code. The SNR and codes are
+        the cached link budget, whose code is the serving access row; a RIS
+        link that is stronger overrides a UE with the code len(access_ids) +
+        the panel's sorted index, and only then are the arrays copied."""
+        ue_ids, access_ids, _, best, codes = self.link_budget()
+        panel_index = {panel_id: p for p, panel_id in enumerate(sorted(self.panels))}
+        noise = self.scenario.channel.noise_floor_dbm()
+        copied = False
+        for (panel_id, _), ue_id in self.ris_parts.items():
+            j = ue_ids.index(ue_id)
+            config = self.ris_configs[panel_id]
+            snr = self.ris_evaluator(panel_id, self.nodes[ue_id].position)(config) - noise
+            if snr > best[j]:
+                if not copied:  # the cached link budget stays untouched
+                    best, codes, copied = best.copy(), codes.copy(), True
+                best[j] = snr
+                codes[j] = len(access_ids) + panel_index[panel_id]
+        return ue_ids, best, codes
 
     def out_of_service(self) -> set[str]:
         """The UEs whose best SNR in the link budget is below the coverage

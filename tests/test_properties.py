@@ -65,7 +65,7 @@ _servers = st.sampled_from([None, "bs1", "bs2", "deployed_0", "ris1"])
 _link_snr = st.one_of(
     st.sampled_from([3.0, -np.inf, np.inf, 0.0]), st.floats(-40.0, 60.0, allow_nan=False)
 )
-# Server codes as `_best_links` gives them: distinct for distinct servers, -1
+# Server codes as `World.best_links` gives them: distinct for distinct servers, -1
 # for none, and a RIS panel's after the access rows.
 _CODES = {None: -1, "bs1": 0, "bs2": 1, "deployed_0": 2, "ris1": 3}
 
@@ -99,7 +99,7 @@ def test_measure_throughput_is_bitwise_the_scalar_step(inputs, table):
     built = []
     for key, links in ((0, servers), (0, servers), (1, changed)):
         sim.world.link_state = lambda key=key: key
-        sim._best_links = lambda key=key, links=links: built.append(key) or (
+        sim.world.best_links = lambda key=key, links=links: built.append(key) or (
             ue_ids, np.array(best, float), _codes(links)
         )
         sample = sim.measure(5_000, apply_fading=False)
@@ -125,7 +125,7 @@ def test_measure_sequence_is_bitwise_the_scalar_step(data, table, threshold):
     sim.world.snr_threshold_db = threshold
     links, key, offered, previous = None, 0, None, None
     sim.world.link_state = lambda: key
-    sim._best_links = lambda: links
+    sim.world.best_links = lambda: links
     sim._offered_load_mbps = lambda now_ms: offered
     for step in range(data.draw(st.integers(2, 10))):
         change = "new" if links is None else data.draw(st.sampled_from(["same", "same", "copy", "new"]))

@@ -208,8 +208,8 @@ class TestBuiltinApps:
 
 
 def fresh_ris_power(ctl, panel_id, config, ue_id):
-    """cascaded_gain on the live world, without the controller's cache."""
-    tx = ctl.ris_tx_node(panel_id)
+    """cascaded_gain on the live world, without the evaluator's link table."""
+    tx = ctl.world.nodes[ctl.world.scenario.ric.ris[panel_id].tx]
     gain = ch.cascaded_gain(
         tx.position, ctl.world.panels[panel_id], config, ctl.world.nodes[ue_id].position,
         tx.freq_ghz, ctl.world.scenario.channel, ctl.world.obstacles,
@@ -228,8 +228,8 @@ class TestRisPowerCache:
         return Simulation(scenario_from_dict(data)).controller
 
     def power(self, ctl, ue_id="rx1"):
-        config = ctl.world.ris_configs["ris1"]
-        return ctl.ris_power_at("ris1", config, ue_id), fresh_ris_power(ctl, "ris1", config, ue_id)
+        config, position = ctl.world.ris_configs["ris1"], ctl.world.nodes[ue_id].position
+        return ctl.world.ris_evaluator("ris1", position)(config), fresh_ris_power(ctl, "ris1", config, ue_id)
 
     def test_move_and_strike_rebuild_the_table(self, ctl):
         before, fresh = self.power(ctl)
@@ -237,7 +237,7 @@ class TestRisPowerCache:
         ctl.world.move_node("rx1", (0.5, 1.6, 1.0))
         moved, fresh = self.power(ctl)
         assert moved == fresh != before
-        tx, ue = ctl.ris_tx_node("ris1").position, ctl.world.nodes["rx1"].position
+        tx, ue = ctl.world.nodes["tx1"].position, ctl.world.nodes["rx1"].position
         mid = [(a + b) / 2 for a, b in zip(tx, ue)]
         ctl.world.apply_strike([], [], [([c - 0.1 for c in mid], [c + 0.1 for c in mid])], 0)
         struck, fresh = self.power(ctl)
@@ -256,19 +256,22 @@ class TestRisPowerCache:
         assert after == fresh != before
 
     def test_tuner_evaluator_agrees_with_ris_power_at(self, ctl):
+        """A part's evaluator agrees with the full-panel evaluator that the
+        measurement uses."""
         panel = ctl.world.panels["ris1"]
         states = np.arange(panel.n_elements) % 4
         for part_id in np.unique(panel.partition).tolist():
             ctl.world.configure_ris("ris1", part_id, states[panel.part_elements(part_id)])
         rng = np.random.default_rng(3)
-        for part_id, ue_id in ctl.ris_part_assignments("ris1").items():
+        for (_, part_id), ue_id in ctl.world.ris_parts.items():
             members = panel.part_elements(part_id)
-            evaluator = ctl.ris_evaluator("ris1", ctl.world.nodes[ue_id].position, part_id)
+            position = ctl.world.nodes[ue_id].position
+            evaluator = ctl.world.ris_evaluator("ris1", position, part_id)
             for _ in range(5):
                 part = rng.integers(0, 4, members.size)
                 full = ctl.world.ris_configs["ris1"].copy()
                 full[members] = part
-                assert evaluator(part) == ctl.ris_power_at("ris1", full, ue_id)
+                assert evaluator(part) == ctl.world.ris_evaluator("ris1", position)(full)
 
     def test_tuned_config_matches_a_sweep_of_cascaded_gain(self, ctl):
         from rrsim.ris_opt import iterative_optimize
