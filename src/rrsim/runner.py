@@ -113,7 +113,7 @@ class Simulation:
         self._strike_time = kernel.clock
         kernel.log.log_action(
             kernel.clock,
-            f"DisasterStrike: {len(disaster.failed)} failed, {len(disaster.power_loss)} on battery, "
+            f"DisasterStrike: {len(disaster.failed)} failed, {len(on_battery)} on battery, "
             f"{len(disaster.blockages)} new blockages",
         )
 
