@@ -10,9 +10,11 @@ level, `ticks` and `ric.ue_moves` go through the same checks. At every level
 a key that is not a field, a missing required key, or a value of the wrong
 shape is a `ParseError` that names its path.
 
-A value is checked once, when it is built: `Node`, `TrafficProfile` and
-`DisasterEvent` check their own fields, and `Scenario` what spans objects,
-such as the node ids that settings refer to. A scenario built in Python or
+A value is checked once, when it is built: `Node`, `TrafficProfile`,
+`DisasterEvent` and `PlannerSettings` check their own fields, and `Scenario`
+its tick ranges, seed, battery reserve and event times, and what spans
+objects, such as the node ids that settings refer to. The reader of a field
+whose type checks its range checks only the JSON type, under the same noun. A scenario built in Python or
 by `dataclasses.replace` is checked the same way, so a `Scenario` that exists
 is valid, and the rest of the program reads its attributes as they are.
 """
@@ -25,7 +27,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from functools import partial
 from itertools import pairwise
-from typing import Any, NamedTuple, NoReturn
+from typing import Any, Callable, NamedTuple, NoReturn
 
 from .channel import ChannelParams
 
@@ -57,6 +59,29 @@ class ValidationError(Exception):
 
 class UnknownNode(ValidationError):
     pass
+
+
+class _Range(NamedTuple):
+    """A range rule that a type checks in `__post_init__`: the noun of its
+    message and the test. The reader of such a field checks only its JSON
+    type, under the same noun, so both failures read alike."""
+
+    noun: str
+    test: Callable[[Any], bool]
+
+    def check(self, value: Any, *path: str | int) -> None:
+        if not self.test(value):
+            raise ValidationError(f"{_where(*path)}: expected {self.noun}, got {value!r}")
+
+
+_AT_LEAST_0 = _Range("an integer >= 0", lambda n: n >= 0)
+_AT_LEAST_1 = _Range("an integer >= 1", lambda n: n >= 1)
+_NON_RT_TICK = _Range(f"an integer >= {NON_RT_MIN_INTERVAL_MS}", lambda n: n >= NON_RT_MIN_INTERVAL_MS)
+_NEAR_RT_TICK = _Range(
+    f"an integer in [{NEAR_RT_MIN_INTERVAL_MS}, {NEAR_RT_MAX_INTERVAL_MS}]",
+    lambda n: NEAR_RT_MIN_INTERVAL_MS <= n <= NEAR_RT_MAX_INTERVAL_MS,
+)
+_ABOVE_0 = _Range("a finite number > 0", lambda x: 0.0 < x < math.inf)
 
 
 class NodeKind(str, Enum):
@@ -216,6 +241,12 @@ class PlannerSettings:
     backhaul_threshold_db: float = 10.0
     relay_sites: tuple[tuple[float, float, float], ...] = ()
 
+    def __post_init__(self) -> None:
+        _ABOVE_0.check(self.uav_altitude_m, "planner", "uav_altitude_m")
+        # A float, as the default is: it becomes the z of every candidate,
+        # which `rrs plan` writes.
+        object.__setattr__(self, "uav_altitude_m", float(self.uav_altitude_m))
+
 
 @dataclass(frozen=True)
 class CellFreeSettings:
@@ -239,6 +270,11 @@ class Scenario:
     planner: PlannerSettings = PlannerSettings()
 
     def __post_init__(self) -> None:
+        _AT_LEAST_0.check(self.seed, "seed")
+        _NON_RT_TICK.check(self.non_rt_tick_ms, "ticks", "non_rt_ms")
+        _NEAR_RT_TICK.check(self.near_rt_tick_ms, "ticks", "near_rt_ms")
+        _AT_LEAST_1.check(self.sample_interval_ms, "ticks", "sample_ms")
+        _AT_LEAST_1.check(self.battery_reserve_ms, "battery_reserve_ms")
         ids = [n.node_id for n in self.nodes]
         if len(ids) != len(set(ids)):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
@@ -259,7 +295,8 @@ class Scenario:
         if thresholds != sorted(thresholds):
             raise ValidationError("MCS table must be sorted by min SNR")
         kinds = {n.node_id: n.kind for n in self.nodes}
-        for event in self.disasters:
+        for i, event in enumerate(self.disasters):
+            _AT_LEAST_0.check(event.strike_time_ms, "disasters", i, "time_ms")
             for nid in (*event.failed, *event.power_loss):
                 if nid not in kinds:
                     raise UnknownNode(f"disaster references unknown node {nid}")
@@ -282,6 +319,7 @@ class Scenario:
                     kind = kinds[part.ue].value
                     raise ValidationError(f"{path}.{part_id}.ue: {part.ue} is a {kind}, not a UE")
         for i, move in enumerate(self.ric.ue_moves):
+            _AT_LEAST_0.check(move.time_ms, "ric", "ue_moves", i, "time_ms")
             if move.node_id not in kinds:
                 raise UnknownNode(f"ric.ue_moves[{i}].node_id: unknown node {move.node_id!r}")
             if kinds[move.node_id] != NodeKind.UE:
@@ -337,20 +375,23 @@ def _kind(noun: str, convert, accept=None):
     return read
 
 
-_int = _kind("an integer", int)
+def _integer(noun: str, accept=None):
+    """A reader of a JSON integer that accept passes; a bool, a float or a
+    string is not one."""
+    return _kind(noun, lambda v: v, lambda v: type(v) is int and (accept is None or accept(v)))
+
+
+_int = _integer("an integer")
 _float = _kind("a number", float)
 _finite = _kind("a finite number", float, math.isfinite)
-_positive = _kind("a finite number > 0", float, lambda x: 0.0 < x < math.inf)
-_count = _kind("an integer >= 1", int, lambda n: n >= 1)
-_natural = _kind("an integer >= 0", int, lambda n: n >= 0)
-_non_rt_ms = _kind(f"an integer >= {NON_RT_MIN_INTERVAL_MS}", int, lambda n: n >= NON_RT_MIN_INTERVAL_MS)
-_near_rt_ms = _kind(
-    f"an integer in [{NEAR_RT_MIN_INTERVAL_MS}, {NEAR_RT_MAX_INTERVAL_MS}]",
-    int,
-    lambda n: NEAR_RT_MIN_INTERVAL_MS <= n <= NEAR_RT_MAX_INTERVAL_MS,
-)
-_axis = _kind("an integer in [0, 2]", int, lambda n: 0 <= n <= 2)
-_part_count = _kind("the integer 1 or 2", lambda v: v, lambda v: type(v) is int and v in (1, 2))
+_positive = _kind(_ABOVE_0.noun, float, _ABOVE_0.test)
+_count = _integer(*_AT_LEAST_1)
+_natural = _integer(*_AT_LEAST_0)
+_axis = _integer("an integer in [0, 2]", lambda n: 0 <= n <= 2)
+_part_count = _integer("the integer 1 or 2", lambda n: n in (1, 2))
+# The readers of the fields whose types check their ranges: each checks only
+# that the value is an integer.
+_typed_natural, _typed_count = _integer(_AT_LEAST_0.noun), _integer(_AT_LEAST_1.noun)
 _flag = _kind("true or false", lambda v: v, lambda v: isinstance(v, bool))
 
 
@@ -505,7 +546,7 @@ def _ue_moves(raw, *path: str | int) -> tuple[UeMove, ...]:
     for i, row in enumerate(_list(raw, *path)):
         if not (isinstance(row, dict) and row.keys() == _MOVE_KEYS):
             _reject(row, _MOVE_KEYS, _MOVE_KEYS, *path, i)
-        time_ms = _natural(row["time_ms"], *path, i, "time_ms")
+        time_ms = _typed_natural(row["time_ms"], *path, i, "time_ms")
         node_id = _name(row["node_id"], *path, i, "node_id")
         moves.append(_new_move(UeMove, (time_ms, node_id, _point(row["position"], *path, i, "position"))))
     return tuple(moves)
@@ -523,7 +564,8 @@ _schema(
     scatter_floor_db=_optional(_finite), fading=_flag,
 )
 _schema(
-    PlannerSettings, snr_threshold_db=_finite, max_nodes=_natural, uav_altitude_m=_positive,
+    PlannerSettings, snr_threshold_db=_finite, max_nodes=_natural,
+    uav_altitude_m=_kind(_ABOVE_0.noun, lambda v: v, lambda v: type(v) in (int, float)),
     uav_tx_power_dbm=_finite, uav_freq_ghz=_positive, candidate_spacing_m=_positive,
     candidate_bounds=_optional(_bounds), backhaul_threshold_db=_finite, relay_sites=_points,
 )
@@ -549,24 +591,24 @@ _SCHEMAS[Node] = {
     "ris": ("ris", partial(_read, RisLayout)),
 }, _keys("id", "kind", "position")
 _SCHEMAS[DisasterEvent] = {
-    "time_ms": ("strike_time_ms", _natural),
+    "time_ms": ("strike_time_ms", _typed_natural),
     "fail": ("failed", _rows(_name)),
     "power_loss": ("power_loss", _rows(_name)),
     "blockages": ("blockages", _rows(_corners)),
 }, _keys("time_ms")
 _TICKS = {
-    "non_rt_ms": ("non_rt_tick_ms", _non_rt_ms),
-    "near_rt_ms": ("near_rt_tick_ms", _near_rt_ms),
-    "sample_ms": ("sample_interval_ms", _count),
+    "non_rt_ms": ("non_rt_tick_ms", _integer(_NON_RT_TICK.noun)),
+    "near_rt_ms": ("near_rt_tick_ms", _integer(_NEAR_RT_TICK.noun)),
+    "sample_ms": ("sample_interval_ms", _typed_count),
 }
 _SCENARIO = {key: (key, read) for key, read in {
-    "seed": _natural,
+    "seed": _typed_natural,
     "ticks": partial(_record, _TICKS, _keys()),
     "nodes": _rows(partial(_read, Node)),
     "obstacles": _rows(_corners),
     "traffic": partial(_read, TrafficProfile),
     "disasters": _rows(partial(_read, DisasterEvent)),
-    "battery_reserve_ms": _count,
+    "battery_reserve_ms": _typed_count,
     "channel": partial(_read, ChannelParams),
     "planner": partial(_read, PlannerSettings),
     "ric": partial(_read, RicSettings),

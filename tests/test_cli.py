@@ -317,6 +317,11 @@ class TestValidation:
         (("nodes", 2, "ris", "normal_axis"), 7, "nodes[2].ris.normal_axis: expected an integer in [0, 2], got 7"),
         (("nodes", 2, "ris"), {"rows": 1, "cols": 1, "parts": 2},
          "nodes[2].ris: a panel in 2 parts needs at least 2 elements, ris1 has 1"),
+        # Integers that loaded coerced or truncated: a bool, a float, a string.
+        (("seed",), True, "seed: expected an integer >= 0, got True"),
+        (("seed",), 2.7, "seed: expected an integer >= 0, got 2.7"),
+        (("nodes", 2, "ris", "rows"), 4.9, "nodes[2].ris.rows: expected an integer >= 1, got 4.9"),
+        (("ticks", "sample_ms"), "7", "ticks.sample_ms: expected an integer >= 1, got '7'"),
     ]
 
     @pytest.mark.parametrize(

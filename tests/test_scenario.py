@@ -21,6 +21,7 @@ from rrsim.scenario import (
     ParseError,
     Scenario,
     TrafficProfile,
+    UeMove,
     UnknownNode,
     ValidationError,
     load_scenario,
@@ -275,6 +276,37 @@ class TestCheckedOnce:
             DisasterEvent(0, failed=("bs",), power_loss=("bs",))
         with pytest.raises(ValidationError, match="surge knots"):
             TrafficProfile(data_surge=((100, 2.0), (50, 1.0)))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda s: dataclasses.replace(s, seed=-1), "seed: expected an integer >= 0, got -1"),
+            (lambda s: dataclasses.replace(s, non_rt_tick_ms=10),
+             "ticks.non_rt_ms: expected an integer >= 1000, got 10"),
+            (lambda s: dataclasses.replace(s, near_rt_tick_ms=5_000),
+             "ticks.near_rt_ms: expected an integer in [10, 1000], got 5000"),
+            (lambda s: dataclasses.replace(s, sample_interval_ms=0),
+             "ticks.sample_ms: expected an integer >= 1, got 0"),
+            (lambda s: dataclasses.replace(s, battery_reserve_ms=0),
+             "battery_reserve_ms: expected an integer >= 1, got 0"),
+            (lambda s: dataclasses.replace(s, disasters=(DisasterEvent(-5),)),
+             "disasters[0].time_ms: expected an integer >= 0, got -5"),
+            (lambda s: dataclasses.replace(
+                s, ric=dataclasses.replace(s.ric, ue_moves=(UeMove(-1, "rx1", (0.0, 1.7, 1.0)),))),
+             "ric.ue_moves[0].time_ms: expected an integer >= 0, got -1"),
+            (lambda s: dataclasses.replace(s, planner=dataclasses.replace(s.planner, uav_altitude_m=0)),
+             "planner.uav_altitude_m: expected a finite number > 0, got 0"),
+        ],
+        ids=["seed", "non_rt_ms", "near_rt_ms", "sample_ms", "battery_reserve_ms", "strike_time",
+             "move_time", "uav_altitude_m"],
+    )
+    def test_range_rules_hold_for_a_scenario_built_in_python(self, edit, message):
+        """The range rules are the types' own, with the message a scenario
+        file gets, so `dataclasses.replace` cannot skip them."""
+        s = load_scenario(bundled_scenario_path("two_ue_demo.json"))
+        with pytest.raises(ValidationError) as err:
+            edit(s)
+        assert str(err.value) == message
 
     def test_load_checks_once_and_the_simulation_not_again(self, monkeypatch):
         calls = []
