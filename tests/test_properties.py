@@ -4,8 +4,9 @@ comprehension it replaced (one sample, and a run of samples whose link
 state and offered load repeat or move), the metrics.csv writer against csv.writer (also
 with table objects shared between samples), the all-boxes blockage test
 against the scalar `los_blocked`, the RIS link-table evaluator against
-`cascaded_gain` and its sweep kernel against the generic element sweep, and
-the controller's grouped ticks against one tick event per app."""
+`cascaded_gain` and its sweep kernel against the generic element sweep, the
+controller's grouped ticks against one tick event per app, and the RIS
+override of `World.best_links` against `cascaded_gain` one part at a time."""
 
 import csv
 import io
@@ -602,3 +603,66 @@ def test_sleeping_ticks_match_a_run_that_keeps_every_tick(case, data):
     assert not oracle.skipped
     assert slept == kept
     assert kernel.dispatched + kernel.skipped == oracle.dispatched + oracle.skipped
+
+
+def _best_links_oracle(world):
+    """The access link budget, then each panel part's SNR from
+    `cascaded_gain`, one part at a time: a stronger RIS link takes the UE
+    with the code len(access_ids) + the panel's index in sorted panel order."""
+    budget = world.link_budget()
+    best, codes = budget.best_db.tolist(), budget.server_rows.tolist()
+    panel_ids = sorted(world.panels)
+    noise = world.scenario.channel.noise_floor_dbm()
+    for panel_id, settings in sorted(world.scenario.ric.ris.items()):
+        tx = world.nodes[settings.tx]
+        for _, part in sorted(settings.parts.items()):
+            ue = world.nodes[part.ue]
+            gain = ch.cascaded_gain(
+                tx.position, world.panels[panel_id], world.ris_configs[panel_id], ue.position,
+                tx.freq_ghz, world.scenario.channel, world.obstacles,
+            )
+            snr = ch.received_power_dbm(tx.tx_power_dbm, gain) - noise
+            j = budget.ue_ids.index(part.ue)
+            if snr > best[j]:
+                best[j], codes[j] = snr, len(budget.access_ids) + panel_ids.index(panel_id)
+    return best, codes
+
+
+# UE positions in front of the panel and clear of the tx: on the tx's side
+# of the wall the direct link wins, behind it the RIS link does.
+_room_point = st.tuples(st.floats(-3.0, 3.0), st.floats(1.3, 3.0), st.floats(0.5, 2.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_world_best_links_is_the_budget_with_each_stronger_ris_link(data):
+    """On a bare `World` of the two-UE room, after any run of panel
+    codewords, UE moves and blockage strikes, `best_links()` gives the
+    oracle's best SNR bit for bit and its codes, and leaves the cached link
+    budget as it was."""
+    world = World(scenario_from_dict(_ROOM))
+    panel = world.panels["ris1"]
+    for now_ms in range(data.draw(st.integers(1, 6))):
+        step = data.draw(st.sampled_from(["codeword", "move", "strike"]))
+        if step == "codeword":
+            part_id = data.draw(st.sampled_from(np.unique(panel.partition).tolist()))
+            size = panel.part_elements(part_id).size
+            codeword = data.draw(st.lists(st.integers(0, panel.n_states - 1), min_size=size, max_size=size))
+            world.configure_ris("ris1", part_id, codeword)
+        elif step == "move":
+            world.move_node(data.draw(st.sampled_from(["rx1", "rx2"])), data.draw(_room_point))
+        else:
+            lo = data.draw(_room_point)
+            size = data.draw(st.tuples(*[st.floats(0.05, 1.0)] * 3))
+            world.apply_strike([], [], [(lo, tuple(a + b for a, b in zip(lo, size)))], now_ms)
+        budget = world.link_budget()
+        kept = [array.copy() for array in (budget.snr_db, budget.best_db, budget.server_rows)]
+        ue_ids, best, codes = world.best_links()
+        expected_best, expected_codes = _best_links_oracle(world)
+        assert ue_ids == budget.ue_ids
+        assert [snr.hex() for snr in best.tolist()] == [snr.hex() for snr in expected_best]
+        assert codes.tolist() == expected_codes
+        assert world.link_budget() is budget
+        assert [array.tobytes() for array in kept] == [
+            array.tobytes() for array in (budget.snr_db, budget.best_db, budget.server_rows)
+        ]
