@@ -16,7 +16,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import channel as ch
-from .ris_opt import iterative_optimize, model_evaluator
+from .ris_opt import iterative_optimize_all, model_evaluator
 from .scenario import Node, NodeKind, NodeStatus, PlannerSettings
 from .world import World, access_snr_matrix
 
@@ -175,15 +175,21 @@ def _try_ris_relay(
 ) -> tuple[tuple[float, float, float], float] | None:
     """Best relay site with clear LOS on both segments and feasible cascaded SNR."""
     rows, cols = DEFAULT_RELAY_ELEMENTS
-    best: tuple[tuple[float, float, float], float] | None = None
-    for site in relay_sites:
-        if ch.los_blocked(a_pos, site, obstacles) or ch.los_blocked(site, b_pos, obstacles):
-            continue
-        panel = ch.RisPanel.planar("relay", site, rows, cols, pitch_m=0.04)
-        evaluator = model_evaluator(
-            panel, a_pos, tx_power_dbm, b_pos, freq_ghz, params, obstacles=obstacles
+    sites = [
+        site for site in relay_sites
+        if not (ch.los_blocked(a_pos, site, obstacles) or ch.los_blocked(site, b_pos, obstacles))
+    ]
+    evaluators = [
+        model_evaluator(
+            ch.RisPanel.planar("relay", site, rows, cols, pitch_m=0.04),
+            a_pos, tx_power_dbm, b_pos, freq_ghz, params, obstacles=obstacles,
         )
-        config, _ = iterative_optimize(evaluator, panel.n_elements, panel.n_states)
+        for site in sites
+    ]
+    # The sites' sweeps are independent searches of one size: one stack.
+    sweeps = iterative_optimize_all(evaluators, rows * cols, len(ch.HV4_STATES))
+    best: tuple[tuple[float, float, float], float] | None = None
+    for site, evaluator, (config, _) in zip(sites, evaluators, sweeps):
         power = evaluator(config)
         snr = power - params.noise_floor_dbm()
         if snr >= threshold_db and (best is None or snr > best[1]):

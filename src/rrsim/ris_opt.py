@@ -133,11 +133,15 @@ def iterative_fixed_point(
     return _iterate(evaluator, n_elements, n_states, None, None)
 
 
+def _check_sizes(n_elements: int, n_states: int, passes: int | None) -> None:
+    if n_elements < 1 or n_states < 2 or (passes is not None and passes < 1):
+        raise ValueError("need n_elements >= 1, n_states >= 2, passes >= 1")
+
+
 def _iterate(evaluator, n_elements, n_states, passes, initial):
     # The body of both public sweeps. Neither calls the other, so a tracer
     # that wraps public names sees one sweep per call.
-    if n_elements < 1 or n_states < 2 or (passes is not None and passes < 1):
-        raise ValueError("need n_elements >= 1, n_states >= 2, passes >= 1")
+    _check_sizes(n_elements, n_states, passes)
     if initial is not None and len(initial) != n_elements:
         raise ValueError(f"initial has {len(initial)} elements, n_elements is {n_elements}")
     config = list(initial) if initial is not None else [0] * n_elements
@@ -331,39 +335,67 @@ class ModelEvaluator:
         return -math.inf if a <= 0.0 else self.tx_power_dbm + 20.0 * math.log10(a)
 
     def sweep(self, config: list[int], n_states: int, trace: OptimizationTrace) -> None:
-        """One pass of `iterative_optimize` over config, in place: the same
-        result as n_states calls per element, logged as one `record_pass`.
+        """One pass of `iterative_optimize` over config, in place: the stack
+        kernel with this evaluator alone."""
+        _sweep_stack((self,), (config,), n_states, (trace,))
 
-        The (n_states, N) row buffer is built once per pass. For each element
-        its column gets the element's table terms, one reduction sums every
-        row, and the column then gets the chosen state's term. Each row sums
-        the same values in the same order as a call, and the direct term is
-        added as a Python complex (numpy's add per component), so every power
-        is bit-identical to a call's.
-        """
-        try:
-            full = self._full(config)
-            table, direct = self._table()
+
+def _sweep_stack(
+    evaluators: Sequence[ModelEvaluator],
+    configs: Sequence[list[int]],
+    n_states: int,
+    traces: Sequence[OptimizationTrace],
+) -> None:
+    """One pass of `iterative_optimize` over each config, in place, for P
+    evaluators that sweep the same columns of equal-sized tables: the same
+    results as n_states calls per element and evaluator, logged as one
+    `record_pass` per trace.
+
+    Rows i*n_states to (i+1)*n_states - 1 of the (P*n_states, N) row buffer
+    are evaluator i with the current element in each state. Per element, one
+    write puts every evaluator's table terms of the element into its column,
+    one reduction sums every row, and each evaluator's rows then get the term
+    of its chosen state. Each row sums the same values in the same order as a
+    call, and the direct term is added as a Python complex (numpy's add per
+    component), so every power is bit-identical to a call's.
+    """
+    try:
+        rows = np.empty((len(evaluators) * n_states, evaluators[0].panel.n_elements), complex)
+        tables, directs = [], []
+        for i, (evaluator, config) in enumerate(zip(evaluators, configs)):
+            full = evaluator._full(config)
+            table, direct = evaluator._table()
             if n_states > table.shape[1]:
                 raise IndexError(f"state {table.shape[1]} out of range")
-            rows = np.repeat(table[np.arange(full.size), full][None, :], n_states, axis=0)
-        except Exception as exc:
-            raise EvaluatorFailure(f"evaluator failed at element 0: {exc}") from exc
-        direct = complex(direct)
-        tx_power, log10, add = self.tx_power_dbm, math.log10, np.add.reduce
-        columns = range(len(config)) if self.part_elements is None else self.part_elements.tolist()
-        start = tuple(config)
-        powers: list[float] = []
-        for k, j in enumerate(columns):
-            rows[:, j] = table[j, :n_states]
+            rows[i * n_states:(i + 1) * n_states] = table[np.arange(full.size), full]
+            tables.append(table)
+            directs.append(complex(direct))
+    except Exception as exc:
+        raise EvaluatorFailure(f"evaluator failed at element 0: {exc}") from exc
+    part = evaluators[0].part_elements
+    columns = range(len(configs[0])) if part is None else part.tolist()
+    # Row k holds element k's terms of every evaluator, in the buffer's order.
+    terms = np.concatenate([table[columns, :n_states] for table in tables], axis=1)
+    lanes = [
+        (slice(i * n_states, (i + 1) * n_states), i * n_states, direct, evaluator.tx_power_dbm, config, [])
+        for i, (evaluator, config, direct) in enumerate(zip(evaluators, configs, directs))
+    ]
+    starts = [tuple(config) for config in configs]
+    log10, add, inf = math.log10, np.add.reduce, math.inf
+    for k, j in enumerate(columns):
+        column = terms[k]
+        rows[:, j] = column
+        sums = add(rows, axis=1).tolist()
+        for lane, offset, direct, tx_power, config, powers in lanes:
             candidates = []
-            for total in add(rows, axis=1).tolist():
+            for total in sums[lane]:
                 a = abs(total + direct)
-                candidates.append(-math.inf if a <= 0.0 else tx_power + 20.0 * log10(a))
+                candidates.append(-inf if a <= 0.0 else tx_power + 20.0 * log10(a))
             best = candidates.index(max(candidates))
             config[k] = best
-            rows[:, j] = table[j, best]
+            rows[lane, j] = column[offset + best]
             powers += candidates
+    for start, (*_, config, powers), trace in zip(starts, lanes, traces):
         trace.record_pass(start, tuple(config), n_states, powers)
 
 
@@ -389,6 +421,34 @@ def model_evaluator(
     )
 
 
+def iterative_optimize_all(
+    evaluators: Sequence[Evaluator], n_elements: int, n_states: int
+) -> list[tuple[list[int], OptimizationTrace]]:
+    """One `iterative_optimize` pass per evaluator, from all-zero configs:
+    the configs and traces of one call per evaluator, in order.
+
+    `ModelEvaluator`s that sweep the same columns of equal-sized tables run
+    in lockstep through one stack kernel; any other evaluator takes the
+    generic loop on its own.
+    """
+    _check_sizes(n_elements, n_states, 1)
+    results: list = [None] * len(evaluators)
+    stacks: dict[tuple, list[int]] = {}
+    for i, e in enumerate(evaluators):
+        if isinstance(e, ModelEvaluator):
+            part = None if e.part_elements is None else tuple(e.part_elements.tolist())
+            stacks.setdefault((e.panel.n_elements, part), []).append(i)
+        else:
+            results[i] = _iterate(e, n_elements, n_states, 1, None)
+    for members in stacks.values():
+        configs = [[0] * n_elements for _ in members]
+        traces = [OptimizationTrace() for _ in members]
+        _sweep_stack([evaluators[i] for i in members], configs, n_states, traces)
+        for i, config, trace in zip(members, configs, traces):
+            results[i] = (config, trace)
+    return results
+
+
 def build_codebook(
     panel: RisPanel,
     part_id: int,
@@ -396,17 +456,16 @@ def build_codebook(
     evaluator_at: Callable[[Sequence[float]], Evaluator],
     n_states: int | None = None,
 ) -> Codebook:
-    """Run the iterative sweep once per reference point and store the result."""
+    """Run one iterative sweep pass per reference point, all in lockstep, and
+    store the results."""
     if not len(reference_points):
         raise ValueError("reference point grid must be non-empty")
     members = panel.part_elements(part_id)
     if members.size == 0:
         raise ValueError(f"panel has no elements in part {part_id}")
     n_states = n_states if n_states is not None else panel.n_states
-    codewords = []
-    for point in reference_points:
-        config, _ = iterative_optimize(evaluator_at(point), members.size, n_states)
-        codewords.append(config)
+    evaluators = [evaluator_at(point) for point in reference_points]
+    codewords = [config for config, _ in iterative_optimize_all(evaluators, members.size, n_states)]
     return Codebook(
         part_id=part_id,
         reference_points=[tuple(float(c) for c in p) for p in reference_points],
@@ -421,11 +480,12 @@ def select_codeword(codebook: Codebook, location) -> list[int]:
     """
     if not codebook.reference_points:
         raise EmptyCodebook("codebook has no entries")
-    loc = np.asarray(location, float)
+    points = np.asarray(codebook.reference_points, float)
+    distances = np.sum((points - np.asarray(location, float)) ** 2, axis=1).tolist()
     best_idx = 0
     best_d2 = math.inf
-    for idx, point in enumerate(codebook.reference_points):
-        d2 = float(np.sum((np.asarray(point) - loc) ** 2))
+    for idx, d2 in enumerate(distances):
+        # Not argmin: a distance within 1e-15 of the best so far is a tie.
         if d2 < best_d2 - 1e-15:
             best_d2 = d2
             best_idx = idx

@@ -360,31 +360,39 @@ def _where(*path: str | int) -> str:
     return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)[1:] or "scenario"
 
 
-def _kind(noun: str, convert, accept=None):
-    """A reader that gives convert(value) if accept passes it."""
+def _kind(noun: str, types: frozenset, convert=None, accept=None):
+    """A reader of a value whose type is one of types, compared exactly, so
+    that a bool is not an int: convert(value), or the value itself when
+    convert is None, if accept passes it."""
 
     def read(value: Any, *path: str | int) -> Any:
-        try:
-            x = convert(value)
-            if accept is None or accept(x):
-                return x
-        except (TypeError, ValueError, OverflowError):
-            pass
+        if type(value) in types:
+            try:
+                x = value if convert is None else convert(value)
+                if accept is None or accept(x):
+                    return x
+            except OverflowError:  # float() of an int too large
+                pass
         raise ParseError(f"{_where(*path)}: expected {noun}, got {value!r}")
 
     return read
 
 
+# The JSON types a field may hold.
+_INT, _NUMBER, _BOOL = frozenset((int,)), frozenset((int, float)), frozenset((bool,))
+
+
 def _integer(noun: str, accept=None):
     """A reader of a JSON integer that accept passes; a bool, a float or a
     string is not one."""
-    return _kind(noun, lambda v: v, lambda v: type(v) is int and (accept is None or accept(v)))
+    return _kind(noun, _INT, None, accept)
 
 
 _int = _integer("an integer")
-_float = _kind("a number", float)
-_finite = _kind("a finite number", float, math.isfinite)
-_positive = _kind(_ABOVE_0.noun, float, _ABOVE_0.test)
+# The number readers take an int or a float, never a bool or a string.
+_float = _kind("a number", _NUMBER, float)
+_finite = _kind("a finite number", _NUMBER, float, math.isfinite)
+_positive = _kind(_ABOVE_0.noun, _NUMBER, float, _ABOVE_0.test)
 _count = _integer(*_AT_LEAST_1)
 _natural = _integer(*_AT_LEAST_0)
 _axis = _integer("an integer in [0, 2]", lambda n: 0 <= n <= 2)
@@ -392,7 +400,7 @@ _part_count = _integer("the integer 1 or 2", lambda n: n in (1, 2))
 # The readers of the fields whose types check their ranges: each checks only
 # that the value is an integer.
 _typed_natural, _typed_count = _integer(_AT_LEAST_0.noun), _integer(_AT_LEAST_1.noun)
-_flag = _kind("true or false", lambda v: v, lambda v: isinstance(v, bool))
+_flag = _kind("true or false", _BOOL)
 
 
 def _name(raw, *path: str | int) -> str:
@@ -429,12 +437,19 @@ def _point(raw, *path: str | int, dims: int = 3) -> tuple[float, ...]:
     if not isinstance(raw, (list, tuple)) or len(raw) != dims:
         shape = "[x, y, z]" if dims == 3 else "[x, y]"
         raise ParseError(f"{_where(*path)}: expected a point {shape} of finite numbers, got {raw!r}")
-    try:
-        point = tuple(map(float, raw))
-        if math.isfinite(sum(point)):  # a sum that overflows takes the slow path
-            return point
-    except (TypeError, ValueError, OverflowError):
-        pass
+    # Most of a large scenario is points, so a 3-D point of plain ints and
+    # floats with a finite sum takes an unrolled fast path. Any other point
+    # (a string, a bool, an int too large, a sum that overflows) takes the
+    # coordinate reader, which names the bad coordinate.
+    if dims == 3:
+        x, y, z = raw
+        if type(x) in _NUMBER and type(y) in _NUMBER and type(z) in _NUMBER:
+            try:
+                point = (float(x), float(y), float(z))
+                if math.isfinite(point[0] + point[1] + point[2]):
+                    return point
+            except OverflowError:
+                pass
     return tuple(_finite(c, *path, k) for k, c in enumerate(raw))
 
 
@@ -565,7 +580,7 @@ _schema(
 )
 _schema(
     PlannerSettings, snr_threshold_db=_finite, max_nodes=_natural,
-    uav_altitude_m=_kind(_ABOVE_0.noun, lambda v: v, lambda v: type(v) in (int, float)),
+    uav_altitude_m=_kind(_ABOVE_0.noun, _NUMBER),
     uav_tx_power_dbm=_finite, uav_freq_ghz=_positive, candidate_spacing_m=_positive,
     candidate_bounds=_optional(_bounds), backhaul_threshold_db=_finite, relay_sites=_points,
 )

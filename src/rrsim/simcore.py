@@ -302,21 +302,28 @@ class Kernel:
         heapq.heappush(self._queue, (fire_time, seq, sleeper))
 
     def _rouse(self, fire: int, seq: int, s: _Sleeper, t_end: int) -> Event | None:
-        """A sleeping firing popped from the queue: the event to run, or None
-        once it and its later firings before the next queued entry are
-        skipped."""
+        """A sleeping firing at the head of the queue: the event to run, left
+        for the caller to pop, or None once it and its later firings before
+        the next queued entry are skipped and the head is replaced."""
         if fire >= s.wake_time or len(s.handlers) != 1 or s.read_key() != s.key:
             return Event(fire, s.kind, s.payload, seq)
         # Skip the firings before the next entry, t_end + 1 and the wake time:
         # at least this one, which may share the next entry's time with a
         # smaller id. Each skipped firing draws the id of the next one, so n
-        # skips leave the sleeper at the id drawn by the last of them.
+        # skips leave the sleeper at the id drawn by the last of them. The
+        # next entry is a child of the head, queue[1] or queue[2].
         queue = self._queue
-        limit = queue[0][0] if queue and queue[0][0] <= t_end else t_end + 1
+        limit = t_end + 1
+        if len(queue) > 1:
+            nxt = queue[1][0]
+            if len(queue) > 2 and queue[2][0] < nxt:
+                nxt = queue[2][0]
+            if nxt < limit:
+                limit = nxt
         if s.wake_time < limit:
             limit = s.wake_time
         n = -((fire - limit) // s.period) or 1
-        heapq.heappush(queue, (fire + n * s.period, self._next_seq + n - 1, s))
+        heapq.heapreplace(queue, (fire + n * s.period, self._next_seq + n - 1, s))
         self._next_seq += n
         s.handlers.skipped += n
         return None
@@ -327,12 +334,15 @@ class Kernel:
         if t_end < self.clock:
             raise PastEvent(f"t_end={t_end} is before the clock ({self.clock})")
         queue, handlers, pop, rouse = self._queue, self._handlers, heapq.heappop, self._rouse
-        while queue and queue[0][0] <= t_end:
-            fire, seq, event = pop(queue)
+        while queue:
+            fire, seq, event = queue[0]
+            if fire > t_end:
+                break
             if event.__class__ is _Sleeper:
                 event = rouse(fire, seq, event, t_end)
                 if event is None:
                     continue
+            pop(queue)
             self.clock = fire
             kind_handlers = handlers.get(event.kind)
             if kind_handlers is None:

@@ -322,6 +322,13 @@ class TestValidation:
         (("seed",), 2.7, "seed: expected an integer >= 0, got 2.7"),
         (("nodes", 2, "ris", "rows"), 4.9, "nodes[2].ris.rows: expected an integer >= 1, got 4.9"),
         (("ticks", "sample_ms"), "7", "ticks.sample_ms: expected an integer >= 1, got '7'"),
+        # Numbers that loaded from a string or a bool.
+        (("nodes", 1, "tx_power_dbm"), "20", "nodes[1].tx_power_dbm: expected a finite number, got '20'"),
+        (("traffic", "data_mbps"), True, "traffic.data_mbps: expected a number, got True"),
+        (("planner", "candidate_spacing_m"), "500",
+         "planner.candidate_spacing_m: expected a finite number > 0, got '500'"),
+        (("nodes", 3, "position"), ["1", 0, 10], "nodes[3].position[0]: expected a finite number, got '1'"),
+        (("nodes", 3, "position"), [0, True, 10], "nodes[3].position[1]: expected a finite number, got True"),
     ]
 
     @pytest.mark.parametrize(

@@ -4,23 +4,39 @@ comprehension it replaced (one sample, and a run of samples whose link
 state and offered load repeat or move), the metrics.csv writer against csv.writer (also
 with table objects shared between samples), the all-boxes blockage test
 against the scalar `los_blocked`, the RIS link-table evaluator against
-`cascaded_gain` and its sweep kernel against the generic element sweep, the
-controller's grouped ticks against one tick event per app, and the RIS
-override of `World.best_links` against `cascaded_gain` one part at a time."""
+`cascaded_gain` and its sweep kernel against the generic element sweep (one
+evaluator, and stacks of evaluators through `iterative_optimize_all`,
+`build_codebook` and the planner's relay search), `select_codeword` against
+its scalar loop at near-tie distances, the controller's grouped ticks
+against one tick event per app, and the RIS override of `World.best_links`
+against `cascaded_gain` one part at a time."""
 
 import csv
 import io
 import json
+import math
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrsim import channel as ch
+from rrsim import ntn_planner as planner
+from rrsim import ris_opt
 from rrsim.cli import bundled_scenario_path
 from rrsim.ric import Controller, ControllerApp
-from rrsim.ris_opt import iterative_optimize, model_evaluator
+from rrsim.ris_opt import (
+    Codebook,
+    EvaluatorFailure,
+    OptimizationTrace,
+    build_codebook,
+    iterative_optimize,
+    iterative_optimize_all,
+    model_evaluator,
+    select_codeword,
+)
 from rrsim.runner import Simulation
 from rrsim.scenario import scenario_from_dict
 from rrsim.simcore import EventKind, Kernel, RateTable, Sample, write_metrics_csv
@@ -326,6 +342,212 @@ def test_fixed_point_sweep_kernel_matches_generic_sweep(link):
     slow = iterative_optimize(lambda c: evaluator(c), size, panel.n_states, passes=None)
     assert fast[0] == slow[0]
     assert fast[1].evaluations == slow[1].evaluations
+
+
+@st.composite
+def _ris_stacks(draw):
+    """One panel and 1-6 evaluators of it that sweep the same columns (the
+    whole panel or one part), each with its own tx, rx, boxes and base
+    configuration. A box around the tx-rx midpoint blocks some direct paths;
+    some evaluators are wrapped as plain functions."""
+    states = tuple(
+        draw(st.lists(
+            st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 2 * np.pi)), min_size=2, max_size=4
+        ))
+    )
+    panel = ch.RisPanel.planar(
+        "p", draw(_point), draw(st.integers(1, 3)), draw(st.integers(1, 8)),
+        draw(st.floats(0.01, 0.2)), draw(st.integers(0, 2)), states=states,
+    )
+    n = panel.n_elements
+    members = None
+    if draw(st.booleans()):
+        members = np.array(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    params = ch.ChannelParams(
+        exponent=draw(st.floats(1.5, 4.0)),
+        d0_m=draw(st.floats(0.01, 1.0)),
+        scatter_floor_db=draw(st.one_of(st.none(), st.floats(0.0, 40.0))),
+    )
+    freq = draw(st.floats(0.5, 30.0))
+    links = []
+    for _ in range(draw(st.integers(1, 6))):
+        tx, rx = draw(_point), draw(_point)
+        boxes = []
+        for _ in range(draw(st.integers(0, 2))):
+            lo, size = draw(_point), draw(st.tuples(*[st.floats(0.0, 3.0)] * 3))
+            boxes.append((lo, tuple(a + b for a, b in zip(lo, size))))
+        if draw(st.booleans()):
+            mid = [(a + b) / 2.0 for a, b in zip(tx, rx)]
+            boxes.append((tuple(c - 0.01 for c in mid), tuple(c + 0.01 for c in mid)))
+        base = draw(st.lists(st.integers(0, panel.n_states - 1), min_size=n, max_size=n))
+        links.append((tx, rx, boxes, base, draw(st.booleans())))
+    return panel, members, params, freq, links, draw(st.integers(2, panel.n_states))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ris_stacks())
+def test_stacked_sweeps_match_one_generic_sweep_each(stack):
+    panel, members, params, freq, links, n_states = stack
+    if not all(_link_free(tx, rx, panel) for tx, rx, *_ in links):
+        return
+    evaluators = [
+        model_evaluator(
+            panel, tx, 20.0, rx, freq, params, boxes, part_elements=members,
+            base_config=None if members is None else base,
+        )
+        for tx, rx, boxes, base, _ in links
+    ]
+    size = panel.n_elements if members is None else members.size
+    # A plain function is not a ModelEvaluator, so it takes the generic loop here too.
+    given_ = [(lambda c, e=e: e(c)) if plain else e for e, (*_, plain) in zip(evaluators, links)]
+    stacked = iterative_optimize_all(given_, size, n_states)
+    assert len(stacked) == len(evaluators)
+    for evaluator, (config, trace) in zip(evaluators, stacked):
+        alone = iterative_optimize(lambda c, e=evaluator: e(c), size, n_states)
+        assert config == alone[0]
+        assert trace.evaluations == alone[1].evaluations
+        assert trace.evaluations_used == trace.feedback_messages == size * n_states
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_a_bad_state_in_any_stacked_evaluator_fails_the_stack(p, data):
+    panel = ch.RisPanel.planar("p", (0.0, 0.0, 1.0), rows=1, cols=6, pitch_m=0.05)
+    params = ch.ChannelParams(exponent=2.0, d0_m=0.1)
+    members = np.array([1, 2, 4])
+    bad = data.draw(st.integers(0, p - 1))
+    bad_state = data.draw(st.integers(panel.n_states, 100))
+    evaluators, configs = [], []
+    for i in range(p):
+        # A base state outside the table, at an element the part leaves alone.
+        base = [0] * panel.n_elements
+        if i == bad:
+            base[data.draw(st.sampled_from([0, 3, 5]))] = bad_state
+        rx = (data.draw(st.floats(-2.0, 2.0)), 1.8, 1.0)
+        evaluators.append(model_evaluator(
+            panel, (-1.5, 2.0, 1.0), 20.0, rx, 3.5, params, part_elements=members, base_config=base,
+        ))
+        configs.append([bad_state if i == bad else 0] * panel.n_elements)
+    with pytest.raises(EvaluatorFailure) as info:
+        iterative_optimize_all(evaluators, members.size, panel.n_states)
+    assert isinstance(info.value.__cause__, IndexError)
+    # The same for a stack of full-panel evaluators, one of which starts from
+    # a configuration with a state outside the table.
+    full = [model_evaluator(panel, (-1.5, 2.0, 1.0), 20.0, e.rx, 3.5, params) for e in evaluators]
+    traces = [OptimizationTrace() for _ in full]
+    with pytest.raises(EvaluatorFailure) as info:
+        ris_opt._sweep_stack(full, configs, panel.n_states, traces)
+    assert isinstance(info.value.__cause__, IndexError)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(_point, min_size=1, max_size=6, unique=True), _point, st.integers(0, 1),
+    st.integers(2, 4), st.data(),
+)
+def test_codebook_is_one_generic_sweep_per_point(points, tx, part_id, n_states, data):
+    panel = ch.RisPanel.planar("p", (0.0, 0.0, 1.0), rows=2, cols=4, pitch_m=0.05)
+    panel.split_halves()
+    if not all(_link_free(tx, point, panel) for point in points):
+        return
+    params = ch.ChannelParams(exponent=2.0, d0_m=0.1)
+    members = panel.part_elements(part_id)
+    base = data.draw(st.lists(st.integers(0, 3), min_size=8, max_size=8))
+    boxes = [((-0.5, 0.5, 0.0), (0.5, 1.0, 2.0))] if data.draw(st.booleans()) else []
+
+    def evaluator_at(point):
+        return model_evaluator(
+            panel, tx, 20.0, point, 3.5, params, boxes, part_elements=members, base_config=base,
+        )
+
+    codebook = build_codebook(panel, part_id, points, evaluator_at, n_states=n_states)
+    assert codebook.codewords == [
+        iterative_optimize(lambda c, e=evaluator_at(point): e(c), members.size, n_states)[0]
+        for point in points
+    ]
+
+
+def _relay_by_site(a_pos, b_pos, tx_power_dbm, freq_ghz, params, obstacles, relay_sites, threshold_db):
+    """`ntn_planner._try_ris_relay` as one generic sweep per site."""
+    rows, cols = planner.DEFAULT_RELAY_ELEMENTS
+    best = None
+    for site in relay_sites:
+        if ch.los_blocked(a_pos, site, obstacles) or ch.los_blocked(site, b_pos, obstacles):
+            continue
+        panel = ch.RisPanel.planar("relay", site, rows, cols, pitch_m=0.04)
+        evaluator = model_evaluator(panel, a_pos, tx_power_dbm, b_pos, freq_ghz, params, obstacles=obstacles)
+        config, _ = iterative_optimize(lambda c: evaluator(c), panel.n_elements, panel.n_states)
+        snr = evaluator(config) - params.noise_floor_dbm()
+        if snr >= threshold_db and (best is None or snr > best[1]):
+            best = (tuple(site), snr)
+    return best
+
+
+_site_coord = st.floats(-300.0, 300.0)
+_site = st.tuples(_site_coord, _site_coord, st.floats(10.0, 200.0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    _site, _site, st.lists(_site, min_size=1, max_size=6),
+    st.lists(st.tuples(_site, st.tuples(*[st.floats(1.0, 150.0)] * 3)), max_size=3),
+    st.floats(-20.0, 60.0),
+)
+def test_relay_search_is_one_generic_sweep_per_site(a_pos, b_pos, sites, boxes, threshold):
+    obstacles = [(lo, tuple(c + d for c, d in zip(lo, size))) for lo, size in boxes]
+    params = ch.ChannelParams(exponent=2.2)
+    args = (a_pos, b_pos, 45.0, 2.0, params, obstacles, sites, threshold)
+    try:
+        expected = _relay_by_site(*args)
+    except EvaluatorFailure:
+        with pytest.raises(EvaluatorFailure):
+            planner._try_ris_relay(*args)
+        return
+    assert planner._try_ris_relay(*args) == expected
+
+
+def _select_by_loop(codebook, location):
+    """`select_codeword` as the scalar loop over reference points."""
+    loc = np.asarray(location, float)
+    best_idx, best_d2 = 0, math.inf
+    for idx, point in enumerate(codebook.reference_points):
+        d2 = float(np.sum((np.asarray(point) - loc) ** 2))
+        if d2 < best_d2 - 1e-15:
+            best_d2, best_idx = d2, idx
+    return list(codebook.codewords[best_idx])
+
+
+@st.composite
+def _near_tie_codebooks(draw):
+    """A location and 1-8 distinct reference points, most at distances from
+    it that differ only by rounding: mirror images of one offset, and points
+    a few ulps from one."""
+    loc = draw(_point)
+    offset = draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3))
+    points = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["mirror", "nudge", "free"]))
+        if kind == "mirror":
+            order = draw(st.permutations(range(3)))
+            signs = draw(st.tuples(*[st.sampled_from([-1.0, 1.0])] * 3))
+            point = tuple(loc[i] + signs[i] * offset[order[i]] for i in range(3))
+        elif kind == "nudge":
+            point = tuple(
+                float(np.nextafter(loc[i] + offset[i], draw(st.sampled_from([-np.inf, np.inf]))))
+                for i in range(3)
+            )
+        else:
+            point = draw(_point)
+        if point not in points:
+            points.append(point)
+    return Codebook(0, points, [[i] for i in range(len(points))]), loc
+
+
+@settings(max_examples=500, deadline=None)
+@given(_near_tie_codebooks())
+def test_select_codeword_is_the_scalar_loop(case):
+    codebook, loc = case
+    assert select_codeword(codebook, loc) == _select_by_loop(codebook, loc)
 
 
 _grid = st.integers(-3, 3).map(float)

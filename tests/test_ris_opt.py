@@ -20,6 +20,7 @@ from rrsim.ris_opt import (
     grouping_optimize,
     iterative_fixed_point,
     iterative_optimize,
+    iterative_optimize_all,
     model_evaluator,
     select_codeword,
 )
@@ -311,6 +312,33 @@ class TestSweepKernel:
             with pytest.raises(EvaluatorFailure) as info:
                 iterative_optimize(path, size, n_states, initial=initial)
             assert isinstance(info.value.__cause__, IndexError)
+
+    def test_one_call_with_two_parts_and_a_plain_function(self, two_ue_scenario):
+        """Evaluators of the two halves sweep different columns, so one call
+        runs them as two stacks, and a plain function alone; each result is
+        the generic loop's for that evaluator."""
+        world = World(two_ue_scenario)
+        panel, tx = world.panels["ris1"], world.nodes["tx1"]
+        base = [k % panel.n_states for k in range(panel.n_elements)]
+        evaluators = [
+            model_evaluator(
+                panel, tx.position, tx.tx_power_dbm, world.nodes[ue].position, tx.freq_ghz,
+                two_ue_scenario.channel, part_elements=panel.part_elements(part), base_config=base,
+            )
+            for part, ue in ((0, "rx1"), (1, "rx2"), (0, "rx2"), (1, "rx1"))
+        ]
+        size = panel.part_elements(0).size
+        assert panel.part_elements(1).size == size
+        given = evaluators[:3] + [lambda c: evaluators[3](c)]
+        results = iterative_optimize_all(given, size, panel.n_states)
+        assert len(results) == len(evaluators)
+        for evaluator, (config, trace) in zip(evaluators, results):
+            alone = iterative_optimize(lambda c: evaluator(c), size, panel.n_states)
+            assert config == alone[0]
+            assert trace.evaluations == alone[1].evaluations
+        assert iterative_optimize_all([], size, panel.n_states) == []
+        with pytest.raises(ValueError, match="need n_elements >= 1, n_states >= 2"):
+            iterative_optimize_all(evaluators, size, 1)
 
     @pytest.mark.parametrize("case", ["bench_case", "two_ue_case"])
     def test_initial_of_wrong_length(self, two_ue_scenario, case):
