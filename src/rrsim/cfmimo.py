@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import AbstractSet, Sequence
 
 import numpy as np
 
@@ -35,30 +36,40 @@ class ClusterAssignment:
         return self.serving.get(ue_id, ())
 
 
-def cluster(
-    large_scale_gains_db: dict[str, dict[str, float]],
-    max_aps: int,
-    active_aps: set[str] | None = None,
+def top_l_clusters(
+    ap_ids: Sequence[str], ue_ids: Sequence[str], gains_db: np.ndarray, max_aps: int
 ) -> ClusterAssignment:
-    """Top-L AP selection per UE by large-scale gain; ties to the lower AP id.
+    """Top-L AP selection per UE by large-scale gain, for all UEs in one sort;
+    ties to the lower AP id.
 
-    large_scale_gains_db maps ue_id -> {ap_id: gain dB}. APs may serve any
-    number of UEs.
+    gains_db is (n_aps, n_ues): its rows follow ap_ids, which must be sorted,
+    and its columns ue_ids. The sort is stable, so tied rows keep id order.
     """
     if max_aps < 1:
         raise ValueError("max_aps must be >= 1")
+    rows = np.argsort(-gains_db, axis=0, kind="stable")[:max_aps]
+    names = np.array(ap_ids, dtype=object)[rows]
+    return ClusterAssignment(dict(zip(ue_ids, map(tuple, names.T.tolist()))))
+
+
+def cluster(
+    large_scale_gains_db: dict[str, dict[str, float]],
+    max_aps: int,
+    active_aps: AbstractSet[str] | None = None,
+) -> ClusterAssignment:
+    """`top_l_clusters` over gains given per UE.
+
+    large_scale_gains_db maps ue_id -> {ap_id: gain dB}. Each UE may have
+    its own APs, so each is one column of its active APs. APs may serve any
+    number of UEs.
+    """
     serving: dict[str, tuple[str, ...]] = {}
     for ue_id, gains in large_scale_gains_db.items():
-        candidates = [
-            (ap_id, g)
-            for ap_id, g in gains.items()
-            if active_aps is None or ap_id in active_aps
-        ]
-        if not candidates:
+        ap_ids = sorted(ap_id for ap_id in gains if active_aps is None or ap_id in active_aps)
+        if not ap_ids:
             raise NoActiveAps(f"no active AP reaches UE {ue_id}")
-        # sort by gain descending, then ap id ascending for deterministic ties
-        candidates.sort(key=lambda item: (-item[1], item[0]))
-        serving[ue_id] = tuple(ap_id for ap_id, _ in candidates[:max_aps])
+        column = np.array([[gains[ap_id]] for ap_id in ap_ids], float)
+        serving.update(top_l_clusters(ap_ids, (ue_id,), column, max_aps).serving)
     return ClusterAssignment(serving)
 
 

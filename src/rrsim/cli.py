@@ -29,6 +29,10 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NOT_RECOVERED = 3
 EXIT_UNREACHABLE = 4
+# The buffer of every artifact file: a 4 h run's metrics.csv (about 20 MB)
+# goes out in about 80 writes instead of one per 8 KB. A larger buffer saves
+# little more time and costs peak memory.
+WRITE_BUFFER_BYTES = 256 * 1024
 
 log = logging.getLogger("rrs")
 
@@ -65,7 +69,7 @@ def _atomic_write(path: str, write_fn) -> None:
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(fd, 0o666 & ~umask)
-            with os.fdopen(fd, "w", newline="") as fh:
+            with os.fdopen(fd, "w", buffering=WRITE_BUFFER_BYTES, newline="") as fh:
                 write_fn(fh)
             os.replace(tmp, path)
         except BaseException:

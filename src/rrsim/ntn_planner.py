@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import AbstractSet, Any, Sequence
 
 import numpy as np
 
@@ -113,7 +113,7 @@ def coverage_sets(
 
 
 def place_ntn(
-    out_of_service: set[str],
+    out_of_service: AbstractSet[str],
     candidates: Sequence[Sequence[float]],
     ue_ids: list[str],
     ue_positions: np.ndarray,

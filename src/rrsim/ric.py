@@ -11,7 +11,7 @@ import numpy as np
 
 from . import ntn_planner as planner
 from .ris_opt import Codebook, build_codebook, iterative_optimize, select_codeword
-from .cfmimo import ClusterAssignment, cluster
+from .cfmimo import ClusterAssignment, top_l_clusters
 from .scenario import (
     DEFAULT_NEAR_RT_TICK_MS,
     DEFAULT_NON_RT_TICK_MS,
@@ -208,11 +208,7 @@ class Controller:
         links = self.world.link_budget()
         if not links.access_ids or not links.ue_ids:
             return ClusterAssignment({})
-        gains = {
-            ue_id: dict(zip(links.access_ids, links.snr_db[:, j].tolist()))
-            for j, ue_id in enumerate(links.ue_ids)
-        }
-        return cluster(gains, max_aps, set(links.access_ids))
+        return top_l_clusters(links.access_ids, links.ue_ids, links.snr_db, max_aps)
 
     # --- RIS codebooks -------------------------------------------------------
 
@@ -239,7 +235,7 @@ def _failure_monitor(ctl: Controller) -> list[Action]:
     oos = ctl.world.out_of_service()
     previous = ctl.blackboard.get("out_of_service")
     ctl.blackboard["out_of_service"] = oos
-    if previous != oos and oos:
+    if oos and previous is not oos and previous != oos:
         return [Action("Note", {"text": f"outage detected: {len(oos)} UEs out of service"})]
     return []
 
@@ -403,8 +399,8 @@ def builtin_apps(
     tier; RIS tracking/tuning, clustering and scripted policy switches in the
     NearRT tier; energy and sensing management are log-only stubs. Only the
     failure monitor has no idle gate: it writes `out_of_service`, the key the
-    planner's gate reads just after it, from the link budget that the world
-    keeps per version, so a run costs one set comparison."""
+    planner's gate reads just after it, from the set that the world keeps per
+    link budget, so a run at an unchanged version costs one identity test."""
     non_rt, near_rt = non_rt_interval_ms, near_rt_interval_ms
     return [
         ControllerApp("FailureMonitor", "NonRT", _failure_monitor, non_rt),

@@ -11,18 +11,21 @@ a key that is not a field, a missing required key, or a value of the wrong
 shape is a `ParseError` that names its path.
 
 A value is checked once, when it is built: `Node`, `TrafficProfile`,
-`DisasterEvent` and `PlannerSettings` check their own fields, and `Scenario`
-its tick ranges, seed, battery reserve and event times, and what spans
-objects, such as the node ids that settings refer to. The reader of a field
-whose type checks its range checks only the JSON type, under the same noun. A scenario built in Python or
-by `dataclasses.replace` is checked the same way, so a `Scenario` that exists
-is valid, and the rest of the program reads its attributes as they are.
+`DisasterEvent`, `PlannerSettings` and `CellFreeSettings` check their own
+fields, and `Scenario` its tick ranges, seed, battery reserve and event
+times, each node's `RisLayout` (by `RisLayout.check`, with the node's path),
+and what spans objects, such as the node ids that settings refer to. The
+reader of a field whose type checks its range checks only the JSON type,
+under the same noun. A scenario built in Python or by `dataclasses.replace`
+is checked the same way, so a `Scenario` that exists is valid, and the rest
+of the program reads its attributes as they are.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from functools import partial
@@ -81,7 +84,10 @@ _NEAR_RT_TICK = _Range(
     f"an integer in [{NEAR_RT_MIN_INTERVAL_MS}, {NEAR_RT_MAX_INTERVAL_MS}]",
     lambda n: NEAR_RT_MIN_INTERVAL_MS <= n <= NEAR_RT_MAX_INTERVAL_MS,
 )
-_ABOVE_0 = _Range("a finite number > 0", lambda x: 0.0 < x < math.inf)
+# Exact for an int too large for a float, which `float()` would not convert.
+_ABOVE_0 = _Range("a finite number > 0", lambda x: 0.0 < x <= sys.float_info.max)
+_AXIS = _Range("an integer in [0, 2]", lambda n: 0 <= n <= 2)
+_PART_COUNT = _Range("the integer 1 or 2", lambda n: n in (1, 2))
 
 
 class NodeKind(str, Enum):
@@ -121,6 +127,16 @@ class RisLayout:
     pitch_m: float = 0.04
     normal_axis: int = 1
     parts: int = 1
+
+    def check(self, *path: str | int) -> None:
+        """The layout's range rules, with path the layout's place in a
+        scenario file. A layout does not know which node holds it, so
+        `Scenario` checks each one with its node's index."""
+        _AT_LEAST_1.check(self.rows, *path, "rows")
+        _AT_LEAST_1.check(self.cols, *path, "cols")
+        _ABOVE_0.check(self.pitch_m, *path, "pitch_m")
+        _AXIS.check(self.normal_axis, *path, "normal_axis")
+        _PART_COUNT.check(self.parts, *path, "parts")
 
 
 @dataclass(frozen=True)
@@ -242,15 +258,20 @@ class PlannerSettings:
     relay_sites: tuple[tuple[float, float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        _ABOVE_0.check(self.uav_altitude_m, "planner", "uav_altitude_m")
-        # A float, as the default is: it becomes the z of every candidate,
-        # which `rrs plan` writes.
-        object.__setattr__(self, "uav_altitude_m", float(self.uav_altitude_m))
+        _AT_LEAST_0.check(self.max_nodes, "planner", "max_nodes")
+        # Floats, as the defaults are: the altitude becomes the z of every
+        # candidate, which `rrs plan` writes.
+        for name in ("uav_altitude_m", "uav_freq_ghz", "candidate_spacing_m"):
+            _ABOVE_0.check(getattr(self, name), "planner", name)
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass(frozen=True)
 class CellFreeSettings:
     L: int = 2  # access points serving each UE
+
+    def __post_init__(self) -> None:
+        _AT_LEAST_1.check(self.L, "cfmimo", "L")
 
 
 @dataclass(frozen=True)
@@ -286,6 +307,8 @@ class Scenario:
                 raise ValidationError(
                     f"nodes[{i}].ris: only a RisPanel has a layout, {node.node_id} is a {node.kind.value}"
                 )
+            if node.ris is not None:
+                node.ris.check("nodes", i, "ris")
             if node.ris is not None and node.ris.parts == 2 and node.ris.rows * node.ris.cols < 2:
                 raise ValidationError(
                     f"nodes[{i}].ris: a panel in 2 parts needs at least 2 elements, {node.node_id} has "
@@ -393,13 +416,13 @@ _int = _integer("an integer")
 _float = _kind("a number", _NUMBER, float)
 _finite = _kind("a finite number", _NUMBER, float, math.isfinite)
 _positive = _kind(_ABOVE_0.noun, _NUMBER, float, _ABOVE_0.test)
-_count = _integer(*_AT_LEAST_1)
-_natural = _integer(*_AT_LEAST_0)
-_axis = _integer("an integer in [0, 2]", lambda n: 0 <= n <= 2)
-_part_count = _integer("the integer 1 or 2", lambda n: n in (1, 2))
 # The readers of the fields whose types check their ranges: each checks only
-# that the value is an integer.
+# that the value is an integer, or a number.
 _typed_natural, _typed_count = _integer(_AT_LEAST_0.noun), _integer(_AT_LEAST_1.noun)
+_typed_positive = _kind(_ABOVE_0.noun, _NUMBER)
+# `planner.max_nodes` is checked by `PlannerSettings` too, but out of range
+# in a file it stays the `ParseError` it has always been.
+_natural = _integer(*_AT_LEAST_0)
 _flag = _kind("true or false", _BOOL)
 
 
@@ -568,7 +591,10 @@ def _ue_moves(raw, *path: str | int) -> tuple[UeMove, ...]:
 
 
 _points, _policy = _rows(_point), partial(_choice, POLICIES)
-_schema(RisLayout, rows=_count, cols=_count, pitch_m=_positive, normal_axis=_axis, parts=_part_count)
+_schema(
+    RisLayout, rows=_typed_count, cols=_typed_count, pitch_m=_typed_positive,
+    normal_axis=_integer(_AXIS.noun), parts=_integer(_PART_COUNT.noun),
+)
 _schema(
     TrafficProfile, data_mbps=_float, voice_mbps=_float,
     data_surge=_pairs(_int, _float), voice_surge=_pairs(_int, _float),
@@ -579,12 +605,11 @@ _schema(
     scatter_floor_db=_optional(_finite), fading=_flag,
 )
 _schema(
-    PlannerSettings, snr_threshold_db=_finite, max_nodes=_natural,
-    uav_altitude_m=_kind(_ABOVE_0.noun, _NUMBER),
-    uav_tx_power_dbm=_finite, uav_freq_ghz=_positive, candidate_spacing_m=_positive,
+    PlannerSettings, snr_threshold_db=_finite, max_nodes=_natural, uav_altitude_m=_typed_positive,
+    uav_tx_power_dbm=_finite, uav_freq_ghz=_typed_positive, candidate_spacing_m=_typed_positive,
     candidate_bounds=_optional(_bounds), backhaul_threshold_db=_finite, relay_sites=_points,
 )
-_schema(CellFreeSettings, L=_count)
+_schema(CellFreeSettings, L=_typed_count)
 _schema(RisPart, ue=_name, reference_points=_points)
 _schema(RisPanelSettings, tx=_name, parts=_objects(RisPart))
 _schema(ScriptEntry, time_ms=_int, policy=_policy, ris_off=_flag)

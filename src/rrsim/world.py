@@ -38,9 +38,11 @@ class LinkBudget(NamedTuple):
     best_db: np.ndarray  # (n_ues,)
     server_rows: np.ndarray  # (n_ues,) the snr_db row of best_db, -1 where none is finite
 
-    def out_of_service(self, threshold_db: float) -> set[str]:
+    def out_of_service(self, threshold_db: float) -> frozenset[str]:
         """The UEs whose best SNR is below the threshold."""
-        return {ue_id for ue_id, snr in zip(self.ue_ids, self.best_db.tolist()) if snr < threshold_db}
+        return frozenset(
+            [ue_id for ue_id, snr in zip(self.ue_ids, self.best_db.tolist()) if snr < threshold_db]
+        )
 
 
 def access_snr_matrix(
@@ -98,6 +100,8 @@ class World:
         self.version = 0
         # (version, link budget) of the last version read.
         self._at_version: tuple[int, LinkBudget] | None = None
+        # (link budget, threshold, the UEs out of service in it).
+        self._outage: tuple[LinkBudget, float, frozenset[str]] | None = None
         # (panel id, part id) -> the UE that the part serves, in sorted order.
         self.ris_parts: dict[tuple[str, int], str] = dict(sorted(
             ((panel_id, int(part_id)), part.ue)
@@ -236,10 +240,15 @@ class World:
                 codes[j] = len(access_ids) + panel_index[panel_id]
         return ue_ids, best, codes
 
-    def out_of_service(self) -> set[str]:
+    def out_of_service(self) -> frozenset[str]:
         """The UEs whose best SNR in the link budget is below the coverage
-        threshold."""
-        return self.link_budget().out_of_service(self.snr_threshold_db)
+        threshold: one set per link budget, the same object until the
+        version moves."""
+        budget, threshold = self.link_budget(), self.snr_threshold_db
+        outage = self._outage
+        if outage is None or outage[0] is not budget or outage[1] != threshold:
+            outage = self._outage = (budget, threshold, budget.out_of_service(threshold))
+        return outage[2]
 
     def ue_positions(self) -> tuple[list[str], np.ndarray]:
         ues = sorted(

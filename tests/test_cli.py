@@ -329,6 +329,12 @@ class TestValidation:
          "planner.candidate_spacing_m: expected a finite number > 0, got '500'"),
         (("nodes", 3, "position"), ["1", 0, 10], "nodes[3].position[0]: expected a finite number, got '1'"),
         (("nodes", 3, "position"), [0, True, 10], "nodes[3].position[1]: expected a finite number, got True"),
+        # An integer too large for a float passed the range check, and
+        # float() then raised OverflowError.
+        (("planner", "uav_altitude_m"), 10**400,
+         f"planner.uav_altitude_m: expected a finite number > 0, got {10**400}"),
+        (("planner", "candidate_spacing_m"), 10**400,
+         f"planner.candidate_spacing_m: expected a finite number > 0, got {10**400}"),
     ]
 
     @pytest.mark.parametrize(

@@ -8,8 +8,10 @@ against the scalar `los_blocked`, the RIS link-table evaluator against
 evaluator, and stacks of evaluators through `iterative_optimize_all`,
 `build_codebook` and the planner's relay search), `select_codeword` against
 its scalar loop at near-tie distances, the controller's grouped ticks
-against one tick event per app, and the RIS override of `World.best_links`
-against `cascaded_gain` one part at a time."""
+against one tick event per app, the RIS override of `World.best_links`
+against `cascaded_gain` one part at a time, the one-sort top-L clustering
+against the per-UE sorted loop, and the outage set that `World` keeps per
+link budget against the budget's own."""
 
 import csv
 import io
@@ -27,6 +29,7 @@ from rrsim import ntn_planner as planner
 from rrsim import ris_opt
 from rrsim.cli import bundled_scenario_path
 from rrsim.ric import Controller, ControllerApp
+from rrsim.cfmimo import cluster, top_l_clusters
 from rrsim.ris_opt import (
     Codebook,
     EvaluatorFailure,
@@ -38,7 +41,7 @@ from rrsim.ris_opt import (
     select_codeword,
 )
 from rrsim.runner import Simulation
-from rrsim.scenario import scenario_from_dict
+from rrsim.scenario import NodeKind, scenario_from_dict
 from rrsim.simcore import EventKind, Kernel, RateTable, Sample, write_metrics_csv
 from rrsim.world import World
 
@@ -888,3 +891,87 @@ def test_world_best_links_is_the_budget_with_each_stronger_ris_link(data):
         assert [array.tobytes() for array in kept] == [
             array.tobytes() for array in (budget.snr_db, budget.best_db, budget.server_rows)
         ]
+
+
+def _top_l_by_loop(ap_ids, ue_ids, gains, max_aps):
+    """The per-UE clustering loop: each UE's APs sorted by (-gain, ap id),
+    the first max_aps of them."""
+    serving = {}
+    for j, ue_id in enumerate(ue_ids):
+        candidates = [(ap_id, gains[i][j]) for i, ap_id in enumerate(ap_ids)]
+        candidates.sort(key=lambda item: (-item[1], item[0]))
+        serving[ue_id] = tuple(ap_id for ap_id, _ in candidates[:max_aps])
+    return serving
+
+
+# Few distinct gains, so that ties are common, 0.0 against -0.0 among them.
+_cluster_gain = st.sampled_from([-3.0, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0, -math.inf])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_top_l_clusters_is_the_sorted_loop(data):
+    """`top_l_clusters` over a (n_access, n_ues) matrix, and `cluster` over
+    the same gains as dicts, give the loop's assignment: ties, 0.0 against
+    -0.0 included, go to the lower AP id."""
+    n_access, n_ues = data.draw(st.integers(1, 6)), data.draw(st.integers(0, 8))
+    ap_ids = sorted(data.draw(st.lists(st.text("ab_1", max_size=3), min_size=n_access, max_size=n_access,
+                                       unique=True)))
+    ue_ids = [f"ue{j}" for j in range(n_ues)]
+    gains = data.draw(st.lists(st.lists(_cluster_gain, min_size=n_ues, max_size=n_ues),
+                               min_size=n_access, max_size=n_access))
+    max_aps = data.draw(st.integers(1, n_access + 1))
+    expected = _top_l_by_loop(ap_ids, ue_ids, gains, max_aps)
+    matrix = np.array(gains, float).reshape(n_access, n_ues)
+    assert top_l_clusters(tuple(ap_ids), ue_ids, matrix, max_aps).serving == expected
+    by_ue = {ue_id: {ap_ids[i]: gains[i][j] for i in reversed(range(n_access))}
+             for j, ue_id in enumerate(ue_ids)}
+    assert cluster(by_ue, max_aps).serving == expected
+
+
+with open(bundled_scenario_path("earthquake_demo.json")) as _fh:
+    _QUAKE = scenario_from_dict(json.load(_fh))
+_WORLDS = {
+    "room": (scenario_from_dict(_ROOM), _room_point),
+    "quake": (_QUAKE, st.tuples(st.floats(0.0, 5_000.0), st.floats(0.0, 5_000.0), st.just(1.5))),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(_WORLDS)), st.data())
+def test_out_of_service_is_kept_per_link_budget(name, data):
+    """On a bare `World` (the two-UE room or the earthquake demo), after any
+    run of strikes, UE moves, RIS writes and deployments, `out_of_service()`
+    equals the link budget's own set at the threshold. It is the same object
+    while the version stays, and a new one after each bump."""
+    scenario, point = _WORLDS[name]
+    world = World(scenario)
+    access = sorted(n.node_id for n in scenario.nodes if n.kind == NodeKind.TERRESTRIAL_BS)
+    ues = sorted(n.node_id for n in scenario.nodes if n.kind == NodeKind.UE)
+    version, previous = world.version, world.out_of_service()
+    for now_ms in range(data.draw(st.integers(1, 6))):
+        step = data.draw(st.sampled_from(["strike", "move", "ris", "deploy"]))
+        if step == "strike":
+            failed = data.draw(st.lists(st.sampled_from(access), max_size=3, unique=True))
+            power_loss = data.draw(st.lists(st.sampled_from(access), max_size=2, unique=True))
+            lo = data.draw(point)
+            box = (lo, tuple(a + b for a, b in zip(lo, (40.0, 40.0, 20.0))))
+            world.apply_strike(failed, [n for n in power_loss if n not in failed], [box], now_ms)
+        elif step == "move":
+            world.move_node(data.draw(st.sampled_from(ues)), data.draw(point))
+        elif step == "ris" and world.panels:
+            panel_id = data.draw(st.sampled_from(sorted(world.panels)))
+            panel = world.panels[panel_id]
+            part_id = data.draw(st.sampled_from(np.unique(panel.partition).tolist()))
+            size = panel.part_elements(part_id).size
+            world.configure_ris(panel_id, part_id, data.draw(
+                st.lists(st.integers(0, panel.n_states - 1), min_size=size, max_size=size)))
+        elif step == "deploy":
+            x, y, _ = data.draw(point)
+            world.add_deployed_node(NodeKind.UAV, (x, y, 120.0), 35.0, 3.5)
+        oos = world.out_of_service()
+        assert isinstance(oos, frozenset)
+        assert oos == world.link_budget().out_of_service(world.snr_threshold_db)
+        assert (oos is previous) == (world.version == version)
+        assert world.out_of_service() is oos
+        version, previous = world.version, oos

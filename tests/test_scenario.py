@@ -265,6 +265,14 @@ class TestDisasterExpansion:
             Scenario(s.nodes, disasters=(DisasterEvent(0, power_loss=("ghost",)),))
 
 
+def with_layout(s, **changes):
+    """s with each RIS panel's layout changed."""
+    nodes = tuple(
+        dataclasses.replace(n, ris=dataclasses.replace(n.ris, **changes)) if n.ris else n for n in s.nodes
+    )
+    return dataclasses.replace(s, nodes=nodes)
+
+
 class TestCheckedOnce:
     def test_a_scenario_built_in_python_is_checked(self):
         s = minimal()
@@ -296,9 +304,24 @@ class TestCheckedOnce:
              "ric.ue_moves[0].time_ms: expected an integer >= 0, got -1"),
             (lambda s: dataclasses.replace(s, planner=dataclasses.replace(s.planner, uav_altitude_m=0)),
              "planner.uav_altitude_m: expected a finite number > 0, got 0"),
+            (lambda s: dataclasses.replace(s, planner=dataclasses.replace(s.planner, max_nodes=-2)),
+             "planner.max_nodes: expected an integer >= 0, got -2"),
+            (lambda s: dataclasses.replace(s, planner=dataclasses.replace(s.planner, uav_freq_ghz=0)),
+             "planner.uav_freq_ghz: expected a finite number > 0, got 0"),
+            (lambda s: dataclasses.replace(s, planner=dataclasses.replace(s.planner, candidate_spacing_m=-500)),
+             "planner.candidate_spacing_m: expected a finite number > 0, got -500"),
+            (lambda s: dataclasses.replace(s, cfmimo=dataclasses.replace(s.cfmimo, L=0)),
+             "cfmimo.L: expected an integer >= 1, got 0"),
+            (lambda s: with_layout(s, rows=0), "nodes[2].ris.rows: expected an integer >= 1, got 0"),
+            (lambda s: with_layout(s, cols=-4), "nodes[2].ris.cols: expected an integer >= 1, got -4"),
+            (lambda s: with_layout(s, pitch_m=0), "nodes[2].ris.pitch_m: expected a finite number > 0, got 0"),
+            (lambda s: with_layout(s, normal_axis=3),
+             "nodes[2].ris.normal_axis: expected an integer in [0, 2], got 3"),
+            (lambda s: with_layout(s, parts=3), "nodes[2].ris.parts: expected the integer 1 or 2, got 3"),
         ],
         ids=["seed", "non_rt_ms", "near_rt_ms", "sample_ms", "battery_reserve_ms", "strike_time",
-             "move_time", "uav_altitude_m"],
+             "move_time", "uav_altitude_m", "max_nodes", "uav_freq_ghz", "candidate_spacing_m", "L",
+             "ris_rows", "ris_cols", "ris_pitch_m", "ris_normal_axis", "ris_parts"],
     )
     def test_range_rules_hold_for_a_scenario_built_in_python(self, edit, message):
         """The range rules are the types' own, with the message a scenario
