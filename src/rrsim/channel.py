@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -171,7 +172,9 @@ class RisPanel:
     partition: np.ndarray | None = None  # (N,) part id per element
 
     def __post_init__(self) -> None:
-        self.element_positions = np.asarray(self.element_positions, float)
+        # The geometry and the states are fixed once built: the kept arrays
+        # of `part_elements`, `tx_half` and the state arrays derive from them.
+        self.element_positions = _read_only(np.array(self.element_positions, float))
         if self.element_positions.ndim != 2 or self.element_positions.shape[1] != 3:
             raise ValueError("element_positions must be (N, 3)")
         if self.n_elements == 0:
@@ -185,6 +188,8 @@ class RisPanel:
             self.partition = np.asarray(self.partition, dtype=int)
             if self.partition.shape != (self.n_elements,):
                 raise ValueError("partition table must have one part id per element")
+        self._parts: dict[int, np.ndarray] = {}
+        self._tx_half: tuple[tuple, tuple[np.ndarray, np.ndarray]] | None = None
 
     @property
     def n_elements(self) -> int:
@@ -194,8 +199,23 @@ class RisPanel:
     def n_states(self) -> int:
         return len(self.states)
 
+    @cached_property
+    def state_amps(self) -> np.ndarray:
+        """The amplitude of each state, read-only, built on first use."""
+        return _read_only(np.array([amp for amp, _ in self.states], float))
+
+    @cached_property
+    def state_phases(self) -> np.ndarray:
+        """The phase of each state, read-only, built on first use."""
+        return _read_only(np.array([phase for _, phase in self.states], float))
+
     def part_elements(self, part_id: int) -> np.ndarray:
-        return np.flatnonzero(self.partition == part_id)
+        """The ascending element indices of one part, read-only, kept until
+        the partition changes."""
+        members = self._parts.get(part_id)
+        if members is None:
+            members = self._parts[part_id] = _read_only(np.flatnonzero(self.partition == part_id))
+        return members
 
     def split_halves(self) -> None:
         """Partition into two contiguous halves (parts 0 and 1)."""
@@ -203,6 +223,22 @@ class RisPanel:
         table = np.zeros(self.n_elements, dtype=int)
         table[half:] = 1
         self.partition = table
+        self._parts = {}
+
+    def tx_half(self, tx, freq_ghz: float, params: ChannelParams) -> tuple[np.ndarray, np.ndarray]:
+        """The tx side of `reflected_terms`: each element's distance d1 from
+        tx and its path loss pl1, read-only. The panel never moves, so they
+        are kept for the last (tx, freq_ghz, params) asked for, and computed
+        again when any of the three changes."""
+        tx = np.asarray(tx, float)
+        key = (tx.tobytes(), freq_ghz, params)
+        if self._tx_half is None or self._tx_half[0] != key:
+            d1 = np.linalg.norm(self.element_positions - tx, axis=1)
+            if np.any(d1 <= 0.0):
+                raise ZeroDistance("tx or rx coincides with a panel element")
+            pl1 = _path_loss_db_vec(d1, freq_ghz, params)
+            self._tx_half = (key, (_read_only(d1), _read_only(pl1)))
+        return self._tx_half[1]
 
     @classmethod
     def planar(
@@ -264,25 +300,23 @@ def reflected_terms(
     With a config, (N,) terms at the state config[k] of each element; without
     one, the (N, S) table of every state of every element. Both shapes come
     from the same element-wise operations, so a gathered table row equals the
-    config's terms bit for bit.
+    config's terms bit for bit. The tx half (d1 and its path loss) is the
+    panel's kept `tx_half`.
     """
     wavelength = SPEED_OF_LIGHT / (freq_ghz * 1e9)
-    d1 = np.linalg.norm(panel.element_positions - tx, axis=1)
+    d1, pl1 = panel.tx_half(tx, freq_ghz, params)
     d2 = np.linalg.norm(rx - panel.element_positions, axis=1)
-    if np.any(d1 <= 0.0) or np.any(d2 <= 0.0):
+    if np.any(d2 <= 0.0):
         raise ZeroDistance("tx or rx coincides with a panel element")
-    pl1 = _path_loss_db_vec(d1, freq_ghz, params)
     pl2 = _path_loss_db_vec(d2, freq_ghz, params)
     seg_amp = 10.0 ** (-(pl1 + pl2) / 20.0)
     path_phase = 2.0 * math.pi * (d1 + d2) / wavelength
     if config is None:
-        state_amp = np.array([amp for amp, _ in panel.states])
-        state_phase = np.array([phase for _, phase in panel.states])
+        state_amp, state_phase = panel.state_amps, panel.state_phases
         seg_amp = seg_amp[:, None]
         path_phase = path_phase[:, None]
     else:
-        state_amp = np.array([panel.states[s][0] for s in config])
-        state_phase = np.array([panel.states[s][1] for s in config])
+        state_amp, state_phase = panel.state_amps[config], panel.state_phases[config]
     return state_amp * seg_amp * np.exp(1j * (state_phase - path_phase))
 
 
@@ -301,6 +335,11 @@ def direct_term(tx, rx, freq_ghz, params: ChannelParams, obstacles) -> complex:
     wavelength = SPEED_OF_LIGHT / (freq_ghz * 1e9)
     amp = 10.0 ** (-pl / 20.0)
     return amp * np.exp(-2j * math.pi * d / wavelength)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def _path_loss_db_vec(d: np.ndarray, freq_ghz: float, params: ChannelParams) -> np.ndarray:

@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -225,6 +226,12 @@ class Codebook:
         sizes = {len(cw) for cw in self.codewords}
         if len(sizes) > 1:
             raise ValueError("all codewords must have the same length")
+
+    @cached_property
+    def _point_array(self) -> np.ndarray:
+        """The reference points as one array, built on the first
+        `select_codeword`; a codebook's points do not change."""
+        return np.asarray(self.reference_points, float)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -480,7 +487,7 @@ def select_codeword(codebook: Codebook, location) -> list[int]:
     """
     if not codebook.reference_points:
         raise EmptyCodebook("codebook has no entries")
-    points = np.asarray(codebook.reference_points, float)
+    points = codebook._point_array
     distances = np.sum((points - np.asarray(location, float)) ** 2, axis=1).tolist()
     best_idx = 0
     best_d2 = math.inf

@@ -14,7 +14,8 @@ A value is checked once, when it is built: `Node`, `TrafficProfile`,
 `DisasterEvent`, `PlannerSettings` and `CellFreeSettings` check their own
 fields, and `Scenario` its tick ranges, seed, battery reserve and event
 times, each node's `RisLayout` (by `RisLayout.check`, with the node's path),
-and what spans objects, such as the node ids that settings refer to. The
+and what spans objects, such as the node ids that settings refer to and
+RIS links with a segment of length zero (`_check_ris_links`). The
 reader of a field whose type checks its range checks only the JSON type,
 under the same noun. A scenario built in Python or by `dataclasses.replace`
 is checked the same way, so a `Scenario` that exists is valid, and the rest
@@ -32,7 +33,9 @@ from functools import partial
 from itertools import pairwise
 from typing import Any, Callable, NamedTuple, NoReturn
 
-from .channel import ChannelParams
+import numpy as np
+
+from .channel import ChannelParams, RisPanel
 
 DEFAULT_BATTERY_RESERVE_MS = 14_400_000  # 4 hours of internal energy reserve
 DEFAULT_NON_RT_TICK_MS = 60_000
@@ -341,6 +344,9 @@ class Scenario:
                 if kinds[part.ue] != NodeKind.UE:
                     kind = kinds[part.ue].value
                     raise ValidationError(f"{path}.{part_id}.ue: {part.ue} is a {kind}, not a UE")
+            if kinds[panel.tx] == NodeKind.UE:
+                # A move could carry it onto a part's UE.
+                raise ValidationError(f"ric.ris.{panel_id}.tx: {panel.tx} is a UE, not a transmitter")
         for i, move in enumerate(self.ric.ue_moves):
             _AT_LEAST_0.check(move.time_ms, "ric", "ue_moves", i, "time_ms")
             if move.node_id not in kinds:
@@ -348,6 +354,50 @@ class Scenario:
             if kinds[move.node_id] != NodeKind.UE:
                 kind = kinds[move.node_id].value
                 raise ValidationError(f"ric.ue_moves[{i}].node_id: {move.node_id} is a {kind}, not a UE")
+        if self.ric.ris:
+            _check_ris_links(self)
+
+
+def _check_ris_links(scenario: Scenario) -> None:
+    """No RIS link may have a segment of length zero, which the channel
+    model cannot evaluate: a panel's tx on one of its elements, or a part's
+    UE (where it starts, or where a move takes it) or reference point on
+    the tx or on an element. A tx is not a UE, so it never moves. The
+    distances are computed as the model computes them."""
+    index = {n.node_id: i for i, n in enumerate(scenario.nodes)}
+    for panel_id, settings in scenario.ric.ris.items():
+        node, tx = scenario.nodes[index[panel_id]], scenario.nodes[index[settings.tx]]
+        layout = node.ris
+        elements = RisPanel.planar(
+            panel_id, node.position, layout.rows, layout.cols, layout.pitch_m, layout.normal_axis
+        ).element_positions
+        tx_pos = np.asarray(tx.position, float)
+        on = np.flatnonzero(np.linalg.norm(elements - tx_pos, axis=1) <= 0.0)
+        if on.size:
+            where = _where("nodes", index[tx.node_id], "position")
+            raise ValidationError(f"{where}: {tx.position} is on element {on[0]} of RIS panel {panel_id}")
+        ues = {part.ue for part in settings.parts.values()}
+        paths: list[tuple[str | int, ...]] = [("nodes", index[ue], "position") for ue in sorted(ues)]
+        points = [scenario.nodes[path[1]].position for path in paths]
+        moved = [i for i, move in enumerate(scenario.ric.ue_moves) if move.node_id in ues]
+        paths += [("ric", "ue_moves", i, "position") for i in moved]
+        points += [scenario.ric.ue_moves[i].position for i in moved]
+        for part_id, part in settings.parts.items():
+            for k, point in enumerate(part.reference_points):
+                paths.append(("ric", "ris", panel_id, "parts", part_id, "reference_points", k))
+                points.append(point)
+        rx = np.array(points, float)
+        # A point at distance zero from an element is at distance zero from
+        # the elements' bounding box, so only such points are compared with
+        # every element.
+        gap = np.maximum(elements.min(axis=0) - rx, 0.0) + np.maximum(rx - elements.max(axis=0), 0.0)
+        on_tx = np.linalg.norm(rx - tx_pos, axis=1) <= 0.0
+        for m in np.flatnonzero((gap * gap <= 0.0).all(axis=1) | on_tx).tolist():
+            hit = np.flatnonzero(np.linalg.norm(rx[m] - elements, axis=1) <= 0.0)
+            if hit.size or on_tx[m]:
+                target = f"element {hit[0]}" if hit.size else f"{tx.node_id}, the tx"
+                where = _where(*paths[m])
+                raise ValidationError(f"{where}: {points[m]} is on {target} of RIS panel {panel_id}")
 
 
 def traffic_multiplier(profile: TrafficProfile, traffic_class: str, t_since_strike_ms: float) -> float:

@@ -13,7 +13,13 @@ change through `World.configure_ris`. A UE is out of service when its best SNR i
 link budget is below the scenario's coverage threshold (`World.out_of_service`).
 `World.ris_evaluator` builds every model-driven evaluator of a panel's link,
 and `World.best_links` lets a stronger RIS link override the budget for the
-measurement.
+measurement, one `cascaded_gain` per panel part.
+
+What a UE move leaves alone is kept: each panel keeps the tx half of its
+reflected terms for the last tx position, frequency and channel it served
+(`RisPanel.tx_half`; another tx position, as after `move_node` moves the
+tx, computes it again), and `obstacle_boxes` holds the obstacles as one
+array until `apply_strike` adds some.
 """
 
 from __future__ import annotations
@@ -89,6 +95,7 @@ class World:
         self.snr_threshold_db: float = scenario.planner.snr_threshold_db
         self.nodes: dict[str, Node] = {n.node_id: n for n in scenario.nodes}
         self.obstacles: list = [tuple(map(tuple, box)) for box in scenario.obstacles]
+        self._obstacle_boxes: np.ndarray | None = None
         self.panels: dict[str, ch.RisPanel] = {}
         # Each panel's element states, read-only: `configure_ris` replaces the
         # array. _ris_bytes holds their bytes in sorted panel order.
@@ -149,8 +156,9 @@ class World:
             if nodes[nid].status not in (NodeStatus.FAILED, NodeStatus.ON_BATTERY):
                 nodes[nid] = replace(nodes[nid], status=NodeStatus.ON_BATTERY, battery_ms=expiry)
                 on_battery.append(nid)
-        for box in blockages:
-            self.obstacles.append((tuple(box[0]), tuple(box[1])))
+        if blockages:
+            self.obstacles += [(tuple(box[0]), tuple(box[1])) for box in blockages]
+            self._obstacle_boxes = None
         self.version += 1
         return on_battery
 
@@ -186,6 +194,16 @@ class World:
 
     # --- views -------------------------------------------------------------
 
+    @property
+    def obstacle_boxes(self) -> np.ndarray:
+        """`obstacles` as one read-only (B, 2, 3) array, for
+        `segment_blocked_many`: built on the first read after a strike
+        adds boxes, and kept until the next one."""
+        if self._obstacle_boxes is None:
+            boxes = np.array(self.obstacles, float).reshape(len(self.obstacles), 2, 3)
+            self._obstacle_boxes = ch._read_only(boxes)
+        return self._obstacle_boxes
+
     def link_state(self) -> tuple[int, tuple[bytes, ...]]:
         """A key that changes whenever any link can: the version, and the
         bytes of each panel's configuration in sorted panel order, kept from
@@ -201,7 +219,7 @@ class World:
             serving = (n for n in self.nodes.values() if n.serving and n.kind in ACCESS_KINDS)
             access = sorted(serving, key=lambda n: n.node_id)
             ue_ids, positions = self.ue_positions()
-            snr = access_snr_matrix(access, positions, self.scenario.channel, self.obstacles)
+            snr = access_snr_matrix(access, positions, self.scenario.channel, self.obstacle_boxes)
             budget = LinkBudget(ue_ids, tuple(n.node_id for n in access), snr, *_best_server(snr))
             self._at_version = (self.version, budget)
         return self._at_version[1]
@@ -224,15 +242,21 @@ class World:
         """UE ids, best SNR per UE and its server code. The SNR and codes are
         the cached link budget, whose code is the serving access row; a RIS
         link that is stronger overrides a UE with the code len(access_ids) +
-        the panel's sorted index, and only then are the arrays copied."""
+        the panel's sorted index, and only then are the arrays copied. Each
+        part's link is one `cascaded_gain` at the panel's configuration."""
         ue_ids, access_ids, _, best, codes = self.link_budget()
         panel_index = {panel_id: p for p, panel_id in enumerate(sorted(self.panels))}
-        noise = self.scenario.channel.noise_floor_dbm()
+        params = self.scenario.channel
+        noise = params.noise_floor_dbm()
         copied = False
         for (panel_id, _), ue_id in self.ris_parts.items():
             j = ue_ids.index(ue_id)
-            config = self.ris_configs[panel_id]
-            snr = self.ris_evaluator(panel_id, self.nodes[ue_id].position)(config) - noise
+            tx = self.nodes[self.scenario.ric.ris[panel_id].tx]
+            gain = ch.cascaded_gain(
+                tx.position, self.panels[panel_id], self.ris_configs[panel_id],
+                self.nodes[ue_id].position, tx.freq_ghz, params, self.obstacles,
+            )
+            snr = ch.received_power_dbm(tx.tx_power_dbm, gain) - noise
             if snr > best[j]:
                 if not copied:  # the cached link budget stays untouched
                     best, codes, copied = best.copy(), codes.copy(), True

@@ -204,6 +204,16 @@ class TestPanelGeometry:
         assert list(panel.part_elements(0)) == list(range(5))
         assert list(panel.part_elements(1)) == list(range(5, 10))
 
+    def test_kept_parts_follow_the_partition_and_are_read_only(self):
+        panel = ch.RisPanel.planar("p", (0, 0, 0), rows=2, cols=5, pitch_m=0.1)
+        assert list(panel.part_elements(0)) == list(range(10))
+        panel.split_halves()
+        members = panel.part_elements(0)
+        assert list(members) == list(range(5))
+        assert panel.part_elements(0) is members
+        with pytest.raises(ValueError):
+            members[0] = 7
+
     def test_state_amplitude_validated(self):
         with pytest.raises(ValueError):
             ch.RisPanel.planar("p", (0, 0, 0), 1, 2, 0.1, states=((1.5, 0.0),))

@@ -335,6 +335,25 @@ class TestValidation:
          f"planner.uav_altitude_m: expected a finite number > 0, got {10**400}"),
         (("planner", "candidate_spacing_m"), 10**400,
          f"planner.candidate_spacing_m: expected a finite number > 0, got {10**400}"),
+        # RIS links with a segment of length zero, which crashed `rrs run`
+        # (and `rrs codebook build` for a reference point) with a traceback.
+        # Element 28 of ris1 sits at (0, 0, 0.98); tx1 at (-2.5, 1.2, 1).
+        (("nodes", 3, "position"), [-2.5, 1.2, 1.0],
+         "nodes[3].position: (-2.5, 1.2, 1.0) is on tx1, the tx of RIS panel ris1"),
+        (("nodes", 3, "position"), [0, 0, 0.98],
+         "nodes[3].position: (0.0, 0.0, 0.98) is on element 28 of RIS panel ris1"),
+        (("ric", "ue_moves"), [{**MOVE, "position": [0, 0, 0.98]}],
+         "ric.ue_moves[0].position: (0.0, 0.0, 0.98) is on element 28 of RIS panel ris1"),
+        (("ric", "ue_moves"), [MOVE, {**MOVE, "position": [-2.5, 1.2, 1]}],
+         "ric.ue_moves[1].position: (-2.5, 1.2, 1.0) is on tx1, the tx of RIS panel ris1"),
+        (("ric", "ris", "ris1", "parts", "1", "reference_points"), [[0, 1.7, 1], [0, 0, 0.98]],
+         "ric.ris.ris1.parts.1.reference_points[1]: (0.0, 0.0, 0.98) is on element 28 of RIS panel ris1"),
+        (("ric", "ris", "ris1", "parts", "0", "reference_points"), [[-2.5, 1.2, 1]],
+         "ric.ris.ris1.parts.0.reference_points[0]: (-2.5, 1.2, 1.0) is on tx1, the tx of RIS panel ris1"),
+        (("nodes", 1, "position"), [0, 0, 0.98],
+         "nodes[1].position: (0.0, 0.0, 0.98) is on element 28 of RIS panel ris1"),
+        # A UE as a panel's tx: a move could carry the tx onto a part's UE.
+        (("ric", "ris", "ris1", "tx"), "rx2", "ric.ris.ris1.tx: rx2 is a UE, not a transmitter"),
     ]
 
     @pytest.mark.parametrize(

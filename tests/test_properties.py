@@ -9,7 +9,8 @@ evaluator, and stacks of evaluators through `iterative_optimize_all`,
 `build_codebook` and the planner's relay search), `select_codeword` against
 its scalar loop at near-tie distances, the controller's grouped ticks
 against one tick event per app, the RIS override of `World.best_links`
-against `cascaded_gain` one part at a time, the one-sort top-L clustering
+against `cascaded_gain` one part at a time, the tx half a panel keeps
+against a freshly built panel, the one-sort top-L clustering
 against the per-UE sorted loop, and the outage set that `World` keeps per
 link budget against the budget's own."""
 
@@ -830,10 +831,11 @@ def test_sleeping_ticks_match_a_run_that_keeps_every_tick(case, data):
     assert kernel.dispatched + kernel.skipped == oracle.dispatched + oracle.skipped
 
 
-def _best_links_oracle(world):
+def _best_links_oracle(world, panels=None):
     """The access link budget, then each panel part's SNR from
     `cascaded_gain`, one part at a time: a stronger RIS link takes the UE
-    with the code len(access_ids) + the panel's index in sorted panel order."""
+    with the code len(access_ids) + the panel's index in sorted panel order.
+    panels, when given, stand in for the world's."""
     budget = world.link_budget()
     best, codes = budget.best_db.tolist(), budget.server_rows.tolist()
     panel_ids = sorted(world.panels)
@@ -843,7 +845,7 @@ def _best_links_oracle(world):
         for _, part in sorted(settings.parts.items()):
             ue = world.nodes[part.ue]
             gain = ch.cascaded_gain(
-                tx.position, world.panels[panel_id], world.ris_configs[panel_id], ue.position,
+                tx.position, (panels or world.panels)[panel_id], world.ris_configs[panel_id], ue.position,
                 tx.freq_ghz, world.scenario.channel, world.obstacles,
             )
             snr = ch.received_power_dbm(tx.tx_power_dbm, gain) - noise
@@ -891,6 +893,62 @@ def test_world_best_links_is_the_budget_with_each_stronger_ris_link(data):
         assert [array.tobytes() for array in kept] == [
             array.tobytes() for array in (budget.snr_db, budget.best_db, budget.server_rows)
         ]
+
+
+def _fresh(panel):
+    """A panel built anew from the geometry, states and partition of panel,
+    with nothing kept."""
+    return ch.RisPanel(panel.panel_id, panel.element_positions, panel.states, panel.partition)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ris_links(), st.data())
+def test_kept_tx_half_is_bitwise_a_fresh_panels(link, data):
+    """`reflected_terms`, as a table and at a config, on a panel that has
+    just served other tx positions, frequencies and channels (or the same
+    tx with another of the two), equals its result on a freshly built
+    panel bit for bit."""
+    panel, tx, rx, _, params, freq, base, _ = link
+    if not _link_free(tx, rx, panel):
+        return
+    tx, rx = np.asarray(tx, float), np.asarray(rx, float)
+    for config in (None, np.asarray(base)):
+        for _ in range(data.draw(st.integers(1, 3))):
+            other_tx = data.draw(st.one_of(st.just(tuple(tx)), _point))
+            other_freq = data.draw(st.one_of(st.just(freq), st.floats(0.5, 30.0)))
+            other_params = data.draw(
+                st.sampled_from([params, ch.ChannelParams(), ch.ChannelParams(exponent=3.1)])
+            )
+            if _link_free(other_tx, rx, panel):
+                ch.reflected_terms(np.asarray(other_tx, float), panel, rx, other_freq, other_params)
+        got = ch.reflected_terms(tx, panel, rx, freq, params, config)
+        assert got.tobytes() == ch.reflected_terms(tx, _fresh(panel), rx, freq, params, config).tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["tx1", "rx1", "rx2"]), _room_point), min_size=1, max_size=5))
+def test_kept_tx_half_follows_the_moves_of_the_panels_tx(moves):
+    """On a bare `World` of the two-UE room whose tx and UEs move between
+    measurements, `best_links()` equals the oracle's on a freshly built
+    panel, and so does each part's link table, bit for bit."""
+    world = World(scenario_from_dict(_ROOM))
+    panel, params = world.panels["ris1"], world.scenario.channel
+    for node_id, position in moves:
+        world.move_node(node_id, position)
+        tx = world.nodes["tx1"]
+        ues = [world.nodes[ue_id] for ue_id in world.ris_parts.values()]
+        if not all(_link_free(tx.position, ue.position, panel) for ue in ues):
+            continue
+        _, best, codes = world.best_links()
+        expected_best, expected_codes = _best_links_oracle(world, {"ris1": _fresh(panel)})
+        assert [snr.hex() for snr in best.tolist()] == [snr.hex() for snr in expected_best]
+        assert codes.tolist() == expected_codes
+        tx_pos = np.asarray(tx.position, float)
+        for ue in ues:
+            rx_pos = np.asarray(ue.position, float)
+            table = ch.reflected_terms(tx_pos, panel, rx_pos, tx.freq_ghz, params)
+            fresh = ch.reflected_terms(tx_pos, _fresh(panel), rx_pos, tx.freq_ghz, params)
+            assert table.tobytes() == fresh.tobytes()
 
 
 def _top_l_by_loop(ap_ids, ue_ids, gains, max_aps):
