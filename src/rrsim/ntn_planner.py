@@ -279,7 +279,7 @@ def build_plan(world: World, max_nodes: int | None = None) -> DeploymentPlan:
     scenario's planner settings, for the UEs out of service now. max_nodes,
     when given, replaces `planner.max_nodes`. The estimate counts the UEs in
     service or covered by a placement."""
-    cfg, params, obstacles = world.scenario.planner, world.scenario.channel, world.obstacle_boxes
+    cfg, params, obstacles = world.scenario.planner, world.scenario.channel, world.obstacles
     snr_threshold = world.snr_threshold_db
     if max_nodes is None:
         max_nodes = cfg.max_nodes

@@ -30,7 +30,7 @@ import sys
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from functools import partial
-from itertools import pairwise
+from itertools import chain, pairwise
 from typing import Any, Callable, NamedTuple, NoReturn
 
 import numpy as np
@@ -344,9 +344,6 @@ class Scenario:
                 if kinds[part.ue] != NodeKind.UE:
                     kind = kinds[part.ue].value
                     raise ValidationError(f"{path}.{part_id}.ue: {part.ue} is a {kind}, not a UE")
-            if kinds[panel.tx] == NodeKind.UE:
-                # A move could carry it onto a part's UE.
-                raise ValidationError(f"ric.ris.{panel_id}.tx: {panel.tx} is a UE, not a transmitter")
         for i, move in enumerate(self.ric.ue_moves):
             _AT_LEAST_0.check(move.time_ms, "ric", "ue_moves", i, "time_ms")
             if move.node_id not in kinds:
@@ -360,44 +357,65 @@ class Scenario:
 
 def _check_ris_links(scenario: Scenario) -> None:
     """No RIS link may have a segment of length zero, which the channel
-    model cannot evaluate: a panel's tx on one of its elements, or a part's
-    UE (where it starts, or where a move takes it) or reference point on
-    the tx or on an element. A tx is not a UE, so it never moves. The
-    distances are computed as the model computes them."""
+    model cannot evaluate. The panel's tx and each part's UE may not be on
+    an element where they start or where a move takes them, nor on each
+    other at the start or after any move, the moves taken as the kernel
+    takes them: by time, then as listed. A reference point may not be on an
+    element, nor on the tx where it starts, where the codebooks are built.
+    The distances are computed as the model computes them."""
     index = {n.node_id: i for i, n in enumerate(scenario.nodes)}
+    moves = scenario.ric.ue_moves
+    in_order = sorted(range(len(moves)), key=lambda i: moves[i].time_ms)
     for panel_id, settings in scenario.ric.ris.items():
-        node, tx = scenario.nodes[index[panel_id]], scenario.nodes[index[settings.tx]]
+        node = scenario.nodes[index[panel_id]]
         layout = node.ris
         elements = RisPanel.planar(
             panel_id, node.position, layout.rows, layout.cols, layout.pitch_m, layout.normal_axis
         ).element_positions
-        tx_pos = np.asarray(tx.position, float)
-        on = np.flatnonzero(np.linalg.norm(elements - tx_pos, axis=1) <= 0.0)
-        if on.size:
-            where = _where("nodes", index[tx.node_id], "position")
-            raise ValidationError(f"{where}: {tx.position} is on element {on[0]} of RIS panel {panel_id}")
-        ues = {part.ue for part in settings.parts.values()}
-        paths: list[tuple[str | int, ...]] = [("nodes", index[ue], "position") for ue in sorted(ues)]
+        tx_id, ues = settings.tx, sorted({part.ue for part in settings.parts.values()})
+        # Each place that must be off the elements (its field path and
+        # point), and each pair of places that a link joins at one time, as
+        # their indices in `points`, with the name of the second.
+        here = {nid: m for m, nid in enumerate(dict.fromkeys((tx_id, *ues)))}  # the tx first
+        paths = [("nodes", index[nid], "position") for nid in here]
         points = [scenario.nodes[path[1]].position for path in paths]
-        moved = [i for i, move in enumerate(scenario.ric.ue_moves) if move.node_id in ues]
-        paths += [("ric", "ue_moves", i, "position") for i in moved]
-        points += [scenario.ric.ue_moves[i].position for i in moved]
+        tx_name = f"{tx_id}, the tx"
+        pairs = [(here[ue], here[tx_id]) for ue in ues]
+        names = [tx_name] * len(ues)
+        for i in in_order:
+            nid = moves[i].node_id
+            if nid in here:
+                here[nid] = len(points)
+                paths.append(("ric", "ue_moves", i, "position"))
+                points.append(moves[i].position)
+                if nid == tx_id:
+                    pairs += [(here[tx_id], here[ue]) for ue in ues]
+                    names += [f"{ue}, a UE" for ue in ues]
+                else:
+                    pairs.append((here[nid], here[tx_id]))
+                    names.append(tx_name)
         for part_id, part in settings.parts.items():
             for k, point in enumerate(part.reference_points):
+                pairs.append((len(points), 0))  # the tx where it starts
+                names.append(tx_name)
                 paths.append(("ric", "ris", panel_id, "parts", part_id, "reference_points", k))
                 points.append(point)
-        rx = np.array(points, float)
+        rx = np.fromiter(chain.from_iterable(points), float, 3 * len(points)).reshape(-1, 3)
         # A point at distance zero from an element is at distance zero from
         # the elements' bounding box, so only such points are compared with
         # every element.
         gap = np.maximum(elements.min(axis=0) - rx, 0.0) + np.maximum(rx - elements.max(axis=0), 0.0)
-        on_tx = np.linalg.norm(rx - tx_pos, axis=1) <= 0.0
-        for m in np.flatnonzero((gap * gap <= 0.0).all(axis=1) | on_tx).tolist():
+        for m in np.flatnonzero((gap * gap <= 0.0).all(axis=1)).tolist():
             hit = np.flatnonzero(np.linalg.norm(rx[m] - elements, axis=1) <= 0.0)
-            if hit.size or on_tx[m]:
-                target = f"element {hit[0]}" if hit.size else f"{tx.node_id}, the tx"
+            if hit.size:
                 where = _where(*paths[m])
-                raise ValidationError(f"{where}: {points[m]} is on {target} of RIS panel {panel_id}")
+                raise ValidationError(f"{where}: {points[m]} is on element {hit[0]} of RIS panel {panel_id}")
+        ends = np.fromiter(chain.from_iterable(pairs), int, 2 * len(pairs)).reshape(-1, 2)
+        on = np.flatnonzero(np.linalg.norm(rx[ends[:, 0]] - rx[ends[:, 1]], axis=1) <= 0.0)
+        if on.size:
+            n = int(on[0])
+            m = pairs[n][0]
+            raise ValidationError(f"{_where(*paths[m])}: {points[m]} is on {names[n]} of RIS panel {panel_id}")
 
 
 def traffic_multiplier(profile: TrafficProfile, traffic_class: str, t_since_strike_ms: float) -> float:

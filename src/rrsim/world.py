@@ -18,8 +18,7 @@ measurement, one `cascaded_gain` per panel part.
 What a UE move leaves alone is kept: each panel keeps the tx half of its
 reflected terms for the last tx position, frequency and channel it served
 (`RisPanel.tx_half`; another tx position, as after `move_node` moves the
-tx, computes it again), and `obstacle_boxes` holds the obstacles as one
-array until `apply_strike` adds some.
+tx, computes it again).
 """
 
 from __future__ import annotations
@@ -95,7 +94,6 @@ class World:
         self.snr_threshold_db: float = scenario.planner.snr_threshold_db
         self.nodes: dict[str, Node] = {n.node_id: n for n in scenario.nodes}
         self.obstacles: list = [tuple(map(tuple, box)) for box in scenario.obstacles]
-        self._obstacle_boxes: np.ndarray | None = None
         self.panels: dict[str, ch.RisPanel] = {}
         # Each panel's element states, read-only: `configure_ris` replaces the
         # array. _ris_bytes holds their bytes in sorted panel order.
@@ -156,9 +154,8 @@ class World:
             if nodes[nid].status not in (NodeStatus.FAILED, NodeStatus.ON_BATTERY):
                 nodes[nid] = replace(nodes[nid], status=NodeStatus.ON_BATTERY, battery_ms=expiry)
                 on_battery.append(nid)
-        if blockages:
-            self.obstacles += [(tuple(box[0]), tuple(box[1])) for box in blockages]
-            self._obstacle_boxes = None
+        for box in blockages:
+            self.obstacles.append((tuple(box[0]), tuple(box[1])))
         self.version += 1
         return on_battery
 
@@ -194,16 +191,6 @@ class World:
 
     # --- views -------------------------------------------------------------
 
-    @property
-    def obstacle_boxes(self) -> np.ndarray:
-        """`obstacles` as one read-only (B, 2, 3) array, for
-        `segment_blocked_many`: built on the first read after a strike
-        adds boxes, and kept until the next one."""
-        if self._obstacle_boxes is None:
-            boxes = np.array(self.obstacles, float).reshape(len(self.obstacles), 2, 3)
-            self._obstacle_boxes = ch._read_only(boxes)
-        return self._obstacle_boxes
-
     def link_state(self) -> tuple[int, tuple[bytes, ...]]:
         """A key that changes whenever any link can: the version, and the
         bytes of each panel's configuration in sorted panel order, kept from
@@ -219,7 +206,7 @@ class World:
             serving = (n for n in self.nodes.values() if n.serving and n.kind in ACCESS_KINDS)
             access = sorted(serving, key=lambda n: n.node_id)
             ue_ids, positions = self.ue_positions()
-            snr = access_snr_matrix(access, positions, self.scenario.channel, self.obstacle_boxes)
+            snr = access_snr_matrix(access, positions, self.scenario.channel, self.obstacles)
             budget = LinkBudget(ue_ids, tuple(n.node_id for n in access), snr, *_best_server(snr))
             self._at_version = (self.version, budget)
         return self._at_version[1]

@@ -187,6 +187,7 @@ class TestValidation:
         assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
 
     MOVE = {"time_ms": 1_000, "node_id": "rx1", "position": [0, 1.7, 1]}
+    UE_TX = {"ris1": {"tx": "rx2", "parts": {"0": {"ue": "rx1"}}}}  # rx2 serves rx1 through ris1
     BAD_SETTINGS = [
         (("planner", "candidate_spacing_m"), "x", "planner.candidate_spacing_m: expected a finite number > 0, got 'x'"),
         (("planner", "candidate_spacing_m"), 0, "planner.candidate_spacing_m: expected a finite number > 0, got 0"),
@@ -352,8 +353,17 @@ class TestValidation:
          "ric.ris.ris1.parts.0.reference_points[0]: (-2.5, 1.2, 1.0) is on tx1, the tx of RIS panel ris1"),
         (("nodes", 1, "position"), [0, 0, 0.98],
          "nodes[1].position: (0.0, 0.0, 0.98) is on element 28 of RIS panel ris1"),
-        # A UE as a panel's tx: a move could carry the tx onto a part's UE.
-        (("ric", "ris", "ris1", "tx"), "rx2", "ric.ris.ris1.tx: rx2 is a UE, not a transmitter"),
+        # A UE as a panel's tx (rx2, which starts at (0.929194, 1.327026, 1)):
+        # on the part's UE from the start, or after a move of either one. The
+        # moves are taken by time, then as listed.
+        (("ric", "ris", "ris1", "tx"), "rx2",
+         "nodes[4].position: (0.929194, 1.327026, 1.0) is on rx2, the tx of RIS panel ris1"),
+        (("ric",), {"ris": UE_TX, "ue_moves": [{**MOVE, "node_id": "rx2", "position": [0, 0, 0.98]}]},
+         "ric.ue_moves[0].position: (0.0, 0.0, 0.98) is on element 28 of RIS panel ris1"),
+        (("ric",), {"ris": UE_TX, "ue_moves": [{**MOVE, "node_id": "rx2", "position": [1.020966, 1.458091, 1]}]},
+         "ric.ue_moves[0].position: (1.020966, 1.458091, 1.0) is on rx1, a UE of RIS panel ris1"),
+        (("ric",), {"ris": UE_TX, "ue_moves": [{**MOVE, "time_ms": 2_000}, {**MOVE, "node_id": "rx2"}]},
+         "ric.ue_moves[0].position: (0.0, 1.7, 1.0) is on rx2, the tx of RIS panel ris1"),
     ]
 
     @pytest.mark.parametrize(
@@ -382,6 +392,23 @@ class TestValidation:
             assert main(argv) == 2, argv
             assert capsys.readouterr().err == f"scenario error: {message}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+
+    @pytest.mark.parametrize(
+        "ris, moves",
+        [
+            ({"ris1": {"tx": "tx1"}}, []),
+            # rx1 steps where the tx rx2 started, after rx2 has left.
+            (UE_TX, [{**MOVE, "time_ms": 2_000, "position": [0.929194, 1.327026, 1]}, {**MOVE, "node_id": "rx2"}]),
+        ],
+        ids=["panel_without_parts", "ue_tx_left_before"],
+    )
+    def test_ris_link_that_never_has_zero_length_runs(self, tmp_path, capsys, ris, moves):
+        with open(bundled_scenario_path("two_ue_demo.json")) as fh:
+            data = json.load(fh)
+        data["ric"].update(ris=ris, ue_moves=moves)
+        scenario = write_scenario(tmp_path, data)
+        assert main(["run", "--scenario", scenario, "--until", "5000", "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_bad_panel_spec(self, capsys):
         rc = main(["ris", "bench", "--panel", "seventysix"])

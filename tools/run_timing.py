@@ -14,7 +14,7 @@ timed in layers:
 - `simulate`: `Simulation.run`;
 - `write`: the artifact writes (`cli._atomic_write`);
 - on `ris_emergency`, `best_links` (`World.best_links`) and `rebuild`
-  (the calls of `World.link_budget` that build a new budget);
+  (`world.access_snr_matrix`, the work of each link-budget rebuild);
 - the controller apps of the workload, `FailureMonitor` and `CfClusterer` or
   `RisCodebookTracker`, `RisIterativeTuner` and `CfClusterer`: each app's
   `Controller._run_app` calls, the actions it returned included (so a
@@ -84,16 +84,7 @@ def instrument(pkg: str, times: dict[str, float], layers: tuple[str, ...]) -> No
     if "best_links" in layers:
         world.World.best_links = timed(times, "best_links", world.World.best_links)
     if "rebuild" in layers:
-        link_budget = world.World.link_budget
-        rebuild = timed(times, "rebuild", link_budget)
-
-        def link_budget_timed(self):
-            # A budget is built when none is kept for the current version.
-            if self._at_version is None or self._at_version[0] != self.version:
-                return rebuild(self)
-            return link_budget(self)
-
-        world.World.link_budget = link_budget_timed
+        world.access_snr_matrix = timed(times, "rebuild", world.access_snr_matrix)
     run_app = ric.Controller._run_app
 
     def run_app_timed(self, app):
