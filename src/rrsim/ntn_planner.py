@@ -2,9 +2,10 @@
 tree formation with RIS relay fallback. A planning pass reads the live
 `World`: its nodes and obstacles, the scenario's channel and
 `PlannerSettings`, and the UEs to cover, which are `World.out_of_service()`,
-the set the failure monitor reads. The UAV defaults of the functions below
-are those of `PlannerSettings`. Backhaul is rooted at the serving gateways
-only, with a serving satellite as the fallback."""
+the set the failure monitor reads, from the link budget the measurement
+reads. The UAV defaults of the functions below are those of
+`PlannerSettings`. Backhaul is rooted at the serving gateways only, with a
+serving satellite as the fallback."""
 
 from __future__ import annotations
 

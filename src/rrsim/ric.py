@@ -65,11 +65,11 @@ class Controller:
     controller's actions mutate it, so app effects serialize in action order
     and each app sees what the apps before it did. The recovery planner reads
     the same world: at a planning tick `World.out_of_service()` is the set
-    that the failure monitor has just read, from one link budget. The RIS
-    apps and the offline codebooks take each panel part's UE and evaluator
-    from the world too (`World.ris_parts`, `World.ris_evaluator`); the
-    controller keeps only the codebooks. A failing handler is logged and
-    never halts the run.
+    that the failure monitor has just read, from the link budget that the
+    measurement reads too, RIS links included. The RIS apps and the offline
+    codebooks take each panel part's UE and evaluator from the world too
+    (`World.ris_parts`, `World.ris_evaluator`); the controller keeps only
+    the codebooks. A failing handler is logged and never halts the run.
 
     Every app is periodic: a change to the world reaches an app through its
     idle gate at its next tick. Apps tick in groups: a group has one kernel

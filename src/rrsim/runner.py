@@ -7,7 +7,7 @@ and each UE move from the parsed values as they are, and checks only the
 disabled app names against the apps it is given. Every world change that the
 scenario schedules (a strike, a battery expiry, a UE move) is handled here;
 the `Controller` handles only its ticks. A sample reads its links, RIS links
-included, from `World.best_links` alone."""
+included, from `World.link_budget` alone, the budget the controller reads."""
 
 from __future__ import annotations
 
@@ -21,21 +21,18 @@ from . import channel as ch
 from .ric import Controller, ControllerApp, builtin_apps
 from .scenario import DisasterEvent, NodeStatus, Scenario, ValidationError, traffic_multiplier
 from .simcore import Event, EventKind, Kernel, MetricsLog, RateTable, Sample
-from .world import World
+from .world import LinkBudget, World
 
 
 @dataclass(eq=False, slots=True)
 class _LinkEntry:
-    """What a sample takes from one `World.link_state()` key: the UE ids,
-    best SNR per UE and server code per UE (-1 for none); without fading also
-    the coverage ratio, the served mask, each served UE's share and the
-    largest share (-inf with none served), plus the last such sample's cap
-    and rate table. NaN equals no cap, so the first sample builds its table."""
+    """What a sample takes from one `World.link_budget()` object: the budget;
+    without fading also the coverage ratio, the served mask, each served UE's
+    share and the largest share (-inf with none served), plus the last such
+    sample's cap and rate table. NaN equals no cap, so the first sample builds
+    its table."""
 
-    key: tuple
-    ue_ids: list[str]
-    best: np.ndarray
-    codes: np.ndarray
+    budget: LinkBudget
     coverage_ratio: float
     served: np.ndarray
     share: np.ndarray
@@ -77,7 +74,7 @@ class Simulation:
         self.controller = Controller(self.world, self.kernel)
         self._strike_time: int | None = None
         self._mcs = ch.McsStaircase(scenario.channel.mcs_table)
-        # The entry of the last link state.
+        # The entry of the last link budget.
         self._entry: _LinkEntry | None = None
 
         self.kernel.on(EventKind.DISASTER_STRIKE, self._on_strike)
@@ -142,15 +139,14 @@ class Simulation:
         return data + voice
 
     def _link_entry(self) -> _LinkEntry:
-        """The links of the current `World.link_state()` with their coverage
-        and contention, computed once per key."""
-        key = self.world.link_state()
+        """The current link budget with its coverage and contention, computed
+        once per budget."""
+        budget = self.world.link_budget()
         entry = self._entry
-        if entry is None or entry.key != key:
-            ue_ids, best, codes = self.world.best_links()
-            ratio, served, share = self._contention(best, codes)
+        if entry is None or entry.budget is not budget:
+            ratio, served, share = self._contention(budget.best_db, budget.server_codes)
             top = float(share.max()) if share.size else -np.inf
-            entry = self._entry = _LinkEntry(key, ue_ids, best, codes, ratio, served, share, top)
+            entry = self._entry = _LinkEntry(budget, ratio, served, share, top)
         return entry
 
     def _contention(
@@ -176,19 +172,18 @@ class Simulation:
 
     def measure(self, now_ms: int, apply_fading: bool | None = None) -> Sample:
         entry = self._link_entry()
-        ue_ids = entry.ue_ids
         offered = self._offered_load_mbps(now_ms)
         fading = self.scenario.channel.fading if apply_fading is None else apply_fading
         if fading:
             # Rayleigh amplitude per UE link, drawn from the run's fading stream.
-            rng = self.kernel.rng("channel.fading")
-            n_ue = len(ue_ids)
+            budget, rng = entry.budget, self.kernel.rng("channel.fading")
+            n_ue = len(budget.ue_ids)
             amp = np.abs(
                 rng.standard_normal(n_ue) + 1j * rng.standard_normal(n_ue)
             ) / np.sqrt(2.0)
-            best = entry.best + 20.0 * np.log10(np.maximum(amp, 1e-12))
-            ratio, served, share = self._contention(best, entry.codes)
-            table = self._capped_table(ue_ids, served, share, offered)
+            best = budget.best_db + 20.0 * np.log10(np.maximum(amp, 1e-12))
+            ratio, served, share = self._contention(best, budget.server_codes)
+            table = self._capped_table(budget.ue_ids, served, share, offered)
             return Sample(now_ms, ratio, table)
         # The rates stand while the entry and its cap do. The cap is the
         # offered load, or inf above the largest share, where no UE is capped;
@@ -196,7 +191,7 @@ class Simulation:
         cap = math.inf if offered > entry.top else offered
         last = entry.cap
         if not (cap == last and math.copysign(1.0, cap) == math.copysign(1.0, last)):
-            entry.table = self._capped_table(ue_ids, entry.served, entry.share, offered)
+            entry.table = self._capped_table(entry.budget.ue_ids, entry.served, entry.share, offered)
             entry.cap = cap
         return Sample(now_ms, entry.coverage_ratio, entry.table)
 

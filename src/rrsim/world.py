@@ -1,19 +1,20 @@
 """Mutable run-time world state, the one view that the measurement, the
 controller apps and the planner read, and the one model of every radio link:
-the access link budget, and each RIS panel part's link from its tx to its UE.
+the access links, and each RIS panel part's link from its tx to its UE.
 
 The scenario stays frozen after load; everything that changes during a run
 (node status, batteries, obstacles added at strike time, RIS configurations)
 lives here, and only `World` methods write it. `World.nodes` holds frozen
 scenario `Node`s: a change stores a new one, which checks itself as it is
 built, and a write to a node's field raises `FrozenInstanceError`. A node is
-live while it serves (`Node.serving`). Node and obstacle changes bump `World.version`,
-the key of the link budget; RIS configurations
-change through `World.configure_ris`. A UE is out of service when its best SNR in the
-link budget is below the scenario's coverage threshold (`World.out_of_service`).
-`World.ris_evaluator` builds every model-driven evaluator of a panel's link,
-and `World.best_links` lets a stronger RIS link override the budget for the
-measurement, one `cascaded_gain` per panel part.
+live while it serves (`Node.serving`). Node and obstacle changes bump
+`World.version`; RIS configurations change through `World.configure_ris`.
+`World.link_budget` is the one link view: the access SNR matrix, kept per
+version, and each UE's best link over it and over the RIS links of serving
+transmitters, one `cascaded_gain` per panel part, kept per `link_state()`.
+A UE is out of service when its best SNR in the link budget is below the
+scenario's coverage threshold (`World.out_of_service`). `World.ris_evaluator`
+builds every model-driven evaluator of a panel's link.
 
 What a UE move leaves alone is kept: each panel keeps the tx half of its
 reflected terms for the last tx position, frequency and channel it served
@@ -34,14 +35,17 @@ from .scenario import ACCESS_KINDS, Node, NodeKind, NodeStatus, Scenario
 
 
 class LinkBudget(NamedTuple):
-    """Access SNR of one world state: rows follow `access_ids`, columns
-    `ue_ids` (sorted), and each UE's best SNR with its serving row."""
+    """The links of one link state: the access SNR matrix, whose rows follow
+    `access_ids` and columns `ue_ids` (sorted), and each UE's best SNR over
+    its access links and RIS links with the code of its server: the access
+    row, len(access_ids) + the panel's sorted index for a RIS link, or -1
+    where no link is finite."""
 
     ue_ids: list[str]
     access_ids: tuple[str, ...]
     snr_db: np.ndarray  # (n_access, n_ues)
     best_db: np.ndarray  # (n_ues,)
-    server_rows: np.ndarray  # (n_ues,) the snr_db row of best_db, -1 where none is finite
+    server_codes: np.ndarray  # (n_ues,)
 
     def out_of_service(self, threshold_db: float) -> frozenset[str]:
         """The UEs whose best SNR is below the threshold."""
@@ -101,10 +105,12 @@ class World:
         self._ris_bytes: tuple[bytes, ...] = ()
         self._next_deploy_index = 0
         # Bumped by every method below that changes nodes or obstacles; the
-        # link budget is keyed on it.
+        # access links are keyed on it.
         self.version = 0
-        # (version, link budget) of the last version read.
-        self._at_version: tuple[int, LinkBudget] | None = None
+        # (version, UE ids, access ids, access SNR) and (link state, link
+        # budget) of the last ones read.
+        self._access: tuple[int, list[str], tuple[str, ...], np.ndarray] | None = None
+        self._budget: tuple[tuple, LinkBudget] | None = None
         # (link budget, threshold, the UEs out of service in it).
         self._outage: tuple[LinkBudget, float, frozenset[str]] | None = None
         # (panel id, part id) -> the UE that the part serves, in sorted order.
@@ -173,7 +179,7 @@ class World:
 
     def configure_ris(self, panel_id: str, part_id: int, codeword: Sequence[int]) -> None:
         """Set the elements of one panel part to the codeword. The version
-        stays, so link tables outlive the change; `link_state()` moves."""
+        stays, so the access links outlive the change; `link_state()` moves."""
         members = self.panels[panel_id].part_elements(part_id)
         if len(codeword) != members.size:
             raise ValueError(f"codeword length {len(codeword)} != part size {members.size}")
@@ -198,18 +204,39 @@ class World:
         return self.version, self._ris_bytes
 
     def link_budget(self) -> LinkBudget:
-        """The access SNR from every serving access node, in sorted id order,
-        to every UE. Which nodes serve changes only with the version, so the
-        budget is kept until it moves; the measurement, the controller apps
-        and the planner share it, and must not modify it."""
-        if self._at_version is None or self._at_version[0] != self.version:
-            serving = (n for n in self.nodes.values() if n.serving and n.kind in ACCESS_KINDS)
-            access = sorted(serving, key=lambda n: n.node_id)
-            ue_ids, positions = self.ue_positions()
-            snr = access_snr_matrix(access, positions, self.scenario.channel, self.obstacles)
-            budget = LinkBudget(ue_ids, tuple(n.node_id for n in access), snr, *_best_server(snr))
-            self._at_version = (self.version, budget)
-        return self._at_version[1]
+        """Every UE's links in the current link state. The access SNR runs
+        from every serving access node, in sorted id order, and is kept per
+        version. Each panel part whose tx serves adds its UE's link through
+        the panel, one `cascaded_gain` at the panel's configuration, where it
+        is stronger. The budget is kept until `link_state()` moves; the
+        measurement, the controller apps and the planner share it, and must
+        not modify it."""
+        key, kept = self.link_state(), self._budget
+        if kept is None or kept[0] != key:
+            if self._access is None or self._access[0] != self.version:
+                serving = (n for n in self.nodes.values() if n.serving and n.kind in ACCESS_KINDS)
+                access = sorted(serving, key=lambda n: n.node_id)
+                ue_ids, positions = self.ue_positions()
+                snr = access_snr_matrix(access, positions, self.scenario.channel, self.obstacles)
+                self._access = (self.version, ue_ids, tuple(n.node_id for n in access), snr)
+            _, ue_ids, access_ids, snr = self._access
+            best, codes = _best_server(snr)
+            code = {panel_id: c for c, panel_id in enumerate(sorted(self.panels), len(access_ids))}
+            params = self.scenario.channel
+            for (panel_id, _), ue_id in self.ris_parts.items():
+                tx = self.nodes[self.scenario.ric.ris[panel_id].tx]
+                if not tx.serving:
+                    continue
+                gain = ch.cascaded_gain(
+                    tx.position, self.panels[panel_id], self.ris_configs[panel_id],
+                    self.nodes[ue_id].position, tx.freq_ghz, params, self.obstacles,
+                )
+                ris_snr = ch.received_power_dbm(tx.tx_power_dbm, gain) - params.noise_floor_dbm()
+                j = ue_ids.index(ue_id)
+                if ris_snr > best[j]:
+                    best[j], codes[j] = ris_snr, code[panel_id]
+            kept = self._budget = (key, LinkBudget(ue_ids, access_ids, snr, best, codes))
+        return kept[1]
 
     def ris_evaluator(self, panel_id: str, rx_pos, part_id: int | None = None) -> ModelEvaluator:
         """Power (dBm) at rx_pos through the panel from its configured tx, in
@@ -225,36 +252,10 @@ class World:
             base_config=self.ris_configs[panel_id],
         )
 
-    def best_links(self) -> tuple[list[str], np.ndarray, np.ndarray]:
-        """UE ids, best SNR per UE and its server code. The SNR and codes are
-        the cached link budget, whose code is the serving access row; a RIS
-        link that is stronger overrides a UE with the code len(access_ids) +
-        the panel's sorted index, and only then are the arrays copied. Each
-        part's link is one `cascaded_gain` at the panel's configuration."""
-        ue_ids, access_ids, _, best, codes = self.link_budget()
-        panel_index = {panel_id: p for p, panel_id in enumerate(sorted(self.panels))}
-        params = self.scenario.channel
-        noise = params.noise_floor_dbm()
-        copied = False
-        for (panel_id, _), ue_id in self.ris_parts.items():
-            j = ue_ids.index(ue_id)
-            tx = self.nodes[self.scenario.ric.ris[panel_id].tx]
-            gain = ch.cascaded_gain(
-                tx.position, self.panels[panel_id], self.ris_configs[panel_id],
-                self.nodes[ue_id].position, tx.freq_ghz, params, self.obstacles,
-            )
-            snr = ch.received_power_dbm(tx.tx_power_dbm, gain) - noise
-            if snr > best[j]:
-                if not copied:  # the cached link budget stays untouched
-                    best, codes, copied = best.copy(), codes.copy(), True
-                best[j] = snr
-                codes[j] = len(access_ids) + panel_index[panel_id]
-        return ue_ids, best, codes
-
     def out_of_service(self) -> frozenset[str]:
         """The UEs whose best SNR in the link budget is below the coverage
         threshold: one set per link budget, the same object until the
-        version moves."""
+        budget moves."""
         budget, threshold = self.link_budget(), self.snr_threshold_db
         outage = self._outage
         if outage is None or outage[0] is not budget or outage[1] != threshold:

@@ -1,18 +1,19 @@
 """Property tests: the vectorised MCS staircase against the scalar lookup,
 the array-based throughput step of `Simulation.measure` against the per-UE
 comprehension it replaced (one sample, and a run of samples whose link
-state and offered load repeat or move), the metrics.csv writer against csv.writer (also
+budget and offered load repeat or move), the metrics.csv writer against csv.writer (also
 with table objects shared between samples), the all-boxes blockage test
 against the scalar `los_blocked`, the RIS link-table evaluator against
 `cascaded_gain` and its sweep kernel against the generic element sweep (one
 evaluator, and stacks of evaluators through `iterative_optimize_all`,
 `build_codebook` and the planner's relay search), `select_codeword` against
 its scalar loop at near-tie distances, the controller's grouped ticks
-against one tick event per app, the RIS override of `World.best_links`
+against one tick event per app, the RIS links of `World.link_budget`
 against `cascaded_gain` one part at a time, the tx half a panel keeps
-against a freshly built panel, the one-sort top-L clustering
-against the per-UE sorted loop, and the outage set that `World` keeps per
-link budget against the budget's own."""
+against a freshly built panel, the measurement's coverage against
+`out_of_service()` on links from serving transmitters only, the one-sort top-L
+clustering against the per-UE sorted loop, and the outage set that `World`
+keeps per link budget against the budget's own."""
 
 import csv
 import io
@@ -42,9 +43,9 @@ from rrsim.ris_opt import (
     select_codeword,
 )
 from rrsim.runner import Simulation
-from rrsim.scenario import NodeKind, scenario_from_dict
+from rrsim.scenario import ACCESS_KINDS, NodeKind, scenario_from_dict
 from rrsim.simcore import EventKind, Kernel, RateTable, Sample, write_metrics_csv
-from rrsim.world import World
+from rrsim.world import LinkBudget, World
 
 _snr = st.floats(allow_nan=False)
 _mcs_tables = st.lists(
@@ -86,13 +87,17 @@ _servers = st.sampled_from([None, "bs1", "bs2", "deployed_0", "ris1"])
 _link_snr = st.one_of(
     st.sampled_from([3.0, -np.inf, np.inf, 0.0]), st.floats(-40.0, 60.0, allow_nan=False)
 )
-# Server codes as `World.best_links` gives them: distinct for distinct servers, -1
-# for none, and a RIS panel's after the access rows.
+# Server codes as `World.link_budget` gives them: distinct for distinct servers,
+# -1 for none, and a RIS panel's after the access rows.
 _CODES = {None: -1, "bs1": 0, "bs2": 1, "deployed_0": 2, "ris1": 3}
 
 
-def _codes(servers):
-    return np.array([_CODES[s] for s in servers], dtype=np.intp)
+def _budget(ue_ids, best, servers):
+    """A link budget with the given best SNR and servers; the measurement
+    reads no access matrix."""
+    access_ids = ("bs1", "bs2", "deployed_0")
+    return LinkBudget(ue_ids, access_ids, np.full((len(access_ids), len(ue_ids)), -np.inf),
+                      np.array(best, float), np.array([_CODES[s] for s in servers], dtype=np.intp))
 
 
 @st.composite
@@ -116,46 +121,45 @@ def test_measure_throughput_is_bitwise_the_scalar_step(inputs, table):
     sim._mcs = ch.McsStaircase(table)
     sim.world.snr_threshold_db = threshold
     sim._offered_load_mbps = lambda now_ms: offered
-    # The same link state twice reuses its entry; a new one rebuilds it.
-    built = []
-    for key, links in ((0, servers), (0, servers), (1, changed)):
-        sim.world.link_state = lambda key=key: key
-        sim.world.best_links = lambda key=key, links=links: built.append(key) or (
-            ue_ids, np.array(best, float), _codes(links)
-        )
+    # The same link budget twice reuses its entry; a new one rebuilds it.
+    first = _budget(ue_ids, best, servers)
+    entries = []
+    for budget, links in ((first, servers), (first, servers), (_budget(ue_ids, best, changed), changed)):
+        sim.world.link_budget = lambda budget=budget: budget
         sample = sim.measure(5_000, apply_fading=False)
+        entries.append(sim._entry)
         ratio, rates = measure_reference(ue_ids, best, links, threshold, offered, table)
         assert sample.coverage_ratio.hex() == ratio.hex()
         assert list(sample.throughput_mbps) == list(rates)
         assert [r.hex() for r in sample.throughput_mbps.values()] == [r.hex() for r in rates.values()]
-    assert built == [0, 1]
+    assert entries[0] is entries[1] and entries[1] is not entries[2]
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data(), _mcs_tables, st.sampled_from([3.0, 0.0, -10.0]))
 def test_measure_sequence_is_bitwise_the_scalar_step(data, table, threshold):
-    """A run of samples whose link state repeats, or moves to a copy of its
+    """A run of samples whose link budget repeats, or moves to a copy of its
     links or to new ones, and whose offered load moves across the largest
     share: every sample is the scalar step, and shares the previous sample's
-    table object exactly when its link key and its cap are unchanged. The cap
-    is the offered load, or inf above the largest share, compared bitwise."""
+    table object exactly when its budget object and its cap are unchanged.
+    The cap is the offered load, or inf above the largest share, compared
+    bitwise."""
     n = data.draw(st.integers(1, 8))
     ue_ids = [f"ue{i}" for i in range(n)]
     sim = Simulation(scenario_from_dict(_SMALL_RUN))
     sim._mcs = ch.McsStaircase(table)
     sim.world.snr_threshold_db = threshold
-    links, key, offered, previous = None, 0, None, None
-    sim.world.link_state = lambda: key
-    sim.world.best_links = lambda: links
+    budget, key, offered, previous = None, 0, None, None
+    sim.world.link_budget = lambda: budget
     sim._offered_load_mbps = lambda now_ms: offered
     for step in range(data.draw(st.integers(2, 10))):
-        change = "new" if links is None else data.draw(st.sampled_from(["same", "same", "copy", "new"]))
+        change = "new" if budget is None else data.draw(st.sampled_from(["same", "same", "copy", "new"]))
         if change == "new":
             best = data.draw(st.lists(_link_snr, min_size=n, max_size=n))
             servers = data.draw(st.lists(_servers, min_size=n, max_size=n))
         if change != "same":
             key += 1
-            links = (ue_ids, np.array(best, float), _codes(servers))
+            budget = _budget(ue_ids, best, servers)
         _, uncapped = measure_reference(ue_ids, best, servers, threshold, np.inf, table)
         shares = [
             uncapped[ue] for ue, snr, server in zip(ue_ids, best, servers)
@@ -832,16 +836,26 @@ def test_sleeping_ticks_match_a_run_that_keeps_every_tick(case, data):
 
 
 def _best_links_oracle(world, panels=None):
-    """The access link budget, then each panel part's SNR from
-    `cascaded_gain`, one part at a time: a stronger RIS link takes the UE
-    with the code len(access_ids) + the panel's index in sorted panel order.
-    panels, when given, stand in for the world's."""
+    """Each UE's best access SNR in the budget's access matrix, the first
+    such row as its code (-1 where no row is finite), then each panel part's
+    SNR from `cascaded_gain`, one part at a time, for a tx that serves: a
+    stronger RIS link takes the UE with the code len(access_ids) + the
+    panel's index in sorted panel order. panels, when given, stand in for
+    the world's."""
     budget = world.link_budget()
-    best, codes = budget.best_db.tolist(), budget.server_rows.tolist()
+    rows = budget.snr_db.tolist()
+    best, codes = [], []
+    for j in range(len(budget.ue_ids)):
+        column = [row[j] for row in rows]
+        top = max(column, default=-math.inf)
+        best.append(top)
+        codes.append(column.index(top) if math.isfinite(top) else -1)
     panel_ids = sorted(world.panels)
     noise = world.scenario.channel.noise_floor_dbm()
     for panel_id, settings in sorted(world.scenario.ric.ris.items()):
         tx = world.nodes[settings.tx]
+        if not tx.serving:
+            continue
         for _, part in sorted(settings.parts.items()):
             ue = world.nodes[part.ue]
             gain = ch.cascaded_gain(
@@ -862,14 +876,17 @@ _room_point = st.tuples(st.floats(-3.0, 3.0), st.floats(1.3, 3.0), st.floats(0.5
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_world_best_links_is_the_budget_with_each_stronger_ris_link(data):
+def test_world_link_budget_is_the_access_links_with_each_stronger_ris_link(data):
     """On a bare `World` of the two-UE room, after any run of panel
-    codewords, UE moves and blockage strikes, `best_links()` gives the
-    oracle's best SNR bit for bit and its codes, and leaves the cached link
-    budget as it was."""
+    codewords, UE moves and blockage strikes, `link_budget()` gives the
+    oracle's best SNR bit for bit and its codes, one object per link state,
+    and a RIS write keeps the access matrix as it was."""
     world = World(scenario_from_dict(_ROOM))
     panel = world.panels["ris1"]
+    last = world.link_budget()
+    kept = last.snr_db.tobytes()
     for now_ms in range(data.draw(st.integers(1, 6))):
+        state = world.link_state()
         step = data.draw(st.sampled_from(["codeword", "move", "strike"]))
         if step == "codeword":
             part_id = data.draw(st.sampled_from(np.unique(panel.partition).tolist()))
@@ -883,16 +900,15 @@ def test_world_best_links_is_the_budget_with_each_stronger_ris_link(data):
             size = data.draw(st.tuples(*[st.floats(0.05, 1.0)] * 3))
             world.apply_strike([], [], [(lo, tuple(a + b for a, b in zip(lo, size)))], now_ms)
         budget = world.link_budget()
-        kept = [array.copy() for array in (budget.snr_db, budget.best_db, budget.server_rows)]
-        ue_ids, best, codes = world.best_links()
         expected_best, expected_codes = _best_links_oracle(world)
-        assert ue_ids == budget.ue_ids
-        assert [snr.hex() for snr in best.tolist()] == [snr.hex() for snr in expected_best]
-        assert codes.tolist() == expected_codes
+        assert budget.ue_ids == ["rx1", "rx2"]
+        assert [snr.hex() for snr in budget.best_db.tolist()] == [snr.hex() for snr in expected_best]
+        assert budget.server_codes.tolist() == expected_codes
         assert world.link_budget() is budget
-        assert [array.tobytes() for array in kept] == [
-            array.tobytes() for array in (budget.snr_db, budget.best_db, budget.server_rows)
-        ]
+        assert (budget is last) == (world.link_state() == state)
+        if step == "codeword":
+            assert budget.snr_db is last.snr_db and budget.snr_db.tobytes() == kept
+        last, kept = budget, budget.snr_db.tobytes()
 
 
 def _fresh(panel):
@@ -929,7 +945,7 @@ def test_kept_tx_half_is_bitwise_a_fresh_panels(link, data):
 @given(st.lists(st.tuples(st.sampled_from(["tx1", "rx1", "rx2"]), _room_point), min_size=1, max_size=5))
 def test_kept_tx_half_follows_the_moves_of_the_panels_tx(moves):
     """On a bare `World` of the two-UE room whose tx and UEs move between
-    measurements, `best_links()` equals the oracle's on a freshly built
+    measurements, `link_budget()` equals the oracle's on a freshly built
     panel, and so does each part's link table, bit for bit."""
     world = World(scenario_from_dict(_ROOM))
     panel, params = world.panels["ris1"], world.scenario.channel
@@ -939,16 +955,69 @@ def test_kept_tx_half_follows_the_moves_of_the_panels_tx(moves):
         ues = [world.nodes[ue_id] for ue_id in world.ris_parts.values()]
         if not all(_link_free(tx.position, ue.position, panel) for ue in ues):
             continue
-        _, best, codes = world.best_links()
+        budget = world.link_budget()
         expected_best, expected_codes = _best_links_oracle(world, {"ris1": _fresh(panel)})
-        assert [snr.hex() for snr in best.tolist()] == [snr.hex() for snr in expected_best]
-        assert codes.tolist() == expected_codes
+        assert [snr.hex() for snr in budget.best_db.tolist()] == [snr.hex() for snr in expected_best]
+        assert budget.server_codes.tolist() == expected_codes
         tx_pos = np.asarray(tx.position, float)
         for ue in ues:
             rx_pos = np.asarray(ue.position, float)
             table = ch.reflected_terms(tx_pos, panel, rx_pos, tx.freq_ghz, params)
             fresh = ch.reflected_terms(tx_pos, _fresh(panel), rx_pos, tx.freq_ghz, params)
             assert table.tobytes() == fresh.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_measurement_and_outage_read_one_budget_of_serving_links(data):
+    """In the two-UE room, after any run of strikes that fail the panel's tx
+    or put it on battery until the charge runs out, blockages, deployments,
+    UE moves and codewords: every UE with a server code is served by a
+    serving access node or through a panel whose tx serves, the UEs that the
+    measurement counts as covered are those not in `out_of_service()`, and
+    the budget is the oracle's with a tx that does not serve skipped."""
+    sim = Simulation(scenario_from_dict(_ROOM))
+    world = sim.world
+    panel = world.panels["ris1"]
+    for now_ms in range(data.draw(st.integers(1, 8))):
+        step = data.draw(st.sampled_from(["fail", "power_loss", "expire", "blockage", "deploy", "move", "codeword"]))
+        if step == "fail":
+            access = sorted(n.node_id for n in world.nodes.values() if n.kind in ACCESS_KINDS)
+            world.apply_strike([data.draw(st.sampled_from(access))], [], [], now_ms)
+        elif step == "power_loss":
+            world.apply_strike([], ["tx1"], [], now_ms)
+        elif step == "expire":
+            world.expire_battery("tx1")
+        elif step == "blockage":
+            lo = data.draw(_room_point)
+            size = data.draw(st.tuples(*[st.floats(0.05, 1.0)] * 3))
+            world.apply_strike([], [], [(lo, tuple(a + b for a, b in zip(lo, size)))], now_ms)
+        elif step == "deploy":
+            x, y, _ = data.draw(_room_point)
+            world.add_deployed_node(NodeKind.UAV, (x, y, 2.5), data.draw(st.floats(0.0, 30.0)), 3.5)
+        elif step == "move":
+            world.move_node(data.draw(st.sampled_from(["rx1", "rx2"])), data.draw(_room_point))
+        else:
+            part_id = data.draw(st.sampled_from(np.unique(panel.partition).tolist()))
+            size = panel.part_elements(part_id).size
+            world.configure_ris("ris1", part_id, data.draw(
+                st.lists(st.integers(0, panel.n_states - 1), min_size=size, max_size=size)))
+        sample = sim.measure(now_ms, apply_fading=False)
+        budget, oos = world.link_budget(), world.out_of_service()
+        assert sim._entry.budget is budget
+        n_access, panel_ids = len(budget.access_ids), sorted(world.panels)
+        for code in budget.server_codes.tolist():
+            if code >= n_access:
+                assert world.nodes[world.scenario.ric.ris[panel_ids[code - n_access]].tx].serving
+            elif code >= 0:
+                assert world.nodes[budget.access_ids[code]].serving
+        covered = {ue for ue, served in zip(budget.ue_ids, sim._entry.served.tolist()) if served}
+        assert covered == set(budget.ue_ids) - oos
+        assert sample.coverage_ratio == len(covered) / len(budget.ue_ids)
+        assert all(sample.throughput_mbps[ue] == 0.0 for ue in oos)
+        expected_best, expected_codes = _best_links_oracle(world)
+        assert [snr.hex() for snr in budget.best_db.tolist()] == [snr.hex() for snr in expected_best]
+        assert budget.server_codes.tolist() == expected_codes
 
 
 def _top_l_by_loop(ap_ids, ue_ids, gains, max_aps):
@@ -1001,12 +1070,12 @@ def test_out_of_service_is_kept_per_link_budget(name, data):
     """On a bare `World` (the two-UE room or the earthquake demo), after any
     run of strikes, UE moves, RIS writes and deployments, `out_of_service()`
     equals the link budget's own set at the threshold. It is the same object
-    while the version stays, and a new one after each bump."""
+    while the link state stays, and a new one after each change of it."""
     scenario, point = _WORLDS[name]
     world = World(scenario)
     access = sorted(n.node_id for n in scenario.nodes if n.kind == NodeKind.TERRESTRIAL_BS)
     ues = sorted(n.node_id for n in scenario.nodes if n.kind == NodeKind.UE)
-    version, previous = world.version, world.out_of_service()
+    state, previous = world.link_state(), world.out_of_service()
     for now_ms in range(data.draw(st.integers(1, 6))):
         step = data.draw(st.sampled_from(["strike", "move", "ris", "deploy"]))
         if step == "strike":
@@ -1030,6 +1099,6 @@ def test_out_of_service_is_kept_per_link_budget(name, data):
         oos = world.out_of_service()
         assert isinstance(oos, frozenset)
         assert oos == world.link_budget().out_of_service(world.snr_threshold_db)
-        assert (oos is previous) == (world.version == version)
+        assert (oos is previous) == (world.link_state() == state)
         assert world.out_of_service() is oos
-        version, previous = world.version, oos
+        state, previous = world.link_state(), oos

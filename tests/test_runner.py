@@ -111,6 +111,16 @@ class TestEventFlow:
         assert [(t, d) for t, d in log.actions if d.startswith("BatteryExpiry")] == [(5_000, "BatteryExpiry: tx1 failed")]
         assert sim.world.nodes["tx1"].status == NodeStatus.FAILED
 
+    def test_failed_ris_tx_serves_no_ue_through_its_panel(self):
+        """A panel reflects only its tx's signal: with tx1 failed, neither UE
+        is served, and the sample agrees with the failure monitor's set."""
+        sim = self.two_ue_demo([{"time_ms": 1_000, "fail": ["tx1"]}], battery_reserve_ms=5_000)
+        sample = sim.run(1_100).samples[-1]
+        assert sample.time_ms == 1_100
+        assert sample.coverage_ratio == 0.0
+        assert set(sample.throughput_mbps.values()) == {0.0}
+        assert sim.world.out_of_service() == {"rx1", "rx2"}
+
     def test_ue_move_changes_measurement(self):
         scenario = small_scenario(
             disasters=[],

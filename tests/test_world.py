@@ -159,7 +159,7 @@ class TestSnrHelpers:
     def test_best_picks_nearest(self):
         budget = make_world().link_budget()
         assert budget.ue_ids == ["ue1", "ue2"]
-        assert [budget.access_ids[r] for r in budget.server_rows.tolist()] == ["bs1", "bs2"]
+        assert [budget.access_ids[r] for r in budget.server_codes.tolist()] == ["bs1", "bs2"]
         assert np.all(np.isfinite(budget.best_db))
         assert budget.best_db.tolist() == budget.snr_db.max(axis=0).tolist()
 
@@ -171,7 +171,7 @@ class TestSnrHelpers:
         world.apply_strike(["bs1", "bs2"], [], [], 0)
         budget = world.link_budget()
         assert budget.access_ids == () and budget.snr_db.shape == (0, 2)
-        assert budget.server_rows.tolist() == [-1, -1]
+        assert budget.server_codes.tolist() == [-1, -1]
         assert budget.best_db.tolist() == [-np.inf, -np.inf]
 
     def test_blockage_reduces_snr(self):

@@ -13,14 +13,16 @@ timed in layers:
 - `run`: the whole command;
 - `simulate`: `Simulation.run`;
 - `write`: the artifact writes (`cli._atomic_write`);
-- on `ris_emergency`, `best_links` (`World.best_links`) and `rebuild`
-  (`world.access_snr_matrix`, the work of each link-budget rebuild);
+- on `ris_emergency`, `link_budget` (every `World.link_budget` call, a
+  kept budget included; a checkout whose budget holds access links only
+  times those alone) and `rebuild` (`world.access_snr_matrix`, the work of
+  each access-link rebuild);
 - the controller apps of the workload, `FailureMonitor` and `CfClusterer` or
   `RisCodebookTracker`, `RisIterativeTuner` and `CfClusterer`: each app's
   `Controller._run_app` calls, the actions it returned included (so a
   `Recluster` or an `ApplyRisConfig` counts).
 
-It prints the median of each layer in ms, and for `best_links` and
+It prints the median of each layer in ms, and for `link_budget` and
 `rebuild` also their calls per run and µs per call. With --parent SRC, the
 `src` directory of another checkout, the runs of the two checkouts
 alternate, and it also prints the parent's medians, their ratio, and
@@ -51,11 +53,11 @@ WORKLOADS = {
     "quake_4h": (inputs.quake_scenario, inputs.QUAKE_UNTIL_MS,
                  ("run", "simulate", "write", "FailureMonitor", "CfClusterer")),
     "ris_emergency": (inputs.ris_emergency_scenario, inputs.RIS_UNTIL_MS,
-                      ("run", "simulate", "write", "best_links", "rebuild",
+                      ("run", "simulate", "write", "link_budget", "rebuild",
                        "RisCodebookTracker", "RisIterativeTuner", "CfClusterer")),
 }
 # Layers whose calls are counted and reported per call.
-PER_CALL = ("best_links", "rebuild")
+PER_CALL = ("link_budget", "rebuild")
 
 
 def timed(times: dict[str, float], layer: str, fn):
@@ -81,8 +83,8 @@ def instrument(pkg: str, times: dict[str, float], layers: tuple[str, ...]) -> No
     world = importlib.import_module(f"{pkg}.world")
     cli._atomic_write = timed(times, "write", cli._atomic_write)
     runner.Simulation.run = timed(times, "simulate", runner.Simulation.run)
-    if "best_links" in layers:
-        world.World.best_links = timed(times, "best_links", world.World.best_links)
+    if "link_budget" in layers:
+        world.World.link_budget = timed(times, "link_budget", world.World.link_budget)
     if "rebuild" in layers:
         world.access_snr_matrix = timed(times, "rebuild", world.access_snr_matrix)
     run_app = ric.Controller._run_app
