@@ -246,18 +246,6 @@ class Codebook:
             sort_keys=True,
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "Codebook":
-        data = json.loads(text)
-        if data.get("version") != CODEBOOK_FORMAT_VERSION:
-            raise ValueError(f"unsupported codebook version {data.get('version')}")
-        return cls(
-            part_id=data["part_id"],
-            reference_points=[tuple(p) for p in data["reference_points"]],
-            codewords=[list(map(int, cw)) for cw in data["codewords"]],
-            metadata=data.get("metadata", {}),
-        )
-
 
 def evaluator_hash(panel: RisPanel, tx_pos, freq_ghz: float, params: ChannelParams) -> str:
     """Fingerprint of the model an offline codebook was built against."""

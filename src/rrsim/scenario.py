@@ -473,10 +473,9 @@ def _kind(noun: str, types: frozenset, convert=None, accept=None):
 _INT, _NUMBER, _BOOL = frozenset((int,)), frozenset((int, float)), frozenset((bool,))
 
 
-def _integer(noun: str, accept=None):
-    """A reader of a JSON integer that accept passes; a bool, a float or a
-    string is not one."""
-    return _kind(noun, _INT, None, accept)
+def _integer(noun: str):
+    """A reader of a JSON integer; a bool, a float or a string is not one."""
+    return _kind(noun, _INT)
 
 
 _int = _integer("an integer")
@@ -488,9 +487,6 @@ _positive = _kind(_ABOVE_0.noun, _NUMBER, float, _ABOVE_0.test)
 # that the value is an integer, or a number.
 _typed_natural, _typed_count = _integer(_AT_LEAST_0.noun), _integer(_AT_LEAST_1.noun)
 _typed_positive = _kind(_ABOVE_0.noun, _NUMBER)
-# `planner.max_nodes` is checked by `PlannerSettings` too, but out of range
-# in a file it stays the `ParseError` it has always been.
-_natural = _integer(*_AT_LEAST_0)
 _flag = _kind("true or false", _BOOL)
 
 
@@ -673,7 +669,7 @@ _schema(
     scatter_floor_db=_optional(_finite), fading=_flag,
 )
 _schema(
-    PlannerSettings, snr_threshold_db=_finite, max_nodes=_natural, uav_altitude_m=_typed_positive,
+    PlannerSettings, snr_threshold_db=_finite, max_nodes=_typed_natural, uav_altitude_m=_typed_positive,
     uav_tx_power_dbm=_finite, uav_freq_ghz=_typed_positive, candidate_spacing_m=_typed_positive,
     candidate_bounds=_optional(_bounds), backhaul_threshold_db=_finite, relay_sites=_points,
 )

@@ -151,10 +151,13 @@ class World:
         """The ids of the nodes that the strike at now_ms puts on battery,
         each with `battery_ms` now_ms + the scenario's reserve. A failed node
         stays failed, and a node already on battery keeps draining the charge
-        it has."""
+        it has. The version moves only if the strike changes something."""
         nodes, expiry = self.nodes, now_ms + self.scenario.battery_reserve_ms
+        changed = False
         for nid in failed:
-            nodes[nid] = replace(nodes[nid], status=NodeStatus.FAILED)
+            if nodes[nid].status != NodeStatus.FAILED:
+                nodes[nid] = replace(nodes[nid], status=NodeStatus.FAILED)
+                changed = True
         on_battery = []
         for nid in power_loss:
             if nodes[nid].status not in (NodeStatus.FAILED, NodeStatus.ON_BATTERY):
@@ -162,7 +165,9 @@ class World:
                 on_battery.append(nid)
         for box in blockages:
             self.obstacles.append((tuple(box[0]), tuple(box[1])))
-        self.version += 1
+            changed = True
+        if changed or on_battery:
+            self.version += 1
         return on_battery
 
     def expire_battery(self, node_id: str) -> bool:

@@ -1,199 +1,45 @@
-"""Clustering, maximum-ratio SINR (checked against a hand-written oracle) and
-the load-aware service model."""
-
-import cmath
-import math
+"""User-centric AP clustering: the top L APs of each UE by large-scale gain."""
 
 import numpy as np
 import pytest
 
-from rrsim.cfmimo import (
-    ClusterAssignment,
-    DimensionMismatch,
-    NoActiveAps,
-    average_sinr,
-    cluster,
-    fading_realization,
-    serve,
-    sinr,
-)
-from rrsim.simcore import rng_stream
-
-
-def oracle_sinr(assignment, fading, ap_ids, ue_ids, ap_power_w, noise_power_w):
-    """Independent re-derivation of the maximum-ratio downlink SINR.
-
-    Written with dictionaries and cmath instead of arrays: signal is the
-    coherent sum of sqrt(share)*|h| over the serving cluster; each interfering
-    UE contributes |sum over its cluster of sqrt(share) * conj(unit(h_mi)) *
-    h_mk|^2; shares split the AP power over the UEs it serves.
-    """
-    served = {ap: 0 for ap in ap_ids}
-    for ue in ue_ids:
-        for ap in assignment.aps_for(ue):
-            served[ap] += 1
-    share = {ap: (ap_power_w[ap] / served[ap] if served[ap] else 0.0) for ap in ap_ids}
-    h = {
-        (ap, ue): fading[i, j]
-        for i, ap in enumerate(ap_ids)
-        for j, ue in enumerate(ue_ids)
-    }
-    out = {}
-    for ue_k in ue_ids:
-        if not assignment.aps_for(ue_k):
-            out[ue_k] = 0.0
-            continue
-        sig = 0.0
-        for ap in assignment.aps_for(ue_k):
-            sig += math.sqrt(share[ap]) * abs(h[(ap, ue_k)])
-        interference = 0.0
-        for ue_i in ue_ids:
-            if ue_i == ue_k:
-                continue
-            acc = 0j
-            for ap in assignment.aps_for(ue_i):
-                h_mi = h[(ap, ue_i)]
-                if h_mi == 0:
-                    continue
-                unit = h_mi.conjugate() / abs(h_mi)
-                acc += math.sqrt(share[ap]) * unit * h[(ap, ue_k)]
-            interference += abs(acc) ** 2
-        out[ue_k] = sig * sig / (interference + noise_power_w)
-    return out
+from rrsim.cfmimo import top_l_clusters
+from rrsim.ric import Action, Controller, ControllerApp
+from rrsim.scenario import scenario_from_dict
+from rrsim.simcore import Kernel
+from rrsim.world import World
 
 
 class TestCluster:
-    GAINS = {
-        "ue1": {"ap1": -80.0, "ap2": -70.0, "ap3": -90.0},
-        "ue2": {"ap1": -60.0, "ap2": -95.0, "ap3": -60.0},
-    }
+    AP_IDS = ("ap1", "ap2", "ap3")
+    UE_IDS = ("ue1", "ue2")
+    # (n_aps, n_ues): the rows follow AP_IDS, the columns UE_IDS.
+    GAINS = np.array([[-80.0, -60.0], [-70.0, -95.0], [-90.0, -60.0]])
 
     def test_top_l_by_gain(self):
-        assignment = cluster(self.GAINS, 2)
-        assert assignment.aps_for("ue1") == ("ap2", "ap1")
+        assignment = top_l_clusters(self.AP_IDS, self.UE_IDS, self.GAINS, 2)
+        assert assignment.serving["ue1"] == ("ap2", "ap1")
 
     def test_gain_tie_prefers_lower_ap_id(self):
-        assignment = cluster(self.GAINS, 1)
-        assert assignment.aps_for("ue2") == ("ap1",)
+        assignment = top_l_clusters(self.AP_IDS, self.UE_IDS, self.GAINS, 1)
+        assert assignment.serving["ue2"] == ("ap1",)
 
     def test_inactive_aps_excluded(self):
-        assignment = cluster(self.GAINS, 2, active_aps={"ap1", "ap3"})
-        assert assignment.aps_for("ue1") == ("ap1", "ap3")
-
-    def test_no_active_ap_raises(self):
-        with pytest.raises(NoActiveAps):
-            cluster(self.GAINS, 1, active_aps=set())
+        """A `Recluster` takes the APs of the link budget, so a failed AP
+        serves no cluster."""
+        nodes = [{"id": "gw", "kind": "Gateway", "position": [0, 0, 10]}]
+        nodes += [{"id": ap, "kind": "TerrestrialBS", "position": [300 * i, 0, 25], "tx_power_dbm": 40}
+                  for i, ap in enumerate(self.AP_IDS)]
+        nodes += [{"id": "ue1", "kind": "UE", "position": [100, 0, 1.5]}]
+        world = World(scenario_from_dict({"nodes": nodes}))
+        ctl = Controller(world, Kernel(0))
+        app = ControllerApp("x", "NearRT", lambda c: [], 100)
+        ctl.apply_action(Action("Recluster", {"L": 2}), app)
+        assert ctl.cluster_assignment.serving["ue1"] == ("ap1", "ap2")
+        world.apply_strike(["ap1"], [], [], 0)
+        ctl.apply_action(Action("Recluster", {"L": 2}), app)
+        assert ctl.cluster_assignment.serving["ue1"] == ("ap2", "ap3")
 
     def test_max_aps_validated(self):
         with pytest.raises(ValueError):
-            cluster(self.GAINS, 0)
-
-    def test_unassigned_ue_empty(self):
-        assignment = ClusterAssignment({})
-        assert assignment.aps_for("ghost") == ()
-
-
-class TestSinr:
-    def random_case(self, rng, n_aps=4, n_ues=3, max_aps=2):
-        ap_ids = [f"ap{i}" for i in range(n_aps)]
-        ue_ids = [f"ue{j}" for j in range(n_ues)]
-        gains = {
-            ue: {ap: float(rng.uniform(-90, -60)) for ap in ap_ids} for ue in ue_ids
-        }
-        assignment = cluster(gains, max_aps)
-        fading = (rng.standard_normal((n_aps, n_ues)) + 1j * rng.standard_normal((n_aps, n_ues))) * 1e-4
-        power = {ap: float(rng.uniform(0.5, 2.0)) for ap in ap_ids}
-        return assignment, fading, ap_ids, ue_ids, power
-
-    def test_matches_oracle(self):
-        rng = rng_stream(21, "test.cfmimo.oracle")
-        for _ in range(60):
-            assignment, fading, ap_ids, ue_ids, power = self.random_case(rng)
-            got = sinr(assignment, fading, ap_ids, ue_ids, power, 1e-10)
-            want = oracle_sinr(assignment, fading, ap_ids, ue_ids, power, 1e-10)
-            for ue in ue_ids:
-                assert got[ue] == pytest.approx(want[ue], rel=1e-9)
-
-    def test_single_link_analytic(self):
-        # one AP, one UE: SINR = p |h|^2 / noise exactly
-        assignment = ClusterAssignment({"ue0": ("ap0",)})
-        h = 3e-5 * cmath.exp(0.3j)
-        fading = np.array([[h]])
-        got = sinr(assignment, fading, ["ap0"], ["ue0"], {"ap0": 2.0}, 1e-9)
-        assert got["ue0"] == pytest.approx(2.0 * abs(h) ** 2 / 1e-9, rel=1e-12)
-
-    def test_power_split_across_served_ues(self):
-        # one AP serving two UEs with equal channels: each gets half the power
-        assignment = ClusterAssignment({"a": ("ap0",), "b": ("ap0",)})
-        h = 1e-4
-        fading = np.array([[h, h]], dtype=complex)
-        got = sinr(assignment, fading, ["ap0"], ["a", "b"], {"ap0": 4.0}, 1e-30)
-        solo = ClusterAssignment({"a": ("ap0",)})
-        ref = sinr(solo, np.array([[h]], dtype=complex), ["ap0"], ["a"], {"ap0": 4.0}, 1e-30)
-        # numerator halves, and the co-served UE adds interference
-        assert got["a"] < ref["a"] / 2.0 + 1e-6
-
-    def test_dimension_mismatch(self):
-        assignment = ClusterAssignment({"ue0": ("ap0",)})
-        with pytest.raises(DimensionMismatch):
-            sinr(assignment, np.zeros((2, 2), complex), ["ap0"], ["ue0"], {"ap0": 1.0}, 1e-9)
-
-    def test_unserved_ue_gets_zero(self):
-        assignment = ClusterAssignment({})
-        got = sinr(assignment, np.ones((1, 1), complex), ["ap0"], ["ue0"], {"ap0": 1.0}, 1e-9)
-        assert got["ue0"] == 0.0
-
-
-class TestServe:
-    def test_capacity_split_by_contention(self):
-        assignment = ClusterAssignment({"a": ("ap0",), "b": ("ap0",)})
-        # 20 dB SNR -> 18 Mbps on the default table, shared two ways
-        sinr_linear = {"a": 100.0, "b": 100.0}
-        delivered = serve(assignment, sinr_linear, {"a": 50.0, "b": 50.0})
-        assert delivered == {"a": 9.0, "b": 9.0}
-
-    def test_offered_load_caps_delivery(self):
-        assignment = ClusterAssignment({"a": ("ap0",)})
-        delivered = serve(assignment, {"a": 100.0}, {"a": 1.5})
-        assert delivered["a"] == 1.5
-
-    def test_zero_sinr_delivers_nothing(self):
-        assignment = ClusterAssignment({"a": ("ap0",)})
-        assert serve(assignment, {"a": 0.0}, {"a": 5.0})["a"] == 0.0
-
-    def test_bottleneck_ap_rules(self):
-        # UE a is served by a lightly and a heavily loaded AP; the busy one
-        # sets the contention factor
-        assignment = ClusterAssignment(
-            {"a": ("ap0", "ap1"), "b": ("ap1",), "c": ("ap1",)}
-        )
-        delivered = serve(assignment, {"a": 100.0, "b": 100.0, "c": 100.0},
-                          {"a": 50.0, "b": 50.0, "c": 50.0})
-        assert delivered["a"] == pytest.approx(18.0 / 3.0)
-
-    def test_negative_offered_rejected(self):
-        assignment = ClusterAssignment({"a": ("ap0",)})
-        with pytest.raises(ValueError):
-            serve(assignment, {"a": 1.0}, {"a": -2.0})
-
-
-class TestDeterminism:
-    def test_fading_reproducible(self):
-        amp = np.full((3, 2), 1e-4)
-        a = fading_realization(rng_stream(5, "cf"), amp)
-        b = fading_realization(rng_stream(5, "cf"), amp)
-        assert (a == b).all()
-
-    def test_average_sinr_reproducible(self):
-        assignment = ClusterAssignment({"ue0": ("ap0",), "ue1": ("ap0", "ap1")})
-        amp = np.array([[1e-4, 2e-4], [3e-4, 1e-4]])
-        kwargs = dict(
-            ap_ids=["ap0", "ap1"],
-            ue_ids=["ue0", "ue1"],
-            ap_power_w={"ap0": 1.0, "ap1": 1.0},
-            noise_power_w=1e-10,
-            realizations=20,
-        )
-        a = average_sinr(assignment, amp, rng=rng_stream(9, "avg"), **kwargs)
-        b = average_sinr(assignment, amp, rng=rng_stream(9, "avg"), **kwargs)
-        assert a == b
+            top_l_clusters(self.AP_IDS, self.UE_IDS, self.GAINS, 0)

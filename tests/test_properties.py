@@ -31,7 +31,7 @@ from rrsim import ntn_planner as planner
 from rrsim import ris_opt
 from rrsim.cli import bundled_scenario_path
 from rrsim.ric import Controller, ControllerApp
-from rrsim.cfmimo import cluster, top_l_clusters
+from rrsim.cfmimo import top_l_clusters
 from rrsim.ris_opt import (
     Codebook,
     EvaluatorFailure,
@@ -1038,9 +1038,8 @@ _cluster_gain = st.sampled_from([-3.0, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0, -ma
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_top_l_clusters_is_the_sorted_loop(data):
-    """`top_l_clusters` over a (n_access, n_ues) matrix, and `cluster` over
-    the same gains as dicts, give the loop's assignment: ties, 0.0 against
-    -0.0 included, go to the lower AP id."""
+    """`top_l_clusters` over a (n_access, n_ues) matrix gives the loop's
+    assignment: ties, 0.0 against -0.0 included, go to the lower AP id."""
     n_access, n_ues = data.draw(st.integers(1, 6)), data.draw(st.integers(0, 8))
     ap_ids = sorted(data.draw(st.lists(st.text("ab_1", max_size=3), min_size=n_access, max_size=n_access,
                                        unique=True)))
@@ -1051,9 +1050,6 @@ def test_top_l_clusters_is_the_sorted_loop(data):
     expected = _top_l_by_loop(ap_ids, ue_ids, gains, max_aps)
     matrix = np.array(gains, float).reshape(n_access, n_ues)
     assert top_l_clusters(tuple(ap_ids), ue_ids, matrix, max_aps).serving == expected
-    by_ue = {ue_id: {ap_ids[i]: gains[i][j] for i in reversed(range(n_access))}
-             for j, ue_id in enumerate(ue_ids)}
-    assert cluster(by_ue, max_aps).serving == expected
 
 
 with open(bundled_scenario_path("earthquake_demo.json")) as _fh:

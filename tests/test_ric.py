@@ -162,7 +162,7 @@ class TestActions:
     def test_recluster_builds_assignment(self):
         ctl, _ = make_controller()
         ctl.apply_action(Action("Recluster", {"L": 1}), nearrt("x", lambda c: []))
-        assert ctl.cluster_assignment.aps_for("ue1") == ("bs1",)
+        assert ctl.cluster_assignment.serving["ue1"] == ("bs1",)
 
 
 class TestBuiltinApps:

@@ -179,7 +179,7 @@ class TestValidation:
             minimal(traffic={"data_surge": [[100, 2.0], [50, 1.0]]})
 
     def test_max_nodes_must_not_be_negative(self):
-        with pytest.raises(ParseError, match=r"^planner.max_nodes: expected an integer >= 0, got -2$"):
+        with pytest.raises(ValidationError, match=r"^planner.max_nodes: expected an integer >= 0, got -2$"):
             minimal(planner={"max_nodes": -2})
         assert minimal(planner={"max_nodes": 0}).planner.max_nodes == 0
 

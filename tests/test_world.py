@@ -209,6 +209,21 @@ class TestVersion:
         assert not world.expire_battery("bs1")
         assert world.version == version
 
+    def test_a_strike_that_changes_nothing_keeps_the_version(self):
+        """Failing a failed node, or cutting the power of a failed node or of
+        one already on battery, changes nothing; failing a live node is one
+        change."""
+        world = make_world()
+        world.apply_strike(["bs1"], ["bs2"], [], 0)
+        version, state, budget = world.version, world.link_state(), world.link_budget()
+        assert world.apply_strike(["bs1"], ["bs1", "bs2"], [], 1_000) == []
+        assert world.version == version
+        assert world.link_state() == state
+        assert world.link_budget() is budget
+        assert world.nodes["bs2"].battery_ms == world.scenario.battery_reserve_ms
+        world.apply_strike(["bs2"], [], [], 2_000)
+        assert world.version == version + 1
+
 
 class TestRisConfiguration:
     def test_configure_ris_length_checked(self):
